@@ -6,17 +6,19 @@ computed information measures: exact Bayesian posteriors over the parties'
 operation pairs given the announcements, Shannon entropies, and mutual
 information between the view and the operations, per block and per session.
 
-The channel model is analytic, not sampled. Given operations with
-composite label L, the announced outcome pair is uniform over the four
-outcomes of L's column, so
+The channel model is analytic, not sampled, and lives in one table built
+once from the decode table. Given operations with composite label L, the
+announced outcome pair is uniform over the four outcomes of L's column, so
 
-    P(announcements | ops) = 1/4   if the outcome lies in the column,
-                             0     otherwise,
+    L[ops, 4*a_idx + b_idx] = P(both announcements | ops)
+                            = 1/4   if the outcome lies in the column,
+                              0     otherwise.
 
-and marginals follow by summing the unannounced side out. Every a-side
-label occurs exactly once in every column, which is why a single side's
-announcement carries no information at all: its likelihood is 1/4 under
-every operation pair.
+Every other announcement pattern is a marginal of this 16x16 table: summing
+over b_idx gives the a-only likelihoods, over a_idx the b-only ones, and
+over both the single none view. Every a-side label occurs exactly once in
+every column, which is why a single side's announcement carries no
+information at all: its likelihood is 1/4 under every operation pair.
 
 Mutual information here is the standard discrete definition,
 
@@ -32,20 +34,23 @@ instead of asserting blanket security.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
 
 from .protocol import Transcript
 from .quantum import BellLabel, PauliCode
-from .swap import ENCODING_ORDER, generate_decode_table
+from .swap import ALL_OP_PAIRS, ENCODING_ORDER, generate_decode_table
 
 OpPair = tuple[PauliCode, PauliCode]
 
-ALL_OP_PAIRS: tuple[OpPair, ...] = tuple(itertools.product(PauliCode, PauliCode))
+# Every 16-vector over operation pairs is indexed by 4*a.code + b.code.
+assert all(4 * a.code + b.code == i for i, (a, b) in enumerate(ALL_OP_PAIRS))
 
+_PAIR_INDEX: dict[OpPair, int] = {pair: i for i, pair in enumerate(ALL_OP_PAIRS)}
 _LABEL_INDEX: dict[BellLabel, int] = {lab: i for i, lab in enumerate(ENCODING_ORDER)}
 
 # Announcement patterns a block can show.
@@ -53,6 +58,14 @@ PATTERN_BOTH = "both"
 PATTERN_A_ONLY = "a-only"
 PATTERN_B_ONLY = "b-only"
 PATTERN_NONE = "none"
+
+# Each pattern's views as columns of the _likelihoods() table.
+_VIEWS = {
+    PATTERN_BOTH: slice(0, 16),    # 4*a_idx + b_idx
+    PATTERN_A_ONLY: slice(16, 20),  # a_idx
+    PATTERN_B_ONLY: slice(20, 24),  # b_idx
+    PATTERN_NONE: slice(24, 25),
+}
 
 
 def uniform_priors() -> dict[OpPair, float]:
@@ -77,66 +90,40 @@ def _validate_priors(priors: Mapping[OpPair, float]) -> np.ndarray:
     """Priors as a 16-vector indexed by 4*a.code + b.code."""
     vec = np.zeros(16)
     for pair, p in priors.items():
-        if pair not in set(ALL_OP_PAIRS):
+        if pair not in _PAIR_INDEX:
             raise ValueError(f"unknown operation pair {pair!r}")
+        if not math.isfinite(p):
+            raise ValueError(f"non-finite prior {p!r} for {pair!r}")
         if p < 0:
             raise ValueError(f"negative prior for {pair!r}")
-        vec[4 * pair[0].code + pair[1].code] = p
+        vec[_PAIR_INDEX[pair]] = p
     if abs(vec.sum() - 1.0) > 1e-9:
         raise ValueError(f"priors sum to {vec.sum()!r}, not 1")
     return vec
 
 
-def _column_matrix() -> np.ndarray:
-    """col[a_idx, b_idx] = encoding index of the column holding that outcome."""
-    table = generate_decode_table()
-    col = np.zeros((4, 4), dtype=np.int64)
-    for outcome, label in table.infer.items():
-        col[_LABEL_INDEX[outcome.a_side], _LABEL_INDEX[outcome.b_side]] = (
-            _LABEL_INDEX[label]
-        )
-    return col
+@lru_cache(maxsize=1)
+def _likelihoods() -> np.ndarray:
+    """lik[ops_index, view] = P(view | ops), views laid out as in _VIEWS.
 
-
-def _composite_codes() -> np.ndarray:
-    """comp[ops_index] = encoding index of the pair's composite label."""
-    table = generate_decode_table()
-    comp = np.zeros(16, dtype=np.int64)
-    for a, b in ALL_OP_PAIRS:
-        comp[4 * a.code + b.code] = _LABEL_INDEX[table.composite[(a, b)]]
-    return comp
-
-
-def _likelihood_matrix(pattern: str) -> np.ndarray:
-    """lik[ops_index, view_index] = P(view | ops) for one block.
-
-    View index: 4*a_idx + b_idx when both sides announce, the announced
-    label's index for one side, and a single dummy view for none.
+    The 16x16 both-sides table from the decode table, followed by its
+    a-only, b-only and none marginals. Built on first use, not at import,
+    so that importing the package stays as cheap as before.
     """
-    col = _column_matrix()
-    comp = _composite_codes()
-    if pattern == PATTERN_BOTH:
-        lik = np.zeros((16, 16))
-        for a_idx in range(4):
-            for b_idx in range(4):
-                view = 4 * a_idx + b_idx
-                lik[comp == col[a_idx, b_idx], view] = 0.25
-        return lik
-    if pattern == PATTERN_A_ONLY:
-        lik = np.zeros((16, 4))
-        for a_idx in range(4):
-            for b_idx in range(4):
-                lik[comp == col[a_idx, b_idx], a_idx] += 0.25
-        return lik
-    if pattern == PATTERN_B_ONLY:
-        lik = np.zeros((16, 4))
-        for a_idx in range(4):
-            for b_idx in range(4):
-                lik[comp == col[a_idx, b_idx], b_idx] += 0.25
-        return lik
-    if pattern == PATTERN_NONE:
-        return np.ones((16, 1))
-    raise ValueError(f"unknown announcement pattern {pattern!r}")
+    table = generate_decode_table()
+    both = np.zeros((16, 4, 4))  # (ops, a_idx, b_idx)
+    for outcome, label in table.infer.items():
+        for pair in table.combos[label]:
+            both[_PAIR_INDEX[pair], _LABEL_INDEX[outcome.a_side],
+                 _LABEL_INDEX[outcome.b_side]] = 0.25
+    lik = np.hstack([
+        both.reshape(16, 16),
+        both.sum(axis=2),
+        both.sum(axis=1),
+        both.sum(axis=(1, 2))[:, None],
+    ])
+    lik.flags.writeable = False
+    return lik
 
 
 def _entropy_bits(probs: np.ndarray) -> float:
@@ -154,8 +141,16 @@ def _mi_bits(joint: np.ndarray) -> float:
     return float((joint[mask] * np.log2(ratio[mask])).sum())
 
 
+def _pattern_likelihoods(pattern: str) -> np.ndarray:
+    """lik[ops_index, view_index] = P(view | ops) for one pattern."""
+    try:
+        return _likelihoods()[:, _VIEWS[pattern]]
+    except KeyError:
+        raise ValueError(f"unknown announcement pattern {pattern!r}") from None
+
+
 def _pattern_information(priors_vec: np.ndarray, pattern: str) -> dict[str, float]:
-    lik = _likelihood_matrix(pattern)
+    lik = _pattern_likelihoods(pattern)
     joint_ops = priors_vec[:, None] * lik  # (16 ops, n_views)
     by_alice = joint_ops.reshape(4, 4, -1).sum(axis=1)
     by_bob = joint_ops.reshape(4, 4, -1).sum(axis=0)
@@ -195,14 +190,15 @@ class EveView:
         ]
 
 
-def _pattern_of(a_label: BellLabel | None, b_label: BellLabel | None) -> str:
+def _view_of(a_label: BellLabel | None, b_label: BellLabel | None) -> tuple[str, int]:
+    """A block's announcement pattern and its view's column in _likelihoods()."""
     if a_label is not None and b_label is not None:
-        return PATTERN_BOTH
+        return PATTERN_BOTH, 4 * _LABEL_INDEX[a_label] + _LABEL_INDEX[b_label]
     if a_label is not None:
-        return PATTERN_A_ONLY
+        return PATTERN_A_ONLY, 16 + _LABEL_INDEX[a_label]
     if b_label is not None:
-        return PATTERN_B_ONLY
-    return PATTERN_NONE
+        return PATTERN_B_ONLY, 20 + _LABEL_INDEX[b_label]
+    return PATTERN_NONE, 24
 
 
 @dataclass(frozen=True)
@@ -231,23 +227,6 @@ class PosteriorReport:
         return tuple(b.index for b in self.blocks if not b.consistent)
 
 
-def _observed_likelihood(
-    a_label: BellLabel | None, b_label: BellLabel | None
-) -> np.ndarray:
-    """P(the observed announcement | ops) as a 16-vector."""
-    pattern = _pattern_of(a_label, b_label)
-    lik = _likelihood_matrix(pattern)
-    if pattern == PATTERN_BOTH:
-        view = 4 * _LABEL_INDEX[a_label] + _LABEL_INDEX[b_label]
-    elif pattern == PATTERN_A_ONLY:
-        view = _LABEL_INDEX[a_label]
-    elif pattern == PATTERN_B_ONLY:
-        view = _LABEL_INDEX[b_label]
-    else:
-        view = 0
-    return lik[:, view]
-
-
 def eve_posterior(view: EveView, priors: Mapping[OpPair, float]) -> PosteriorReport:
     """Exact per-block posterior over operation pairs given the transcript.
 
@@ -257,33 +236,42 @@ def eve_posterior(view: EveView, priors: Mapping[OpPair, float]) -> PosteriorRep
     """
     priors_vec = _validate_priors(priors)
     prior_entropy = _entropy_bits(priors_vec)
-    blocks = []
-    for index, a_label, b_label in view.block_announcements():
-        pattern = _pattern_of(a_label, b_label)
-        info = _pattern_information(priors_vec, pattern)
-        weighted = priors_vec * _observed_likelihood(a_label, b_label)
-        evidence = float(weighted.sum())
-        consistent = evidence > 0.0
-        if consistent:
-            post_vec = weighted / evidence
-            posterior = {
-                pair: float(post_vec[4 * pair[0].code + pair[1].code])
-                for pair in ALL_OP_PAIRS
-            }
-            posterior_entropy = _entropy_bits(post_vec)
+    announced = view.block_announcements()
+    seen = [_view_of(a_label, b_label) for _, a_label, b_label in announced]
+    info = {
+        pattern: _pattern_information(priors_vec, pattern)
+        for pattern in {pattern for pattern, _ in seen}
+    }
+    # A block's posterior depends only on its view, so each distinct view
+    # is scored once: one gather from the table, one row per view.
+    columns, inverse = np.unique(
+        np.array([column for _, column in seen], dtype=np.int64), return_inverse=True
+    )
+    weighted = priors_vec * _likelihoods().T[columns]
+    scored = []
+    for row, evidence in zip(weighted, weighted.sum(axis=1).tolist()):
+        if evidence > 0.0:
+            post_vec = row / evidence
+            posterior = dict(zip(ALL_OP_PAIRS, post_vec.tolist()))
+            scored.append((True, posterior, _entropy_bits(post_vec)))
         else:
-            posterior = {}
-            posterior_entropy = float("nan")
+            scored.append((False, {}, float("nan")))
+
+    blocks = []
+    for (index, a_label, b_label), (pattern, _), k in zip(
+        announced, seen, inverse.tolist()
+    ):
+        consistent, posterior, posterior_entropy = scored[k]
         blocks.append(BlockPosterior(
             index=index,
             announced_a=a_label,
             announced_b=b_label,
             pattern=pattern,
             consistent=consistent,
-            posterior=posterior,
+            posterior=dict(posterior),
             prior_entropy_bits=prior_entropy,
             posterior_entropy_bits=posterior_entropy,
-            **info,
+            **info[pattern],
         ))
     return PosteriorReport(blocks=tuple(blocks))
 
@@ -338,27 +326,23 @@ def estimate_mi_monte_carlo(
     column), then reduces the outcome to the given announcement pattern.
     """
     priors_vec = _validate_priors(priors)
-    col = _column_matrix()
-    comp = _composite_codes()
-    pairing = np.zeros((4, 4), dtype=np.int64)  # (column, a_idx) -> b_idx
-    for a_idx in range(4):
-        for b_idx in range(4):
-            pairing[col[a_idx, b_idx], a_idx] = b_idx
+    n_views = _pattern_likelihoods(pattern).shape[1]
+    # partner_b[ops_index, a_idx]: the b_idx paired with a_idx in the column
+    # of the operations' composite label.
+    partner_b = _pattern_likelihoods(PATTERN_BOTH).reshape(16, 4, 4).argmax(axis=2)
 
     rng = np.random.default_rng(seed)
     ops = rng.choice(16, size=n_blocks, p=priors_vec)
     a_idx = rng.integers(4, size=n_blocks)
-    b_idx = pairing[comp[ops], a_idx]
+    b_idx = partner_b[ops, a_idx]
     if pattern == PATTERN_BOTH:
-        views, n_views = 4 * a_idx + b_idx, 16
+        views = 4 * a_idx + b_idx
     elif pattern == PATTERN_A_ONLY:
-        views, n_views = a_idx, 4
+        views = a_idx
     elif pattern == PATTERN_B_ONLY:
-        views, n_views = b_idx, 4
-    elif pattern == PATTERN_NONE:
-        views, n_views = np.zeros(n_blocks, dtype=np.int64), 1
+        views = b_idx
     else:
-        raise ValueError(f"unknown announcement pattern {pattern!r}")
+        views = np.zeros(n_blocks, dtype=np.int64)
 
     counts = np.bincount(ops * n_views + views, minlength=16 * n_views).reshape(
         16, n_views

@@ -100,6 +100,10 @@ class Announcement:
         try:
             kind = AnnouncementKind(fields["kind"])
             label = BellLabel(fields["label"]) if "label" in fields else None
+            if not isinstance(fields["sid"], str):
+                raise FrameError(f"sid must be a string, got {fields['sid']!r}", byte_offset)
+            if type(fields["blk"]) is not int:  # bool is an int subclass
+                raise FrameError(f"blk must be an integer, got {fields['blk']!r}", byte_offset)
             return cls(
                 session_id=fields["sid"],
                 block=fields["blk"],

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__, documents
 from .adversary import (
-    ALL_OP_PAIRS,
     EveView,
     estimate_mi_monte_carlo,
     eve_posterior,
@@ -40,7 +39,7 @@ from .protocol import (
     run_remote_party,
     run_session,
 )
-from .swap import audit_reference_table, generate_decode_table
+from .swap import ALL_OP_PAIRS, audit_reference_table, generate_decode_table
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -50,6 +49,8 @@ EXIT_TRANSPORT = 3
 
 _MODES = {m.value: m for m in SessionMode}
 _FALLBACKS = {f.value: f for f in SilentFallback}
+# "Ua,Ub": how documents and priors files name an operation pair.
+_PAIR_KEYS = {pair: f"{pair[0].name},{pair[1].name}" for pair in ALL_OP_PAIRS}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,14 +126,14 @@ def _trial_seed(seed: int, trial: int) -> int:
 
 
 def _run_trial(payload: tuple) -> dict:
-    pairs, mode, fallback, seed, a_bits, b_bits, trial = payload
+    pairs, mode, fallback, seed, alice_msg, bob_msg, trial = payload
     config = SessionConfig(
         n_pairs=pairs,
         mode=_MODES[mode],
         fallback=_FALLBACKS[fallback],
         seed=_trial_seed(seed, trial),
-        alice_message=parse_message(a_bits) if a_bits is not None else None,
-        bob_message=parse_message(b_bits) if b_bits is not None else None,
+        alice_message=alice_msg,
+        bob_message=bob_msg,
     )
     result = run_session(config)
     doc = documents.run_document(config, result)
@@ -151,8 +152,7 @@ def _cmd_simulate(args) -> int:
 
     if args.trials > 1:
         payloads = [
-            (args.pairs, args.mode, args.fallback, args.seed,
-             args.alice_msg, args.bob_msg, t)
+            (args.pairs, args.mode, args.fallback, args.seed, alice_msg, bob_msg, t)
             for t in range(args.trials)
         ]
         if args.workers > 1:
@@ -197,9 +197,7 @@ def _cmd_table(args) -> int:
         label.value: sorted([a.name, b.name] for a, b in pairs)
         for label, pairs in table.combos.items()
     }
-    composite = {
-        f"{a.name},{b.name}": table.composite[(a, b)].value for a, b in ALL_OP_PAIRS
-    }
+    composite = {key: table.composite[pair].value for pair, key in _PAIR_KEYS.items()}
     doc = {
         "tool": dict(documents.TOOL),
         "kind": "decode-table",
@@ -229,11 +227,17 @@ def _load_priors(value: str) -> dict:
     if not value.startswith("@"):
         raise ValueError(f"priors must be 'uniform' or @file, got {value!r}")
     raw = json.loads(Path(value[1:]).read_text(encoding="utf-8"))
-    by_name = {f"{a.name},{b.name}": (a, b) for a, b in ALL_OP_PAIRS}
-    try:
-        return {by_name[key]: float(value) for key, value in raw.items()}
-    except KeyError as exc:
-        raise ValueError(f"unknown operation pair {exc} in priors file") from exc
+    if not isinstance(raw, dict):
+        raise ValueError("priors file must hold an object of \"Ua,Ub\": probability")
+    by_name = {key: pair for pair, key in _PAIR_KEYS.items()}
+    priors = {}
+    for key, p in raw.items():
+        if key not in by_name:
+            raise ValueError(f"unknown operation pair {key!r} in priors file")
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
+            raise ValueError(f"prior for {key} is not a number: {p!r}")
+        priors[by_name[key]] = float(p)
+    return priors
 
 
 def _cmd_analyze(args) -> int:
@@ -248,11 +252,7 @@ def _cmd_analyze(args) -> int:
 
     block_rows = []
     for block in report.blocks:
-        posterior = {
-            f"{a.name},{b.name}": p
-            for (a, b), p in block.posterior.items()
-            if p > 0.0
-        }
+        posterior = {_PAIR_KEYS[pair]: p for pair, p in block.posterior.items() if p > 0.0}
         block_rows.append({
             "index": block.index,
             "pattern": block.pattern,

@@ -30,6 +30,16 @@ from .swap import SwapOutcome
 
 TOOL = {"name": "swapcomm", "version": __version__}
 
+# The public session fields a transcript is rebuilt from, with their types.
+_SESSION_TYPES = {
+    "id": str,
+    "n_pairs": int,
+    "mode": str,
+    "fallback": str,
+    "alice_declared_length": (int, type(None)),
+    "bob_declared_length": (int, type(None)),
+}
+
 
 def _message_field(message: MessageBits | None) -> str | None:
     return message.declared_bits if message is not None else None
@@ -98,18 +108,31 @@ def transcript_from_document(doc: dict) -> Transcript:
     try:
         session = doc["session"]
         lines = doc["transcript"]
+        fields = {key: session[key] for key in _SESSION_TYPES}
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not a transcript document: missing {exc}") from exc
-    announcements = tuple(Announcement.from_wire(line) for line in lines)
-    return Transcript(
-        session_id=session["id"],
-        n_pairs=session["n_pairs"],
-        mode=SessionMode(session["mode"]),
-        fallback=SilentFallback(session["fallback"]),
-        alice_declared_length=session["alice_declared_length"],
-        bob_declared_length=session["bob_declared_length"],
-        announcements=announcements,
+    for key, types in _SESSION_TYPES.items():
+        if isinstance(fields[key], bool) or not isinstance(fields[key], types):
+            raise ValueError(f"session {key} has the wrong type: {fields[key]!r}")
+    if not isinstance(lines, list) or not all(isinstance(line, str) for line in lines):
+        raise ValueError("transcript must be a list of wire lines")
+    transcript = Transcript(
+        session_id=fields["id"],
+        n_pairs=fields["n_pairs"],
+        mode=SessionMode(fields["mode"]),
+        fallback=SilentFallback(fields["fallback"]),
+        alice_declared_length=fields["alice_declared_length"],
+        bob_declared_length=fields["bob_declared_length"],
+        announcements=tuple(Announcement.from_wire(line) for line in lines),
     )
+    for ann in transcript.announcements:
+        if ann.kind is AnnouncementKind.MEASUREMENT and not (
+            1 <= ann.block <= transcript.usable_blocks
+        ):
+            raise ValueError(
+                f"measurement for block {ann.block} outside 1..{transcript.usable_blocks}"
+            )
+    return transcript
 
 
 def _blocks_from_document(doc: dict) -> tuple[BlockRecord, ...]:

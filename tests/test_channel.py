@@ -82,6 +82,17 @@ class TestWireFormat:
         with pytest.raises(FrameError, match="version"):
             Announcement.from_wire('{"v":2,"sid":"s","blk":0,"side":"A","kind":"SessionStart"}')
 
+    @pytest.mark.parametrize("fields, message", [
+        ('"sid":"s","blk":"3"', "blk must be an integer"),
+        ('"sid":"s","blk":[1]', "blk must be an integer"),
+        ('"sid":"s","blk":true', "blk must be an integer"),
+        ('"sid":5,"blk":1', "sid must be a string"),
+    ])
+    def test_mistyped_fields_rejected(self, fields, message):
+        line = '{"v":1,' + fields + ',"side":"A","kind":"SessionStart"}'
+        with pytest.raises(FrameError, match=message):
+            Announcement.from_wire(line)
+
 
 class TestInProcessChannel:
     def test_send_receive_and_tap(self):

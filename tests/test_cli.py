@@ -105,6 +105,20 @@ class TestSimulate:
         assert main(flags + ["--workers", "2", "--out", str(par)]) == 0
         assert seq.read_bytes() == par.read_bytes()
 
+    def test_trials_read_file_and_hex_messages(self, tmp_path):
+        msg = tmp_path / "alice.txt"
+        msg.write_text("10100101\n")
+        flags = ["simulate", "--pairs", "8", "--seed", "4", "--trials", "3"]
+        inline, from_file, from_hex = (tmp_path / f"{n}.json" for n in "ifh")
+        assert main(flags + ["--alice-msg", "10100101", "--bob-msg", "0110",
+                             "--out", str(inline)]) == 0
+        assert main(flags + ["--alice-msg", f"@{msg}", "--bob-msg", "0110",
+                             "--out", str(from_file)]) == 0
+        assert main(flags + ["--alice-msg", "0xa5", "--bob-msg", "0x6",
+                             "--out", str(from_hex)]) == 0
+        assert from_file.read_bytes() == inline.read_bytes()
+        assert from_hex.read_bytes() == inline.read_bytes()
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
             main(["simulate", "--pairs", "not-a-number"])
@@ -152,6 +166,26 @@ class TestVerify:
         assert "re-summation off by" in out.out
 
 
+def _without_session_id(doc):
+    del doc["session"]["id"]
+
+
+def _with_string_block(doc):
+    doc["transcript"][2] = doc["transcript"][2].replace('"blk":1,', '"blk":"1",')
+
+
+def _with_block_past_end(doc):
+    doc["transcript"][9] = doc["transcript"][9].replace('"blk":4,', '"blk":5,')
+
+
+def _with_string_pairs(doc):
+    doc["session"]["n_pairs"] = "8"
+
+
+def _with_number_line(doc):
+    doc["transcript"][2] = 7
+
+
 class TestAnalyze:
     @pytest.fixture()
     def run_doc(self, tmp_path):
@@ -196,6 +230,37 @@ class TestAnalyze:
         )
         assert code == 1
         assert "unknown operation pair" in out.err
+
+    @pytest.mark.parametrize("content, message", [
+        ('{"U0,U0": NaN}', "non-finite prior"),
+        ('{"U0,U0": Infinity}', "non-finite prior"),
+        ('[["U0,U0", 1.0]]', "must hold an object"),
+        ('{"U0,U0": null}', "is not a number"),
+    ])
+    def test_malformed_priors_rejected(self, run_doc, tmp_path, capsys,
+                                       content, message):
+        path = tmp_path / "priors.json"
+        path.write_text(content)
+        code, out = run_cli(
+            "analyze", str(run_doc), "--priors", f"@{path}", capsys=capsys
+        )
+        assert code == 1
+        assert message in out.err
+
+    @pytest.mark.parametrize("tamper, message", [
+        (_without_session_id, "missing 'id'"),
+        (_with_string_block, "blk must be an integer"),
+        (_with_block_past_end, "measurement for block 5 outside 1..4"),
+        (_with_string_pairs, "session n_pairs has the wrong type"),
+        (_with_number_line, "transcript must be a list of wire lines"),
+    ])
+    def test_hostile_document_rejected(self, run_doc, capsys, tamper, message):
+        doc = json.loads(run_doc.read_text())
+        tamper(doc)
+        run_doc.write_text(json.dumps(doc))
+        code, out = run_cli("analyze", str(run_doc), capsys=capsys)
+        assert code == 1
+        assert message in out.err
 
     def test_missing_input_file(self, capsys):
         code, out = run_cli("analyze", "/nonexistent/run.json", capsys=capsys)

@@ -1,0 +1,153 @@
+"""Golden outputs, pinned byte for byte.
+
+The stored run documents under tests/golden/ pin seeded sampling for every
+mode, both fallbacks and an odd pair count; the stored analyze reports pin
+the eavesdropper analyzer under uniform, skewed and point priors (the point
+prior makes some blocks inconsistent). run-mixed.json is run-bidirectional
+with some measurement lines removed, so one transcript shows all four
+announcement patterns.
+
+Regenerate (only when a change to the bytes is intended and versioned):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+from __future__ import annotations
+
+import json
+import os
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from swapcomm import adversary
+from swapcomm.cli import main
+from swapcomm.swap import ALL_OP_PAIRS, ENCODING_ORDER, generate_decode_table
+
+GOLDEN = Path(__file__).parent / "golden"
+
+RUNS = {
+    "bidirectional": ["--pairs", "16", "--seed", "11",
+                      "--alice-msg", "0110100111", "--bob-msg", "1100101101011"],
+    "a-to-b-silent": ["--pairs", "12", "--seed", "12", "--mode", "a-to-b",
+                      "--fallback", "silent", "--alice-msg", "101101001110"],
+    "b-to-a-silent": ["--pairs", "12", "--seed", "13", "--mode", "b-to-a",
+                      "--fallback", "silent", "--bob-msg", "0011101"],
+    "odd": ["--pairs", "13", "--seed", "14",
+            "--alice-msg", "111000110101", "--bob-msg", "01001"],
+}
+# run-mixed drops these (block, side) measurement lines from run-bidirectional.
+MIXED_DROPS = {(2, "A"), (3, "B"), (4, "A"), (4, "B")}
+DOCUMENTS = (*RUNS, "mixed")
+PRIORS = ("uniform", "@priors-skewed.json", "@priors-point.json")
+ANALYZE_FLAGS = ["--mc-blocks", "2000", "--seed", "5"]
+
+
+def _priors_name(priors: str) -> str:
+    return priors.removeprefix("@priors-").removesuffix(".json")
+
+
+def _analyze(document: str, priors: str, out: Path) -> int:
+    # Run from the golden directory: the report quotes the --priors argument.
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        return main(["analyze", f"run-{document}.json", "--priors", priors,
+                     *ANALYZE_FLAGS, "--out", str(out)])
+    finally:
+        os.chdir(cwd)
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_run_document_bytes(run, tmp_path):
+    out = tmp_path / "run.json"
+    assert main(["simulate", *RUNS[run], "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"run-{run}.json").read_bytes()
+
+
+@pytest.mark.parametrize("priors", PRIORS)
+@pytest.mark.parametrize("document", DOCUMENTS)
+def test_analyze_report_bytes(document, priors, tmp_path):
+    out = tmp_path / "report.json"
+    assert _analyze(document, priors, out) == 0
+    golden = GOLDEN / f"analyze-{document}-{_priors_name(priors)}.json"
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def test_goldens_cover_all_patterns_and_inconsistency():
+    mixed = json.loads((GOLDEN / "analyze-mixed-uniform.json").read_text())
+    assert {b["pattern"] for b in mixed["blocks"]} == {
+        "both", "a-only", "b-only", "none"}
+    point = json.loads((GOLDEN / "analyze-bidirectional-point.json").read_text())
+    assert point["session_totals"]["inconsistent_blocks"]
+
+
+# Reference: the per-pattern likelihood builder the single table replaced.
+_LABEL_INDEX = {lab: i for i, lab in enumerate(ENCODING_ORDER)}
+
+
+def _reference_likelihood_matrix(pattern: str) -> np.ndarray:
+    table = generate_decode_table()
+    col = np.zeros((4, 4), dtype=np.int64)
+    for outcome, label in table.infer.items():
+        col[_LABEL_INDEX[outcome.a_side], _LABEL_INDEX[outcome.b_side]] = (
+            _LABEL_INDEX[label]
+        )
+    comp = np.zeros(16, dtype=np.int64)
+    for a, b in ALL_OP_PAIRS:
+        comp[4 * a.code + b.code] = _LABEL_INDEX[table.composite[(a, b)]]
+    if pattern == "both":
+        lik = np.zeros((16, 16))
+        for a_idx in range(4):
+            for b_idx in range(4):
+                lik[comp == col[a_idx, b_idx], 4 * a_idx + b_idx] = 0.25
+        return lik
+    if pattern == "a-only":
+        lik = np.zeros((16, 4))
+        for a_idx in range(4):
+            for b_idx in range(4):
+                lik[comp == col[a_idx, b_idx], a_idx] += 0.25
+        return lik
+    if pattern == "b-only":
+        lik = np.zeros((16, 4))
+        for a_idx in range(4):
+            for b_idx in range(4):
+                lik[comp == col[a_idx, b_idx], b_idx] += 0.25
+        return lik
+    return np.ones((16, 1))
+
+
+@pytest.mark.parametrize("pattern", ["both", "a-only", "b-only", "none"])
+def test_table_marginals_equal_reference(pattern):
+    table = adversary._likelihoods()[:, adversary._VIEWS[pattern]]
+    assert np.array_equal(table, _reference_likelihood_matrix(pattern))
+
+
+def regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    weights_a = dict(zip("0123", (0.4, 0.3, 0.2, 0.1)))
+    weights_b = dict(zip("0123", (0.15, 0.25, 0.35, 0.25)))
+    skewed = {f"U{a},U{b}": weights_a[a] * weights_b[b]
+              for a in "0123" for b in "0123"}
+    point = {f"U{a},U{b}": 1.0 if (a, b) == ("1", "0") else 0.0
+             for a in "0123" for b in "0123"}
+    (GOLDEN / "priors-skewed.json").write_text(json.dumps(skewed, indent=2) + "\n")
+    (GOLDEN / "priors-point.json").write_text(json.dumps(point, indent=2) + "\n")
+    for run, flags in RUNS.items():
+        assert main(["simulate", *flags, "--out", str(GOLDEN / f"run-{run}.json")]) == 0
+
+    def kept(line: str) -> bool:
+        ann = json.loads(line)
+        return ann["kind"] != "Measurement" or (ann["blk"], ann["side"]) not in MIXED_DROPS
+
+    doc = json.loads((GOLDEN / "run-bidirectional.json").read_text())
+    doc["transcript"] = [line for line in doc["transcript"] if kept(line)]
+    (GOLDEN / "run-mixed.json").write_text(json.dumps(doc, indent=2) + "\n")
+    for document in DOCUMENTS:
+        for priors in PRIORS:
+            out = GOLDEN / f"analyze-{document}-{_priors_name(priors)}.json"
+            assert _analyze(document, priors, out) == 0
+
+
+if __name__ == "__main__":
+    regenerate()
