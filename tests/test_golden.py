@@ -5,7 +5,9 @@ mode, both fallbacks and an odd pair count; the stored analyze reports pin
 the eavesdropper analyzer under uniform, skewed and point priors (the point
 prior makes some blocks inconsistent). run-mixed.json is run-bidirectional
 with some measurement lines removed, so one transcript shows all four
-announcement patterns.
+announcement patterns. The serve and connect documents pin both halves of
+a two-process session over loopback, and trials.json pins a
+`simulate --trials` document.
 
 Regenerate (only when a change to the bytes is intended and versioned):
 
@@ -15,6 +17,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +40,18 @@ RUNS = {
     "odd": ["--pairs", "13", "--seed", "14",
             "--alice-msg", "111000110101", "--bob-msg", "01001"],
 }
+# Two-process sessions: (serve flags, connect flags). Each side gets only
+# its own message.
+NETWORKED = {
+    "bidirectional": (["--pairs", "16", "--seed", "11", "--alice-msg", "0110100111"],
+                      ["--pairs", "16", "--seed", "11", "--bob-msg", "1100101101011"]),
+    "a-to-b-silent": (["--pairs", "12", "--seed", "12", "--mode", "a-to-b",
+                       "--fallback", "silent", "--alice-msg", "101101001110"],
+                      ["--pairs", "12", "--seed", "12", "--mode", "a-to-b",
+                       "--fallback", "silent"]),
+}
+TRIALS = ["--trials", "5", "--pairs", "8", "--seed", "3",
+          "--alice-msg", "0110", "--bob-msg", "101"]
 # run-mixed drops these (block, side) measurement lines from run-bidirectional.
 MIXED_DROPS = {(2, "A"), (3, "B"), (4, "A"), (4, "B")}
 DOCUMENTS = (*RUNS, "mixed")
@@ -58,6 +74,30 @@ def _analyze(document: str, priors: str, out: Path) -> int:
         os.chdir(cwd)
 
 
+def _serve_connect(run: str, serve_out: Path, connect_out: Path) -> None:
+    """Serve in a child process, connect in this one; both write documents."""
+    serve_flags, connect_flags = NETWORKED[run]
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    server = subprocess.Popen(
+        [sys.executable, "-m", "swapcomm", "serve", "--listen", "127.0.0.1:0",
+         *serve_flags, "--out", str(serve_out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        banner = server.stdout.readline().strip()
+        assert banner.startswith("listening "), server.stderr.read()
+        peer = banner.split()[1]
+        assert main(["connect", "--peer", peer, *connect_flags,
+                     "--out", str(connect_out)]) == 0
+        assert server.wait(timeout=15) == 0
+    finally:
+        if server.poll() is None:
+            server.kill()
+        server.communicate()
+
+
 @pytest.mark.parametrize("run", sorted(RUNS))
 def test_run_document_bytes(run, tmp_path):
     out = tmp_path / "run.json"
@@ -72,6 +112,20 @@ def test_analyze_report_bytes(document, priors, tmp_path):
     assert _analyze(document, priors, out) == 0
     golden = GOLDEN / f"analyze-{document}-{_priors_name(priors)}.json"
     assert out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("run", sorted(NETWORKED))
+def test_serve_connect_document_bytes(run, tmp_path):
+    serve_out, connect_out = tmp_path / "serve.json", tmp_path / "connect.json"
+    _serve_connect(run, serve_out, connect_out)
+    assert serve_out.read_bytes() == (GOLDEN / f"serve-{run}.json").read_bytes()
+    assert connect_out.read_bytes() == (GOLDEN / f"connect-{run}.json").read_bytes()
+
+
+def test_trials_document_bytes(tmp_path):
+    out = tmp_path / "trials.json"
+    assert main(["simulate", *TRIALS, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "trials.json").read_bytes()
 
 
 def test_goldens_cover_all_patterns_and_inconsistency():
@@ -147,6 +201,9 @@ def regenerate() -> None:
         for priors in PRIORS:
             out = GOLDEN / f"analyze-{document}-{_priors_name(priors)}.json"
             assert _analyze(document, priors, out) == 0
+    for run in NETWORKED:
+        _serve_connect(run, GOLDEN / f"serve-{run}.json", GOLDEN / f"connect-{run}.json")
+    assert main(["simulate", *TRIALS, "--out", str(GOLDEN / "trials.json")]) == 0
 
 
 if __name__ == "__main__":
