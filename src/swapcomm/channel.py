@@ -25,6 +25,8 @@ from .quantum import BellLabel
 WIRE_VERSION = 1
 WIRE_FIELDS = ("v", "sid", "blk", "side", "kind", "label")
 SIDES = ("A", "B")
+# Longest accepted wire frame, newline included; real frames are ~100 bytes.
+MAX_FRAME_BYTES = 1024
 
 
 class ChannelError(Exception):
@@ -146,6 +148,9 @@ class InProcessEndpoint:
             raise TransportError(f"endpoint {self.side}: nothing to receive")
         return queue.popleft()
 
+    def tap(self) -> tuple[Announcement, ...]:
+        return self._channel.tap()
+
     def close(self) -> None:
         pass
 
@@ -204,14 +209,16 @@ class TcpEndpoint:
     def receive(self) -> Announcement:
         offset = self._read_offset
         try:
-            raw = self._reader.readline()
+            raw = self._reader.readline(MAX_FRAME_BYTES)
         except OSError as exc:
             raise TransportError(f"receive failed: {exc}") from exc
         if not raw:
             raise TransportError("peer closed the connection")
         self._read_offset += len(raw)
         if not raw.endswith(b"\n"):
-            raise FrameError("frame is not newline-terminated", offset)
+            raise FrameError(
+                f"frame is not newline-terminated within {MAX_FRAME_BYTES} bytes", offset
+            )
         try:
             line = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -244,13 +251,6 @@ SUBSTRATE_PREAMBLE = b"swapcomm-substrate v1\n"
 PUBLIC_PREAMBLE = b"swapcomm-public v1\n"
 
 
-def _read_line(sock_file, what: str) -> bytes:
-    line = sock_file.readline()
-    if not line:
-        raise TransportError(f"peer closed while reading {what}")
-    return line
-
-
 class SubstrateLink:
     """Private side channel representing the shared entangled pairs."""
 
@@ -267,11 +267,18 @@ class SubstrateLink:
         except OSError as exc:
             raise TransportError(f"substrate send failed: {exc}") from exc
 
-    def receive_hello(self) -> dict:
+    def receive_hello(self, limit: int) -> dict:
+        """The peer's hello: one JSON line of at most `limit` bytes."""
         try:
-            raw = _read_line(self._reader, "substrate hello")
+            raw = self._reader.readline(limit)
         except OSError as exc:
             raise TransportError(f"substrate receive failed: {exc}") from exc
+        if not raw:
+            raise TransportError("peer closed while reading substrate hello")
+        if not raw.endswith(b"\n"):
+            raise TransportError(
+                f"substrate hello is not newline-terminated within {limit} bytes"
+            )
         try:
             hello = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -109,14 +110,19 @@ def _session_flags(parser: argparse.ArgumentParser, *, alice=True, bob=True):
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 
 
-def _config_from_args(args, *, alice_msg=None, bob_msg=None) -> SessionConfig:
+def _message_arg(args, name: str):
+    value = getattr(args, name, None)  # serve has no --bob-msg, connect no --alice-msg
+    return _read_message(value) if value is not None else None
+
+
+def _config_from_args(args) -> SessionConfig:
     return SessionConfig(
         n_pairs=args.pairs,
         mode=_MODES[args.mode],
         fallback=_FALLBACKS[args.fallback],
         seed=args.seed,
-        alice_message=alice_msg,
-        bob_message=bob_msg,
+        alice_message=_message_arg(args, "alice_msg"),
+        bob_message=_message_arg(args, "bob_msg"),
     )
 
 
@@ -125,39 +131,28 @@ def _trial_seed(seed: int, trial: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _run_trial(payload: tuple) -> dict:
-    pairs, mode, fallback, seed, alice_msg, bob_msg, trial = payload
-    config = SessionConfig(
-        n_pairs=pairs,
-        mode=_MODES[mode],
-        fallback=_FALLBACKS[fallback],
-        seed=_trial_seed(seed, trial),
-        alice_message=alice_msg,
-        bob_message=bob_msg,
-    )
+def _run_trial(payload: tuple[SessionConfig, int]) -> dict:
+    base, trial = payload
+    config = replace(base, seed=_trial_seed(base.seed, trial))
     result = run_session(config)
-    doc = documents.run_document(config, result)
     return {
         "trial": trial,
         "seed": config.seed,
-        "decode_ok_alice": doc["summary"]["decode_ok_alice"],
-        "decode_ok_bob": doc["summary"]["decode_ok_bob"],
-        "session_id": doc["session"]["id"],
+        "decode_ok_alice": documents.decode_ok(result.decoded_by_alice, config.bob_message),
+        "decode_ok_bob": documents.decode_ok(result.decoded_by_bob, config.alice_message),
+        "session_id": result.transcript.session_id,
     }
 
 
 def _cmd_simulate(args) -> int:
-    alice_msg = _read_message(args.alice_msg) if args.alice_msg is not None else None
-    bob_msg = _read_message(args.bob_msg) if args.bob_msg is not None else None
-
+    config = _config_from_args(args)
     if args.trials > 1:
-        payloads = [
-            (args.pairs, args.mode, args.fallback, args.seed, alice_msg, bob_msg, t)
-            for t in range(args.trials)
-        ]
+        payloads = [(config, t) for t in range(args.trials)]
         if args.workers > 1:
+            # One chunk per worker, not one round trip per trial.
+            chunk = -(-len(payloads) // args.workers)
             with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                rows = list(pool.map(_run_trial, payloads))
+                rows = list(pool.map(_run_trial, payloads, chunksize=chunk))
         else:
             rows = [_run_trial(p) for p in payloads]
         ok = sum(
@@ -173,7 +168,6 @@ def _cmd_simulate(args) -> int:
         _emit(documents.render_json(doc), _resolve_out(args.out))
         return EXIT_OK
 
-    config = _config_from_args(args, alice_msg=alice_msg, bob_msg=bob_msg)
     result = run_session(config)
     doc = documents.run_document(config, result)
     _emit(documents.render(doc, args.format), _resolve_out(args.out))
@@ -291,41 +285,33 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _finish_networked(args, side: str, config: SessionConfig, result) -> None:
-    doc = documents.run_document(config, result)
-    doc["session"]["party"] = side
-    _emit(documents.render(doc, args.format), _resolve_out(args.out))
-
-
-def _cmd_serve(args) -> int:
-    alice_msg = _read_message(args.alice_msg) if args.alice_msg is not None else None
-    config = _config_from_args(args, alice_msg=alice_msg)
+def _listen(args):
+    """Print the bound address, then accept one peer's two connections."""
     listener = SessionListener(*args.listen, timeout=args.timeout)
     host, port = listener.address
     print(f"listening {host}:{port}", flush=True)
     try:
-        substrate, endpoint = listener.accept()
-        try:
-            result = run_remote_party("A", config, substrate, endpoint)
-        finally:
-            substrate.close()
-            endpoint.close()
+        return listener.accept()
     finally:
         listener.close()
-    _finish_networked(args, "A", config, result)
-    return EXIT_OK
 
 
-def _cmd_connect(args) -> int:
-    bob_msg = _read_message(args.bob_msg) if args.bob_msg is not None else None
-    config = _config_from_args(args, bob_msg=bob_msg)
-    substrate, endpoint = dial_session(*args.peer, timeout=args.timeout)
+def _dial(args):
+    return dial_session(*args.peer, timeout=args.timeout)
+
+
+def _cmd_party(args) -> int:
+    """serve (side A, _listen) and connect (side B, _dial)."""
+    config = _config_from_args(args)
+    substrate, endpoint = args.open_link(args)
     try:
-        result = run_remote_party("B", config, substrate, endpoint)
+        result = run_remote_party(args.side, config, substrate, endpoint)
     finally:
         substrate.close()
         endpoint.close()
-    _finish_networked(args, "B", config, result)
+    doc = documents.run_document(config, result)
+    doc["session"]["party"] = args.side
+    _emit(documents.render(doc, args.format), _resolve_out(args.out))
     return EXIT_OK
 
 
@@ -362,13 +348,13 @@ def main(argv=None) -> int:
     p_serve.add_argument("--listen", type=_host_port, required=True, metavar="HOST:PORT")
     p_serve.add_argument("--timeout", type=float, default=30.0)
     _session_flags(p_serve, bob=False)
-    p_serve.set_defaults(func=_cmd_serve)
+    p_serve.set_defaults(func=_cmd_party, side="A", open_link=_listen)
 
     p_conn = sub.add_parser("connect", help="join as side B of a two-process session")
     p_conn.add_argument("--peer", type=_host_port, required=True, metavar="HOST:PORT")
     p_conn.add_argument("--timeout", type=float, default=30.0)
     _session_flags(p_conn, alice=False)
-    p_conn.set_defaults(func=_cmd_connect)
+    p_conn.set_defaults(func=_cmd_party, side="B", open_link=_dial)
 
     args = parser.parse_args(argv)
     try:

@@ -71,7 +71,8 @@ def _block_row(rec: BlockRecord) -> dict:
     }
 
 
-def _decode_ok(decoded: MessageBits | None, sent: MessageBits | None) -> bool | None:
+def decode_ok(decoded: MessageBits | None, sent: MessageBits | None) -> bool | None:
+    """Whether a decode reproduces the sent message; None if either is absent."""
     if decoded is None or sent is None:
         return None
     return decoded.declared_bits == sent.declared_bits
@@ -97,8 +98,8 @@ def run_document(config: SessionConfig, result: SessionResult) -> dict:
         "summary": {
             "announcements": len(t.announcements),
             "measurement_announcements": measurement_count,
-            "decode_ok_alice": _decode_ok(result.decoded_by_alice, config.bob_message),
-            "decode_ok_bob": _decode_ok(result.decoded_by_bob, config.alice_message),
+            "decode_ok_alice": decode_ok(result.decoded_by_alice, config.bob_message),
+            "decode_ok_bob": decode_ok(result.decoded_by_bob, config.alice_message),
         },
     }
 

@@ -10,6 +10,11 @@ Sampling is seed-deterministic: each block draws from a stream derived
 from (seed, block index), so sessions are reproducible, blocks are
 independent, and a remote party with the same public seed derives the
 same outcomes.
+
+One function, _play, runs every session: both sides on an in-process
+channel (run_session) or one side on a TCP endpoint (run_remote_party).
+Each local side sends its own announcements and checks every line its
+peer announces against the schedule both derived from the public config.
 """
 from __future__ import annotations
 
@@ -20,6 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import (
+    SIDES,
     Announcement,
     AnnouncementKind,
     ChannelError,
@@ -34,6 +40,7 @@ from .swap import (
 )
 
 _MASK64 = (1 << 64) - 1
+_PEER = {"A": "B", "B": "A"}
 
 
 class CapacityError(ValueError):
@@ -379,58 +386,47 @@ def _announcement_schedule(
 
 
 def _decode_direction(
-    own_ops: list[PauliCode],
-    own_labels: list[BellLabel],
-    partner_labels: list[BellLabel],
-    own_side: str,
+    blocks: tuple[BlockRecord, ...],
+    side: str,
+    partner_labels: dict[int, BellLabel],
     declared_length: int,
     table: DecodeTable,
 ) -> MessageBits:
-    """Decode the partner's operations from one's own private data plus the
-    partner's announced labels. Alice's label is always the a-side of the
-    joint outcome, whichever party is decoding."""
+    """`side` decodes the partner's operations from its own private data
+    plus the partner's announced labels. Alice's label is always the a-side
+    of the joint outcome, whichever party is decoding."""
     partner_ops = []
-    for own_op, own_label, partner_label in zip(own_ops, own_labels, partner_labels):
-        if own_side == "A":
-            outcome = SwapOutcome(a_side=own_label, b_side=partner_label)
+    for rec in blocks:
+        if side == "A":
+            own_op = rec.effective_a
+            outcome = SwapOutcome(rec.outcome.a_side, partner_labels[rec.index])
         else:
-            outcome = SwapOutcome(a_side=partner_label, b_side=own_label)
+            own_op = rec.effective_b
+            outcome = SwapOutcome(partner_labels[rec.index], rec.outcome.b_side)
         partner_ops.append(table.decode(own_op, table.infer[outcome]))
     return decode_ops(partner_ops, declared_length)
 
 
 def _decode_results(
-    mode: SessionMode,
-    alice_length: int | None,
-    bob_length: int | None,
+    transcript: Transcript,
     blocks: tuple[BlockRecord, ...],
-    announced_a: dict[int, BellLabel],
-    announced_b: dict[int, BellLabel],
+    announced: dict[str, dict[int, BellLabel]],
     table: DecodeTable,
-) -> tuple[MessageBits | None, MessageBits | None]:
-    """(decoded_by_alice, decoded_by_bob). A fallback party's random
-    operations are not a message, so the partner discards that direction.
-    A sending party always announces, so the needed labels always exist."""
+) -> SessionResult:
+    """Decode both directions; `announced` holds each side's labels by block.
+    A fallback party's random operations are not a message, so the partner
+    discards that direction. A sending party always announces, so the
+    needed labels always exist."""
     decoded_by_alice = decoded_by_bob = None
-    if mode is not SessionMode.BOB_TO_ALICE:
+    if transcript.mode is not SessionMode.BOB_TO_ALICE:
         decoded_by_bob = _decode_direction(
-            own_ops=[rec.effective_b for rec in blocks],
-            own_labels=[rec.outcome.b_side for rec in blocks],
-            partner_labels=[announced_a[rec.index] for rec in blocks],
-            own_side="B",
-            declared_length=alice_length or 0,
-            table=table,
+            blocks, "B", announced["A"], transcript.alice_declared_length or 0, table
         )
-    if mode is not SessionMode.ALICE_TO_BOB:
+    if transcript.mode is not SessionMode.ALICE_TO_BOB:
         decoded_by_alice = _decode_direction(
-            own_ops=[rec.effective_a for rec in blocks],
-            own_labels=[rec.outcome.a_side for rec in blocks],
-            partner_labels=[announced_b[rec.index] for rec in blocks],
-            own_side="A",
-            declared_length=bob_length or 0,
-            table=table,
+            blocks, "A", announced["B"], transcript.bob_declared_length or 0, table
         )
-    return decoded_by_alice, decoded_by_bob
+    return SessionResult(decoded_by_alice, decoded_by_bob, blocks, transcript)
 
 
 def _make_transcript(
@@ -451,6 +447,45 @@ def _make_transcript(
     )
 
 
+def _play(config: SessionConfig, endpoints: dict) -> SessionResult:
+    """Play a validated session for the sides in `endpoints` (side -> an
+    endpoint with send/receive/tap).
+
+    Every party derives the same blocks and announcement schedule from the
+    public config. A local side sends its own lines; a local side receives
+    each of its peer's lines and checks it against the schedule. Any
+    failure raises SessionError carrying the transcript so far.
+    """
+    table = generate_decode_table()
+    blocks = _compute_blocks(config)
+    sid = session_id(config)
+    tap = next(iter(endpoints.values())).tap
+    # For each announcing side: (its endpoint, its peer's endpoint), if local.
+    routes = {side: (endpoints.get(side), endpoints.get(_PEER[side])) for side in SIDES}
+    try:
+        for ann in _announcement_schedule(sid, config, blocks):
+            sender, receiver = routes[ann.side]
+            if sender is not None:
+                sender.send(ann)
+            if receiver is None:
+                continue
+            got = receiver.receive()
+            # `is` first: an in-process peer hands over the scheduled object.
+            if got is not ann and got != ann:
+                raise SessionError(
+                    f"peer announced {got.to_wire()} where {ann.to_wire()} was expected",
+                    transcript=_make_transcript(config, sid, tap()),
+                )
+    except ChannelError as exc:
+        raise SessionError(
+            str(exc), transcript=_make_transcript(config, sid, tap())
+        ) from exc
+
+    transcript = _make_transcript(config, sid, tap())
+    announced = {side: transcript.measurements(side) for side in SIDES}
+    return _decode_results(transcript, blocks, announced, table)
+
+
 def run_session(config: SessionConfig, channel: InProcessChannel | None = None) -> SessionResult:
     """Execute a full session with both parties in this process.
 
@@ -458,34 +493,9 @@ def run_session(config: SessionConfig, channel: InProcessChannel | None = None) 
     channel), so its tap is the authoritative transcript.
     """
     config.validate()
-    table = generate_decode_table()
-    blocks = _compute_blocks(config)
-    sid = session_id(config)
-    schedule = _announcement_schedule(sid, config, blocks)
-
     if channel is None:
         channel = InProcessChannel()
-    endpoints = {side: channel.endpoint(side) for side in ("A", "B")}
-    try:
-        for ann in schedule:
-            endpoints[ann.side].send(ann)
-            endpoints["B" if ann.side == "A" else "A"].receive()
-    except ChannelError as exc:
-        raise SessionError(
-            str(exc), transcript=_make_transcript(config, sid, channel.tap())
-        ) from exc
-
-    transcript = _make_transcript(config, sid, channel.tap())
-    decoded_by_alice, decoded_by_bob = _decode_results(
-        config.mode,
-        transcript.alice_declared_length,
-        transcript.bob_declared_length,
-        blocks,
-        transcript.measurements("A"),
-        transcript.measurements("B"),
-        table,
-    )
-    return SessionResult(decoded_by_alice, decoded_by_bob, blocks, transcript)
+    return _play(config, {side: channel.endpoint(side) for side in SIDES})
 
 
 def replay(transcript: Transcript, blocks) -> SessionResult:
@@ -503,13 +513,12 @@ def replay(transcript: Transcript, blocks) -> SessionResult:
         raise ReplayError(
             f"{len(blocks)} records for {transcript.usable_blocks} blocks", 0
         )
-    announced = {side: transcript.measurements(side) for side in ("A", "B")}
-    pattern = {"A": transcript.mode is not SessionMode.BOB_TO_ALICE
-                    or transcript.fallback is SilentFallback.RANDOM_OPS,
-               "B": transcript.mode is not SessionMode.ALICE_TO_BOB
-                    or transcript.fallback is SilentFallback.RANDOM_OPS}
-    for side in ("A", "B"):
-        expected = set(range(1, transcript.usable_blocks + 1)) if pattern[side] else set()
+    announced = {side: transcript.measurements(side) for side in SIDES}
+    pattern = SessionConfig(
+        transcript.n_pairs, transcript.mode, transcript.fallback
+    ).announce_pattern()
+    for side, announces in zip(SIDES, pattern):
+        expected = set(range(1, transcript.usable_blocks + 1)) if announces else set()
         got = set(announced[side])
         if got != expected:
             odd = min(got.symmetric_difference(expected), default=0)
@@ -518,10 +527,10 @@ def replay(transcript: Transcript, blocks) -> SessionResult:
     for pos, rec in enumerate(blocks, start=1):
         if rec.index != pos:
             raise ReplayError(f"record index {rec.index} out of order", pos)
-        if (rec.announced_a, rec.announced_b) != (pattern["A"], pattern["B"]):
+        if (rec.announced_a, rec.announced_b) != pattern:
             raise ReplayError("announced flags disagree with the session mode", pos)
-        for side, label in (("A", rec.outcome.a_side), ("B", rec.outcome.b_side)):
-            if pattern[side] and announced[side][rec.index] is not label:
+        for side, announces, label in zip(SIDES, pattern, rec.outcome):
+            if announces and announced[side][rec.index] is not label:
                 raise ReplayError(
                     f"side {side} announced "
                     f"{announced[side][rec.index].value}, record says {label.value}",
@@ -535,20 +544,11 @@ def replay(transcript: Transcript, blocks) -> SessionResult:
                 rec.index,
             )
 
-    decoded_by_alice, decoded_by_bob = _decode_results(
-        transcript.mode,
-        transcript.alice_declared_length,
-        transcript.bob_declared_length,
-        blocks,
-        announced["A"],
-        announced["B"],
-        table,
-    )
-    return SessionResult(decoded_by_alice, decoded_by_bob, blocks, transcript)
+    return _decode_results(transcript, blocks, announced, table)
 
 
 # --------------------------------------------------------------------------
-# Two-process sessions. Each party runs this driver over a public TCP
+# Two-process sessions. Each party plays its own side over a public TCP
 # endpoint plus the substrate link that stands in for the shared pairs:
 # one private hello each way carries the party's encoded operations, after
 # which both sides derive identical blocks from the shared seed and play
@@ -572,11 +572,44 @@ def substrate_hello(side: str, config: SessionConfig) -> dict:
     }
 
 
-def _peer_message(hello: dict) -> MessageBits | None:
-    if hello.get("ops") is None:
+def _hello_limit(config: SessionConfig) -> int:
+    """Byte bound on a peer hello that matches `config`: fixed fields, the
+    seed's digits, and about two bytes per op for at most one op a block."""
+    return 256 + len(str(config.seed)) + 2 * config.usable_blocks
+
+
+def _peer_message(hello: dict, peer_side: str, config: SessionConfig) -> MessageBits | None:
+    """The peer's message from its substrate hello. SessionError if the
+    hello breaks its schema or disagrees with this party's public config."""
+    if hello.get("side") != peer_side:
+        raise SessionError(f"peer identifies as side {hello.get('side')!r}")
+    mismatches = [
+        f"{field}: mine {mine!r}, peer {theirs!r}"
+        for field, mine in (
+            ("n_pairs", config.n_pairs),
+            ("mode", config.mode.value),
+            ("fallback", config.fallback.value),
+            ("seed", config.seed),
+        )
+        if type(theirs := hello.get(field)) is not type(mine) or theirs != mine
+    ]
+    if mismatches:
+        raise SessionError("public config mismatch: " + "; ".join(mismatches))
+    length, ops = hello.get("declared_length"), hello.get("ops")
+    if length is None and ops is None:
         return None
-    ops = [PauliCode(code) for code in hello["ops"]]
-    return decode_ops(ops, hello["declared_length"])
+    if type(length) is not int or length < 0:  # bool is an int subclass
+        raise SessionError(f"invalid substrate hello: declared_length {length!r}")
+    n_ops = (length + 1) // 2
+    if (not isinstance(ops, list) or len(ops) != n_ops
+            or any(type(op) is not int or not 0 <= op <= 3 for op in ops)):
+        raise SessionError(
+            f"invalid substrate hello: ops must be {n_ops} integers in 0..3"
+        )
+    try:
+        return decode_ops([PauliCode(op) for op in ops], length)
+    except ValueError as exc:
+        raise SessionError(f"invalid substrate hello: {exc}") from exc
 
 
 def run_remote_party(side: str, config: SessionConfig, substrate, endpoint) -> SessionResult:
@@ -585,68 +618,18 @@ def run_remote_party(side: str, config: SessionConfig, substrate, endpoint) -> S
     `config` is this party's view: public fields plus its own message. The
     peer's message slot must be None; it is filled from the substrate hello.
     """
-    if side not in ("A", "B"):
+    if side not in SIDES:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    peer_side = "B" if side == "A" else "A"
-    if (config.bob_message if side == "A" else config.alice_message) is not None:
+    peer_slot = "bob_message" if side == "A" else "alice_message"
+    if getattr(config, peer_slot) is not None:
         raise ValueError(f"party {side} must not be given the peer's message")
     config.validate()
 
     substrate.send_hello(substrate_hello(side, config))
-    hello = substrate.receive_hello()
-    if hello.get("side") != peer_side:
-        raise SessionError(f"peer identifies as side {hello.get('side')!r}")
-    mismatches = []
-    for field, mine in (
-        ("n_pairs", config.n_pairs),
-        ("mode", config.mode.value),
-        ("fallback", config.fallback.value),
-        ("seed", config.seed),
-    ):
-        if hello.get(field) != mine:
-            mismatches.append(f"{field}: mine {mine!r}, peer {hello.get(field)!r}")
-    if mismatches:
-        raise SessionError("public config mismatch: " + "; ".join(mismatches))
+    hello = substrate.receive_hello(_hello_limit(config))
+    full = replace(config, **{peer_slot: _peer_message(hello, _PEER[side], config)})
     try:
-        peer_message = _peer_message(hello)
-    except (KeyError, TypeError, ValueError) as exc:
+        full.validate()  # this party's own fields already passed
+    except ValueError as exc:
         raise SessionError(f"invalid substrate hello: {exc}") from exc
-
-    if side == "A":
-        full = replace(config, bob_message=peer_message)
-    else:
-        full = replace(config, alice_message=peer_message)
-    full.validate()
-
-    table = generate_decode_table()
-    blocks = _compute_blocks(full)
-    sid = session_id(full)
-    schedule = _announcement_schedule(sid, full, blocks)
-    try:
-        for ann in schedule:
-            if ann.side == side:
-                endpoint.send(ann)
-            else:
-                got = endpoint.receive()
-                if got != ann:
-                    raise SessionError(
-                        f"peer announced {got.to_wire()} where "
-                        f"{ann.to_wire()} was expected",
-                        transcript=_make_transcript(full, sid, endpoint.tap()),
-                    )
-    except ChannelError as exc:
-        raise SessionError(
-            str(exc), transcript=_make_transcript(full, sid, endpoint.tap())
-        ) from exc
-
-    transcript = _make_transcript(full, sid, endpoint.tap())
-    decoded_by_alice, decoded_by_bob = _decode_results(
-        full.mode,
-        transcript.alice_declared_length,
-        transcript.bob_declared_length,
-        blocks,
-        transcript.measurements("A"),
-        transcript.measurements("B"),
-        table,
-    )
-    return SessionResult(decoded_by_alice, decoded_by_bob, blocks, transcript)
+    return _play(full, {side: endpoint})

@@ -121,25 +121,25 @@ class DecodeTable:
 
     infer maps each of the 16 outcomes (first pair fixed at PsiPlus) to the
     second pair's pre-measurement Bell state; combos maps each Bell label to
-    the four operation pairs whose composite produces it; composite and
-    pairing are the derived lookups the protocol uses per block. Everything
-    is generated from the state-vector core, never hand-entered.
+    the four operation pairs whose composite produces it; composite,
+    pairing and partner are the derived lookups the protocol uses per
+    block. Everything is generated from the state-vector core, never
+    hand-entered.
     """
 
     infer: Mapping[SwapOutcome, BellLabel]
     combos: Mapping[BellLabel, frozenset[tuple[PauliCode, PauliCode]]]
     composite: Mapping[tuple[PauliCode, PauliCode], BellLabel]
     pairing: Mapping[tuple[BellLabel, BellLabel], BellLabel]
+    # (own operation, inferred label) -> the partner's operation
+    partner: Mapping[tuple[PauliCode, BellLabel], PauliCode]
 
     def partner_b_side(self, column: BellLabel, a_side: BellLabel) -> BellLabel:
         """The unique b-side label paired with `a_side` inside a column."""
         return self.pairing[(column, a_side)]
 
     def decode(self, own: PauliCode, inferred: BellLabel) -> PauliCode:
-        for op_a, op_b in self.combos[inferred]:
-            if op_a is own:
-                return op_b
-        raise KeyError((own, inferred))
+        return self.partner[(own, inferred)]
 
 
 def composite_label(op_a: PauliCode, op_b: PauliCode) -> BellLabel:
@@ -181,7 +181,12 @@ def generate_decode_table() -> DecodeTable:
     }
     if len(pairing) != 16:
         raise AssertionError("a-side labels do not appear once per column")
-    return DecodeTable(infer=infer, combos=combos, composite=composite, pairing=pairing)
+    partner = {(a, label): b for (a, b), label in composite.items()}
+    if len(partner) != 16:
+        raise AssertionError("own operation and label do not fix the partner's")
+    return DecodeTable(
+        infer=infer, combos=combos, composite=composite, pairing=pairing, partner=partner
+    )
 
 
 def infer_second_pair(outcome: SwapOutcome) -> BellLabel:

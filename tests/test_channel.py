@@ -5,12 +5,15 @@ import threading
 import pytest
 
 from swapcomm.channel import (
+    MAX_FRAME_BYTES,
     Announcement,
     AnnouncementKind,
     FrameError,
     InProcessChannel,
     OrderingError,
     SessionListener,
+    SubstrateLink,
+    TcpEndpoint,
     TransportError,
     WIRE_FIELDS,
     dial_session,
@@ -19,8 +22,10 @@ from swapcomm.protocol import (
     MessageBits,
     SessionConfig,
     SessionError,
+    _hello_limit,
     run_remote_party,
     run_session,
+    substrate_hello,
 )
 from swapcomm.quantum import BellLabel
 
@@ -102,6 +107,7 @@ class TestInProcessChannel:
         a.send(ann)
         assert b.receive() == ann
         assert channel.tap() == (ann,)
+        assert a.tap() == b.tap() == (ann,)
 
     def test_fifo_order(self):
         channel = InProcessChannel()
@@ -267,3 +273,59 @@ class TestTcpChannel:
             listener.accept()
         t.join()
         listener.close()
+
+
+class TestBoundedReads:
+    """Every read off a socket has a byte limit; socketpair stands in for TCP."""
+
+    def test_overlong_frame_is_a_frame_error_at_its_offset(self):
+        near, far = socket.socketpair()
+        endpoint = TcpEndpoint(near, side="A", timeout=5.0)
+        first = meas(1, "B", BellLabel.PHI_PLUS).to_wire().encode() + b"\n"
+        far.sendall(first + b"x" * (2 * MAX_FRAME_BYTES) + b"\n")
+        try:
+            assert endpoint.receive() == meas(1, "B", BellLabel.PHI_PLUS)
+            with pytest.raises(FrameError, match=f"within {MAX_FRAME_BYTES} bytes") as info:
+                endpoint.receive()
+            assert info.value.byte_offset == len(first)
+        finally:
+            endpoint.close()
+            far.close()
+
+    def test_frame_at_the_limit_is_read(self):
+        near, far = socket.socketpair()
+        endpoint = TcpEndpoint(near, side="A", timeout=5.0)
+        line = meas(1, "B", BellLabel.PHI_PLUS).to_wire()
+        line = line[:-1] + " " * (MAX_FRAME_BYTES - len(line) - 1) + "}"
+        far.sendall(line.encode() + b"\n")
+        try:
+            assert endpoint.receive() == meas(1, "B", BellLabel.PHI_PLUS)
+        finally:
+            endpoint.close()
+            far.close()
+
+    def test_overlong_hello_is_a_transport_error(self):
+        near, far = socket.socketpair()
+        link = SubstrateLink(near, timeout=5.0)
+        far.sendall(json.dumps({"v": 1, "pad": "x" * 300}).encode() + b"\n")
+        try:
+            with pytest.raises(TransportError, match="within 200 bytes"):
+                link.receive_hello(200)
+        finally:
+            link.close()
+            far.close()
+
+    def test_hello_limit_admits_the_largest_real_hello(self):
+        config = SessionConfig(
+            n_pairs=10_001, seed=-(2**63),
+            bob_message=MessageBits.from_bits("1" * 10_000),
+        )
+        near, far = socket.socketpair()
+        sender, receiver = SubstrateLink(far, timeout=5.0), SubstrateLink(near, timeout=5.0)
+        try:
+            sender.send_hello(substrate_hello("B", config))
+            hello = receiver.receive_hello(_hello_limit(config))
+            assert len(hello["ops"]) == 5_000
+        finally:
+            sender.close()
+            receiver.close()

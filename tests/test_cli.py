@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+import threading
 
 import pytest
 
 from swapcomm import documents
+from swapcomm.channel import SessionListener
 from swapcomm.cli import main
-from swapcomm.protocol import MessageBits, SessionConfig, run_session
+from swapcomm.protocol import MessageBits, SessionConfig, run_session, substrate_hello
 
 
 def run_cli(*argv, capsys=None):
@@ -336,3 +338,32 @@ class TestNetworkedCli:
         assert code == 3
         assert not out.exists()
         assert "cannot reach" in captured.err
+
+    def test_peer_message_over_capacity_is_a_session_failure(self, tmp_path, capsys):
+        """The peer's oversized message is not this user's usage error: exit 3."""
+        listener = SessionListener("127.0.0.1", 0, timeout=10.0)
+        host, port = listener.address
+        peer = SessionConfig(n_pairs=4, seed=7, alice_message=MessageBits.from_bits("0110"))
+        hello = {**substrate_hello("A", peer), "declared_length": 8, "ops": [0, 1, 2, 3]}
+
+        def hostile_server():
+            substrate, endpoint = listener.accept()
+            try:
+                substrate.send_hello(hello)
+                substrate.receive_hello(1024)
+            finally:
+                substrate.close()
+                endpoint.close()
+                listener.close()
+
+        server = threading.Thread(target=hostile_server)
+        server.start()
+        out = tmp_path / "never.json"
+        code, captured = run_cli(
+            "connect", "--peer", f"{host}:{port}", "--pairs", "4", "--seed", "7",
+            "--bob-msg", "10", "--out", str(out), capsys=capsys,
+        )
+        server.join(timeout=10)
+        assert code == 3
+        assert not out.exists()
+        assert "invalid substrate hello" in captured.err

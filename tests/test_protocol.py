@@ -9,15 +9,18 @@ from swapcomm.protocol import (
     MessageBits,
     ReplayError,
     SessionConfig,
+    SessionError,
     SessionMode,
     SilentFallback,
     decode_ops,
     encode_bits,
     parse_message,
     replay,
+    run_remote_party,
     run_session,
     sample_block_outcomes,
     session_id,
+    substrate_hello,
 )
 from swapcomm.quantum import BELL_ORDER, BellLabel, PauliCode, bell_measure, bell_state
 from swapcomm.quantum import apply_local, tensor
@@ -348,3 +351,139 @@ class TestSessionId:
     def test_announcement_count(self):
         res = run_session(bidirectional(6, 7, "011110", "101100"))
         assert len(res.transcript.announcements) == 10  # 2 start + 6 + 2 end
+
+
+def _relabel(ann):
+    """The same announcement with a different measurement label."""
+    wrong = next(lab for lab in BELL_ORDER if lab is not ann.label)
+    return dataclasses.replace(ann, label=wrong)
+
+
+class _TamperingChannel(InProcessChannel):
+    """Delivers Bob's block-2 measurement with a different label."""
+
+    def _deliver(self, sender, ann):
+        if ann.kind is AnnouncementKind.MEASUREMENT and (ann.block, ann.side) == (2, "B"):
+            ann = _relabel(ann)
+        super()._deliver(sender, ann)
+
+
+class _ScriptedSubstrate:
+    def __init__(self, hello):
+        self.hello, self.sent, self.limits = hello, [], []
+
+    def send_hello(self, hello):
+        self.sent.append(hello)
+
+    def receive_hello(self, limit):
+        self.limits.append(limit)
+        return self.hello
+
+
+class _ScriptedEndpoint:
+    """Plays a peer whose lines are fixed in advance."""
+
+    def __init__(self, peer_lines=()):
+        self._script = list(peer_lines)
+        self._tap = []
+
+    def send(self, ann):
+        self._tap.append(ann)
+
+    def receive(self):
+        ann = self._script.pop(0)
+        self._tap.append(ann)
+        return ann
+
+    def tap(self):
+        return tuple(self._tap)
+
+    def close(self):
+        pass
+
+
+class TestPeerCheck:
+    """Both the in-process and the remote path verify every peer line."""
+
+    CONFIG = bidirectional(8, 5, "0110", "1011")
+
+    def test_in_process_rejects_tampered_peer_line(self):
+        clean = run_session(self.CONFIG).transcript.announcements
+        bad = next(i for i, ann in enumerate(clean)
+                   if ann.kind is AnnouncementKind.MEASUREMENT
+                   and (ann.block, ann.side) == (2, "B"))
+        with pytest.raises(SessionError, match="peer announced") as err:
+            run_session(self.CONFIG, channel=_TamperingChannel())
+        partial = err.value.transcript.announcements
+        assert partial == clean[:bad] + (_relabel(clean[bad]),)
+
+    def test_remote_party_rejects_wrong_peer_label(self):
+        clean = run_session(self.CONFIG).transcript.announcements
+        peer_lines = [ann for ann in clean if ann.side == "B"]
+        peer_lines[3] = _relabel(peer_lines[3])  # Bob's block-2 measurement
+        substrate = _ScriptedSubstrate(substrate_hello("B", self.CONFIG))
+        endpoint = _ScriptedEndpoint(peer_lines)
+        mine = dataclasses.replace(self.CONFIG, bob_message=None)
+        with pytest.raises(SessionError, match="peer announced") as err:
+            run_remote_party("A", mine, substrate, endpoint)
+        assert err.value.transcript.announcements[-1] == peer_lines[3]
+
+
+class TestSubstrateHelloSchema:
+    """A malformed or hostile peer hello is a SessionError (exit 3), raised
+    before any announcement is sent."""
+
+    MINE = SessionConfig(n_pairs=8, seed=1, alice_message=MessageBits.from_bits("0110"))
+    # The well-formed peer hello: Bob's "1011" is ops [2, 3].
+    PEER = substrate_hello("B", dataclasses.replace(
+        MINE, alice_message=None, bob_message=MessageBits.from_bits("1011")))
+
+    @pytest.mark.parametrize("fields", [
+        {"declared_length": True, "ops": [2]},
+        {"declared_length": -2, "ops": []},
+        {"declared_length": "4"},
+        {"declared_length": 4.0},
+        {"declared_length": None},
+        {"ops": None},
+        {"ops": "23"},
+        {"ops": [2.0, 3]},
+        {"ops": [2, True]},
+        {"ops": [2, 4]},
+        {"ops": [-1, 3]},
+        {"ops": [2, 3, 1]},
+        {"ops": [2]},
+        {"declared_length": 3, "ops": [2, 3]},  # nonzero padding bit
+        {"declared_length": 20, "ops": [0] * 10},  # over capacity
+        {"seed": True},
+        {"seed": 1.0},
+        {"n_pairs": "8"},
+        {"side": "A"},
+    ], ids=repr)
+    def test_rejected(self, fields):
+        substrate = _ScriptedSubstrate({**self.PEER, **fields})
+        endpoint = _ScriptedEndpoint()
+        with pytest.raises(SessionError):
+            run_remote_party("A", self.MINE, substrate, endpoint)
+        assert endpoint.tap() == ()
+
+    def test_bool_n_pairs_rejected(self):
+        mine = SessionConfig(n_pairs=1, seed=1)
+        peer = {**substrate_hello("B", mine), "n_pairs": True}
+        with pytest.raises(SessionError, match="n_pairs"):
+            run_remote_party("A", mine, _ScriptedSubstrate(peer), _ScriptedEndpoint())
+
+    def test_message_from_a_silent_peer_rejected(self):
+        mine = SessionConfig(n_pairs=8, seed=1, mode=SessionMode.ALICE_TO_BOB,
+                             alice_message=MessageBits.from_bits("0110"))
+        peer = {**substrate_hello("B", mine), "declared_length": 2, "ops": [1]}
+        with pytest.raises(SessionError, match="no sending role"):
+            run_remote_party("A", mine, _ScriptedSubstrate(peer), _ScriptedEndpoint())
+
+    def test_hello_read_is_bounded_by_own_pair_count(self):
+        substrate = _ScriptedSubstrate(self.PEER)
+        peer_lines = [ann for ann in run_session(dataclasses.replace(
+            self.MINE, bob_message=MessageBits.from_bits("1011"))).transcript.announcements
+            if ann.side == "B"]
+        run_remote_party("A", self.MINE, substrate, _ScriptedEndpoint(peer_lines))
+        (limit,) = substrate.limits
+        assert 2 * self.MINE.usable_blocks < limit < 300
