@@ -71,20 +71,19 @@ class Announcement:
             raise ValueError(f"side must be one of {SIDES}, got {self.side!r}")
         if (self.kind is AnnouncementKind.MEASUREMENT) != (self.label is not None):
             raise ValueError("exactly Measurement announcements carry a label")
+        if type(self.block) is not int:  # bool is an int subclass
+            raise ValueError(f"block must be an int, got {self.block!r}")
         if self.block < 0:
             raise ValueError("block must be non-negative")
 
     def to_wire(self) -> str:
-        fields: dict = {
-            "v": WIRE_VERSION,
-            "sid": self.session_id,
-            "blk": self.block,
-            "side": self.side,
-            "kind": self.kind.value,
-        }
-        if self.label is not None:
-            fields["label"] = self.label.value
-        return json.dumps(fields, separators=(",", ":"))
+        # The same text as json.dumps of the fields with separators (",", ":"):
+        # only the sid needs escaping; side, kind and label are fixed names.
+        label = "" if self.label is None else f',"label":"{self.label.value}"'
+        return (
+            f'{{"v":{WIRE_VERSION},"sid":{json.dumps(self.session_id)},"blk":{self.block},'
+            f'"side":"{self.side}","kind":"{self.kind.value}"{label}}}'
+        )
 
     @classmethod
     def from_wire(cls, line: str, byte_offset: int = 0) -> "Announcement":
@@ -92,6 +91,8 @@ class Announcement:
             fields = json.loads(line)
         except json.JSONDecodeError as exc:
             raise FrameError(f"invalid frame: {exc.msg}", byte_offset + exc.pos) from exc
+        except RecursionError as exc:  # about a thousand nested brackets fit in a frame
+            raise FrameError("invalid frame: nested too deeply", byte_offset) from exc
         if not isinstance(fields, dict):
             raise FrameError("frame is not an object", byte_offset)
         unknown = set(fields) - set(WIRE_FIELDS)

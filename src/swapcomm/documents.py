@@ -14,7 +14,7 @@ import io
 import json
 
 from . import __version__
-from .channel import Announcement, AnnouncementKind
+from .channel import MAX_FRAME_BYTES, Announcement, AnnouncementKind, FrameError
 from .protocol import (
     BlockRecord,
     MessageBits,
@@ -117,6 +117,23 @@ def transcript_from_document(doc: dict) -> Transcript:
             raise ValueError(f"session {key} has the wrong type: {fields[key]!r}")
     if not isinstance(lines, list) or not all(isinstance(line, str) for line in lines):
         raise ValueError("transcript must be a list of wire lines")
+    for key in ("n_pairs", "alice_declared_length", "bob_declared_length"):
+        if fields[key] is not None and fields[key] < 0:
+            raise ValueError(f"session {key} must be non-negative, got {fields[key]}")
+    # A session announces at least one line per block; this also bounds the
+    # per-block work of an analysis by the document's size.
+    if fields["n_pairs"] // 2 > len(lines):
+        raise ValueError(
+            f"session n_pairs {fields['n_pairs']} needs {fields['n_pairs'] // 2} "
+            f"blocks but the transcript has only {len(lines)} lines"
+        )
+    for number, line in enumerate(lines):
+        # The wire's frame cap, which counts the newline a document line lacks.
+        if len(line.encode("utf-8", "surrogatepass")) >= MAX_FRAME_BYTES:
+            raise FrameError(
+                f"transcript line {number} is longer than {MAX_FRAME_BYTES - 1} bytes",
+                MAX_FRAME_BYTES - 1,
+            )
     transcript = Transcript(
         session_id=fields["id"],
         n_pairs=fields["n_pairs"],

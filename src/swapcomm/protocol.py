@@ -9,7 +9,10 @@ partner's operations from the swapping correlations.
 Sampling is seed-deterministic: each block draws from a stream derived
 from (seed, block index), so sessions are reproducible, blocks are
 independent, and a remote party with the same public seed derives the
-same outcomes.
+same outcomes. block_rng defines a block's stream. _block_draws computes
+the draws of every block of a session in one vectorised pass, bit for bit
+equal to block_rng's; sampling and decoding are then gathers from the
+decode table's code arrays.
 
 One function, _play, runs every session: both sides on an in-process
 channel (run_session) or one side on a TCP endpoint (run_remote_party).
@@ -19,6 +22,7 @@ peer announces against the schedule both derived from the public config.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -34,6 +38,7 @@ from .channel import (
 from .quantum import BellLabel, PauliCode
 from .swap import (
     ENCODING_ORDER,
+    LABEL_CODES,
     DecodeTable,
     SwapOutcome,
     generate_decode_table,
@@ -41,6 +46,8 @@ from .swap import (
 
 _MASK64 = (1 << 64) - 1
 _PEER = {"A": "B", "B": "A"}
+# Block indices are one 32-bit word of a block's spawn key (_block_draws).
+MAX_BLOCKS = (1 << 32) - 1
 
 
 class CapacityError(ValueError):
@@ -129,22 +136,35 @@ def parse_message(text: str) -> MessageBits:
     return MessageBits.from_bits(text)
 
 
+def _message_codes(message: MessageBits) -> np.ndarray:
+    """Operation codes of consecutive bit pairs, via the fixed two-bit code."""
+    bits = np.frombuffer(message.bits.encode("ascii"), dtype=np.uint8) - ord("0")
+    return (2 * bits[0::2] + bits[1::2]).astype(np.intp)
+
+
+def _message_from_codes(codes: np.ndarray, declared_length: int) -> MessageBits:
+    """Inverse of _message_codes; trims to the declared length's even padding."""
+    if declared_length > 2 * len(codes):
+        raise ValueError(
+            f"declared length {declared_length} exceeds {2 * len(codes)} decoded bits"
+        )
+    bits = np.empty(2 * len(codes), dtype=np.uint8)
+    bits[0::2] = codes >> 1
+    bits[1::2] = codes & 1
+    stored = declared_length + (declared_length % 2)
+    text = (bits[:stored] + ord("0")).tobytes().decode("ascii")
+    return MessageBits(bits=text, declared_length=declared_length)
+
+
 def encode_bits(message: MessageBits) -> tuple[PauliCode, ...]:
     """Map consecutive bit pairs to operations via the fixed two-bit code."""
-    bits = message.bits
-    return tuple(PauliCode(int(bits[i : i + 2], 2)) for i in range(0, len(bits), 2))
+    return tuple(map(PauliCode, _message_codes(message).tolist()))
 
 
 def decode_ops(ops, declared_length: int) -> MessageBits:
     """Inverse of encode_bits; trims to the declared length's even padding."""
-    ops = tuple(ops)
-    if declared_length > 2 * len(ops):
-        raise ValueError(
-            f"declared length {declared_length} exceeds {2 * len(ops)} decoded bits"
-        )
-    stored = declared_length + (declared_length % 2)
-    bits = "".join(op.bits for op in ops)[:stored]
-    return MessageBits(bits=bits, declared_length=declared_length)
+    codes = np.array([op.code for op in ops], dtype=np.intp)
+    return _message_from_codes(codes, declared_length)
 
 
 @dataclass(frozen=True)
@@ -196,6 +216,11 @@ class SessionConfig:
     def validate(self) -> None:
         if self.n_pairs < 0:
             raise ValueError("n_pairs must be non-negative")
+        if self.usable_blocks > MAX_BLOCKS:
+            raise ValueError(
+                f"n_pairs {self.n_pairs} exceeds the limit of {2 * MAX_BLOCKS + 1} "
+                f"({MAX_BLOCKS} blocks)"
+            )
         capacity = 2 * self.usable_blocks
         for side, name in (("A", "Alice"), ("B", "Bob")):
             sends = self.alice_sends if side == "A" else self.bob_sends
@@ -228,9 +253,114 @@ def session_id(config: SessionConfig) -> str:
 
 
 def block_rng(seed: int, block_index: int) -> np.random.Generator:
-    """Independent stream for one block, derived from (seed, block index)."""
+    """Independent stream for one block, derived from (seed, block index).
+
+    This defines the sampling stream; _block_draws computes the same draws
+    for all blocks at once.
+    """
     seq = np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=(block_index,))
     return np.random.default_rng(seq)
+
+
+# numpy's SeedSequence hash constants (32-bit words, XSHIFT 16) and the
+# PCG64 multiplier, as in numpy/random/bit_generator.pyx and pcg64.h.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_HI = np.uint64(_PCG_MULT >> 64)
+_PCG_LO = np.uint64(_PCG_MULT & _MASK64)
+_PCG_LO0 = np.uint64(_PCG_MULT & _M32)
+_PCG_LO1 = np.uint64((_PCG_MULT >> 32) & _M32)
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 step, state*M + inc mod 2**128, on (hi, lo) uint64 arrays.
+    lo*M_lo needs its full 128 bits and goes through 32-bit halves; the
+    cross terms only reach the high word, where uint64 wraps as wanted."""
+    a0, a1 = lo & _M32, lo >> 32
+    p00, p01, p10 = a0 * _PCG_LO0, a0 * _PCG_LO1, a1 * _PCG_LO0
+    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+    new_lo = (p00 & _M32) | (mid << 32)
+    new_hi = (a1 * _PCG_LO1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+              + lo * _PCG_HI + hi * _PCG_LO)
+    out_lo = new_lo + inc_lo
+    return new_hi + inc_hi + (out_lo < new_lo), out_lo
+
+
+def _block_draws(seed: int, n_blocks: int) -> np.ndarray:
+    """The first three integers(4) draws of block_rng(seed, k) for every
+    block k in 1..n_blocks, as row k-1 of an (n_blocks, 3) uint8 array.
+
+    This replays numpy's construction vectorised over k. Block k's entropy
+    is the words [seed lo, seed hi, 0, 0, k] (run entropy is padded to the
+    pool size of 4 when a spawn key is present), so the pool mixing up to
+    the spawn word is one computation per seed, in Python ints. The spawn
+    word's mixes, generate_state(4, uint64) and the PCG64 seeding and
+    steps run over uint32/uint64 arrays. integers(4) takes one buffered
+    32-bit half of a raw output per draw, and Lemire's method never
+    rejects for a range of 4, so a draw is the half's top two bits.
+    """
+    if not 0 <= n_blocks <= MAX_BLOCKS:
+        raise ValueError(f"n_blocks must be in 0..{MAX_BLOCKS}, got {n_blocks}")
+    seed64 = seed & _MASK64
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * hash_const & _M32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = (_MIX_L * x - _MIX_R * y) & _M32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in (seed64 & _M32, seed64 >> 32, 0, 0)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+
+    spawn = np.arange(1, n_blocks + 1, dtype=np.uint32)
+    for dst in range(4):  # mix(pool[dst], hashmix(spawn)), over all blocks
+        h = spawn ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _M32
+        h *= np.uint32(hash_const)
+        h ^= h >> 16
+        word = np.uint32(_MIX_L * pool[dst] & _M32) - h * np.uint32(_MIX_R)
+        word ^= word >> 16
+        pool[dst] = word
+
+    hash_const = _INIT_B
+    state = []  # generate_state: 8 words cycling over the pool
+    for i in range(8):
+        h = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _M32
+        h *= np.uint32(hash_const)
+        h ^= h >> 16
+        state.append(h.astype(np.uint64))
+    v0, v1, v2, v3 = (state[2 * i] | (state[2 * i + 1] << 32) for i in range(4))
+
+    # PCG64 seeding: initstate = v0:v1, inc = (v2:v3 << 1) | 1, then
+    # state = (inc + initstate) stepped once.
+    inc_hi, inc_lo = (v2 << 1) | (v3 >> 63), (v3 << 1) | 1
+    lo = inc_lo + v1
+    hi = inc_hi + v0 + (lo < inc_lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    raw = []
+    for _ in range(2):  # next64: step, then XSL-RR output
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58
+        raw.append((x >> rot) | (x << ((64 - rot) & 63)))
+
+    draws = np.empty((n_blocks, 3), dtype=np.uint8)
+    draws[:, 0] = (raw[0] & _M32) >> 30
+    draws[:, 1] = raw[0] >> 62
+    draws[:, 2] = (raw[1] & _M32) >> 30
+    return draws
 
 
 @dataclass(frozen=True)
@@ -297,66 +427,69 @@ class SessionResult:
     transcript: Transcript
 
 
-def _draw_op(rng: np.random.Generator) -> PauliCode:
-    return PauliCode(int(rng.integers(4)))
+# Indexed by an op code column; code -1 marks a party that declared
+# silence and applied nothing.
+_OP_OR_NONE = (*PauliCode, None)
+# Indexed by 4 * a-side label code + b-side label code.
+_OUTCOMES = tuple(SwapOutcome(a, b) for a in ENCODING_ORDER for b in ENCODING_ORDER)
 
 
-def _sample_outcome(
-    rng: np.random.Generator,
-    table: DecodeTable,
-    eff_a: PauliCode,
-    eff_b: PauliCode,
-) -> SwapOutcome:
-    """One joint Bell-measurement outcome for a block.
+def _block_codes(config: SessionConfig) -> tuple[np.ndarray, ...]:
+    """The session's blocks as four code columns (op_a, op_b, label_a,
+    label_b); entry k-1 is block k. Op code -1 means no operation
+    (declared silence).
 
     The a-side label is uniform regardless of the operations (the measured
     photons are maximally mixed); the b-side label is then determined by
     the composite's outcome column. This single-draw form is exactly the
     4-entry Born distribution and lets a remote party with the same seed
-    derive the same outcome.
+    derive the same outcomes.
     """
-    composite = table.composite[(eff_a, eff_b)]
-    a_side = ENCODING_ORDER[int(rng.integers(4))]
-    return SwapOutcome(a_side, table.partner_b_side(composite, a_side))
+    table = generate_decode_table()
+    n = config.usable_blocks
+    # Fixed draw order per block: Alice's fallback op, Bob's, then the
+    # a-side label; both parties must consume the stream identically.
+    draws = iter(_block_draws(config.seed, n).T.astype(np.intp))
+    ops = []
+    for side, sends in (("A", config.alice_sends), ("B", config.bob_sends)):
+        if sends:
+            op = np.zeros(n, dtype=np.intp)
+            codes = _message_codes(config.message_for(side))
+            op[: len(codes)] = codes
+        elif config.fallback is SilentFallback.RANDOM_OPS:
+            op = next(draws)
+        else:
+            op = np.full(n, -1, dtype=np.intp)
+        ops.append(op)
+    label_a = next(draws)
+    composite = table.composite_codes[np.maximum(ops[0], 0), np.maximum(ops[1], 0)]
+    return ops[0], ops[1], label_a, table.pairing_codes[composite, label_a]
+
+
+def _records(config: SessionConfig, codes: tuple[np.ndarray, ...]) -> tuple[BlockRecord, ...]:
+    announce_a, announce_b = config.announce_pattern()
+    op_a, op_b, label_a, label_b = codes
+    return tuple(
+        BlockRecord(k, _OP_OR_NONE[a], _OP_OR_NONE[b], _OUTCOMES[o], announce_a, announce_b)
+        for k, a, b, o in zip(
+            itertools.count(1), op_a.tolist(), op_b.tolist(), (4 * label_a + label_b).tolist()
+        )
+    )
 
 
 def _compute_blocks(config: SessionConfig) -> tuple[BlockRecord, ...]:
-    table = generate_decode_table()
-    announce_a, announce_b = config.announce_pattern()
-    ops_a = encode_bits(config.message_for("A")) if config.alice_sends else None
-    ops_b = encode_bits(config.message_for("B")) if config.bob_sends else None
-    random_fallback = config.fallback is SilentFallback.RANDOM_OPS
-
-    records = []
-    for k in range(1, config.usable_blocks + 1):
-        rng = block_rng(config.seed, k)
-        # Fixed draw order per block: Alice's fallback op, Bob's, then the
-        # outcome; both parties must consume the stream identically.
-        if ops_a is not None:
-            op_a = ops_a[k - 1] if k - 1 < len(ops_a) else PauliCode.U0
-        else:
-            op_a = _draw_op(rng) if random_fallback else None
-        if ops_b is not None:
-            op_b = ops_b[k - 1] if k - 1 < len(ops_b) else PauliCode.U0
-        else:
-            op_b = _draw_op(rng) if random_fallback else None
-        eff_a = op_a if op_a is not None else PauliCode.U0
-        eff_b = op_b if op_b is not None else PauliCode.U0
-        outcome = _sample_outcome(rng, table, eff_a, eff_b)
-        records.append(BlockRecord(k, op_a, op_b, outcome, announce_a, announce_b))
-    return tuple(records)
+    return _records(config, _block_codes(config))
 
 
 def sample_block_outcomes(
     op_a: PauliCode, op_b: PauliCode, n_blocks: int, seed: int
 ) -> list[SwapOutcome]:
     """Outcomes of n_blocks independent blocks with fixed operations,
-    drawn through the per-block sampling path."""
+    drawn as a session draws them."""
     table = generate_decode_table()
-    return [
-        _sample_outcome(block_rng(seed, k), table, op_a, op_b)
-        for k in range(1, n_blocks + 1)
-    ]
+    label_a = _block_draws(seed, n_blocks)[:, 0].astype(np.intp)
+    label_b = table.pairing_codes[table.composite_codes[op_a.code, op_b.code], label_a]
+    return [_OUTCOMES[o] for o in (4 * label_a + label_b).tolist()]
 
 
 def _announcement_schedule(
@@ -386,45 +519,48 @@ def _announcement_schedule(
 
 
 def _decode_direction(
-    blocks: tuple[BlockRecord, ...],
-    side: str,
-    partner_labels: dict[int, BellLabel],
+    own_ops: np.ndarray,
+    labels_a: np.ndarray,
+    labels_b: np.ndarray,
     declared_length: int,
     table: DecodeTable,
 ) -> MessageBits:
-    """`side` decodes the partner's operations from its own private data
-    plus the partner's announced labels. Alice's label is always the a-side
-    of the joint outcome, whichever party is decoding."""
-    partner_ops = []
-    for rec in blocks:
-        if side == "A":
-            own_op = rec.effective_a
-            outcome = SwapOutcome(rec.outcome.a_side, partner_labels[rec.index])
-        else:
-            own_op = rec.effective_b
-            outcome = SwapOutcome(partner_labels[rec.index], rec.outcome.b_side)
-        partner_ops.append(table.decode(own_op, table.infer[outcome]))
-    return decode_ops(partner_ops, declared_length)
+    """A party decodes its partner's operations from its own operations
+    (code -1, silence, acts as the identity) plus the joint outcome: its
+    own labels and the partner's announced ones. Alice's label is always
+    the a-side of the joint outcome, whichever party is decoding."""
+    inferred = table.infer_codes[labels_a, labels_b]
+    partner_ops = table.partner_codes[np.maximum(own_ops, 0), inferred]
+    return _message_from_codes(partner_ops, declared_length)
 
 
 def _decode_results(
     transcript: Transcript,
     blocks: tuple[BlockRecord, ...],
+    codes: tuple[np.ndarray, ...],
     announced: dict[str, dict[int, BellLabel]],
     table: DecodeTable,
 ) -> SessionResult:
-    """Decode both directions; `announced` holds each side's labels by block.
-    A fallback party's random operations are not a message, so the partner
-    discards that direction. A sending party always announces, so the
-    needed labels always exist."""
+    """Decode both directions from the blocks' code columns; `announced`
+    holds each side's labels by block. A fallback party's random operations
+    are not a message, so the partner discards that direction. A sending
+    party always announces, so the needed labels always exist."""
+    op_a, op_b, label_a, label_b = codes
+
+    def announced_codes(side: str) -> np.ndarray:
+        labels = announced[side]
+        return np.array(
+            [LABEL_CODES[labels[k]] for k in range(1, len(blocks) + 1)], dtype=np.intp
+        )
+
     decoded_by_alice = decoded_by_bob = None
     if transcript.mode is not SessionMode.BOB_TO_ALICE:
         decoded_by_bob = _decode_direction(
-            blocks, "B", announced["A"], transcript.alice_declared_length or 0, table
+            op_b, announced_codes("A"), label_b, transcript.alice_declared_length or 0, table
         )
     if transcript.mode is not SessionMode.ALICE_TO_BOB:
         decoded_by_alice = _decode_direction(
-            blocks, "A", announced["B"], transcript.bob_declared_length or 0, table
+            op_a, label_a, announced_codes("B"), transcript.bob_declared_length or 0, table
         )
     return SessionResult(decoded_by_alice, decoded_by_bob, blocks, transcript)
 
@@ -457,7 +593,8 @@ def _play(config: SessionConfig, endpoints: dict) -> SessionResult:
     failure raises SessionError carrying the transcript so far.
     """
     table = generate_decode_table()
-    blocks = _compute_blocks(config)
+    codes = _block_codes(config)
+    blocks = _records(config, codes)
     sid = session_id(config)
     tap = next(iter(endpoints.values())).tap
     # For each announcing side: (its endpoint, its peer's endpoint), if local.
@@ -483,7 +620,7 @@ def _play(config: SessionConfig, endpoints: dict) -> SessionResult:
 
     transcript = _make_transcript(config, sid, tap())
     announced = {side: transcript.measurements(side) for side in SIDES}
-    return _decode_results(transcript, blocks, announced, table)
+    return _decode_results(transcript, blocks, codes, announced, table)
 
 
 def run_session(config: SessionConfig, channel: InProcessChannel | None = None) -> SessionResult:
@@ -524,6 +661,18 @@ def replay(transcript: Transcript, blocks) -> SessionResult:
             odd = min(got.symmetric_difference(expected), default=0)
             raise ReplayError(f"side {side} announcement pattern is inconsistent", odd)
 
+    codes = tuple(np.array(
+        [(-1 if rec.op_a is None else rec.op_a.code,
+          -1 if rec.op_b is None else rec.op_b.code,
+          LABEL_CODES[rec.outcome.a_side],
+          LABEL_CODES[rec.outcome.b_side]) for rec in blocks],
+        dtype=np.intp,
+    ).reshape(-1, 4).T)
+    op_a, op_b, label_a, label_b = codes
+    composite = table.composite_codes[np.maximum(op_a, 0), np.maximum(op_b, 0)]
+    outside = np.flatnonzero(table.infer_codes[label_a, label_b] != composite)
+    first_outside = int(outside[0]) + 1 if outside.size else 0
+
     for pos, rec in enumerate(blocks, start=1):
         if rec.index != pos:
             raise ReplayError(f"record index {rec.index} out of order", pos)
@@ -536,15 +685,14 @@ def replay(transcript: Transcript, blocks) -> SessionResult:
                     f"{announced[side][rec.index].value}, record says {label.value}",
                     rec.index,
                 )
-        composite = table.composite[(rec.effective_a, rec.effective_b)]
-        if table.infer[rec.outcome] is not composite:
+        if pos == first_outside:
             raise ReplayError(
                 f"outcome {rec.outcome!r} is outside the "
-                f"{composite.value} column of the recorded operations",
+                f"{ENCODING_ORDER[composite[pos - 1]].value} column of the recorded operations",
                 rec.index,
             )
 
-    return _decode_results(transcript, blocks, announced, table)
+    return _decode_results(transcript, blocks, codes, announced, table)
 
 
 # --------------------------------------------------------------------------

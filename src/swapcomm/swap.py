@@ -115,28 +115,41 @@ def swap_decompose(first: BellLabel, second: BellLabel) -> OutcomeDistribution:
     return OutcomeDistribution(first, second, entries)
 
 
-@dataclass(frozen=True)
+# Integer code of each label: its position in ENCODING_ORDER. An
+# operation's code is PauliCode.code.
+LABEL_CODES: Mapping[BellLabel, int] = {
+    label: code for code, label in enumerate(ENCODING_ORDER)
+}
+
+
+@dataclass(frozen=True, eq=False)
 class DecodeTable:
     """Inference structure derived from the swapping algebra.
 
     infer maps each of the 16 outcomes (first pair fixed at PsiPlus) to the
     second pair's pre-measurement Bell state; combos maps each Bell label to
     the four operation pairs whose composite produces it; composite,
-    pairing and partner are the derived lookups the protocol uses per
-    block. Everything is generated from the state-vector core, never
-    hand-entered.
+    pairing and partner are the derived lookups. Everything is generated
+    from the state-vector core, never hand-entered.
+
+    The *_codes fields hold composite, pairing, infer and partner again as
+    read-only 4x4 int arrays over operation and label codes, so that a
+    whole session is sampled and decoded by gathers:
+    composite_codes[op_a, op_b], pairing_codes[column, a_side],
+    infer_codes[a_side, b_side] and partner_codes[own, inferred].
     """
 
     infer: Mapping[SwapOutcome, BellLabel]
     combos: Mapping[BellLabel, frozenset[tuple[PauliCode, PauliCode]]]
     composite: Mapping[tuple[PauliCode, PauliCode], BellLabel]
+    # (column label, a-side label) -> the b-side label paired with it
     pairing: Mapping[tuple[BellLabel, BellLabel], BellLabel]
     # (own operation, inferred label) -> the partner's operation
     partner: Mapping[tuple[PauliCode, BellLabel], PauliCode]
-
-    def partner_b_side(self, column: BellLabel, a_side: BellLabel) -> BellLabel:
-        """The unique b-side label paired with `a_side` inside a column."""
-        return self.pairing[(column, a_side)]
+    composite_codes: np.ndarray
+    pairing_codes: np.ndarray
+    infer_codes: np.ndarray
+    partner_codes: np.ndarray
 
     def decode(self, own: PauliCode, inferred: BellLabel) -> PauliCode:
         return self.partner[(own, inferred)]
@@ -184,9 +197,35 @@ def generate_decode_table() -> DecodeTable:
     partner = {(a, label): b for (a, b), label in composite.items()}
     if len(partner) != 16:
         raise AssertionError("own operation and label do not fix the partner's")
-    return DecodeTable(
-        infer=infer, combos=combos, composite=composite, pairing=pairing, partner=partner
+
+    code = {**LABEL_CODES, **{op: op.code for op in PauliCode}}
+    composite_codes, pairing_codes, infer_codes, partner_codes = (
+        _code_array({(code[i], code[j]): code[v] for (i, j), v in entries.items()})
+        for entries in (composite, pairing, infer, partner)
     )
+    # What sampling and decoding rely on: a sampled outcome lies in its
+    # composite's column, and decoding returns the partner's operation.
+    i, j = np.meshgrid(range(4), range(4), indexing="ij")
+    if not (partner_codes[i, composite_codes[i, j]] == j).all():
+        raise AssertionError("partner codes do not invert composite codes")
+    if not (infer_codes[j, pairing_codes[i, j]] == i).all():
+        raise AssertionError("pairing codes leave their column")
+    return DecodeTable(
+        infer=infer, combos=combos, composite=composite, pairing=pairing, partner=partner,
+        composite_codes=composite_codes, pairing_codes=pairing_codes,
+        infer_codes=infer_codes, partner_codes=partner_codes,
+    )
+
+
+def _code_array(entries: dict[tuple[int, int], int]) -> np.ndarray:
+    """A read-only 4x4 array holding a table's 16 entries as codes."""
+    arr = np.full((4, 4), -1, dtype=np.intp)
+    for (i, j), value in entries.items():
+        arr[i, j] = value
+    if (arr < 0).any():
+        raise AssertionError("a code table does not cover all 16 entries")
+    arr.flags.writeable = False
+    return arr
 
 
 def infer_second_pair(outcome: SwapOutcome) -> BellLabel:

@@ -78,3 +78,47 @@ def composite_label(op_a: str, op_b: str) -> str:
         if state == terms or state == {k: -v for k, v in terms.items()}:
             return label
     raise AssertionError(f"({op_a},{op_b}) composite is not a Bell state: {state}")
+
+
+# The label a block's a-side draw selects: position k holds the label that
+# u_k alone produces on PsiPlus.
+DRAW_LABELS = ("PsiPlus", "PsiMinus", "PhiPlus", "PhiMinus")
+
+
+def session_blocks(seed, n_blocks, alice_bits, bob_bits, random_fallback):
+    """Reference for protocol._compute_blocks, sampled one block at a time.
+
+    Block k draws from numpy's stream for SeedSequence(seed mod 2^64,
+    spawn_key=(k,)), in a fixed order: Alice's fallback operation if she
+    has no message (None: she is silent), then Bob's, then the a-side
+    label. A sender's operations come from her bits, two per block, with
+    U0 past the end. The b-side label is the one that pairs with the
+    a-side label in the outcome column of the operations' composite.
+    Returns (k, op_a, op_b, a_side, b_side) per block; an operation is its
+    index, or None when a silent party applied nothing.
+    """
+    import numpy as np
+
+    def message_ops(bits):
+        return [int(bits[i:i + 2], 2) for i in range(0, len(bits), 2)]
+
+    senders = [None if bits is None else message_ops(bits) for bits in (alice_bits, bob_bits)]
+    rows = []
+    for k in range(1, n_blocks + 1):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed % 2**64, spawn_key=(k,))
+        )
+        ops = []
+        for own in senders:
+            if own is not None:
+                ops.append(own[k - 1] if k - 1 < len(own) else 0)
+            else:
+                ops.append(int(rng.integers(4)) if random_fallback else None)
+        column = composite_label(*(f"U{op or 0}" for op in ops))
+        a_side = DRAW_LABELS[int(rng.integers(4))]
+        (b_side,) = [
+            b for (a, b), amp in decompose("PsiPlus", column).items()
+            if a == a_side and amp != 0
+        ]
+        rows.append((k, ops[0], ops[1], a_side, b_side))
+    return rows

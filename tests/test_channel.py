@@ -3,6 +3,7 @@ import socket
 import threading
 
 import pytest
+from hypothesis import given, strategies as st
 
 from swapcomm.channel import (
     MAX_FRAME_BYTES,
@@ -96,6 +97,31 @@ class TestWireFormat:
     def test_mistyped_fields_rejected(self, fields, message):
         line = '{"v":1,' + fields + ',"side":"A","kind":"SessionStart"}'
         with pytest.raises(FrameError, match=message):
+            Announcement.from_wire(line)
+
+    @given(
+        sid=st.text(),
+        block=st.integers(min_value=0),
+        side=st.sampled_from(["A", "B"]),
+        kind=st.sampled_from(list(AnnouncementKind)),
+        label=st.sampled_from(list(BellLabel)),
+    )
+    def test_to_wire_equals_json_dumps_of_the_fields(self, sid, block, side, kind, label):
+        measurement = kind is AnnouncementKind.MEASUREMENT
+        ann = Announcement(sid, block, side, kind, label if measurement else None)
+        fields = {"v": 1, "sid": sid, "blk": block, "side": side, "kind": kind.value}
+        if measurement:
+            fields["label"] = label.value
+        assert ann.to_wire() == json.dumps(fields, separators=(",", ":"))
+
+    @pytest.mark.parametrize("block", [True, 1.0, "1", None])
+    def test_non_int_block_rejected(self, block):
+        with pytest.raises(ValueError, match="block must be an int"):
+            Announcement("s", block, "A", AnnouncementKind.SESSION_START)
+
+    def test_deeply_nested_frame_rejected(self):
+        line = "[" * (MAX_FRAME_BYTES - 1)
+        with pytest.raises(FrameError, match="nested too deeply"):
             Announcement.from_wire(line)
 
 

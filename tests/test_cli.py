@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 import threading
@@ -263,6 +264,34 @@ class TestAnalyze:
         code, out = run_cli("analyze", str(run_doc), capsys=capsys)
         assert code == 1
         assert message in out.err
+
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda doc: doc["transcript"].insert(2, "[" * 10**5),
+         "transcript line 2 is longer than 1023 bytes"),
+        (lambda doc: doc["session"].update(alice_declared_length=-1),
+         "session alice_declared_length must be non-negative"),
+        (lambda doc: doc["session"].update(n_pairs=-2),
+         "session n_pairs must be non-negative"),
+        (lambda doc: doc["session"].update(n_pairs=10**9),
+         "needs 500000000 blocks but the transcript has only 12 lines"),
+    ], ids=["long-line", "negative-declared-length", "negative-n-pairs",
+            "n-pairs-beyond-transcript"])
+    def test_document_bounded_by_its_size(self, run_doc, tamper, message):
+        # In a child process with 1 GiB of address space and a deadline, so
+        # that a regression fails the test instead of exhausting the machine.
+        doc = json.loads(run_doc.read_text())
+        tamper(doc)
+        run_doc.write_text(json.dumps(doc))
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "swapcomm", "analyze", str(run_doc)],
+            capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert message in proc.stderr
 
     def test_missing_input_file(self, capsys):
         code, out = run_cli("analyze", "/nonexistent/run.json", capsys=capsys)

@@ -2,9 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracle
 from swapcomm.channel import AnnouncementKind, InProcessChannel
 from swapcomm.protocol import (
+    MAX_BLOCKS,
     CapacityError,
     MessageBits,
     ReplayError,
@@ -12,6 +15,9 @@ from swapcomm.protocol import (
     SessionError,
     SessionMode,
     SilentFallback,
+    _block_draws,
+    _compute_blocks,
+    block_rng,
     decode_ops,
     encode_bits,
     parse_message,
@@ -336,6 +342,65 @@ class TestReplay:
         res = self.make_result()
         with pytest.raises(ReplayError):
             replay(res.transcript, res.blocks[:-1])
+
+
+class TestBatchedSampling:
+    """The vectorised sampling path against its per-block definitions."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.one_of(
+            st.integers(),
+            st.integers(max_value=-1),
+            st.integers(min_value=2**64),
+            st.integers(2**32 - 3, 2**32 + 3),
+        ),
+        n_blocks=st.integers(0, 300),
+    )
+    def test_block_draws_equal_block_rng(self, seed, n_blocks):
+        draws = _block_draws(seed, n_blocks)
+        assert draws.shape == (n_blocks, 3) and draws.dtype == np.uint8
+        for k in range(1, n_blocks + 1):
+            rng = block_rng(seed, k)
+            assert draws[k - 1].tolist() == [int(rng.integers(4)) for _ in range(3)], k
+
+    @pytest.mark.parametrize("mode", list(SessionMode))
+    @pytest.mark.parametrize("fallback", list(SilentFallback))
+    def test_compute_blocks_equals_per_block_reference(self, mode, fallback):
+        alice = "1011001" if mode is not SessionMode.BOB_TO_ALICE else None
+        bob = "01110" if mode is not SessionMode.ALICE_TO_BOB else None
+        config = SessionConfig(
+            n_pairs=41, mode=mode, fallback=fallback, seed=2**40 + 3,
+            alice_message=MessageBits.from_bits(alice) if alice else None,
+            bob_message=MessageBits.from_bits(bob) if bob else None,
+        )
+        config.validate()
+        records = _compute_blocks(config)
+        got = [
+            (rec.index,
+             None if rec.op_a is None else rec.op_a.code,
+             None if rec.op_b is None else rec.op_b.code,
+             rec.outcome.a_side.value,
+             rec.outcome.b_side.value)
+            for rec in records
+        ]
+        expected = oracle.session_blocks(
+            config.seed, config.usable_blocks,
+            config.alice_message.bits if alice else None,
+            config.bob_message.bits if bob else None,
+            fallback is SilentFallback.RANDOM_OPS,
+        )
+        assert got == expected
+        assert {(rec.announced_a, rec.announced_b) for rec in records} == {
+            config.announce_pattern()
+        }
+
+    def test_block_count_limit(self):
+        SessionConfig(n_pairs=2 * MAX_BLOCKS + 1).validate()
+        with pytest.raises(ValueError, match=f"limit of {2 * MAX_BLOCKS + 1}"):
+            SessionConfig(n_pairs=2 * MAX_BLOCKS + 2).validate()
+        with pytest.raises(ValueError, match="n_blocks must be in"):
+            _block_draws(7, MAX_BLOCKS + 1)
 
 
 class TestSessionId:

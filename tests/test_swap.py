@@ -8,6 +8,7 @@ from swapcomm.quantum import BELL_ORDER, BellLabel, PauliCode
 from swapcomm.swap import (
     ALL_OP_PAIRS,
     ALL_OUTCOMES,
+    ENCODING_ORDER,
     SwapOutcome,
     _bell_product_basis,
     audit_reference_table,
@@ -262,3 +263,19 @@ class TestReferenceAudit:
             and (d.column, d.row) == (2, 1)
             for d in report.in_section("operations")
         )
+
+
+def test_code_arrays_agree_with_dict_tables():
+    """Each 4x4 code array holds its dict table's 16 entries, with labels
+    coded by their position in ENCODING_ORDER and operations by .code."""
+    table = generate_decode_table()
+    label = ENCODING_ORDER
+    for i, j in itertools.product(range(4), range(4)):
+        op_i, op_j = PauliCode(i), PauliCode(j)
+        assert label[table.composite_codes[i, j]] is table.composite[(op_i, op_j)]
+        assert label[table.pairing_codes[i, j]] is table.pairing[(label[i], label[j])]
+        assert label[table.infer_codes[i, j]] is table.infer[SwapOutcome(label[i], label[j])]
+        assert PauliCode(table.partner_codes[i, j]) is table.partner[(op_i, label[j])]
+    for codes in (table.composite_codes, table.pairing_codes,
+                  table.infer_codes, table.partner_codes):
+        assert not codes.flags.writeable
