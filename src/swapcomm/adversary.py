@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -243,7 +244,8 @@ def eve_posterior(view: EveView, priors: Mapping[OpPair, float]) -> PosteriorRep
         for pattern in {pattern for pattern, _ in seen}
     }
     # A block's posterior depends only on its view, so each distinct view
-    # is scored once: one gather from the table, one row per view.
+    # is scored once: one gather from the table, one row per view. Blocks
+    # of one view share its read-only posterior mapping.
     columns, inverse = np.unique(
         np.array([column for _, column in seen], dtype=np.int64), return_inverse=True
     )
@@ -252,10 +254,10 @@ def eve_posterior(view: EveView, priors: Mapping[OpPair, float]) -> PosteriorRep
     for row, evidence in zip(weighted, weighted.sum(axis=1).tolist()):
         if evidence > 0.0:
             post_vec = row / evidence
-            posterior = dict(zip(ALL_OP_PAIRS, post_vec.tolist()))
+            posterior = MappingProxyType(dict(zip(ALL_OP_PAIRS, post_vec.tolist())))
             scored.append((True, posterior, _entropy_bits(post_vec)))
         else:
-            scored.append((False, {}, float("nan")))
+            scored.append((False, MappingProxyType({}), float("nan")))
 
     blocks = []
     for (index, a_label, b_label), (pattern, _), k in zip(
@@ -268,7 +270,7 @@ def eve_posterior(view: EveView, priors: Mapping[OpPair, float]) -> PosteriorRep
             announced_b=b_label,
             pattern=pattern,
             consistent=consistent,
-            posterior=dict(posterior),
+            posterior=posterior,
             prior_entropy_bits=prior_entropy,
             posterior_entropy_bits=posterior_entropy,
             **info[pattern],

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import json
+import re
 import socket
 from collections import deque
 from dataclasses import dataclass
@@ -87,6 +88,21 @@ class Announcement:
 
     @classmethod
     def from_wire(cls, line: str, byte_offset: int = 0) -> "Announcement":
+        canonical = _CANONICAL_LINE.fullmatch(line)
+        if canonical is None:
+            return cls._from_json(line, byte_offset)
+        sid, block, side, kind, label = canonical.groups()
+        try:
+            return cls(
+                sid, int(block), side, _KINDS[kind],
+                _LABELS[label] if label is not None else None,
+            )
+        except ValueError as exc:  # e.g. a label on a control announcement
+            raise FrameError(f"invalid frame: {exc}", byte_offset) from exc
+
+    @classmethod
+    def _from_json(cls, line: str, byte_offset: int) -> "Announcement":
+        """The strict parse of any line: every error, typed and located."""
         try:
             fields = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -116,6 +132,20 @@ class Announcement:
             )
         except (KeyError, ValueError) as exc:
             raise FrameError(f"invalid frame: {exc}", byte_offset) from exc
+
+
+_KINDS = {kind.value: kind for kind in AnnouncementKind}
+_LABELS = {label.value: label for label in BellLabel}
+# The line to_wire writes, read without json.loads: the fields in order, a
+# sid of printable ASCII that needs no escaping, a block of at most 18
+# digits with no leading zero, and known names. Any other line takes the
+# strict path, so errors keep their types, messages and byte offsets.
+_CANONICAL_LINE = re.compile(
+    rf'\{{"v":{WIRE_VERSION},"sid":"([ !#-\[\]-~]*)","blk":(0|[1-9][0-9]{{0,17}}),'
+    rf'"side":"({"|".join(map(re.escape, SIDES))})",'
+    rf'"kind":"({"|".join(map(re.escape, _KINDS))})"'
+    rf'(?:,"label":"({"|".join(map(re.escape, _LABELS))})")?\}}'
+)
 
 
 class _OrderGate:
@@ -284,6 +314,8 @@ class SubstrateLink:
             hello = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise TransportError(f"invalid substrate hello: {exc}") from exc
+        except RecursionError as exc:
+            raise TransportError("invalid substrate hello: nested too deeply") from exc
         if not isinstance(hello, dict) or hello.get("v") != WIRE_VERSION:
             raise TransportError("invalid substrate hello")
         return hello

@@ -220,7 +220,10 @@ def _load_priors(value: str) -> dict:
         return uniform_priors()
     if not value.startswith("@"):
         raise ValueError(f"priors must be 'uniform' or @file, got {value!r}")
-    raw = json.loads(Path(value[1:]).read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(Path(value[1:]).read_text(encoding="utf-8"))
+    except RecursionError as exc:
+        raise ValueError(f"priors file {value[1:]}: JSON nested too deeply") from exc
     if not isinstance(raw, dict):
         raise ValueError("priors file must hold an object of \"Ua,Ub\": probability")
     by_name = {key: pair for pair, key in _PAIR_KEYS.items()}
@@ -244,9 +247,17 @@ def _cmd_analyze(args) -> int:
     report = eve_posterior(EveView(transcript), priors)
     summary = information_summary(report, priors)
 
+    # Blocks of one view share its posterior mapping, so each view's row
+    # of it is built once, and documents.render_json renders each view's
+    # block body once.
+    posterior_rows = {}  # id of a view's posterior mapping -> its row
     block_rows = []
     for block in report.blocks:
-        posterior = {_PAIR_KEYS[pair]: p for pair, p in block.posterior.items() if p > 0.0}
+        posterior = posterior_rows.get(id(block.posterior))
+        if posterior is None:
+            posterior = posterior_rows[id(block.posterior)] = {
+                _PAIR_KEYS[pair]: p for pair, p in block.posterior.items() if p > 0.0
+            }
         block_rows.append({
             "index": block.index,
             "pattern": block.pattern,

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 
-from . import __version__
+from . import __version__, jsontext
 from .channel import MAX_FRAME_BYTES, Announcement, AnnouncementKind, FrameError
 from .protocol import (
     BlockRecord,
@@ -106,11 +106,15 @@ def run_document(config: SessionConfig, result: SessionResult) -> dict:
 
 def transcript_from_document(doc: dict) -> Transcript:
     """Rebuild the public transcript; reads only the public sections."""
+    if not isinstance(doc, dict):
+        raise ValueError("document must be a JSON object")
+    if not isinstance(doc.get("session", {}), dict):
+        raise ValueError("session must be a JSON object")
     try:
         session = doc["session"]
         lines = doc["transcript"]
         fields = {key: session[key] for key in _SESSION_TYPES}
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"not a transcript document: missing {exc}") from exc
     for key, types in _SESSION_TYPES.items():
         if isinstance(fields[key], bool) or not isinstance(fields[key], types):
@@ -127,13 +131,15 @@ def transcript_from_document(doc: dict) -> Transcript:
             f"session n_pairs {fields['n_pairs']} needs {fields['n_pairs'] // 2} "
             f"blocks but the transcript has only {len(lines)} lines"
         )
-    for number, line in enumerate(lines):
-        # The wire's frame cap, which counts the newline a document line lacks.
-        if len(line.encode("utf-8", "surrogatepass")) >= MAX_FRAME_BYTES:
-            raise FrameError(
-                f"transcript line {number} is longer than {MAX_FRAME_BYTES - 1} bytes",
-                MAX_FRAME_BYTES - 1,
-            )
+    # The wire's frame cap, which counts the newline a document line lacks.
+    # No character takes more than 4 bytes, so short lines need no encoding.
+    if 4 * max(map(len, lines), default=0) >= MAX_FRAME_BYTES:
+        for number, line in enumerate(lines):
+            if len(line.encode("utf-8", "surrogatepass")) >= MAX_FRAME_BYTES:
+                raise FrameError(
+                    f"transcript line {number} is longer than {MAX_FRAME_BYTES - 1} bytes",
+                    MAX_FRAME_BYTES - 1,
+                )
     transcript = Transcript(
         session_id=fields["id"],
         n_pairs=fields["n_pairs"],
@@ -178,7 +184,8 @@ def replay_document(doc: dict) -> SessionResult:
 
 
 def render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """Exactly `json.dumps(doc, indent=2) + "\\n"`, the pinned document format."""
+    return jsontext.render(doc)
 
 
 def render_csv(doc: dict) -> str:
@@ -241,4 +248,7 @@ def render(doc: dict, fmt: str) -> str:
 
 def load_document(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"{path}: JSON nested too deeply") from exc

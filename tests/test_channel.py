@@ -3,7 +3,7 @@ import socket
 import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from swapcomm.channel import (
     MAX_FRAME_BYTES,
@@ -29,6 +29,22 @@ from swapcomm.protocol import (
     substrate_hello,
 )
 from swapcomm.quantum import BellLabel
+
+
+@st.composite
+def _announcements(draw):
+    kind = draw(st.sampled_from(list(AnnouncementKind)))
+    measurement = kind is AnnouncementKind.MEASUREMENT
+    return Announcement(
+        draw(st.text() | st.text(st.characters(min_codepoint=32, max_codepoint=126))),
+        draw(st.integers(min_value=0) | st.integers(0, 10**19)),
+        draw(st.sampled_from(["A", "B"])),
+        kind,
+        draw(st.sampled_from(list(BellLabel))) if measurement else None,
+    )
+
+
+_ANNOUNCEMENTS = _announcements()
 
 
 def meas(block, side, label, sid="s1"):
@@ -113,6 +129,50 @@ class TestWireFormat:
         if measurement:
             fields["label"] = label.value
         assert ann.to_wire() == json.dumps(fields, separators=(",", ":"))
+
+    @given(ann=_ANNOUNCEMENTS)
+    def test_from_wire_inverts_to_wire(self, ann):
+        assert Announcement.from_wire(ann.to_wire()) == ann
+
+    @settings(max_examples=500)
+    @given(
+        ann=_ANNOUNCEMENTS,
+        position=st.integers(min_value=0),
+        edit=st.sampled_from(["replace", "insert", "delete"]),
+        char=st.sampled_from('"\\{}[],:0123456789 AB\x00\x7f\u00fcn-e.') | st.characters(),
+        byte_offset=st.integers(0, 10**6),
+    )
+    def test_from_wire_equals_strict_parse(self, ann, position, edit, char, byte_offset):
+        """The canonical-line shortcut gives what the strict json.loads path
+        gives: the same announcement, or the same error at the same offset."""
+        line = ann.to_wire()
+        at = position % (len(line) + 1)
+        if edit == "replace":
+            line = line[:at] + char + line[at + 1:]
+        elif edit == "insert":
+            line = line[:at] + char + line[at:]
+        else:
+            line = line[:at] + line[at + 1:]
+
+        def outcome(parse):
+            try:
+                return parse(line, byte_offset)
+            except FrameError as exc:
+                return str(exc), exc.byte_offset
+
+        assert outcome(Announcement.from_wire) == outcome(Announcement._from_json)
+
+    def test_canonical_line_breaking_an_invariant_is_a_frame_error(self):
+        for line in (
+            '{"v":1,"sid":"s","blk":0,"side":"A","kind":"SessionStart","label":"PsiPlus"}',
+            '{"v":1,"sid":"s","blk":3,"side":"A","kind":"Measurement"}',
+        ):
+            with pytest.raises(FrameError, match="exactly Measurement") as fast:
+                Announcement.from_wire(line, 40)
+            with pytest.raises(FrameError) as strict:
+                Announcement._from_json(line, 40)
+            assert (str(fast.value), fast.value.byte_offset) == (
+                str(strict.value), strict.value.byte_offset)
 
     @pytest.mark.parametrize("block", [True, 1.0, "1", None])
     def test_non_int_block_rejected(self, block):

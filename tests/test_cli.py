@@ -1,13 +1,15 @@
 import json
 import resource
+import socket
 import subprocess
 import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from swapcomm import documents
-from swapcomm.channel import SessionListener
+from swapcomm import documents, jsontext
+from swapcomm.channel import PUBLIC_PREAMBLE, SUBSTRATE_PREAMBLE, SessionListener
 from swapcomm.cli import main
 from swapcomm.protocol import MessageBits, SessionConfig, run_session, substrate_hello
 
@@ -169,6 +171,36 @@ class TestVerify:
         assert "re-summation off by" in out.out
 
 
+# Values that compare equal but render differently, and other edge cases,
+# shared by identity the way documents share them.
+_TRICKY = [1, True, 1.0, 0, False, 0.0, -0.0, float("nan"), float("inf"),
+           float("-inf"), None, [], {}, "", "\u00fc\u2028", "\"\\"]
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+            | st.sampled_from(_TRICKY))
+_JSON_TREES = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _rows(draw):
+    """Rows that share key and value objects, so that bodies repeat."""
+    keys = draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True))
+    pools = [draw(st.lists(_JSON_TREES, min_size=1, max_size=3)) for _ in keys[1:]]
+    firsts = st.integers() if draw(st.booleans()) else _SCALARS
+    return [
+        {keys[0]: draw(firsts),
+         **{key: draw(st.sampled_from(pool)) for key, pool in zip(keys[1:], pools)}}
+        for _ in range(draw(st.integers(0, 30)))
+    ]
+
+
+_ROWS = _rows()
+
+
 def _without_session_id(doc):
     del doc["session"]["id"]
 
@@ -187,6 +219,28 @@ def _with_string_pairs(doc):
 
 def _with_number_line(doc):
     doc["transcript"][2] = 7
+
+
+def _as_list(doc):
+    return [1, 2]
+
+
+def _with_list_session(doc):
+    return {"session": [], "transcript": []}
+
+
+def _bounded_analyze(*argv):
+    """`swapcomm analyze` in a child process with 1 GiB of address space and
+    a deadline, so that a regression fails the test instead of exhausting
+    the machine."""
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "swapcomm", "analyze", *argv],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+    )
 
 
 class TestAnalyze:
@@ -256,10 +310,12 @@ class TestAnalyze:
         (_with_block_past_end, "measurement for block 5 outside 1..4"),
         (_with_string_pairs, "session n_pairs has the wrong type"),
         (_with_number_line, "transcript must be a list of wire lines"),
+        (_as_list, "document must be a JSON object"),
+        (_with_list_session, "session must be a JSON object"),
     ])
     def test_hostile_document_rejected(self, run_doc, capsys, tamper, message):
         doc = json.loads(run_doc.read_text())
-        tamper(doc)
+        doc = tamper(doc) or doc  # a tamper edits the document or replaces it
         run_doc.write_text(json.dumps(doc))
         code, out = run_cli("analyze", str(run_doc), capsys=capsys)
         assert code == 1
@@ -277,21 +333,22 @@ class TestAnalyze:
     ], ids=["long-line", "negative-declared-length", "negative-n-pairs",
             "n-pairs-beyond-transcript"])
     def test_document_bounded_by_its_size(self, run_doc, tamper, message):
-        # In a child process with 1 GiB of address space and a deadline, so
-        # that a regression fails the test instead of exhausting the machine.
         doc = json.loads(run_doc.read_text())
         tamper(doc)
         run_doc.write_text(json.dumps(doc))
-
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "swapcomm", "analyze", str(run_doc)],
-            capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
-        )
+        proc = _bounded_analyze(str(run_doc))
         assert proc.returncode == 1, proc.stderr
         assert message in proc.stderr
+
+    @pytest.mark.parametrize("nested", ["document", "priors"])
+    def test_deeply_nested_file_rejected(self, run_doc, tmp_path, nested):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 10**5 + "]" * 10**5)
+        argv = [str(deep)] if nested == "document" else [str(run_doc), "--priors", f"@{deep}"]
+        proc = _bounded_analyze(*argv)
+        assert proc.returncode == 1, proc.stderr
+        assert "nested too deeply" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_input_file(self, capsys):
         code, out = run_cli("analyze", "/nonexistent/run.json", capsys=capsys)
@@ -326,6 +383,21 @@ class TestDocuments:
         with pytest.raises(ValueError, match="unknown format"):
             documents.render({}, "yaml")
 
+    @settings(max_examples=200, deadline=None)
+    @given(tree=_JSON_TREES, rows=_ROWS, lines=st.lists(st.text()))
+    def test_render_json_is_indented_json_dumps(self, tree, rows, lines):
+        for doc in (tree, rows, {"tree": tree, "rows": rows,
+                                 "nested": {"rows": rows, "lines": lines}}):
+            assert documents.render_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_repeated_rows_of_equal_values_render_apart(self):
+        # Equal values that render differently, each repeated, in one column.
+        column = [1, True, 1.0, 0.0, -0.0, float("nan"), float("inf"), [], {}, "\u00fc"]
+        rows = [{"index": i, "x": column[i % len(column)], "y": None} for i in range(60)]
+        assert jsontext._render_rows(rows, "  ", [])  # the per-row path takes them
+        doc = {"rows": rows}
+        assert documents.render_json(doc) == json.dumps(doc, indent=2) + "\n"
+
 
 class TestNetworkedCli:
     def test_serve_connect_round_trip(self, tmp_path):
@@ -356,6 +428,31 @@ class TestNetworkedCli:
         assert serve_doc["private"]["decoded_by_alice"] == "101100"
         assert conn_doc["private"]["decoded_by_bob"] == "011110"
         assert serve_doc["session"]["party"] == "A"
+
+    def test_deeply_nested_hello_exits_3(self, tmp_path):
+        """A peer whose substrate hello nests 5 000 lists deep: exit 3."""
+        server = subprocess.Popen(
+            [sys.executable, "-m", "swapcomm", "serve",
+             "--listen", "127.0.0.1:0", "--pairs", "10000", "--alice-msg", "0",
+             "--seed", "7", "--timeout", "10", "--out", str(tmp_path / "never.json")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            host, port = server.stdout.readline().split()[1].rsplit(":", 1)
+            with socket.create_connection((host, int(port)), timeout=10) as substrate, \
+                    socket.create_connection((host, int(port)), timeout=10) as public:
+                substrate.sendall(SUBSTRATE_PREAMBLE)
+                public.sendall(PUBLIC_PREAMBLE)
+                substrate.sendall(b"[" * 5000 + b"]" * 5000 + b"\n")
+                _, err = server.communicate(timeout=15)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 3, err
+        assert "invalid substrate hello: nested too deeply" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "never.json").exists()
 
     def test_connect_unreachable_no_document(self, tmp_path, capsys):
         out = tmp_path / "never.json"

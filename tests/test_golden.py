@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swapcomm import adversary
+from swapcomm import adversary, documents
 from swapcomm.cli import main
 from swapcomm.swap import ALL_OP_PAIRS, ENCODING_ORDER, generate_decode_table
 
@@ -126,6 +126,35 @@ def test_trials_document_bytes(tmp_path):
     out = tmp_path / "trials.json"
     assert main(["simulate", *TRIALS, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "trials.json").read_bytes()
+
+
+@pytest.mark.parametrize("pattern", ["both", "a-only"])
+def test_large_documents_equal_indented_json_dumps(pattern, tmp_path, monkeypatch):
+    """At 20 000 pairs block rows repeat far more than in the goldens. What
+    render_json writes must equal json.dumps(indent=2) of the document it
+    was given, and of the document read back from the file."""
+    checks = []
+
+    def checked_render_json(doc):
+        text = real_render_json(doc)
+        checks.append(text == json.dumps(doc, indent=2) + "\n")
+        return text
+
+    real_render_json = documents.render_json
+    monkeypatch.setattr(documents, "render_json", checked_render_json)
+    monkeypatch.setitem(documents.RENDERERS, "json", checked_render_json)
+    bits = np.random.default_rng(7).integers(2, size=20_000)
+    message = tmp_path / "message.txt"
+    message.write_text("".join(map(str, bits)))
+    flags = (["--alice-msg", f"@{message}", "--bob-msg", f"@{message}"] if pattern == "both"
+             else ["--mode", "a-to-b", "--fallback", "silent", "--alice-msg", f"@{message}"])
+    run, report = tmp_path / "run.json", tmp_path / "report.json"
+    assert main(["simulate", "--pairs", "20000", "--seed", "9", *flags, "--out", str(run)]) == 0
+    assert main(["analyze", str(run), "--out", str(report)]) == 0
+    assert checks == [True, True]
+    for out in (run, report):
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def test_goldens_cover_all_patterns_and_inconsistency():
