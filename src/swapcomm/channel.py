@@ -5,6 +5,14 @@ process sessions and a TCP line protocol for two-process sessions. Both
 feed an always-available tap that records every announcement in delivery
 order; the tap is the eavesdropper's entire view.
 
+An endpoint's `window` is the number of schedule lines a session plays
+through it at a time (protocol._play): a window's A lines, then its B
+lines. In-process endpoints deliver at once and play one line at a time.
+A TcpEndpoint plays TCP_WINDOW_LINES at a time and buffers what it sends
+until it next reads, so a window costs one sendall. One side writes while
+the other reads, so the exchange cannot deadlock at any socket buffer
+size, and a party buffers at most one window of its own lines.
+
 Wire format, one announcement per line, UTF-8, newline-terminated:
 
     {"v":1,"sid":"<token>","blk":3,"side":"A","kind":"Measurement","label":"PsiPlus"}
@@ -28,6 +36,9 @@ WIRE_FIELDS = ("v", "sid", "blk", "side", "kind", "label")
 SIDES = ("A", "B")
 # Longest accepted wire frame, newline included; real frames are ~100 bytes.
 MAX_FRAME_BYTES = 1024
+# Schedule lines a TCP session plays per window: about 256 blocks, a few
+# tens of KiB of one side's lines.
+TCP_WINDOW_LINES = 512
 
 
 class ChannelError(Exception):
@@ -166,12 +177,17 @@ class _OrderGate:
 
 
 class InProcessEndpoint:
+    window = 1  # delivery is immediate: the schedule plays line by line
+
     def __init__(self, channel: "InProcessChannel", side: str):
         self._channel = channel
         self.side = side
 
     def send(self, ann: Announcement) -> None:
         self._channel._deliver(self.side, ann)
+
+    def flush(self) -> None:
+        pass
 
     def receive(self) -> Announcement:
         queue = self._channel._queues[self.side]
@@ -215,9 +231,13 @@ class InProcessChannel:
 class TcpEndpoint:
     """One end of the public TCP channel, speaking the line protocol.
 
-    Tracks byte offsets of incoming frames so malformed ones can be located,
-    and taps everything sent or received in wire order.
+    Sent lines are buffered and written in one sendall on the next
+    receive, once a window of them is buffered, or on flush. Tracks byte
+    offsets of incoming frames so malformed ones can be located, and taps
+    every line sent (when buffered) or received, in wire order.
     """
+
+    window = TCP_WINDOW_LINES
 
     def __init__(self, sock: socket.socket, side: str, timeout: float = 10.0):
         self.side = side
@@ -227,17 +247,30 @@ class TcpEndpoint:
         self._read_offset = 0
         self._gate = _OrderGate()
         self._tap: list[Announcement] = []
+        self._out: list[str] = []
 
     def send(self, ann: Announcement) -> None:
         if ann.side != self.side:
             raise ChannelError(f"endpoint {self.side} cannot send for side {ann.side}")
+        self._out.append(ann.to_wire())
+        self._tap.append(ann)
+        if len(self._out) >= self.window:
+            self.flush()
+
+    def flush(self) -> None:
+        """Write every buffered line in one sendall."""
+        if not self._out:
+            return
+        data = ("\n".join(self._out) + "\n").encode("utf-8")
+        self._out.clear()
         try:
-            self._sock.sendall(ann.to_wire().encode("utf-8") + b"\n")
+            self._sock.sendall(data)
         except OSError as exc:
             raise TransportError(f"send failed: {exc}") from exc
-        self._tap.append(ann)
 
     def receive(self) -> Announcement:
+        if self._out:  # the peer reads them before it writes
+            self.flush()
         offset = self._read_offset
         try:
             raw = self._reader.readline(MAX_FRAME_BYTES)

@@ -90,7 +90,21 @@ def _host_port(value: str) -> tuple[str, int]:
     host, sep, port = value.rpartition(":")
     if not sep or not port.isdigit():
         raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {value!r}")
+    if int(port) > 65535:
+        raise argparse.ArgumentTypeError(f"port must be in 0..65535, got {port}")
     return host or "127.0.0.1", int(port)
+
+
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than `minimum`."""
+
+    def integer(value: str) -> int:
+        number = int(value)  # argparse reports a ValueError as "invalid integer value"
+        if number < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {number}")
+        return number
+
+    return integer
 
 
 def _session_flags(parser: argparse.ArgumentParser, *, alice=True, bob=True):
@@ -148,10 +162,12 @@ def _cmd_simulate(args) -> int:
     config = _config_from_args(args)
     if args.trials > 1:
         payloads = [(config, t) for t in range(args.trials)]
-        if args.workers > 1:
+        # The pool forks all its workers up front: no more than trials or CPUs.
+        workers = min(args.workers, args.trials, os.cpu_count() or 1)
+        if workers > 1:
             # One chunk per worker, not one round trip per trial.
-            chunk = -(-len(payloads) // args.workers)
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
+            chunk = -(-len(payloads) // workers)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_run_trial, payloads, chunksize=chunk))
         else:
             rows = [_run_trial(p) for p in payloads]
@@ -320,6 +336,7 @@ def _cmd_party(args) -> int:
     finally:
         substrate.close()
         endpoint.close()
+    del endpoint  # free its tap, a second copy of the peer's lines, before rendering
     doc = documents.run_document(config, result)
     doc["session"]["party"] = args.side
     _emit(documents.render(doc, args.format), _resolve_out(args.out))
@@ -333,10 +350,10 @@ def main(argv=None) -> int:
 
     p_sim = sub.add_parser("simulate", help="run a full session in one process")
     _session_flags(p_sim)
-    p_sim.add_argument("--trials", type=int, default=1,
+    p_sim.add_argument("--trials", type=_at_least(1), default=1,
                        help="run this many sessions with derived seeds")
-    p_sim.add_argument("--workers", type=int, default=1,
-                       help="parallel workers for --trials")
+    p_sim.add_argument("--workers", type=_at_least(1), default=1,
+                       help="parallel workers for --trials (at most one per CPU)")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_table = sub.add_parser("table", help="emit the decode table and audit report")
@@ -349,7 +366,7 @@ def main(argv=None) -> int:
     p_an = sub.add_parser("analyze", help="eavesdropper analysis of a transcript document")
     p_an.add_argument("input", help="path to a session-run or transcript document")
     p_an.add_argument("--priors", default="uniform", metavar="uniform|@FILE")
-    p_an.add_argument("--mc-blocks", type=int, default=0,
+    p_an.add_argument("--mc-blocks", type=_at_least(0), default=0,
                       help="add Monte Carlo MI estimates over this many blocks")
     p_an.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
     p_an.add_argument("--out", default=None)

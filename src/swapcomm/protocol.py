@@ -583,24 +583,48 @@ def _make_transcript(
     )
 
 
+def _wire_order(schedule: list[Announcement], window: int):
+    """The schedule in the order it is played: in windows of `window`
+    lines, all of a window's A lines before all of its B lines, each side
+    keeping its own order. The schedule puts A before B within a block, so
+    a window of one line is the schedule itself."""
+    if window == 1:
+        return schedule
+    return (
+        ann
+        for start in range(0, len(schedule), window)
+        for side in SIDES
+        for ann in schedule[start:start + window]
+        if ann.side == side
+    )
+
+
 def _play(config: SessionConfig, endpoints: dict) -> SessionResult:
     """Play a validated session for the sides in `endpoints` (side -> an
-    endpoint with send/receive/tap).
+    endpoint with send/receive/flush/tap and a window); two local sides
+    share one in-process channel.
 
     Every party derives the same blocks and announcement schedule from the
-    public config. A local side sends its own lines; a local side receives
-    each of its peer's lines and checks it against the schedule. Any
-    failure raises SessionError carrying the transcript so far.
+    public config and plays it in its endpoint's windows (_wire_order). A
+    local side sends its own lines; a local side receives each of its
+    peer's lines and checks it against the schedule.
+
+    A finished session's transcript is the verified schedule, in schedule
+    order. Any failure raises SessionError whose transcript is the tap so
+    far, in wire order: the windows before the failing one; then, of that
+    window, this party's lines if it writes first (side A), the peer lines
+    read before the failure, and the mismatched line if it parsed.
     """
     table = generate_decode_table()
     codes = _block_codes(config)
     blocks = _records(config, codes)
     sid = session_id(config)
-    tap = next(iter(endpoints.values())).tap
+    schedule = _announcement_schedule(sid, config, blocks)
+    local = next(iter(endpoints.values()))
     # For each announcing side: (its endpoint, its peer's endpoint), if local.
     routes = {side: (endpoints.get(side), endpoints.get(_PEER[side])) for side in SIDES}
     try:
-        for ann in _announcement_schedule(sid, config, blocks):
+        for ann in _wire_order(schedule, local.window):
             sender, receiver = routes[ann.side]
             if sender is not None:
                 sender.send(ann)
@@ -611,14 +635,16 @@ def _play(config: SessionConfig, endpoints: dict) -> SessionResult:
             if got is not ann and got != ann:
                 raise SessionError(
                     f"peer announced {got.to_wire()} where {ann.to_wire()} was expected",
-                    transcript=_make_transcript(config, sid, tap()),
+                    transcript=_make_transcript(config, sid, local.tap()),
                 )
+        for endpoint in endpoints.values():
+            endpoint.flush()
     except ChannelError as exc:
         raise SessionError(
-            str(exc), transcript=_make_transcript(config, sid, tap())
+            str(exc), transcript=_make_transcript(config, sid, local.tap())
         ) from exc
 
-    transcript = _make_transcript(config, sid, tap())
+    transcript = _make_transcript(config, sid, tuple(schedule))
     announced = {side: transcript.measurements(side) for side in SIDES}
     return _decode_results(transcript, blocks, codes, announced, table)
 
@@ -627,7 +653,7 @@ def run_session(config: SessionConfig, channel: InProcessChannel | None = None) 
     """Execute a full session with both parties in this process.
 
     Announcements really flow through `channel` (default: a fresh in-process
-    channel), so its tap is the authoritative transcript.
+    channel), one line at a time, so its tap equals the transcript.
     """
     config.validate()
     if channel is None:

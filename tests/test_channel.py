@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import random
 import socket
 import threading
 
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from swapcomm.channel import (
     MAX_FRAME_BYTES,
+    TCP_WINDOW_LINES,
     Announcement,
     AnnouncementKind,
     FrameError,
@@ -19,6 +22,7 @@ from swapcomm.channel import (
     WIRE_FIELDS,
     dial_session,
 )
+from swapcomm.cli import main
 from swapcomm.protocol import (
     MessageBits,
     SessionConfig,
@@ -415,3 +419,203 @@ class TestBoundedReads:
         finally:
             sender.close()
             receiver.close()
+
+
+class _CountingSocket(socket.socket):
+    """A socket that counts its sendall calls."""
+
+    sendalls = 0
+
+    def sendall(self, data, *args):
+        self.sendalls += 1
+        return super().sendall(data, *args)
+
+
+def _small_buffer_tcp_pair(nbytes):
+    """Both ends of a loopback TCP connection whose send and receive
+    buffers are set to `nbytes` (the kernel's minimum, if larger)."""
+
+    def shrink(sock):
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, nbytes)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, nbytes)
+
+    with socket.socket() as server:
+        shrink(server)  # before listen, so the accepted end starts small
+        server.bind(("127.0.0.1", 0))
+        server.listen(1)
+        client = socket.socket()
+        shrink(client)
+        client.connect(server.getsockname())
+        conn, _ = server.accept()
+    shrink(conn)
+    return tuple(_CountingSocket(fileno=sock.detach()) for sock in (conn, client))
+
+
+def _wire_order(lines):
+    """The documented order of a TCP session: per window, A's lines, then B's."""
+    order = []
+    for start in range(0, len(lines), TCP_WINDOW_LINES):
+        window = lines[start:start + TCP_WINDOW_LINES]
+        order += [a for a in window if a.side == "A"] + [a for a in window if a.side == "B"]
+    return order
+
+
+def _random_bits(n, seed):
+    rng = random.Random(seed)
+    return MessageBits.from_bits("".join(rng.choice("01") for _ in range(n)))
+
+
+class _PeerHello:
+    """A substrate link whose peer hello is fixed."""
+
+    def __init__(self, hello):
+        self.hello = hello
+
+    def send_hello(self, hello):
+        pass
+
+    def receive_hello(self, limit):
+        return self.hello
+
+
+class TestWindowedExchange:
+    """A TCP session plays its schedule in windows, half-duplex."""
+
+    FAULTS = [
+        ("wrong label", "peer announced"),
+        ("malformed frame", "invalid frame"),
+        ("peer closed", "peer closed the connection"),
+    ]
+
+    CONFIG = SessionConfig(
+        n_pairs=2000, seed=17,
+        alice_message=_random_bits(2000, 1), bob_message=_random_bits(1998, 2),
+    )
+
+    def test_small_socket_buffers_do_not_deadlock(self):
+        config = SessionConfig(
+            n_pairs=3000, seed=23,
+            alice_message=_random_bits(3000, 3), bob_message=_random_bits(3000, 4),
+        )
+        expected = run_session(config).transcript
+        windows = -(-len(expected.announcements) // TCP_WINDOW_LINES)
+        assert windows >= 4
+        # One window of one side's lines is several times these buffers.
+        public = _small_buffer_tcp_pair(4096)
+        assert public[0].getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF) < 16384
+        substrate = socket.socketpair()
+        results, errors = {}, {}
+
+        def play(side, sock, link):
+            endpoint = TcpEndpoint(sock, side, timeout=10.0)
+            mine = dataclasses.replace(
+                config, **{"bob_message" if side == "A" else "alice_message": None})
+            try:
+                results[side] = run_remote_party(side, mine, SubstrateLink(link), endpoint)
+            except Exception as exc:  # noqa: BLE001 - surfaced in the test
+                errors[side] = exc
+            finally:
+                endpoint.close()
+
+        threads = [threading.Thread(target=play, args=args)
+                   for args in zip("AB", public, substrate)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        for sock in substrate:
+            sock.close()
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        for side, sock in zip("AB", public):
+            assert results[side].transcript == expected
+            assert sock.sendalls <= windows + 2, (side, sock.sendalls, windows)
+        assert results["A"].decoded_by_alice == config.bob_message
+        assert results["B"].decoded_by_bob == config.alice_message
+
+    def _peer_stream(self, fault):
+        """Side A's public stream of the clean session, broken at one of its
+        lines in the middle of the second window: (stream, bad line, the
+        stream offset of that line)."""
+        clean = run_session(self.CONFIG).transcript.announcements
+        middle = TCP_WINDOW_LINES + TCP_WINDOW_LINES // 2
+        bad = next(ann for ann in clean[middle:] if ann.side == "A")
+        lines = [ann for ann in clean if ann.side == "A"]
+        before = b"".join(ann.to_wire().encode() + b"\n" for ann in lines[:lines.index(bad)])
+        wrong = dataclasses.replace(bad, label=next(
+            label for label in BellLabel if label is not bad.label))
+        tail = {
+            "wrong label": wrong.to_wire().encode() + b"\n",
+            "malformed frame": b"not a frame\n",
+            "peer closed": b"",
+        }[fault]
+        return before + tail, bad, wrong, len(before)
+
+    @staticmethod
+    def _serve(sock, stream):
+        """Write `stream`, end the stream, and discard what the peer sends."""
+        try:
+            sock.sendall(stream)
+            sock.shutdown(socket.SHUT_WR)
+            while sock.recv(65536):
+                pass
+        except OSError:
+            pass
+
+    @pytest.mark.parametrize("fault, message", FAULTS)
+    def test_fault_mid_window_keeps_the_wire_order_prefix(self, fault, message):
+        stream, bad, wrong, offset = self._peer_stream(fault)
+        near, far = socket.socketpair()
+        endpoint = TcpEndpoint(near, side="B", timeout=10.0)
+        peer = threading.Thread(target=self._serve, args=(far, stream))
+        peer.start()
+        mine = dataclasses.replace(self.CONFIG, alice_message=None)
+        try:
+            with pytest.raises(SessionError, match=message) as err:
+                run_remote_party("B", mine, _PeerHello(substrate_hello("A", self.CONFIG)),
+                                 endpoint)
+        finally:
+            endpoint.close()
+            peer.join(timeout=10)
+            far.close()
+        assert not peer.is_alive()
+        clean = run_session(self.CONFIG).transcript.announcements
+        wire = _wire_order(list(clean))
+        # The first window whole, then A's lines of the second up to the fault.
+        expected = wire[:wire.index(bad)] + ([wrong] if fault == "wrong label" else [])
+        assert list(err.value.transcript.announcements) == expected
+        if fault == "malformed frame":
+            assert isinstance(err.value.__cause__, FrameError)
+            assert err.value.__cause__.byte_offset == offset
+
+    @pytest.mark.parametrize("fault, message", FAULTS)
+    def test_fault_mid_window_exits_3(self, fault, message, tmp_path, capsys):
+        stream, *_ = self._peer_stream(fault)
+        listener = SessionListener("127.0.0.1", 0, timeout=10.0)
+        host, port = listener.address
+
+        def hostile_server():
+            substrate, endpoint = listener.accept()
+            try:
+                substrate.send_hello(substrate_hello("A", self.CONFIG))
+                substrate.receive_hello(1 << 16)
+                self._serve(endpoint._sock, stream)
+            finally:
+                substrate.close()
+                endpoint.close()
+                listener.close()
+
+        server = threading.Thread(target=hostile_server)
+        server.start()
+        bob_msg = tmp_path / "bob.bits"
+        bob_msg.write_text(self.CONFIG.bob_message.bits)
+        out = tmp_path / "never.json"
+        code = main([
+            "connect", "--peer", f"{host}:{port}", "--pairs", "2000", "--seed", "17",
+            "--bob-msg", f"@{bob_msg}", "--timeout", "10", "--out", str(out),
+        ])
+        server.join(timeout=10)
+        assert not server.is_alive()
+        assert code == 3
+        assert not out.exists()
+        assert message in capsys.readouterr().err

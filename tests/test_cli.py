@@ -129,6 +129,60 @@ class TestSimulate:
             main(["simulate", "--pairs", "not-a-number"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["simulate", "--pairs", "6", "--trials", "0"], "--trials"),
+        (["simulate", "--pairs", "6", "--trials", "-3"], "--trials"),
+        (["simulate", "--pairs", "6", "--workers", "0"], "--workers"),
+        (["simulate", "--pairs", "6", "--workers", "-2"], "--workers"),
+        (["analyze", "run.json", "--mc-blocks", "-5"], "--mc-blocks"),
+    ])
+    def test_out_of_range_count_is_a_usage_error(self, argv, flag, tmp_path, capsys):
+        out = tmp_path / "never.json"
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--out", str(out)])
+        assert err.value.code == 1
+        assert f"argument {flag}: must be at least" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_trial_writes_a_session_run(self, capsys):
+        code, out = run_cli("simulate", "--pairs", "6", "--trials", "1", capsys=capsys)
+        assert code == 0
+        assert json.loads(out.out)["kind"] == "session-run"
+
+    @pytest.mark.parametrize("trials, workers, pool", [
+        (3, 100_000, 3),  # no more workers than trials
+        (50, 100_000, 4),  # nor than CPUs
+        (50, 2, 2),
+        (50, 1, None),  # one worker runs in this process
+    ])
+    def test_worker_pool_is_bounded(self, trials, workers, pool, monkeypatch, tmp_path):
+        """A recorder stands in for the pool, so no worker is ever forked."""
+        import swapcomm.cli as cli
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        flags = ["simulate", "--pairs", "4", "--alice-msg", "01", "--seed", "3",
+                 "--trials", str(trials)]
+        serial, pooled = tmp_path / "serial.json", tmp_path / "pooled.json"
+        assert main([*flags, "--out", str(serial)]) == 0
+        assert main([*flags, "--workers", str(workers), "--out", str(pooled)]) == 0
+        assert sizes == ([] if pool is None else [pool])
+        assert pooled.read_bytes() == serial.read_bytes()
+
 
 class TestTable:
     def test_document_contents(self, capsys):
@@ -453,6 +507,20 @@ class TestNetworkedCli:
         assert "invalid substrate hello: nested too deeply" in err
         assert "Traceback" not in err
         assert not (tmp_path / "never.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--listen", "127.0.0.1:99999", "--alice-msg", "01"],
+        ["connect", "--peer", "127.0.0.1:70000", "--bob-msg", "10"],
+    ])
+    def test_port_out_of_range_is_a_usage_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "never.json"
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--pairs", "6", "--timeout", "0.5", "--out", str(out)])
+        assert err.value.code == 1
+        err_text = capsys.readouterr().err
+        assert "port must be in 0..65535" in err_text
+        assert "cannot reach" not in err_text
+        assert not out.exists()
 
     def test_connect_unreachable_no_document(self, tmp_path, capsys):
         out = tmp_path / "never.json"

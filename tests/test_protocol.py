@@ -448,12 +448,17 @@ class _ScriptedSubstrate:
 class _ScriptedEndpoint:
     """Plays a peer whose lines are fixed in advance."""
 
+    window = 1
+
     def __init__(self, peer_lines=()):
         self._script = list(peer_lines)
         self._tap = []
 
     def send(self, ann):
         self._tap.append(ann)
+
+    def flush(self):
+        pass
 
     def receive(self):
         ann = self._script.pop(0)
