@@ -5,13 +5,17 @@ process sessions and a TCP line protocol for two-process sessions. Both
 feed an always-available tap that records every announcement in delivery
 order; the tap is the eavesdropper's entire view.
 
-An endpoint's `window` is the number of schedule lines a session plays
-through it at a time (protocol._play): a window's A lines, then its B
-lines. In-process endpoints deliver at once and play one line at a time.
-A TcpEndpoint plays TCP_WINDOW_LINES at a time and buffers what it sends
-until it next reads, so a window costs one sendall. One side writes while
-the other reads, so the exchange cannot deadlock at any socket buffer
-size, and a party buffers at most one window of its own lines.
+A session's announcements travel as CodedLines: a block column and a line
+code column, the code naming one of the 14 (side, kind, label) a line can
+have. Announcement objects are built from them only when read, and wire
+text is cut from a per-session template. The in-process channel delivers
+and taps a window of both sides' lines at once, in schedule order, and
+checks each side's block order as whole arrays. A TcpEndpoint plays
+`window` (TCP_WINDOW_LINES) schedule lines at a time, a window's A lines,
+then its B lines (protocol._play), and buffers what it sends until it
+next reads, so a window costs one sendall. One side writes while the
+other reads, so the exchange cannot deadlock at any socket buffer size,
+and a party buffers at most one window of its own lines.
 
 Wire format, one announcement per line, UTF-8, newline-terminated:
 
@@ -28,6 +32,10 @@ import re
 import socket
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
+
+import numpy as np
 
 from .quantum import BellLabel
 
@@ -158,6 +166,105 @@ _CANONICAL_LINE = re.compile(
     rf'(?:,"label":"({"|".join(map(re.escape, _LABELS))})")?\}}'
 )
 
+# Every (side, kind, label) a line can have; a coded line's code is its
+# index here. Per side: a Measurement for each label, then the controls.
+LINE_KINDS = tuple(
+    (side, kind, label)
+    for side in SIDES
+    for kind in AnnouncementKind
+    for label in (BellLabel if kind is AnnouncementKind.MEASUREMENT else (None,))
+)
+LINE_CODES = {line_kind: code for code, line_kind in enumerate(LINE_KINDS)}
+# By line code: the index in SIDES of the side that announces it, and the
+# same for a Measurement but -1 for a control line.
+_LINE_SIDE = np.array([SIDES.index(side) for side, _, _ in LINE_KINDS])
+_MEASURED_SIDE = np.where([label is not None for _, _, label in LINE_KINDS], _LINE_SIDE, -1)
+
+
+@lru_cache(maxsize=16)
+def _wire_template(session_id: str) -> tuple[str, np.ndarray]:
+    """(prefix, suffixes): the wire text of the line with block k and code
+    c is prefix + str(k) + suffixes[c]. Both are cut out of to_wire()
+    output, so to_wire stays the one definition of the format: the block
+    is where the lines of blocks 0 and 1 differ, and every field before it
+    is the same for every code. The suffixes are an object array, for
+    gathering by a code column."""
+    zero = [Announcement(session_id, 0, *line_kind).to_wire() for line_kind in LINE_KINDS]
+    one = Announcement(session_id, 1, *LINE_KINDS[0]).to_wire()
+    cut = next(i for i, (x, y) in enumerate(zip(zero[0], one)) if x != y)
+    suffixes = np.array([line[cut + 1:] for line in zero], dtype=object)
+    suffixes.flags.writeable = False  # every caller of the cache shares it
+    return zero[0][:cut], suffixes
+
+
+class CodedLines:
+    """Announcements of one session as columns: each line's block and its
+    code in LINE_KINDS. The Announcement objects are built the first time
+    they are read, then kept; wire text comes from the session's template.
+    """
+
+    __slots__ = ("session_id", "blocks", "codes", "_announcements")
+
+    def __init__(self, session_id: str, blocks: np.ndarray, codes: np.ndarray):
+        self.session_id = session_id
+        self.blocks = blocks
+        self.codes = codes
+        self._announcements = None
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index) -> "CodedLines":
+        """The lines selected by a slice or a boolean mask."""
+        return CodedLines(self.session_id, self.blocks[index], self.codes[index])
+
+    def of_side(self, side: str) -> "CodedLines":
+        return self[_LINE_SIDE[self.codes] == SIDES.index(side)]
+
+    def count(self, kind: AnnouncementKind) -> int:
+        kinds = np.array([k is kind for _, k, _ in LINE_KINDS])
+        return int(np.count_nonzero(kinds[self.codes]))
+
+    def announcement(self, i: int) -> Announcement:
+        return Announcement(self.session_id, int(self.blocks[i]), *LINE_KINDS[self.codes[i]])
+
+    def announcements(self) -> tuple[Announcement, ...]:
+        if self._announcements is None:
+            self._announcements = tuple(
+                Announcement(self.session_id, block, *line_kind)
+                for block, line_kind in zip(
+                    self.blocks.tolist(), map(LINE_KINDS.__getitem__, self.codes.tolist())
+                )
+            )
+        return self._announcements
+
+    def wire_lines(self) -> list[str]:
+        """[ann.to_wire() for ann in self.announcements()], without the objects."""
+        prefix, suffixes = _wire_template(self.session_id)
+        return [
+            f"{prefix}{block}{suffix}"
+            for block, suffix in zip(self.blocks.tolist(), suffixes[self.codes].tolist())
+        ]
+
+    def first_difference(self, other: "CodedLines") -> int | None:
+        """Index of the first line where `other` differs from these, or
+        runs out; None if `other` has every one of these lines first."""
+        if other.session_id != self.session_id:
+            return 0 if len(self) else None
+        n = min(len(self), len(other))
+        differs = (self.blocks[:n] != other.blocks[:n]) | (self.codes[:n] != other.codes[:n])
+        at = np.flatnonzero(differs)
+        if at.size:
+            return int(at[0])
+        return n if n < len(self) else None
+
+
+def _announcements(tap: list) -> tuple[Announcement, ...]:
+    """A tap's announcements: it holds Announcements and CodedLines."""
+    return tuple(chain.from_iterable(
+        piece.announcements() if isinstance(piece, CodedLines) else (piece,) for piece in tap
+    ))
+
 
 class _OrderGate:
     """Enforces strictly increasing Measurement blocks per side."""
@@ -175,19 +282,36 @@ class _OrderGate:
             )
         self._last[ann.side] = ann.block
 
+    def admit(self, lines: CodedLines, tap: list) -> None:
+        """check() every line of `lines` in order, appending each to `tap`
+        once it passes. Lines in block order, the usual case, are checked
+        as whole arrays and tapped as one piece."""
+        measured = _MEASURED_SIDE[lines.codes]
+        last = {}
+        for index, side in enumerate(SIDES):
+            blocks = lines.blocks[measured == index]
+            if not blocks.size:
+                continue
+            if blocks[0] <= self._last.get(side, 0) or (blocks[1:] <= blocks[:-1]).any():
+                break
+            last[side] = int(blocks[-1])
+        else:
+            self._last.update(last)
+            if len(lines):
+                tap.append(lines)
+            return
+        for ann in lines.announcements():  # raises at the first line out of order
+            self.check(ann)
+            tap.append(ann)
+
 
 class InProcessEndpoint:
-    window = 1  # delivery is immediate: the schedule plays line by line
-
     def __init__(self, channel: "InProcessChannel", side: str):
         self._channel = channel
         self.side = side
 
     def send(self, ann: Announcement) -> None:
         self._channel._deliver(self.side, ann)
-
-    def flush(self) -> None:
-        pass
 
     def receive(self) -> Announcement:
         queue = self._channel._queues[self.side]
@@ -207,7 +331,7 @@ class InProcessChannel:
 
     def __init__(self):
         self._queues: dict[str, deque[Announcement]] = {s: deque() for s in SIDES}
-        self._tap: list[Announcement] = []
+        self._tap: list[Announcement | CodedLines] = []
         self._gate = _OrderGate()
 
     def endpoint(self, side: str) -> InProcessEndpoint:
@@ -223,9 +347,18 @@ class InProcessChannel:
         self._queues[other].append(ann)
         self._tap.append(ann)
 
+    def _deliver_lines(self, lines: CodedLines) -> CodedLines:
+        """Deliver a window of both sides' lines at once, in order, and
+        return them as the peers receive them. Each side's block order is
+        checked and the lines are tapped; an OrderingError names the first
+        line out of order, and the lines before it are delivered. A channel
+        that alters delivery overrides this."""
+        self._gate.admit(lines, self._tap)
+        return lines
+
     def tap(self) -> tuple[Announcement, ...]:
         """Every announcement so far, in delivery order."""
-        return tuple(self._tap)
+        return _announcements(self._tap)
 
 
 class TcpEndpoint:
@@ -246,7 +379,7 @@ class TcpEndpoint:
         self._reader = sock.makefile("rb")
         self._read_offset = 0
         self._gate = _OrderGate()
-        self._tap: list[Announcement] = []
+        self._tap: list[Announcement | CodedLines] = []
         self._out: list[str] = []
 
     def send(self, ann: Announcement) -> None:
@@ -254,6 +387,17 @@ class TcpEndpoint:
             raise ChannelError(f"endpoint {self.side} cannot send for side {ann.side}")
         self._out.append(ann.to_wire())
         self._tap.append(ann)
+        if len(self._out) >= self.window:
+            self.flush()
+
+    def send_lines(self, lines: CodedLines) -> None:
+        """send() every line of `lines`, written from the wire template."""
+        other = np.flatnonzero(_LINE_SIDE[lines.codes] != SIDES.index(self.side))
+        if other.size:
+            side = LINE_KINDS[lines.codes[other[0]]][0]
+            raise ChannelError(f"endpoint {self.side} cannot send for side {side}")
+        self._out.extend(lines.wire_lines())
+        self._tap.append(lines)
         if len(self._out) >= self.window:
             self.flush()
 
@@ -271,6 +415,45 @@ class TcpEndpoint:
     def receive(self) -> Announcement:
         if self._out:  # the peer reads them before it writes
             self.flush()
+        ann = Announcement.from_wire(*self._read_frame())
+        self._gate.check(ann)
+        self._tap.append(ann)
+        return ann
+
+    def receive_lines(self, expected: CodedLines) -> tuple[Announcement, Announcement] | None:
+        """Read one line per line of `expected` and check each against it:
+        None if every line is the expected announcement, else (received,
+        expected) for the first that is not, which is the last line read.
+
+        A line with the expected text is tapped as the expected line. Any
+        other line is parsed, checked and tapped as receive() does, so its
+        errors and byte offsets are the same; if it parses to the expected
+        announcement, reading goes on.
+        """
+        if self._out:  # the peer reads them before it writes
+            self.flush()
+        done = 0  # lines of `expected` read and tapped
+        for i, text in enumerate(expected.wire_lines()):
+            try:
+                line, offset = self._read_frame()
+            except ChannelError:
+                self._gate.admit(expected[done:i], self._tap)
+                raise
+            if line == text:
+                continue
+            self._gate.admit(expected[done:i], self._tap)
+            done = i + 1
+            ann = Announcement.from_wire(line, offset)
+            self._gate.check(ann)
+            self._tap.append(ann)
+            want = expected.announcement(i)
+            if ann != want:
+                return ann, want
+        self._gate.admit(expected[done:], self._tap)
+        return None
+
+    def _read_frame(self) -> tuple[str, int]:
+        """The next line, without its newline, and its offset in the stream."""
         offset = self._read_offset
         try:
             raw = self._reader.readline(MAX_FRAME_BYTES)
@@ -287,13 +470,10 @@ class TcpEndpoint:
             line = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FrameError(f"invalid frame: {exc.reason}", offset + exc.start) from exc
-        ann = Announcement.from_wire(line.rstrip("\n"), offset)
-        self._gate.check(ann)
-        self._tap.append(ann)
-        return ann
+        return line.rstrip("\n"), offset
 
     def tap(self) -> tuple[Announcement, ...]:
-        return tuple(self._tap)
+        return _announcements(self._tap)
 
     def close(self) -> None:
         try:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -107,6 +108,17 @@ def _at_least(minimum: int):
     return integer
 
 
+def _seconds(value: str) -> float:
+    """An argparse type: a finite number of seconds above 0."""
+    try:
+        seconds = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number of seconds, got {value!r}") from None
+    if not 0 < seconds < math.inf:  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {value}")
+    return seconds
+
+
 def _session_flags(parser: argparse.ArgumentParser, *, alice=True, bob=True):
     parser.add_argument("--pairs", type=int, required=True,
                         help="number of pre-shared Bell pairs (N)")
@@ -161,6 +173,10 @@ def _run_trial(payload: tuple[SessionConfig, int]) -> dict:
 def _cmd_simulate(args) -> int:
     config = _config_from_args(args)
     if args.trials > 1:
+        if args.format != "json":
+            raise ValueError(
+                f"--format {args.format} applies to a single session; --trials writes json"
+            )
         payloads = [(config, t) for t in range(args.trials)]
         # The pool forks all its workers up front: no more than trials or CPUs.
         workers = min(args.workers, args.trials, os.cpu_count() or 1)
@@ -374,13 +390,13 @@ def main(argv=None) -> int:
 
     p_serve = sub.add_parser("serve", help="host side A of a two-process session")
     p_serve.add_argument("--listen", type=_host_port, required=True, metavar="HOST:PORT")
-    p_serve.add_argument("--timeout", type=float, default=30.0)
+    p_serve.add_argument("--timeout", type=_seconds, default=30.0)
     _session_flags(p_serve, bob=False)
     p_serve.set_defaults(func=_cmd_party, side="A", open_link=_listen)
 
     p_conn = sub.add_parser("connect", help="join as side B of a two-process session")
     p_conn.add_argument("--peer", type=_host_port, required=True, metavar="HOST:PORT")
-    p_conn.add_argument("--timeout", type=float, default=30.0)
+    p_conn.add_argument("--timeout", type=_seconds, default=30.0)
     _session_flags(p_conn, alice=False)
     p_conn.set_defaults(func=_cmd_party, side="B", open_link=_dial)
 

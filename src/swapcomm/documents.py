@@ -13,9 +13,12 @@ import csv
 import io
 import json
 
+import numpy as np
+
 from . import __version__, jsontext
 from .channel import MAX_FRAME_BYTES, Announcement, AnnouncementKind, FrameError
 from .protocol import (
+    BlockColumns,
     BlockRecord,
     MessageBits,
     SessionConfig,
@@ -23,10 +26,12 @@ from .protocol import (
     SessionResult,
     SilentFallback,
     Transcript,
+    _block_columns,
+    _coded_lines,
     replay,
 )
 from .quantum import BellLabel, PauliCode
-from .swap import SwapOutcome
+from .swap import ENCODING_ORDER, SwapOutcome
 
 TOOL = {"name": "swapcomm", "version": __version__}
 
@@ -59,16 +64,39 @@ def _session_section(config: SessionConfig, transcript: Transcript) -> dict:
     }
 
 
-def _block_row(rec: BlockRecord) -> dict:
-    return {
-        "index": rec.index,
-        "op_a": rec.op_a.name if rec.op_a is not None else None,
-        "op_b": rec.op_b.name if rec.op_b is not None else None,
-        "outcome_a": rec.outcome.a_side.value,
-        "outcome_b": rec.outcome.b_side.value,
-        "announced_a": rec.announced_a,
-        "announced_b": rec.announced_b,
-    }
+# Indexed by an op code (-1, no operation, is the last entry) and by a
+# label code.
+_OP_NAMES = (*(op.name for op in PauliCode), None)
+_LABEL_NAMES = tuple(label.value for label in ENCODING_ORDER)
+
+
+def _block_rows(blocks: BlockColumns) -> list[dict]:
+    """One row per block. A row is a copy of its kind's row, built once per
+    distinct kind of block, so every row of a kind shares its value objects
+    and documents.render_json renders that kind once."""
+    n = len(blocks.op_a)
+    announced_a, announced_b = (np.broadcast_to(flag, n) for flag in blocks.announced)
+    # One integer per distinct (op_a, op_b, label_a, label_b, flags).
+    kind = (
+        (((blocks.op_a + 1) * 5 + blocks.op_b + 1) * 4 + blocks.label_a) * 4 + blocks.label_b
+    ) * 4 + 2 * announced_a + announced_b
+    _, first, which = np.unique(kind, return_index=True, return_inverse=True)
+    kinds = [
+        {
+            "index": 0,
+            "op_a": _OP_NAMES[blocks.op_a[i]],
+            "op_b": _OP_NAMES[blocks.op_b[i]],
+            "outcome_a": _LABEL_NAMES[blocks.label_a[i]],
+            "outcome_b": _LABEL_NAMES[blocks.label_b[i]],
+            "announced_a": bool(announced_a[i]),
+            "announced_b": bool(announced_b[i]),
+        }
+        for i in first.tolist()
+    ]
+    rows = list(map(dict.copy, map(kinds.__getitem__, which.tolist())))
+    for index, row in enumerate(rows, start=1):
+        row["index"] = index
+    return rows
 
 
 def decode_ok(decoded: MessageBits | None, sent: MessageBits | None) -> bool | None:
@@ -80,9 +108,14 @@ def decode_ok(decoded: MessageBits | None, sent: MessageBits | None) -> bool | N
 
 def run_document(config: SessionConfig, result: SessionResult) -> dict:
     t = result.transcript
-    measurement_count = sum(
-        1 for ann in t.announcements if ann.kind is AnnouncementKind.MEASUREMENT
-    )
+    lines = _coded_lines(t)
+    if lines is not None:
+        measurement_count = lines.count(AnnouncementKind.MEASUREMENT)
+    else:  # a transcript given its Announcements
+        lines = t.announcements
+        measurement_count = sum(
+            1 for ann in lines if ann.kind is AnnouncementKind.MEASUREMENT
+        )
     return {
         "tool": dict(TOOL),
         "kind": "session-run",
@@ -91,12 +124,12 @@ def run_document(config: SessionConfig, result: SessionResult) -> dict:
         "private": {
             "alice_message": _message_field(config.alice_message),
             "bob_message": _message_field(config.bob_message),
-            "blocks": [_block_row(rec) for rec in result.blocks],
+            "blocks": _block_rows(_block_columns(result)),
             "decoded_by_alice": _message_field(result.decoded_by_alice),
             "decoded_by_bob": _message_field(result.decoded_by_bob),
         },
         "summary": {
-            "announcements": len(t.announcements),
+            "announcements": len(lines),
             "measurement_announcements": measurement_count,
             "decode_ok_alice": decode_ok(result.decoded_by_alice, config.bob_message),
             "decode_ok_bob": decode_ok(result.decoded_by_bob, config.alice_message),
@@ -160,19 +193,27 @@ def transcript_from_document(doc: dict) -> Transcript:
 
 
 def _blocks_from_document(doc: dict) -> tuple[BlockRecord, ...]:
-    rows = doc["private"]["blocks"]
+    private = doc.get("private")
+    rows = private.get("blocks") if isinstance(private, dict) else None
+    if not isinstance(rows, list):
+        raise ValueError("private blocks must be a list of block rows")
     records = []
-    for row in rows:
-        records.append(BlockRecord(
-            index=row["index"],
-            op_a=PauliCode[row["op_a"]] if row["op_a"] is not None else None,
-            op_b=PauliCode[row["op_b"]] if row["op_b"] is not None else None,
-            outcome=SwapOutcome(
-                BellLabel(row["outcome_a"]), BellLabel(row["outcome_b"])
-            ),
-            announced_a=row["announced_a"],
-            announced_b=row["announced_b"],
-        ))
+    for number, row in enumerate(rows):
+        try:
+            records.append(BlockRecord(
+                index=row["index"],
+                op_a=PauliCode[row["op_a"]] if row["op_a"] is not None else None,
+                op_b=PauliCode[row["op_b"]] if row["op_b"] is not None else None,
+                outcome=SwapOutcome(
+                    BellLabel(row["outcome_a"]), BellLabel(row["outcome_b"])
+                ),
+                announced_a=row["announced_a"],
+                announced_b=row["announced_b"],
+            ))
+        except (KeyError, TypeError, ValueError) as exc:  # a missing, mistyped or unknown value
+            raise ValueError(
+                f"block row {number} is malformed: {type(exc).__name__}: {exc}"
+            ) from exc
     return tuple(records)
 
 

@@ -18,6 +18,13 @@ One function, _play, runs every session: both sides on an in-process
 channel (run_session) or one side on a TCP endpoint (run_remote_party).
 Each local side sends its own announcements and checks every line its
 peer announces against the schedule both derived from the public config.
+
+A session is a table of small integers: its blocks are four code columns
+(BlockColumns) and its schedule is a block column and a line code column
+(channel.CodedLines), exchanged and checked a window at a time. The
+BlockRecord, SwapOutcome and Announcement objects of SessionResult.blocks
+and Transcript.announcements are built from the columns the first time
+they are read, and kept.
 """
 from __future__ import annotations
 
@@ -25,15 +32,20 @@ import hashlib
 import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
 from .channel import (
+    LINE_CODES,
+    LINE_KINDS,
     SIDES,
     Announcement,
     AnnouncementKind,
     ChannelError,
+    CodedLines,
     InProcessChannel,
+    TransportError,
 )
 from .quantum import BellLabel, PauliCode
 from .swap import (
@@ -387,9 +399,84 @@ class BlockRecord:
         return self.op_b if self.op_b is not None else PauliCode.U0
 
 
+# Indexed by an op code column; code -1 marks a party that declared
+# silence and applied nothing.
+_OP_OR_NONE = (*PauliCode, None)
+# Indexed by 4 * a-side label code + b-side label code.
+_OUTCOMES = tuple(SwapOutcome(a, b) for a in ENCODING_ORDER for b in ENCODING_ORDER)
+
+
+class BlockColumns:
+    """A session's blocks as code columns: op_a, op_b, label_a and label_b,
+    where entry k-1 is block k and op code -1 means no operation (declared
+    silence), plus who announced: a pair of flags for every block, or a
+    pair of flag columns. The BlockRecords are built the first time they
+    are read, then kept."""
+
+    __slots__ = ("op_a", "op_b", "label_a", "label_b", "announced", "_records")
+
+    def __init__(self, codes: tuple[np.ndarray, ...], announced: tuple):
+        self.op_a, self.op_b, self.label_a, self.label_b = codes
+        self.announced = announced
+        self._records = None
+
+    @classmethod
+    def from_records(cls, records: tuple[BlockRecord, ...]) -> "BlockColumns":
+        codes = np.array(
+            [(-1 if rec.op_a is None else rec.op_a.code,
+              -1 if rec.op_b is None else rec.op_b.code,
+              LABEL_CODES[rec.outcome.a_side],
+              LABEL_CODES[rec.outcome.b_side]) for rec in records],
+            dtype=np.intp,
+        ).reshape(-1, 4).T
+        flags = np.array(
+            [(rec.announced_a, rec.announced_b) for rec in records], dtype=bool
+        ).reshape(-1, 2).T
+        columns = cls(tuple(codes), tuple(flags))
+        columns._records = records
+        return columns
+
+    def records(self) -> tuple[BlockRecord, ...]:
+        if self._records is None:
+            n = len(self.op_a)
+            announced_a, announced_b = (np.broadcast_to(f, n).tolist() for f in self.announced)
+            self._records = tuple(
+                BlockRecord(k, _OP_OR_NONE[a], _OP_OR_NONE[b], _OUTCOMES[o], on_a, on_b)
+                for k, a, b, o, on_a, on_b in zip(
+                    itertools.count(1), self.op_a.tolist(), self.op_b.tolist(),
+                    (4 * self.label_a + self.label_b).tolist(), announced_a, announced_b,
+                )
+            )
+        return self._records
+
+
+class _BuiltOnRead:
+    """A frozen dataclass field that holds its objects, or columns of type
+    `columns` from which `build` makes them. Reading the field gives the
+    objects; the columns build them once and keep them."""
+
+    def __init__(self, columns: type, build):
+        self._columns, self._build = columns, build
+
+    def __set_name__(self, owner, name):
+        self._name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self._name)  # so the field has no default
+        value = obj.__dict__[self._name]
+        return self._build(value) if isinstance(value, self._columns) else value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self._name] = value
+
+
 @dataclass(frozen=True)
 class Transcript:
-    """Everything public: the announcements in order plus session metadata."""
+    """Everything public: the announcements in order plus session metadata.
+
+    `announcements` may be given as CodedLines; it reads as their tuple.
+    """
 
     session_id: str
     n_pairs: int
@@ -397,7 +484,7 @@ class Transcript:
     fallback: SilentFallback
     alice_declared_length: int | None
     bob_declared_length: int | None
-    announcements: tuple[Announcement, ...]
+    announcements: tuple[Announcement, ...] = _BuiltOnRead(CodedLines, CodedLines.announcements)
 
     @property
     def usable_blocks(self) -> int:
@@ -416,22 +503,35 @@ class Transcript:
         return out
 
     def wire_lines(self) -> list[str]:
+        coded = _coded_lines(self)
+        if coded is not None:
+            return coded.wire_lines()
         return [ann.to_wire() for ann in self.announcements]
 
 
 @dataclass(frozen=True)
 class SessionResult:
+    """A session's decodes, private blocks and public transcript.
+
+    `blocks` may be given as BlockColumns; it reads as their records.
+    """
+
     decoded_by_alice: MessageBits | None  # Bob's message, as Alice decoded it
     decoded_by_bob: MessageBits | None
-    blocks: tuple[BlockRecord, ...]
+    blocks: tuple[BlockRecord, ...] = _BuiltOnRead(BlockColumns, BlockColumns.records)
     transcript: Transcript
 
 
-# Indexed by an op code column; code -1 marks a party that declared
-# silence and applied nothing.
-_OP_OR_NONE = (*PauliCode, None)
-# Indexed by 4 * a-side label code + b-side label code.
-_OUTCOMES = tuple(SwapOutcome(a, b) for a in ENCODING_ORDER for b in ENCODING_ORDER)
+def _coded_lines(transcript: Transcript) -> CodedLines | None:
+    """A transcript's announcements as CodedLines, if it holds them so."""
+    lines = vars(transcript)["announcements"]
+    return lines if isinstance(lines, CodedLines) else None
+
+
+def _block_columns(result: SessionResult) -> BlockColumns:
+    """A session result's blocks as code columns."""
+    blocks = vars(result)["blocks"]
+    return blocks if isinstance(blocks, BlockColumns) else BlockColumns.from_records(blocks)
 
 
 def _block_codes(config: SessionConfig) -> tuple[np.ndarray, ...]:
@@ -466,19 +566,8 @@ def _block_codes(config: SessionConfig) -> tuple[np.ndarray, ...]:
     return ops[0], ops[1], label_a, table.pairing_codes[composite, label_a]
 
 
-def _records(config: SessionConfig, codes: tuple[np.ndarray, ...]) -> tuple[BlockRecord, ...]:
-    announce_a, announce_b = config.announce_pattern()
-    op_a, op_b, label_a, label_b = codes
-    return tuple(
-        BlockRecord(k, _OP_OR_NONE[a], _OP_OR_NONE[b], _OUTCOMES[o], announce_a, announce_b)
-        for k, a, b, o in zip(
-            itertools.count(1), op_a.tolist(), op_b.tolist(), (4 * label_a + label_b).tolist()
-        )
-    )
-
-
 def _compute_blocks(config: SessionConfig) -> tuple[BlockRecord, ...]:
-    return _records(config, _block_codes(config))
+    return BlockColumns(_block_codes(config), config.announce_pattern()).records()
 
 
 def sample_block_outcomes(
@@ -492,30 +581,34 @@ def sample_block_outcomes(
     return [_OUTCOMES[o] for o in (4 * label_a + label_b).tolist()]
 
 
-def _announcement_schedule(
-    sid: str, config: SessionConfig, blocks: tuple[BlockRecord, ...]
-) -> list[Announcement]:
+# Line codes of each side's Measurement, indexed by [side, label code].
+_MEASUREMENT_LINES = np.array([
+    [LINE_CODES[side, AnnouncementKind.MEASUREMENT, label] for label in ENCODING_ORDER]
+    for side in SIDES
+])
+
+
+def _announcement_schedule(sid: str, config: SessionConfig, blocks: BlockColumns) -> CodedLines:
     """The canonical announcement order: start A/B, optional silence
     declaration, per block A then B, end A/B."""
-    announce_a, announce_b = config.announce_pattern()
-    anns = [
-        Announcement(sid, 0, "A", AnnouncementKind.SESSION_START),
-        Announcement(sid, 0, "B", AnnouncementKind.SESSION_START),
-    ]
+    head = [LINE_CODES[side, AnnouncementKind.SESSION_START, None] for side in SIDES]
     if config.silent_side and config.fallback is SilentFallback.ANNOUNCED_SILENCE:
-        anns.append(Announcement(sid, 0, config.silent_side, AnnouncementKind.NO_MESSAGE))
-    for rec in blocks:
-        if announce_a:
-            anns.append(Announcement(
-                sid, rec.index, "A", AnnouncementKind.MEASUREMENT, rec.outcome.a_side
-            ))
-        if announce_b:
-            anns.append(Announcement(
-                sid, rec.index, "B", AnnouncementKind.MEASUREMENT, rec.outcome.b_side
-            ))
-    anns.append(Announcement(sid, 0, "A", AnnouncementKind.SESSION_END))
-    anns.append(Announcement(sid, 0, "B", AnnouncementKind.SESSION_END))
-    return anns
+        head.append(LINE_CODES[config.silent_side, AnnouncementKind.NO_MESSAGE, None])
+    tail = [LINE_CODES[side, AnnouncementKind.SESSION_END, None] for side in SIDES]
+    measured = [
+        _MEASUREMENT_LINES[i, labels]
+        for i, (announces, labels) in enumerate(
+            zip(config.announce_pattern(), (blocks.label_a, blocks.label_b))
+        )
+        if announces
+    ]
+    body = np.column_stack(measured).ravel()  # block by block, A before B
+    codes = np.concatenate([head, body, tail])
+    block_numbers = np.zeros(len(codes), dtype=np.int64)
+    block_numbers[len(head):len(head) + len(body)] = np.repeat(
+        np.arange(1, len(blocks.label_a) + 1), len(measured)
+    )
+    return CodedLines(sid, block_numbers, codes)
 
 
 def _decode_direction(
@@ -534,40 +627,31 @@ def _decode_direction(
     return _message_from_codes(partner_ops, declared_length)
 
 
-def _decode_results(
-    transcript: Transcript,
-    blocks: tuple[BlockRecord, ...],
-    codes: tuple[np.ndarray, ...],
-    announced: dict[str, dict[int, BellLabel]],
-    table: DecodeTable,
-) -> SessionResult:
-    """Decode both directions from the blocks' code columns; `announced`
-    holds each side's labels by block. A fallback party's random operations
+def _decode(
+    transcript: Transcript, blocks: BlockColumns, table: DecodeTable
+) -> tuple[MessageBits | None, MessageBits | None]:
+    """(decoded_by_alice, decoded_by_bob) from the blocks' code columns.
+
+    A side's announced labels are its label column: every announced line
+    was checked against the schedule built from them (replay checks the
+    transcript against the records). A fallback party's random operations
     are not a message, so the partner discards that direction. A sending
     party always announces, so the needed labels always exist."""
-    op_a, op_b, label_a, label_b = codes
-
-    def announced_codes(side: str) -> np.ndarray:
-        labels = announced[side]
-        return np.array(
-            [LABEL_CODES[labels[k]] for k in range(1, len(blocks) + 1)], dtype=np.intp
-        )
-
     decoded_by_alice = decoded_by_bob = None
     if transcript.mode is not SessionMode.BOB_TO_ALICE:
         decoded_by_bob = _decode_direction(
-            op_b, announced_codes("A"), label_b, transcript.alice_declared_length or 0, table
+            blocks.op_b, blocks.label_a, blocks.label_b,
+            transcript.alice_declared_length or 0, table,
         )
     if transcript.mode is not SessionMode.ALICE_TO_BOB:
         decoded_by_alice = _decode_direction(
-            op_a, label_a, announced_codes("B"), transcript.bob_declared_length or 0, table
+            blocks.op_a, blocks.label_a, blocks.label_b,
+            transcript.bob_declared_length or 0, table,
         )
-    return SessionResult(decoded_by_alice, decoded_by_bob, blocks, transcript)
+    return decoded_by_alice, decoded_by_bob
 
 
-def _make_transcript(
-    config: SessionConfig, sid: str, announcements: tuple[Announcement, ...]
-) -> Transcript:
+def _make_transcript(config: SessionConfig, sid: str, announcements) -> Transcript:
     return Transcript(
         session_id=sid,
         n_pairs=config.n_pairs,
@@ -583,82 +667,91 @@ def _make_transcript(
     )
 
 
-def _wire_order(schedule: list[Announcement], window: int):
-    """The schedule in the order it is played: in windows of `window`
-    lines, all of a window's A lines before all of its B lines, each side
-    keeping its own order. The schedule puts A before B within a block, so
-    a window of one line is the schedule itself."""
-    if window == 1:
-        return schedule
-    return (
-        ann
-        for start in range(0, len(schedule), window)
-        for side in SIDES
-        for ann in schedule[start:start + window]
-        if ann.side == side
-    )
+def _play(config: SessionConfig, exchange, tap) -> SessionResult:
+    """Play a validated session.
 
-
-def _play(config: SessionConfig, endpoints: dict) -> SessionResult:
-    """Play a validated session for the sides in `endpoints` (side -> an
-    endpoint with send/receive/flush/tap and a window); two local sides
-    share one in-process channel.
-
-    Every party derives the same blocks and announcement schedule from the
-    public config and plays it in its endpoint's windows (_wire_order). A
-    local side sends its own lines; a local side receives each of its
-    peer's lines and checks it against the schedule.
+    Every party derives the same blocks, as code columns, and the same
+    announcement schedule, as CodedLines, from the public config.
+    `exchange(schedule)` sends the local sides' lines and checks every
+    line a peer announces against the schedule. It returns None, or
+    (received, expected, transcript so far) for the first peer line that
+    differs. `tap()` gives the announcements seen so far.
 
     A finished session's transcript is the verified schedule, in schedule
-    order. Any failure raises SessionError whose transcript is the tap so
-    far, in wire order: the windows before the failing one; then, of that
-    window, this party's lines if it writes first (side A), the peer lines
-    read before the failure, and the mismatched line if it parsed.
+    order. Any failure raises SessionError with the transcript so far,
+    which for a ChannelError is the tap.
     """
     table = generate_decode_table()
-    codes = _block_codes(config)
-    blocks = _records(config, codes)
+    blocks = BlockColumns(_block_codes(config), config.announce_pattern())
     sid = session_id(config)
     schedule = _announcement_schedule(sid, config, blocks)
-    local = next(iter(endpoints.values()))
-    # For each announcing side: (its endpoint, its peer's endpoint), if local.
-    routes = {side: (endpoints.get(side), endpoints.get(_PEER[side])) for side in SIDES}
     try:
-        for ann in _wire_order(schedule, local.window):
-            sender, receiver = routes[ann.side]
-            if sender is not None:
-                sender.send(ann)
-            if receiver is None:
-                continue
-            got = receiver.receive()
-            # `is` first: an in-process peer hands over the scheduled object.
-            if got is not ann and got != ann:
-                raise SessionError(
-                    f"peer announced {got.to_wire()} where {ann.to_wire()} was expected",
-                    transcript=_make_transcript(config, sid, local.tap()),
-                )
-        for endpoint in endpoints.values():
-            endpoint.flush()
+        mismatch = exchange(schedule)
     except ChannelError as exc:
         raise SessionError(
-            str(exc), transcript=_make_transcript(config, sid, local.tap())
+            str(exc), transcript=_make_transcript(config, sid, tap())
         ) from exc
+    if mismatch is not None:
+        got, want, so_far = mismatch
+        raise SessionError(
+            f"peer announced {got.to_wire()} where {want.to_wire()} was expected",
+            transcript=_make_transcript(config, sid, so_far),
+        )
+    transcript = _make_transcript(config, sid, schedule)
+    return SessionResult(*_decode(transcript, blocks, table), blocks, transcript)
 
-    transcript = _make_transcript(config, sid, tuple(schedule))
-    announced = {side: transcript.measurements(side) for side in SIDES}
-    return _decode_results(transcript, blocks, codes, announced, table)
+
+def _exchange_in_process(channel: InProcessChannel, schedule: CodedLines):
+    """Both sides over one in-process channel. The whole schedule is one
+    window: the channel delivers and taps it at once, in schedule order,
+    and the peers check what they received against it as whole arrays.
+    The transcript so far ends at the first line that differs."""
+    got = channel._deliver_lines(schedule)
+    if got is schedule:  # delivered untouched
+        return None
+    at = schedule.first_difference(got)
+    if at is None:
+        return None
+    if at == len(got):
+        peer = _PEER[LINE_KINDS[schedule.codes[at]][0]]
+        raise TransportError(f"endpoint {peer}: nothing to receive")
+    tap = channel.tap()
+    return got.announcement(at), schedule.announcement(at), tap[:len(tap) - len(got) + at + 1]
+
+
+def _exchange_remote(side: str, endpoint, schedule: CodedLines):
+    """One side over its endpoint (TcpEndpoint), in windows of
+    `endpoint.window` lines: each window's A lines, then its B lines, each
+    side keeping its own order. This side sends its lines and reads and
+    checks its peer's. The transcript so far is the endpoint's tap: the
+    lines in wire order, up to and including a peer line that differs."""
+    for start in range(0, len(schedule), endpoint.window):
+        window = schedule[start:start + endpoint.window]
+        for announcer in SIDES:
+            lines = window.of_side(announcer)
+            if not len(lines):
+                continue
+            if announcer == side:
+                endpoint.send_lines(lines)
+                continue
+            mismatch = endpoint.receive_lines(lines)
+            if mismatch is not None:
+                return (*mismatch, endpoint.tap())
+    endpoint.flush()
+    return None
 
 
 def run_session(config: SessionConfig, channel: InProcessChannel | None = None) -> SessionResult:
     """Execute a full session with both parties in this process.
 
     Announcements really flow through `channel` (default: a fresh in-process
-    channel), one line at a time, so its tap equals the transcript.
+    channel), which delivers the whole schedule as one window in schedule
+    order, so its tap equals the transcript.
     """
     config.validate()
     if channel is None:
         channel = InProcessChannel()
-    return _play(config, {side: channel.endpoint(side) for side in SIDES})
+    return _play(config, partial(_exchange_in_process, channel), channel.tap)
 
 
 def replay(transcript: Transcript, blocks) -> SessionResult:
@@ -687,16 +780,9 @@ def replay(transcript: Transcript, blocks) -> SessionResult:
             odd = min(got.symmetric_difference(expected), default=0)
             raise ReplayError(f"side {side} announcement pattern is inconsistent", odd)
 
-    codes = tuple(np.array(
-        [(-1 if rec.op_a is None else rec.op_a.code,
-          -1 if rec.op_b is None else rec.op_b.code,
-          LABEL_CODES[rec.outcome.a_side],
-          LABEL_CODES[rec.outcome.b_side]) for rec in blocks],
-        dtype=np.intp,
-    ).reshape(-1, 4).T)
-    op_a, op_b, label_a, label_b = codes
-    composite = table.composite_codes[np.maximum(op_a, 0), np.maximum(op_b, 0)]
-    outside = np.flatnonzero(table.infer_codes[label_a, label_b] != composite)
+    columns = BlockColumns.from_records(blocks)
+    composite = table.composite_codes[np.maximum(columns.op_a, 0), np.maximum(columns.op_b, 0)]
+    outside = np.flatnonzero(table.infer_codes[columns.label_a, columns.label_b] != composite)
     first_outside = int(outside[0]) + 1 if outside.size else 0
 
     for pos, rec in enumerate(blocks, start=1):
@@ -718,7 +804,7 @@ def replay(transcript: Transcript, blocks) -> SessionResult:
                 rec.index,
             )
 
-    return _decode_results(transcript, blocks, codes, announced, table)
+    return SessionResult(*_decode(transcript, columns, table), blocks, transcript)
 
 
 # --------------------------------------------------------------------------
@@ -806,4 +892,4 @@ def run_remote_party(side: str, config: SessionConfig, substrate, endpoint) -> S
         full.validate()  # this party's own fields already passed
     except ValueError as exc:
         raise SessionError(f"invalid substrate hello: {exc}") from exc
-    return _play(full, {side: endpoint})
+    return _play(full, partial(_exchange_remote, side, endpoint), endpoint.tap)

@@ -4,14 +4,18 @@ import random
 import socket
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from swapcomm.channel import (
+    LINE_CODES,
+    LINE_KINDS,
     MAX_FRAME_BYTES,
     TCP_WINDOW_LINES,
     Announcement,
     AnnouncementKind,
+    CodedLines,
     FrameError,
     InProcessChannel,
     OrderingError,
@@ -20,6 +24,7 @@ from swapcomm.channel import (
     TcpEndpoint,
     TransportError,
     WIRE_FIELDS,
+    _wire_template,
     dial_session,
 )
 from swapcomm.cli import main
@@ -166,6 +171,19 @@ class TestWireFormat:
 
         assert outcome(Announcement.from_wire) == outcome(Announcement._from_json)
 
+    @given(
+        sid=st.text() | st.text(st.characters(min_codepoint=32, max_codepoint=126)),
+        blocks=st.lists(st.integers(0, 2**63 - 1), min_size=len(LINE_KINDS),
+                        max_size=len(LINE_KINDS)),
+    )
+    def test_wire_template_is_cut_from_to_wire(self, sid, blocks):
+        prefix, suffixes = _wire_template(sid)
+        for block, (code, line_kind) in zip(blocks, enumerate(LINE_KINDS)):
+            ann = Announcement(sid, block, *line_kind)
+            assert prefix + str(block) + suffixes[code] == ann.to_wire()
+        lines = CodedLines(sid, np.array(blocks, dtype=np.int64), np.arange(len(LINE_KINDS)))
+        assert lines.wire_lines() == [ann.to_wire() for ann in lines.announcements()]
+
     def test_canonical_line_breaking_an_invariant_is_a_frame_error(self):
         for line in (
             '{"v":1,"sid":"s","blk":0,"side":"A","kind":"SessionStart","label":"PsiPlus"}',
@@ -187,6 +205,15 @@ class TestWireFormat:
         line = "[" * (MAX_FRAME_BYTES - 1)
         with pytest.raises(FrameError, match="nested too deeply"):
             Announcement.from_wire(line)
+
+
+def _coded(anns):
+    """The same announcements, of one session, as CodedLines."""
+    return CodedLines(
+        anns[0].session_id,
+        np.array([ann.block for ann in anns], dtype=np.int64),
+        np.array([LINE_CODES[ann.side, ann.kind, ann.label] for ann in anns]),
+    )
 
 
 class TestInProcessChannel:
@@ -225,6 +252,24 @@ class TestInProcessChannel:
         channel = InProcessChannel()
         with pytest.raises(TransportError, match="nothing to receive"):
             channel.endpoint("A").receive()
+
+    def test_window_out_of_block_order_fails_at_its_line(self):
+        channel = InProcessChannel()
+        anns = (meas(1, "A", BellLabel.PHI_PLUS), meas(1, "B", BellLabel.PSI_PLUS),
+                meas(3, "A", BellLabel.PHI_MINUS), meas(2, "A", BellLabel.PSI_MINUS))
+        lines = _coded(anns)
+        with pytest.raises(OrderingError, match="side A announced block 2 after block 3"):
+            channel._deliver_lines(lines)
+        assert channel.tap() == anns[:3]
+
+    def test_session_tap_is_the_transcript_built_once(self):
+        channel = InProcessChannel()
+        result = run_session(SessionConfig(
+            n_pairs=7, seed=5, alice_message=MessageBits.from_bits("0111"),
+        ), channel)
+        assert channel.tap() == result.transcript.announcements
+        assert result.transcript.announcements is result.transcript.announcements
+        assert result.blocks is result.blocks
 
     def test_tap_counts_for_bidirectional_session(self):
         channel = InProcessChannel()
@@ -390,6 +435,34 @@ class TestBoundedReads:
         far.sendall(line.encode() + b"\n")
         try:
             assert endpoint.receive() == meas(1, "B", BellLabel.PHI_PLUS)
+        finally:
+            endpoint.close()
+            far.close()
+
+    def test_receive_lines_accepts_an_equal_line_in_another_spelling(self):
+        near, far = socket.socketpair()
+        endpoint = TcpEndpoint(near, side="A", timeout=5.0)
+        anns = (meas(1, "B", BellLabel.PHI_PLUS), meas(2, "B", BellLabel.PSI_MINUS),
+                meas(3, "B", BellLabel.PSI_PLUS))
+        spaced = json.dumps(json.loads(anns[1].to_wire()), indent=None)  # ", " and ": "
+        assert spaced != anns[1].to_wire()
+        far.sendall("\n".join([anns[0].to_wire(), spaced, anns[2].to_wire()]).encode() + b"\n")
+        try:
+            assert endpoint.receive_lines(_coded(anns)) is None
+            assert endpoint.tap() == anns
+        finally:
+            endpoint.close()
+            far.close()
+
+    def test_receive_lines_stops_at_the_first_line_that_differs(self):
+        near, far = socket.socketpair()
+        endpoint = TcpEndpoint(near, side="A", timeout=5.0)
+        anns = (meas(1, "B", BellLabel.PHI_PLUS), meas(2, "B", BellLabel.PSI_MINUS))
+        wrong = meas(2, "B", BellLabel.PHI_MINUS)
+        far.sendall(f"{anns[0].to_wire()}\n{wrong.to_wire()}\n".encode())
+        try:
+            assert endpoint.receive_lines(_coded(anns)) == (wrong, anns[1])
+            assert endpoint.tap() == (anns[0], wrong)
         finally:
             endpoint.close()
             far.close()

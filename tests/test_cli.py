@@ -1,17 +1,36 @@
+import contextlib
+import copy
+import functools
+import io
 import json
 import resource
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from swapcomm import documents, jsontext
-from swapcomm.channel import PUBLIC_PREAMBLE, SUBSTRATE_PREAMBLE, SessionListener
+from swapcomm.channel import (
+    PUBLIC_PREAMBLE,
+    SUBSTRATE_PREAMBLE,
+    FrameError,
+    SessionListener,
+)
 from swapcomm.cli import main
-from swapcomm.protocol import MessageBits, SessionConfig, run_session, substrate_hello
+from swapcomm.protocol import (
+    MessageBits,
+    SessionConfig,
+    SessionError,
+    SessionMode,
+    SilentFallback,
+    run_session,
+    substrate_hello,
+)
 
 
 def run_cli(*argv, capsys=None):
@@ -142,6 +161,15 @@ class TestSimulate:
             main([*argv, "--out", str(out)])
         assert err.value.code == 1
         assert f"argument {flag}: must be at least" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_trials_in_a_session_format_is_a_usage_error(self, fmt, tmp_path, capsys):
+        out = tmp_path / "never.json"
+        code, captured = run_cli("simulate", "--pairs", "6", "--trials", "3", "--format", fmt,
+                                 "--out", str(out), capsys=capsys)
+        assert code == 1
+        assert f"--format {fmt}" in captured.err
         assert not out.exists()
 
     def test_one_trial_writes_a_session_run(self, capsys):
@@ -453,6 +481,119 @@ class TestDocuments:
         assert documents.render_json(doc) == json.dumps(doc, indent=2) + "\n"
 
 
+@st.composite
+def _session_configs(draw):
+    """Every mode and fallback; 0, 1, 2 or more pairs, odd and even; any
+    seed; each sending side with no message or one within capacity."""
+    n_pairs = draw(st.sampled_from([0, 1, 2]) | st.integers(3, 81))
+    mode = draw(st.sampled_from(list(SessionMode)))
+    messages = st.none() | st.text("01", max_size=2 * (n_pairs // 2)).map(MessageBits.from_bits)
+    return SessionConfig(
+        n_pairs=n_pairs,
+        mode=mode,
+        fallback=draw(st.sampled_from(list(SilentFallback))),
+        seed=draw(st.integers(-(2**64), 2**65)),
+        alice_message=draw(messages) if mode is not SessionMode.BOB_TO_ALICE else None,
+        bob_message=draw(messages) if mode is not SessionMode.ALICE_TO_BOB else None,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _small_run_documents():
+    """Small valid run documents, as JSON text."""
+    configs = [
+        SessionConfig(n_pairs=9, seed=3, alice_message=MessageBits.from_bits("0110101"),
+                      bob_message=MessageBits.from_bits("10")),
+        SessionConfig(n_pairs=8, seed=-5, mode=SessionMode.ALICE_TO_BOB,
+                      fallback=SilentFallback.ANNOUNCED_SILENCE,
+                      alice_message=MessageBits.from_bits("011")),
+    ]
+    return tuple(documents.render_json(documents.run_document(config, run_session(config)))
+                 for config in configs)
+
+
+def _paths(node, path=()):
+    """The path of every value inside a JSON tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield (*path, key)
+        yield from _paths(child, (*path, key))
+
+
+# Replacement values. The large number is bounded too: as n_pairs it is
+# rejected against the transcript's length, as a declared length against
+# the decoded bits, before any work depends on it.
+_RETYPED = st.sampled_from([None, True, -1, 0, 7, 10**12, 1.5, "x", "", [], {}, ["x"], {"x": 1}])
+_EDIT_CHARS = st.sampled_from('"\\{}[],:0123456789 AB\x00\u00fc') | st.characters()
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A small valid run document with one value dropped or retyped, or
+    one transcript line edited, dropped or duplicated."""
+    doc = json.loads(draw(st.sampled_from(_small_run_documents())))
+    *within, key = draw(st.sampled_from(list(_paths(doc))))
+    parent = functools.reduce(lambda node, k: node[k], within, doc)
+    line = within == ["transcript"]
+    action = draw(st.sampled_from(["drop", "retype"] + (["edit", "duplicate"] if line else [])))
+    if action == "drop":
+        del parent[key]
+    elif action == "retype":
+        parent[key] = draw(_RETYPED.filter(lambda value: type(value) is not type(parent[key])))
+    elif action == "duplicate":
+        parent.insert(key, parent[key])
+    else:
+        text = parent[key]
+        at = draw(st.integers(0, len(text)))
+        char = draw(_EDIT_CHARS)
+        parent[key] = draw(st.sampled_from([
+            text[:at] + char + text[at + 1:], text[:at] + char + text[at:], text[:at] + text[at + 1:],
+        ]))
+    return doc
+
+
+class TestDocumentProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(config=_session_configs())
+    def test_session_round_trips_through_its_document(self, config):
+        result = run_session(config)
+        transcript = result.transcript
+        assert transcript.wire_lines() == [ann.to_wire() for ann in transcript.announcements]
+        doc = json.loads(documents.render_json(documents.run_document(config, result)))
+        assert documents.transcript_from_document(doc) == transcript
+        again = documents.replay_document(doc)
+        assert again.decoded_by_alice == result.decoded_by_alice
+        assert again.decoded_by_bob == result.decoded_by_bob
+        assert again.blocks == result.blocks
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=_mutated_documents())
+    def test_mutated_document_raises_only_typed_errors(self, doc):
+        typed = (FrameError, SessionError, ValueError)
+        try:
+            documents.transcript_from_document(copy.deepcopy(doc))
+            parsed = True
+        except typed:
+            parsed = False
+        try:
+            documents.replay_document(copy.deepcopy(doc))
+        except typed:
+            pass
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["analyze", str(path), "--out", str(Path(tmp) / "report.json")])
+        assert code in ((0, 1, 3) if parsed else (1, 3)), stderr.getvalue()
+        assert "Traceback" not in stderr.getvalue()
+
+
 class TestNetworkedCli:
     def test_serve_connect_round_trip(self, tmp_path):
         serve_out = tmp_path / "serve.json"
@@ -520,6 +661,28 @@ class TestNetworkedCli:
         err_text = capsys.readouterr().err
         assert "port must be in 0..65535" in err_text
         assert "cannot reach" not in err_text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1e400", "soon"])
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--listen", "127.0.0.1:0", "--alice-msg", "01"],
+        ["connect", "--peer", "127.0.0.1:9", "--bob-msg", "10"],
+    ], ids=["serve", "connect"])
+    def test_timeout_out_of_range_is_a_usage_error(
+        self, argv, value, tmp_path, capsys, monkeypatch
+    ):
+        import swapcomm.cli as cli
+
+        def no_socket(*args, **kwargs):
+            raise AssertionError("a socket was opened")
+
+        monkeypatch.setattr(cli, "SessionListener", no_socket)
+        monkeypatch.setattr(cli, "dial_session", no_socket)
+        out = tmp_path / "never.json"
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--pairs", "6", "--timeout", value, "--out", str(out)])
+        assert err.value.code == 1
+        assert "argument --timeout:" in capsys.readouterr().err
         assert not out.exists()
 
     def test_connect_unreachable_no_document(self, tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from swapcomm.channel import AnnouncementKind, InProcessChannel
+from swapcomm.channel import LINE_CODES, AnnouncementKind, CodedLines, InProcessChannel
 from swapcomm.protocol import (
     MAX_BLOCKS,
     CapacityError,
@@ -427,10 +427,12 @@ def _relabel(ann):
 class _TamperingChannel(InProcessChannel):
     """Delivers Bob's block-2 measurement with a different label."""
 
-    def _deliver(self, sender, ann):
-        if ann.kind is AnnouncementKind.MEASUREMENT and (ann.block, ann.side) == (2, "B"):
-            ann = _relabel(ann)
-        super()._deliver(sender, ann)
+    def _deliver_lines(self, lines):
+        codes = lines.codes.copy()
+        for at, ann in enumerate(lines.announcements()):
+            if ann.kind is AnnouncementKind.MEASUREMENT and (ann.block, ann.side) == (2, "B"):
+                codes[at] = LINE_CODES[ann.side, ann.kind, _relabel(ann).label]
+        return super()._deliver_lines(CodedLines(lines.session_id, lines.blocks, codes))
 
 
 class _ScriptedSubstrate:
@@ -464,6 +466,17 @@ class _ScriptedEndpoint:
         ann = self._script.pop(0)
         self._tap.append(ann)
         return ann
+
+    def send_lines(self, lines):
+        for ann in lines.announcements():
+            self.send(ann)
+
+    def receive_lines(self, expected):
+        for want in expected.announcements():
+            got = self.receive()
+            if got != want:
+                return got, want
+        return None
 
     def tap(self):
         return tuple(self._tap)
