@@ -98,8 +98,9 @@ def _validate_priors(priors: Mapping[OpPair, float]) -> np.ndarray:
         if p < 0:
             raise ValueError(f"negative prior for {pair!r}")
         vec[_PAIR_INDEX[pair]] = p
-    if abs(vec.sum() - 1.0) > 1e-9:
-        raise ValueError(f"priors sum to {vec.sum()!r}, not 1")
+    total = float(vec.sum())  # a Python float, so the message reads "0.5", not "np.float64(0.5)"
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"priors sum to {total!r}, not 1")
     return vec
 
 

@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +238,14 @@ def _cmd_table(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = run_verification()
+    if args.format == "json":
+        doc = {
+            "tool": dict(documents.TOOL),
+            "kind": "verification-report",
+            "checks": [asdict(check) for check in report.checks],
+        }
+        sys.stdout.write(documents.render_json(doc))
+        return EXIT_OK if report.ok else EXIT_VERIFY
     for check in report.checks:
         status = "ok" if check.passed else "FAIL"
         print(f"[{status}] {check.name}: {check.detail}")
@@ -247,13 +255,24 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json object_pairs_hook: an object, or ValueError on a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r} in priors file")
+        obj[key] = value
+    return obj
+
+
 def _load_priors(value: str) -> dict:
     if value == "uniform":
         return uniform_priors()
     if not value.startswith("@"):
         raise ValueError(f"priors must be 'uniform' or @file, got {value!r}")
     try:
-        raw = json.loads(Path(value[1:]).read_text(encoding="utf-8"))
+        raw = json.loads(Path(value[1:]).read_text(encoding="utf-8"),
+                         object_pairs_hook=_unique_keys)
     except RecursionError as exc:
         raise ValueError(f"priors file {value[1:]}: JSON nested too deeply") from exc
     if not isinstance(raw, dict):
@@ -265,7 +284,10 @@ def _load_priors(value: str) -> dict:
             raise ValueError(f"unknown operation pair {key!r} in priors file")
         if isinstance(p, bool) or not isinstance(p, (int, float)):
             raise ValueError(f"prior for {key} is not a number: {p!r}")
-        priors[by_name[key]] = float(p)
+        try:
+            priors[by_name[key]] = float(p)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError(f"prior for {key} is out of range") from None
     return priors
 
 
@@ -377,6 +399,8 @@ def main(argv=None) -> int:
     p_table.set_defaults(func=_cmd_table)
 
     p_verify = sub.add_parser("verify", help="run the full identity-check suite")
+    p_verify.add_argument("--format", choices=["json", "text"], default="text",
+                          help="json: one record per check (name, passed, detail, failures)")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_an = sub.add_parser("analyze", help="eavesdropper analysis of a transcript document")

@@ -7,6 +7,12 @@ Within a protocol block the register order is (a1, b1, a2, b2).
 
 All values are immutable after construction; operations are pure functions
 plus an explicitly threaded numpy Generator where sampling is involved.
+
+A Bell projection transposes the measured pair's two axes to the front
+once, then takes one row dot per Bell label against that view: the same
+arithmetic as a per-label np.tensordot, so results are bit for bit those
+of contracting each label alone. A measurement builds the residual state
+only for the label it draws.
 """
 from __future__ import annotations
 
@@ -176,9 +182,47 @@ def state_equal_up_to_phase(a: PureState, b: PureState, tol: float = 1e-9) -> bo
     return abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1.0 - tol
 
 
-def _bell_pair_tensor(label: BellLabel) -> np.ndarray:
-    # 2x2 view: entry [x_first, x_second] is the amplitude of that bit pair.
-    return _BELL_AMPLITUDES[label].reshape(2, 2)
+# <label| over a pair's two bits, in BELL_ORDER, as the (1, 4) row
+# np.tensordot would contract against; conj() is kept so the values are
+# exactly that row's.
+_BELL_BRAS: dict[BellLabel, np.ndarray] = {
+    label: _frozen(_BELL_AMPLITUDES[label].conj().reshape(1, 4)) for label in BELL_ORDER
+}
+
+
+def _pair_view(state: PureState, pair: tuple[int, int]) -> tuple[np.ndarray, list[int]]:
+    """The amplitudes as a (4, 2**(n-2)) matrix indexed by the pair's bits.
+
+    Returns the matrix and the axis order that made it: the pair first,
+    the other qubits after it in register order. A Bell overlap is then
+    np.dot of that label's bra row against the matrix, the same dot that
+    np.tensordot runs for one label, so its values are bitwise the same.
+    """
+    i, j = pair
+    n = state.num_qubits
+    if i == j:
+        raise ValueError(f"duplicate qubit indices in pair {pair}")
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"pair {pair} out of range for {n}-qubit register")
+    order = [i, j, *(k for k in range(n) if k != i and k != j)]
+    view = state.amplitudes.reshape([2] * n).transpose(order).reshape(4, -1)
+    return view, order
+
+
+def _norm(overlap: np.ndarray) -> float:
+    return float(np.vdot(overlap, overlap).real)
+
+
+def _residual(
+    label: BellLabel, overlap: np.ndarray, probability: float, order: list[int]
+) -> PureState:
+    """|label> on the pair times the renormalized unmeasured factor."""
+    rest = overlap / math.sqrt(probability)
+    out = np.multiply.outer(_BELL_AMPLITUDES[label], rest.reshape(-1))
+    # Undo _pair_view's transpose: qubit q sits at position order.index(q).
+    inverse = [order.index(q) for q in range(len(order))]
+    out = out.reshape([2] * len(order)).transpose(inverse)
+    return PureState(out.reshape(-1))
 
 
 def bell_project(
@@ -190,30 +234,21 @@ def bell_project(
     the probability is below 1e-12; renormalizing there would only amplify
     rounding noise.
     """
-    i, j = pair
-    n = state.num_qubits
-    if i == j:
-        raise ValueError(f"duplicate qubit indices in pair {pair}")
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"pair {pair} out of range for {n}-qubit register")
-    bell = _bell_pair_tensor(label)
-    t = state.amplitudes.reshape([2] * n)
+    view, order = _pair_view(state, pair)
     # Contract the pair against <label|; what remains is the unmeasured factor.
-    rest = np.tensordot(bell.conj(), t, axes=([0, 1], [i, j]))
-    probability = float(np.vdot(rest, rest).real)
+    overlap = np.dot(_BELL_BRAS[label], view)
+    probability = _norm(overlap)
     if probability < ATOL_OP:
         return probability, None
-    rest = rest / math.sqrt(probability)
-    out = np.multiply.outer(bell, rest)
-    out = np.moveaxis(out, [0, 1], [i, j])
-    return probability, PureState(out.reshape(-1))
+    return probability, _residual(label, overlap, probability, order)
 
 
 def bell_project_all(
     state: PureState, pair: tuple[int, int]
 ) -> dict[BellLabel, float]:
     """Probabilities of all four Bell outcomes on one pair (they sum to 1)."""
-    return {label: bell_project(state, pair, label)[0] for label in BELL_ORDER}
+    view, _ = _pair_view(state, pair)
+    return {label: _norm(np.dot(bra, view)) for label, bra in _BELL_BRAS.items()}
 
 
 def bell_measure(
@@ -222,21 +257,22 @@ def bell_measure(
     """Sample a Bell-basis measurement of one pair with Born probabilities.
 
     Consumes exactly one uniform draw from `rng`, so a fixed seed yields a
-    fixed label sequence regardless of the outcome probabilities.
+    fixed label sequence regardless of the outcome probabilities. Only the
+    drawn label's residual is built.
     """
-    probs = bell_project_all(state, pair)
+    view, order = _pair_view(state, pair)
+    overlaps = [np.dot(bra, view) for bra in _BELL_BRAS.values()]
+    probs = [_norm(overlap) for overlap in overlaps]
     u = float(rng.random())
     chosen = None
     cumulative = 0.0
-    for label in BELL_ORDER:
-        p = probs[label]
+    for k, p in enumerate(probs):
         if p <= ATOL_OP:
             continue
-        chosen = label
+        chosen = k
         cumulative += p
         if u < cumulative:
             break
     assert chosen is not None, "no outcome has positive probability"
-    _, residual = bell_project(state, pair, chosen)
-    assert residual is not None
-    return chosen, residual
+    label = BELL_ORDER[chosen]
+    return label, _residual(label, overlaps[chosen], probs[chosen], order)

@@ -50,6 +50,13 @@ class TestPriors:
         with pytest.raises(ValueError, match="sum to"):
             eve_posterior(EveView(session().transcript), bad)
 
+    def test_sum_error_names_a_plain_float(self):
+        half = {pair: p for pair, p in uniform_priors().items()
+                if pair[0] in (PauliCode.U0, PauliCode.U1)}
+        with pytest.raises(ValueError) as excinfo:
+            eve_posterior(EveView(session().transcript), half)
+        assert str(excinfo.value) == "priors sum to 0.5, not 1"
+
     def test_independent_priors(self):
         skew = {PauliCode.U0: 0.7, PauliCode.U1: 0.3,
                 PauliCode.U2: 0.0, PauliCode.U3: 0.0}

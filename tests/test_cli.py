@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swapcomm import documents, jsontext
+from swapcomm import cli, documents, jsontext
 from swapcomm.channel import (
     PUBLIC_PREAMBLE,
     SUBSTRATE_PREAMBLE,
@@ -251,6 +251,38 @@ class TestVerify:
         assert code == 2
         assert "[FAIL] decompositions" in out.out
         assert "re-summation off by" in out.out
+        code, out = run_cli("verify", "--format", "json", capsys=capsys)
+        assert code == 2
+        doc = json.loads(out.out)
+        assert doc["checks"][0] == {
+            "name": "decompositions", "passed": False,
+            "detail": "15/16 decompositions exact",
+            "failures": ["PsiPlusxPsiPlus: re-summation off by (0.25+0j)"],
+        }
+
+    def test_json_records_match_text_lines(self, capsys):
+        code, text = run_cli("verify", "--format", "text", capsys=capsys)
+        assert code == 0
+        code, out = run_cli("verify", "--format", "json", capsys=capsys)
+        assert code == 0
+        assert out.out == json.dumps(json.loads(out.out), indent=2) + "\n"
+        doc = json.loads(out.out)
+        assert doc["kind"] == "verification-report"
+        lines = []
+        for record in doc["checks"]:
+            assert list(record) == ["name", "passed", "detail", "failures"]
+            status = "ok" if record["passed"] else "FAIL"
+            lines.append(f"[{status}] {record['name']}: {record['detail']}")
+            lines.extend(f"       {failure}" for failure in record["failures"])
+        # Text adds one summary line after the per-check lines.
+        assert text.out.splitlines()[:-1] == lines
+        assert len(lines) == 12
+
+    def test_unknown_format_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--format", "csv"])
+        assert err.value.code == 1
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 # Values that compare equal but render differently, and other edge cases,
@@ -375,6 +407,10 @@ class TestAnalyze:
         ('{"U0,U0": Infinity}', "non-finite prior"),
         ('[["U0,U0", 1.0]]', "must hold an object"),
         ('{"U0,U0": null}', "is not a number"),
+        pytest.param('{"U0,U0": 1, "U0,U0": 2}', "duplicate key 'U0,U0' in priors file",
+                     id="duplicate-key"),
+        pytest.param('{"U0,U0": 1' + "0" * 400 + "}", "prior for U0,U0 is out of range",
+                     id="integer-beyond-float-range"),
     ])
     def test_malformed_priors_rejected(self, run_doc, tmp_path, capsys,
                                        content, message):
@@ -591,6 +627,46 @@ class TestDocumentProperties:
             with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
                 code = main(["analyze", str(path), "--out", str(Path(tmp) / "report.json")])
         assert code in ((0, 1, 3) if parsed else (1, 3)), stderr.getvalue()
+        assert "Traceback" not in stderr.getvalue()
+
+
+_PRIOR_KEYS = [f"U{a},U{b}" for a in range(4) for b in range(4)]
+_PRIOR_VALUES = _JSON_TREES | st.floats(0, 1) | st.sampled_from([1 / 16, 10**400, -(10**309)])
+
+
+@st.composite
+def _priors_texts(draw):
+    """JSON text a priors file might hold: objects over real and bogus pair
+    names, repeated keys included, any JSON value, or text that is not JSON."""
+    kind = draw(st.sampled_from(["object", "value", "text"]))
+    if kind == "text":
+        return draw(st.text(max_size=40))
+    if kind == "value":
+        return json.dumps(draw(_JSON_TREES))
+    keys = st.sampled_from(_PRIOR_KEYS) | st.text(max_size=6)
+    members = draw(st.lists(st.tuples(keys, _PRIOR_VALUES), max_size=18))
+    return "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in members) + "}"
+
+
+class TestPriorsProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(text=_priors_texts())
+    def test_priors_file_raises_only_typed_errors(self, text):
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            priors, run = Path(tmp) / "priors.json", Path(tmp) / "run.json"
+            priors.write_text(text, encoding="utf-8")
+            run.write_text(_small_run_documents()[0], encoding="utf-8")
+            try:
+                cli._load_priors(f"@{priors}")
+                loaded = True
+            except (ValueError, OSError):
+                loaded = False
+            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["analyze", str(run), "--priors", f"@{priors}",
+                             "--out", str(Path(tmp) / "report.json")])
+        # A priors file that loads may still fail validation (a sum off 1).
+        assert code in ((0, 1) if loaded else (1,)), stderr.getvalue()
         assert "Traceback" not in stderr.getvalue()
 
 

@@ -6,8 +6,9 @@ the eavesdropper analyzer under uniform, skewed and point priors (the point
 prior makes some blocks inconsistent). run-mixed.json is run-bidirectional
 with some measurement lines removed, so one transcript shows all four
 announcement patterns. The serve and connect documents pin both halves of
-a two-process session over loopback, and trials.json pins a
-`simulate --trials` document.
+a two-process session over loopback, trials.json pins a
+`simulate --trials` document, and verify.txt pins what `swapcomm verify`
+prints, so a flipped draw in its sampling check shows.
 
 Regenerate (only when a change to the bytes is intended and versioned):
 
@@ -15,6 +16,8 @@ Regenerate (only when a change to the bytes is intended and versioned):
 """
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -128,6 +131,11 @@ def test_trials_document_bytes(tmp_path):
     assert out.read_bytes() == (GOLDEN / "trials.json").read_bytes()
 
 
+def test_verify_output_bytes(capsys):
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "verify.txt").read_bytes()
+
+
 @pytest.mark.parametrize("pattern", ["both", "a-only"])
 def test_large_documents_equal_indented_json_dumps(pattern, tmp_path, monkeypatch):
     """At 20 000 pairs block rows repeat far more than in the goldens. What
@@ -233,6 +241,9 @@ def regenerate() -> None:
     for run in NETWORKED:
         _serve_connect(run, GOLDEN / f"serve-{run}.json", GOLDEN / f"connect-{run}.json")
     assert main(["simulate", *TRIALS, "--out", str(GOLDEN / "trials.json")]) == 0
+    with contextlib.redirect_stdout(io.StringIO()) as verify_out:
+        assert main(["verify"]) == 0
+    (GOLDEN / "verify.txt").write_text(verify_out.getvalue(), encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from swapcomm.protocol import (
     SilentFallback,
     _block_draws,
     _compute_blocks,
+    _peer_message,
     block_rng,
     decode_ops,
     encode_bits,
@@ -512,6 +514,15 @@ class TestPeerCheck:
         assert err.value.transcript.announcements[-1] == peer_lines[3]
 
 
+_HELLO_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 2**70) | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["hello", "A", "B", "bidirectional", "random", 1, 8, 4, [2, 3]]),
+    lambda children: (st.lists(children, max_size=5)
+                      | st.dictionaries(st.text(max_size=3), children, max_size=3)),
+    max_leaves=8,
+)
+
+
 class TestSubstrateHelloSchema:
     """A malformed or hostile peer hello is a SessionError (exit 3), raised
     before any announcement is sent."""
@@ -561,6 +572,36 @@ class TestSubstrateHelloSchema:
         peer = {**substrate_hello("B", mine), "declared_length": 2, "ops": [1]}
         with pytest.raises(SessionError, match="no sending role"):
             run_remote_party("A", mine, _ScriptedSubstrate(peer), _ScriptedEndpoint())
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=st.builds(
+        SessionConfig,
+        n_pairs=st.integers(0, 41),
+        mode=st.sampled_from(list(SessionMode)),
+        fallback=st.sampled_from(list(SilentFallback)),
+        seed=st.integers(-(2**64), 2**65),
+    ), side=st.sampled_from(["A", "B"]), data=st.data())
+    def test_hello_round_trips_to_its_message(self, config, side, data):
+        sends = config.alice_sends if side == "A" else config.bob_sends
+        capacity = 2 * config.usable_blocks
+        messages = st.none() | st.text("01", max_size=capacity).map(MessageBits.from_bits)
+        message = data.draw(messages)
+        slot = "alice_message" if side == "A" else "bob_message"
+        config = dataclasses.replace(config, **{slot: message if sends else None})
+        hello = json.loads(json.dumps(substrate_hello(side, config)))
+        assert _peer_message(hello, side, config) == (message if sends else None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(fields=st.dictionaries(
+        st.sampled_from(list(PEER)) | st.text(max_size=4), _HELLO_VALUES, max_size=6),
+        start=st.sampled_from(["peer", "empty"]))
+    def test_arbitrary_hello_raises_only_session_errors(self, fields, start):
+        hello = {**(self.PEER if start == "peer" else {}), **fields}
+        try:
+            got = _peer_message(hello, "B", self.MINE)
+        except SessionError:
+            return
+        assert got is None or isinstance(got, MessageBits)
 
     def test_hello_read_is_bounded_by_own_pair_count(self):
         substrate = _ScriptedSubstrate(self.PEER)

@@ -1,9 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from swapcomm import quantum
 from swapcomm.quantum import (
+    ATOL_OP,
     BELL_ORDER,
     BellLabel,
     PauliCode,
@@ -187,6 +192,23 @@ class TestBellProject:
         with pytest.raises(ValueError, match="duplicate"):
             bell_project(state, (1, 1), BellLabel.PHI_PLUS)
 
+    @pytest.mark.parametrize("pair, message", [
+        ((0, 4), "pair (0, 4) out of range for 4-qubit register"),
+        ((-1, 2), "pair (-1, 2) out of range for 4-qubit register"),
+        ((2, 7), "pair (2, 7) out of range for 4-qubit register"),
+        ((1, 1), "duplicate qubit indices in pair (1, 1)"),
+    ])
+    @pytest.mark.parametrize("call", [
+        lambda s, p: bell_project(s, p, BellLabel.PHI_PLUS),
+        bell_project_all,
+        lambda s, p: bell_measure(s, p, np.random.default_rng(0)),
+    ], ids=["bell_project", "bell_project_all", "bell_measure"])
+    def test_bad_pair_message(self, call, pair, message):
+        state = tensor(bell_state(BellLabel.PSI_PLUS), bell_state(BellLabel.PSI_PLUS))
+        with pytest.raises(ValueError) as excinfo:
+            call(state, pair)
+        assert str(excinfo.value) == message
+
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
@@ -259,3 +281,106 @@ class TestBellMeasure:
             b_label, _ = bell_measure(residual, (1, 3), rng)
             prob, _ = bell_project(residual, (1, 3), b_label)
             assert abs(prob - 1.0) < 1e-9
+
+
+# Reference: the per-label tensordot projection that the shared pair view
+# replaced, kept verbatim. Every probability, residual and drawn label of
+# the package must equal these bit for bit.
+def _ref_bell_pair_tensor(label):
+    return quantum._BELL_AMPLITUDES[label].reshape(2, 2)
+
+
+def _ref_bell_project(state, pair, label):
+    i, j = pair
+    n = state.num_qubits
+    if i == j:
+        raise ValueError(f"duplicate qubit indices in pair {pair}")
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"pair {pair} out of range for {n}-qubit register")
+    bell = _ref_bell_pair_tensor(label)
+    t = state.amplitudes.reshape([2] * n)
+    # Contract the pair against <label|; what remains is the unmeasured factor.
+    rest = np.tensordot(bell.conj(), t, axes=([0, 1], [i, j]))
+    probability = float(np.vdot(rest, rest).real)
+    if probability < ATOL_OP:
+        return probability, None
+    rest = rest / math.sqrt(probability)
+    out = np.multiply.outer(bell, rest)
+    out = np.moveaxis(out, [0, 1], [i, j])
+    return probability, PureState(out.reshape(-1))
+
+
+def _ref_bell_project_all(state, pair):
+    return {label: _ref_bell_project(state, pair, label)[0] for label in BELL_ORDER}
+
+
+def _ref_bell_measure(state, pair, rng):
+    probs = _ref_bell_project_all(state, pair)
+    u = float(rng.random())
+    chosen = None
+    cumulative = 0.0
+    for label in BELL_ORDER:
+        p = probs[label]
+        if p <= ATOL_OP:
+            continue
+        chosen = label
+        cumulative += p
+        if u < cumulative:
+            break
+    assert chosen is not None, "no outcome has positive probability"
+    _, residual = _ref_bell_project(state, pair, chosen)
+    assert residual is not None
+    return chosen, residual
+
+
+@st.composite
+def _states(draw):
+    """Normalized 2-, 3- or 4-qubit states from an integer seed; some have
+    amplitudes zeroed so that outcomes of probability 0 occur."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    if draw(st.booleans()):
+        raw[rng.permutation(2**n)[: rng.integers(1, 2**n)]] = 0
+    return PureState(raw / np.linalg.norm(raw))
+
+
+class TestProjectionMatchesTensordotReference:
+    @settings(max_examples=150, deadline=None)
+    @given(state=_states(), rng_seed=st.integers(0, 2**64 - 1))
+    def test_every_pair_and_label_is_bitwise_equal(self, state, rng_seed):
+        for pair in itertools.permutations(range(state.num_qubits), 2):
+            got_all = bell_project_all(state, pair)
+            want_all = _ref_bell_project_all(state, pair)
+            assert list(got_all) == list(want_all) == list(BELL_ORDER)
+            assert all(got_all[label] == want_all[label] for label in BELL_ORDER)
+            for label in BELL_ORDER:
+                got_p, got_res = bell_project(state, pair, label)
+                want_p, want_res = _ref_bell_project(state, pair, label)
+                assert got_p == want_p
+                assert (got_res is None) == (want_res is None)
+                if got_res is not None:
+                    assert np.array_equal(got_res.amplitudes, want_res.amplitudes)
+            got_rng = np.random.default_rng(rng_seed)
+            want_rng = np.random.default_rng(rng_seed)
+            got_label, got_res = bell_measure(state, pair, got_rng)
+            want_label, want_res = _ref_bell_measure(state, pair, want_rng)
+            assert got_label is want_label
+            assert isinstance(got_res, PureState)
+            assert np.array_equal(got_res.amplitudes, want_res.amplitudes)
+            # One uniform consumed by each, so the streams stay in step.
+            assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("first, second", itertools.product(BELL_ORDER, repeat=2))
+    def test_block_inputs_are_bitwise_equal(self, first, second):
+        state = tensor(bell_state(first), bell_state(second))
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        for pair in itertools.permutations(range(4), 2):
+            got_all = bell_project_all(state, pair)
+            want_all = _ref_bell_project_all(state, pair)
+            assert all(got_all[label] == want_all[label] for label in BELL_ORDER)
+            for _ in range(3):
+                got_label, got_res = bell_measure(state, pair, rng)
+                want_label, want_res = _ref_bell_measure(state, pair, ref_rng)
+                assert got_label is want_label
+                assert np.array_equal(got_res.amplitudes, want_res.amplitudes)
