@@ -16,11 +16,8 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__, documents
 from .adversary import (
@@ -32,6 +29,7 @@ from .adversary import (
 )
 from .channel import ChannelError, FrameError, SessionListener, dial_session
 from .protocol import (
+    MAX_TRIALS,
     CapacityError,
     SessionConfig,
     SessionError,
@@ -40,6 +38,7 @@ from .protocol import (
     parse_message,
     run_remote_party,
     run_session,
+    run_trials,
 )
 from .swap import ALL_OP_PAIRS, audit_reference_table, generate_decode_table
 from .verify import run_verification
@@ -96,13 +95,16 @@ def _host_port(value: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
-def _at_least(minimum: int):
-    """An argparse type: an integer no smaller than `minimum`."""
+def _at_least(minimum: int, maximum: int | None = None):
+    """An argparse type: an integer no smaller than `minimum` and, if
+    given, no larger than `maximum`."""
 
     def integer(value: str) -> int:
         number = int(value)  # argparse reports a ValueError as "invalid integer value"
         if number < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {number}")
+        if maximum is not None and number > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {number}")
         return number
 
     return integer
@@ -152,22 +154,13 @@ def _config_from_args(args) -> SessionConfig:
     )
 
 
-def _trial_seed(seed: int, trial: int) -> int:
-    seq = np.random.SeedSequence(entropy=seed & ((1 << 64) - 1), spawn_key=(trial,))
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
-
-
-def _run_trial(payload: tuple[SessionConfig, int]) -> dict:
-    base, trial = payload
-    config = replace(base, seed=_trial_seed(base.seed, trial))
-    result = run_session(config)
-    return {
-        "trial": trial,
-        "seed": config.seed,
-        "decode_ok_alice": documents.decode_ok(result.decoded_by_alice, config.bob_message),
-        "decode_ok_bob": documents.decode_ok(result.decoded_by_bob, config.alice_message),
-        "session_id": result.transcript.session_id,
-    }
+def _trial_rows(config: SessionConfig, trials: int) -> list[dict]:
+    """The rows of a trials document, one per trial of `config`."""
+    return [
+        {"trial": trial, "seed": seed, "decode_ok_alice": ok_alice,
+         "decode_ok_bob": ok_bob, "session_id": sid}
+        for trial, (seed, ok_alice, ok_bob, sid) in enumerate(run_trials(config, trials))
+    ]
 
 
 def _cmd_simulate(args) -> int:
@@ -177,16 +170,7 @@ def _cmd_simulate(args) -> int:
             raise ValueError(
                 f"--format {args.format} applies to a single session; --trials writes json"
             )
-        payloads = [(config, t) for t in range(args.trials)]
-        # The pool forks all its workers up front: no more than trials or CPUs.
-        workers = min(args.workers, args.trials, os.cpu_count() or 1)
-        if workers > 1:
-            # One chunk per worker, not one round trip per trial.
-            chunk = -(-len(payloads) // workers)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_run_trial, payloads, chunksize=chunk))
-        else:
-            rows = [_run_trial(p) for p in payloads]
+        rows = _trial_rows(config, args.trials)
         ok = sum(
             1 for r in rows
             if r["decode_ok_alice"] in (True, None) and r["decode_ok_bob"] in (True, None)
@@ -388,10 +372,8 @@ def main(argv=None) -> int:
 
     p_sim = sub.add_parser("simulate", help="run a full session in one process")
     _session_flags(p_sim)
-    p_sim.add_argument("--trials", type=_at_least(1), default=1,
-                       help="run this many sessions with derived seeds")
-    p_sim.add_argument("--workers", type=_at_least(1), default=1,
-                       help="parallel workers for --trials (at most one per CPU)")
+    p_sim.add_argument("--trials", type=_at_least(1, MAX_TRIALS), default=1,
+                       help="run this many sessions with derived seeds (at most 2^32)")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_table = sub.add_parser("table", help="emit the decode table and audit report")

@@ -9,10 +9,14 @@ partner's operations from the swapping correlations.
 Sampling is seed-deterministic: each block draws from a stream derived
 from (seed, block index), so sessions are reproducible, blocks are
 independent, and a remote party with the same public seed derives the
-same outcomes. block_rng defines a block's stream. _block_draws computes
-the draws of every block of a session in one vectorised pass, bit for bit
-equal to block_rng's; sampling and decoding are then gathers from the
-decode table's code arrays.
+same outcomes. block_rng defines a block's stream. _seed_words replays
+numpy's SeedSequence over arrays of seeds and spawn keys, and _draw_grid
+builds on it the draws of every block under a column of seeds in one
+vectorised pass, bit for bit equal to block_rng's. A session is the
+one-seed case (_block_draws). run_trials is the many-seed case: it derives
+every trial seed with the same replay and samples and decodes all trials
+as rows of (trials x blocks) arrays. Sampling and decoding are gathers
+from the decode table's code arrays.
 
 One function, _play, runs every session: both sides on an in-process
 channel (run_session) or one side on a TCP endpoint (run_remote_party).
@@ -58,8 +62,12 @@ from .swap import (
 
 _MASK64 = (1 << 64) - 1
 _PEER = {"A": "B", "B": "A"}
-# Block indices are one 32-bit word of a block's spawn key (_block_draws).
+# Block and trial indices are one 32-bit word of a spawn key (_seed_words):
+# blocks count from 1, trials from 0.
 MAX_BLOCKS = (1 << 32) - 1
+MAX_TRIALS = 1 << 32
+# run_trials samples and decodes at most this many blocks at once.
+_TRIAL_CHUNK_BLOCKS = 1 << 12
 
 
 class CapacityError(ValueError):
@@ -301,59 +309,70 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     return new_hi + inc_hi + (out_lo < new_lo), out_lo
 
 
-def _block_draws(seed: int, n_blocks: int) -> np.ndarray:
-    """The first three integers(4) draws of block_rng(seed, k) for every
-    block k in 1..n_blocks, as row k-1 of an (n_blocks, 3) uint8 array.
+def _seed_words(seeds: np.ndarray, keys: np.ndarray, n_words: int) -> list[np.ndarray]:
+    """SeedSequence(entropy=seed, spawn_key=(key,)).generate_state(n_words,
+    uint32) for uint64 `seeds` and uint32 `keys` broadcast together: word i
+    of the state is entry i, a uint32 array of the broadcast shape.
 
-    This replays numpy's construction vectorised over k. Block k's entropy
-    is the words [seed lo, seed hi, 0, 0, k] (run entropy is padded to the
-    pool size of 4 when a spawn key is present), so the pool mixing up to
-    the spawn word is one computation per seed, in Python ints. The spawn
-    word's mixes, generate_state(4, uint64) and the PCG64 seeding and
-    steps run over uint32/uint64 arrays. integers(4) takes one buffered
-    32-bit half of a raw output per draw, and Lemire's method never
-    rejects for a range of 4, so a draw is the half's top two bits.
+    This replays numpy's construction over arrays. The entropy is the words
+    [seed lo, seed hi, 0, 0, key]: run entropy is padded to the pool size
+    of 4 when a spawn key is present, and a key below 2**32 is one word.
+    The hash constants evolve independently of the data, so each hashmix
+    and mix is a few whole-array operations.
     """
-    if not 0 <= n_blocks <= MAX_BLOCKS:
-        raise ValueError(f"n_blocks must be in 0..{MAX_BLOCKS}, got {n_blocks}")
-    seed64 = seed & _MASK64
     hash_const = _INIT_A
 
     def hashmix(value):
         nonlocal hash_const
-        value ^= hash_const
+        value = value ^ np.uint32(hash_const)
         hash_const = hash_const * _MULT_A & _M32
-        value = value * hash_const & _M32
+        value *= np.uint32(hash_const)
         return value ^ (value >> 16)
 
     def mix(x, y):
-        result = (_MIX_L * x - _MIX_R * y) & _M32
+        result = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
         return result ^ (result >> 16)
 
-    pool = [hashmix(word) for word in (seed64 & _M32, seed64 >> 32, 0, 0)]
+    zero = np.zeros(seeds.shape, dtype=np.uint32)
+    entropy = ((seeds & _M32).astype(np.uint32), (seeds >> 32).astype(np.uint32), zero, zero)
+    pool = [hashmix(word) for word in entropy]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-
-    spawn = np.arange(1, n_blocks + 1, dtype=np.uint32)
-    for dst in range(4):  # mix(pool[dst], hashmix(spawn)), over all blocks
-        h = spawn ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _M32
-        h *= np.uint32(hash_const)
-        h ^= h >> 16
-        word = np.uint32(_MIX_L * pool[dst] & _M32) - h * np.uint32(_MIX_R)
-        word ^= word >> 16
-        pool[dst] = word
+    for dst in range(4):  # the spawn word
+        pool[dst] = mix(pool[dst], hashmix(keys))
 
     hash_const = _INIT_B
-    state = []  # generate_state: 8 words cycling over the pool
-    for i in range(8):
+    state = []  # generate_state: n_words words cycling over the pool
+    for i in range(n_words):
         h = pool[i % 4] ^ np.uint32(hash_const)
         hash_const = hash_const * _MULT_B & _M32
         h *= np.uint32(hash_const)
-        h ^= h >> 16
-        state.append(h.astype(np.uint64))
+        state.append(h ^ (h >> 16))
+    return state
+
+
+def _seed_column(seed: int) -> np.ndarray:
+    """One session seed as the column _draw_grid and _block_codes take."""
+    return np.array([seed & _MASK64], dtype=np.uint64)
+
+
+def _draw_grid(seeds: np.ndarray, n_blocks: int) -> np.ndarray:
+    """The first three integers(4) draws of block_rng(seed, k) for every
+    seed of the uint64 column `seeds` and every block k in 1..n_blocks:
+    draw j of block k under seed i is entry [j, i, k-1] of a
+    (3, len(seeds), n_blocks) uint8 array.
+
+    The generate_state(4, uint64) words of _seed_words seed PCG64, whose
+    steps run over uint64 arrays. integers(4) takes one buffered 32-bit
+    half of a raw output per draw, and Lemire's method never rejects for a
+    range of 4, so a draw is the half's top two bits.
+    """
+    if not 0 <= n_blocks <= MAX_BLOCKS:
+        raise ValueError(f"n_blocks must be in 0..{MAX_BLOCKS}, got {n_blocks}")
+    spawn = np.arange(1, n_blocks + 1, dtype=np.uint32)
+    state = [w.astype(np.uint64) for w in _seed_words(seeds[:, None], spawn, 8)]
     v0, v1, v2, v3 = (state[2 * i] | (state[2 * i + 1] << 32) for i in range(4))
 
     # PCG64 seeding: initstate = v0:v1, inc = (v2:v3 << 1) | 1, then
@@ -368,11 +387,25 @@ def _block_draws(seed: int, n_blocks: int) -> np.ndarray:
         x, rot = hi ^ lo, hi >> 58
         raw.append((x >> rot) | (x << ((64 - rot) & 63)))
 
-    draws = np.empty((n_blocks, 3), dtype=np.uint8)
-    draws[:, 0] = (raw[0] & _M32) >> 30
-    draws[:, 1] = raw[0] >> 62
-    draws[:, 2] = (raw[1] & _M32) >> 30
+    draws = np.empty((3, len(seeds), n_blocks), dtype=np.uint8)
+    draws[0] = (raw[0] & _M32) >> 30
+    draws[1] = raw[0] >> 62
+    draws[2] = (raw[1] & _M32) >> 30
     return draws
+
+
+def _block_draws(seed: int, n_blocks: int) -> np.ndarray:
+    """The first three integers(4) draws of block_rng(seed, k) for every
+    block k in 1..n_blocks, as row k-1 of an (n_blocks, 3) uint8 array."""
+    return _draw_grid(_seed_column(seed), n_blocks)[:, 0].T
+
+
+def _spawn_seeds(seed: int, start: int, stop: int) -> np.ndarray:
+    """The seeds of trials start..stop-1 of a run with seed `seed`: trial t
+    has the first generate_state(1, uint64) word of SeedSequence(seed,
+    spawn_key=(t,)), as a uint64 array."""
+    lo, hi = _seed_words(_seed_column(seed), np.arange(start, stop, dtype=np.uint32), 2)
+    return lo.astype(np.uint64) | (hi.astype(np.uint64) << 32)
 
 
 @dataclass(frozen=True)
@@ -534,10 +567,12 @@ def _block_columns(result: SessionResult) -> BlockColumns:
     return blocks if isinstance(blocks, BlockColumns) else BlockColumns.from_records(blocks)
 
 
-def _block_codes(config: SessionConfig) -> tuple[np.ndarray, ...]:
-    """The session's blocks as four code columns (op_a, op_b, label_a,
-    label_b); entry k-1 is block k. Op code -1 means no operation
-    (declared silence).
+def _block_codes(config: SessionConfig, seeds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The blocks of config's session under each seed of the uint64 column
+    `seeds`, as four code arrays (op_a, op_b, label_a, label_b): entry
+    [i, k-1] is block k under seed i. An op that no seed changes is one
+    row, which broadcasts. Op code -1 means no operation (declared
+    silence).
 
     The a-side label is uniform regardless of the operations (the measured
     photons are maximally mixed); the b-side label is then determined by
@@ -549,25 +584,31 @@ def _block_codes(config: SessionConfig) -> tuple[np.ndarray, ...]:
     n = config.usable_blocks
     # Fixed draw order per block: Alice's fallback op, Bob's, then the
     # a-side label; both parties must consume the stream identically.
-    draws = iter(_block_draws(config.seed, n).T.astype(np.intp))
+    draws = iter(_draw_grid(seeds, n).astype(np.intp))
     ops = []
     for side, sends in (("A", config.alice_sends), ("B", config.bob_sends)):
         if sends:
-            op = np.zeros(n, dtype=np.intp)
+            op = np.zeros((1, n), dtype=np.intp)
             codes = _message_codes(config.message_for(side))
-            op[: len(codes)] = codes
+            op[0, : len(codes)] = codes
         elif config.fallback is SilentFallback.RANDOM_OPS:
             op = next(draws)
         else:
-            op = np.full(n, -1, dtype=np.intp)
+            op = np.full((1, n), -1, dtype=np.intp)
         ops.append(op)
     label_a = next(draws)
     composite = table.composite_codes[np.maximum(ops[0], 0), np.maximum(ops[1], 0)]
     return ops[0], ops[1], label_a, table.pairing_codes[composite, label_a]
 
 
+def _session_blocks(config: SessionConfig) -> BlockColumns:
+    """The blocks of config's session, under its own seed."""
+    codes = _block_codes(config, _seed_column(config.seed))
+    return BlockColumns(tuple(c[0] for c in codes), config.announce_pattern())
+
+
 def _compute_blocks(config: SessionConfig) -> tuple[BlockRecord, ...]:
-    return BlockColumns(_block_codes(config), config.announce_pattern()).records()
+    return _session_blocks(config).records()
 
 
 def sample_block_outcomes(
@@ -611,20 +652,16 @@ def _announcement_schedule(sid: str, config: SessionConfig, blocks: BlockColumns
     return CodedLines(sid, block_numbers, codes)
 
 
-def _decode_direction(
-    own_ops: np.ndarray,
-    labels_a: np.ndarray,
-    labels_b: np.ndarray,
-    declared_length: int,
-    table: DecodeTable,
-) -> MessageBits:
-    """A party decodes its partner's operations from its own operations
+def _partner_codes(
+    own_ops: np.ndarray, labels_a: np.ndarray, labels_b: np.ndarray, table: DecodeTable
+) -> np.ndarray:
+    """A party decodes its partner's operation codes from its own operations
     (code -1, silence, acts as the identity) plus the joint outcome: its
     own labels and the partner's announced ones. Alice's label is always
-    the a-side of the joint outcome, whichever party is decoding."""
+    the a-side of the joint outcome, whichever party is decoding. The
+    arrays may have any shapes that broadcast together."""
     inferred = table.infer_codes[labels_a, labels_b]
-    partner_ops = table.partner_codes[np.maximum(own_ops, 0), inferred]
-    return _message_from_codes(partner_ops, declared_length)
+    return table.partner_codes[np.maximum(own_ops, 0), inferred]
 
 
 def _decode(
@@ -639,14 +676,14 @@ def _decode(
     party always announces, so the needed labels always exist."""
     decoded_by_alice = decoded_by_bob = None
     if transcript.mode is not SessionMode.BOB_TO_ALICE:
-        decoded_by_bob = _decode_direction(
-            blocks.op_b, blocks.label_a, blocks.label_b,
-            transcript.alice_declared_length or 0, table,
+        decoded_by_bob = _message_from_codes(
+            _partner_codes(blocks.op_b, blocks.label_a, blocks.label_b, table),
+            transcript.alice_declared_length or 0,
         )
     if transcript.mode is not SessionMode.ALICE_TO_BOB:
-        decoded_by_alice = _decode_direction(
-            blocks.op_a, blocks.label_a, blocks.label_b,
-            transcript.bob_declared_length or 0, table,
+        decoded_by_alice = _message_from_codes(
+            _partner_codes(blocks.op_a, blocks.label_a, blocks.label_b, table),
+            transcript.bob_declared_length or 0,
         )
     return decoded_by_alice, decoded_by_bob
 
@@ -682,7 +719,7 @@ def _play(config: SessionConfig, exchange, tap) -> SessionResult:
     which for a ChannelError is the tap.
     """
     table = generate_decode_table()
-    blocks = BlockColumns(_block_codes(config), config.announce_pattern())
+    blocks = _session_blocks(config)
     sid = session_id(config)
     schedule = _announcement_schedule(sid, config, blocks)
     try:
@@ -752,6 +789,59 @@ def run_session(config: SessionConfig, channel: InProcessChannel | None = None) 
     if channel is None:
         channel = InProcessChannel()
     return _play(config, partial(_exchange_in_process, channel), channel.tap)
+
+
+def _decodes_exactly(
+    decodes: bool, own_ops, labels_a, labels_b, sent: MessageBits | None, table: DecodeTable
+) -> list:
+    """Per row of the (trials x blocks) codes, whether the party decodes
+    `sent` exactly, as documents.decode_ok says it: over the declared bits
+    only, so an odd length compares the high bit of the last code. None for
+    every row when the party does not decode (`decodes` false) or no
+    message was sent."""
+    if not decodes or sent is None:
+        return [None] * len(labels_a)
+    got = _partner_codes(own_ops, labels_a, labels_b, table)
+    want = _message_codes(sent)
+    whole = sent.declared_length // 2
+    exact = (got[:, :whole] == want[:whole]).all(axis=1)
+    if sent.declared_length % 2:
+        exact &= (got[:, whole] >> 1) == (want[whole] >> 1)
+    return exact.tolist()
+
+
+def run_trials(config: SessionConfig, n_trials: int) -> list[tuple]:
+    """Sessions 0..n_trials-1 of `config`: trial t runs under the seed
+    _spawn_seeds derives from (config.seed, t). Per trial gives (seed,
+    decode_ok_alice, decode_ok_bob, session id), each as run_session of
+    the config with that seed and documents.decode_ok would give it.
+
+    The trials are sampled and decoded as rows of (trials x blocks) code
+    arrays, in chunks of at most _TRIAL_CHUNK_BLOCKS blocks. No trial
+    builds an announcement schedule or exchanges it: decoding reads the
+    label columns, and an in-process exchange hands the schedule back
+    untouched.
+    """
+    if not 0 <= n_trials <= MAX_TRIALS:
+        raise ValueError(f"n_trials must be in 0..{MAX_TRIALS}, got {n_trials}")
+    config.validate()  # reads no seed, so one check holds for every trial
+    table = generate_decode_table()
+    step = max(1, _TRIAL_CHUNK_BLOCKS // max(config.usable_blocks, 1))
+    rows = []
+    for start in range(0, n_trials, step):
+        seeds = _spawn_seeds(config.seed, start, min(start + step, n_trials))
+        op_a, op_b, label_a, label_b = _block_codes(config, seeds)
+        ok_alice = _decodes_exactly(
+            config.bob_sends, op_a, label_a, label_b, config.bob_message, table
+        )
+        ok_bob = _decodes_exactly(
+            config.alice_sends, op_b, label_a, label_b, config.alice_message, table
+        )
+        rows.extend(
+            (seed, a, b, session_id(replace(config, seed=seed)))
+            for seed, a, b in zip(seeds.tolist(), ok_alice, ok_bob)
+        )
+    return rows
 
 
 def replay(transcript: Transcript, blocks) -> SessionResult:

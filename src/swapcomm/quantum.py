@@ -110,7 +110,7 @@ class PureState:
         num_qubits = n.bit_length() - 1
         if num_qubits > 4:
             raise ValueError(f"register of {num_qubits} qubits exceeds the 4-qubit maximum")
-        if not np.all(np.isfinite(amps.view(np.float64))):
+        if not np.isfinite(amps.view(np.float64)).all():
             raise ValueError("amplitudes must be finite")
         sq_norm = float(np.vdot(amps, amps).real)
         if abs(sq_norm - 1.0) > ATOL_ACC:

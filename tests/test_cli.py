@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import copy
 import functools
 import io
@@ -14,7 +15,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swapcomm import cli, documents, jsontext
+import numpy as np
+
+from swapcomm import cli, documents, jsontext, protocol
 from swapcomm.channel import (
     PUBLIC_PREAMBLE,
     SUBSTRATE_PREAMBLE,
@@ -23,6 +26,7 @@ from swapcomm.channel import (
 )
 from swapcomm.cli import main
 from swapcomm.protocol import (
+    CapacityError,
     MessageBits,
     SessionConfig,
     SessionError,
@@ -121,13 +125,16 @@ class TestSimulate:
         assert doc["summary"] == {"trials": 8, "all_decodes_exact": True}
         assert len({row["seed"] for row in doc["trials"]}) == 8
 
-    def test_trials_parallel_workers_match_sequential(self, tmp_path):
-        flags = ["simulate", "--pairs", "6", "--alice-msg", "01",
-                 "--seed", "9", "--trials", "4"]
-        seq, par = tmp_path / "seq.json", tmp_path / "par.json"
-        assert main(flags + ["--out", str(seq)]) == 0
-        assert main(flags + ["--workers", "2", "--out", str(par)]) == 0
-        assert seq.read_bytes() == par.read_bytes()
+    @pytest.mark.parametrize("workers", ["2", "0", "-2"])
+    def test_workers_is_a_usage_error(self, workers, tmp_path, capsys):
+        """--trials runs in one process; the worker-pool option is gone."""
+        out = tmp_path / "never.json"
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--pairs", "6", "--alice-msg", "01", "--seed", "9",
+                  "--trials", "4", "--workers", workers, "--out", str(out)])
+        assert err.value.code == 1
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_trials_read_file_and_hex_messages(self, tmp_path):
         msg = tmp_path / "alice.txt"
@@ -148,19 +155,19 @@ class TestSimulate:
             main(["simulate", "--pairs", "not-a-number"])
         assert err.value.code == 1
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["simulate", "--pairs", "6", "--trials", "0"], "--trials"),
-        (["simulate", "--pairs", "6", "--trials", "-3"], "--trials"),
-        (["simulate", "--pairs", "6", "--workers", "0"], "--workers"),
-        (["simulate", "--pairs", "6", "--workers", "-2"], "--workers"),
-        (["analyze", "run.json", "--mc-blocks", "-5"], "--mc-blocks"),
+    @pytest.mark.parametrize("argv, flag, bound", [
+        (["simulate", "--pairs", "6", "--trials", "0"], "--trials", "at least"),
+        (["simulate", "--pairs", "6", "--trials", "-3"], "--trials", "at least"),
+        # A trial index is one 32-bit spawn word: 2^32 trials at most.
+        (["simulate", "--pairs", "6", "--trials", str(2**32 + 1)], "--trials", "at most"),
+        (["analyze", "run.json", "--mc-blocks", "-5"], "--mc-blocks", "at least"),
     ])
-    def test_out_of_range_count_is_a_usage_error(self, argv, flag, tmp_path, capsys):
+    def test_out_of_range_count_is_a_usage_error(self, argv, flag, bound, tmp_path, capsys):
         out = tmp_path / "never.json"
         with pytest.raises(SystemExit) as err:
             main([*argv, "--out", str(out)])
         assert err.value.code == 1
-        assert f"argument {flag}: must be at least" in capsys.readouterr().err
+        assert f"argument {flag}: must be {bound}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "text"])
@@ -177,39 +184,92 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out.out)["kind"] == "session-run"
 
-    @pytest.mark.parametrize("trials, workers, pool", [
-        (3, 100_000, 3),  # no more workers than trials
-        (50, 100_000, 4),  # nor than CPUs
-        (50, 2, 2),
-        (50, 1, None),  # one worker runs in this process
-    ])
-    def test_worker_pool_is_bounded(self, trials, workers, pool, monkeypatch, tmp_path):
-        """A recorder stands in for the pool, so no worker is ever forked."""
-        import swapcomm.cli as cli
-        sizes = []
 
-        class Recorder:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+def _reference_trial_seed(seed: int, trial: int) -> int:
+    seq = np.random.SeedSequence(entropy=seed & ((1 << 64) - 1), spawn_key=(trial,))
+    return int(seq.generate_state(1, dtype=np.uint64)[0])
 
-            def __enter__(self):
-                return self
 
-            def __exit__(self, *exc):
-                return False
+def _reference_run_trial(payload: tuple[SessionConfig, int]) -> dict:
+    """The trial row as a full session gives it: one run_session per trial."""
+    base, trial = payload
+    config = dataclasses.replace(base, seed=_reference_trial_seed(base.seed, trial))
+    result = run_session(config)
+    return {
+        "trial": trial,
+        "seed": config.seed,
+        "decode_ok_alice": documents.decode_ok(result.decoded_by_alice, config.bob_message),
+        "decode_ok_bob": documents.decode_ok(result.decoded_by_bob, config.alice_message),
+        "session_id": result.transcript.session_id,
+    }
 
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-        flags = ["simulate", "--pairs", "4", "--alice-msg", "01", "--seed", "3",
-                 "--trials", str(trials)]
-        serial, pooled = tmp_path / "serial.json", tmp_path / "pooled.json"
-        assert main([*flags, "--out", str(serial)]) == 0
-        assert main([*flags, "--workers", str(workers), "--out", str(pooled)]) == 0
-        assert sizes == ([] if pool is None else [pool])
-        assert pooled.read_bytes() == serial.read_bytes()
+def _outcome(fn):
+    """fn()'s value, or the type and text of the ValueError it raised."""
+    try:
+        return fn()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _trial_configs(draw):
+    """Session configs of every mode and fallback, 0-41 pairs, with each
+    message absent, empty, random (odd lengths too), at full capacity or,
+    rarely, beyond it or given to a side with no sending role."""
+    n_pairs = draw(st.integers(0, 41))
+    mode = draw(st.sampled_from(list(SessionMode)))
+    capacity = 2 * (n_pairs // 2)
+
+    def message(sends):
+        kind = draw(st.sampled_from(
+            ["absent", "empty", "random", "full", "over"] if sends else ["absent", "empty", "role"]
+        ))
+        if kind == "absent":
+            return None
+        length = {"empty": 0, "full": capacity, "over": capacity + 1, "role": 1,
+                  "random": draw(st.integers(0, capacity))}[kind]
+        return MessageBits.from_bits("".join(draw(st.lists(
+            st.sampled_from("01"), min_size=length, max_size=length))))
+
+    return SessionConfig(
+        n_pairs=n_pairs,
+        mode=mode,
+        fallback=draw(st.sampled_from(list(SilentFallback))),
+        seed=draw(st.one_of(st.sampled_from([0, -5, 2**32, 2**64 - 1]), st.integers())),
+        alice_message=message(mode is not SessionMode.BOB_TO_ALICE),
+        bob_message=message(mode is not SessionMode.ALICE_TO_BOB),
+    )
+
+
+class TestTrialRows:
+    """The batched trials pass against one full session per trial."""
+
+    @pytest.mark.parametrize("chunk", [None, 1, 7])
+    @settings(max_examples=120, deadline=None)
+    @given(config=_trial_configs(), trials=st.integers(1, 20))
+    def test_rows_equal_one_session_per_trial(self, chunk, config, trials):
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk is not None:  # many chunks of rows, or one row a chunk
+                patch.setattr(protocol, "_TRIAL_CHUNK_BLOCKS", chunk)
+            got = _outcome(lambda: cli._trial_rows(config, trials))
+        want = _outcome(lambda: [_reference_run_trial((config, t)) for t in range(trials)])
+        assert got == want
+
+    def test_capacity_error_matches_a_session(self):
+        config = SessionConfig(n_pairs=7, seed=3, alice_message=MessageBits.from_bits("1" * 7))
+        with pytest.raises(CapacityError) as batched:
+            cli._trial_rows(config, 5)
+        with pytest.raises(CapacityError) as session:
+            _reference_run_trial((config, 0))
+        assert str(batched.value) == str(session.value)
+        assert "7-bit message needs 8 pairs" in str(batched.value)
+
+    def test_zero_pairs(self):
+        config = SessionConfig(n_pairs=0, seed=-5, alice_message=MessageBits.from_bits(""))
+        rows = cli._trial_rows(config, 3)
+        assert rows == [_reference_run_trial((config, t)) for t in range(3)]
+        assert {row["decode_ok_bob"] for row in rows} == {True}
 
 
 class TestTable:

@@ -6,8 +6,8 @@ the eavesdropper analyzer under uniform, skewed and point priors (the point
 prior makes some blocks inconsistent). run-mixed.json is run-bidirectional
 with some measurement lines removed, so one transcript shows all four
 announcement patterns. The serve and connect documents pin both halves of
-a two-process session over loopback, trials.json pins a
-`simulate --trials` document, and verify.txt pins what `swapcomm verify`
+a two-process session over loopback, the trials*.json documents pin
+`simulate --trials` in each mode, and verify.txt pins what `swapcomm verify`
 prints, so a flipped draw in its sampling check shows.
 
 Regenerate (only when a change to the bytes is intended and versioned):
@@ -53,8 +53,22 @@ NETWORKED = {
                       ["--pairs", "12", "--seed", "12", "--mode", "a-to-b",
                        "--fallback", "silent"]),
 }
-TRIALS = ["--trials", "5", "--pairs", "8", "--seed", "3",
-          "--alice-msg", "0110", "--bob-msg", "101"]
+# `simulate --trials` documents: golden trials{name}.json. The 41-pair runs
+# cover an odd pair count, a message at full capacity (40 bits), odd-length
+# messages, both fallbacks and an absent message.
+TRIALS = {
+    "": ["--trials", "5", "--pairs", "8", "--seed", "3",
+         "--alice-msg", "0110", "--bob-msg", "101"],
+    "-a-to-b-random": ["--trials", "64", "--pairs", "41", "--seed", "21",
+                       "--mode", "a-to-b", "--fallback", "random",
+                       "--alice-msg", "1011001110001111000010110100101101001110"],
+    "-b-to-a-silent": ["--trials", "64", "--pairs", "41", "--seed", "-22",
+                       "--mode", "b-to-a", "--fallback", "silent",
+                       "--bob-msg", "0110100111010"],
+    "-bidirectional-one-message": ["--trials", "64", "--pairs", "41",
+                                   "--seed", "18446744073709551615",
+                                   "--bob-msg", "110010110101100"],
+}
 # run-mixed drops these (block, side) measurement lines from run-bidirectional.
 MIXED_DROPS = {(2, "A"), (3, "B"), (4, "A"), (4, "B")}
 DOCUMENTS = (*RUNS, "mixed")
@@ -125,10 +139,11 @@ def test_serve_connect_document_bytes(run, tmp_path):
     assert connect_out.read_bytes() == (GOLDEN / f"connect-{run}.json").read_bytes()
 
 
-def test_trials_document_bytes(tmp_path):
+@pytest.mark.parametrize("name", sorted(TRIALS))
+def test_trials_document_bytes(name, tmp_path):
     out = tmp_path / "trials.json"
-    assert main(["simulate", *TRIALS, "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / "trials.json").read_bytes()
+    assert main(["simulate", *TRIALS[name], "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"trials{name}.json").read_bytes()
 
 
 def test_verify_output_bytes(capsys):
@@ -240,7 +255,8 @@ def regenerate() -> None:
             assert _analyze(document, priors, out) == 0
     for run in NETWORKED:
         _serve_connect(run, GOLDEN / f"serve-{run}.json", GOLDEN / f"connect-{run}.json")
-    assert main(["simulate", *TRIALS, "--out", str(GOLDEN / "trials.json")]) == 0
+    for name, flags in TRIALS.items():
+        assert main(["simulate", *flags, "--out", str(GOLDEN / f"trials{name}.json")]) == 0
     with contextlib.redirect_stdout(io.StringIO()) as verify_out:
         assert main(["verify"]) == 0
     (GOLDEN / "verify.txt").write_text(verify_out.getvalue(), encoding="utf-8")

@@ -18,7 +18,11 @@ from swapcomm.protocol import (
     SilentFallback,
     _block_draws,
     _compute_blocks,
+    _decodes_exactly,
+    _draw_grid,
     _peer_message,
+    _seed_words,
+    _spawn_seeds,
     block_rng,
     decode_ops,
     encode_bits,
@@ -365,6 +369,65 @@ class TestBatchedSampling:
         for k in range(1, n_blocks + 1):
             rng = block_rng(seed, k)
             assert draws[k - 1].tolist() == [int(rng.integers(4)) for _ in range(3)], k
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seeds=st.lists(
+            st.one_of(st.sampled_from([0, -5, 2**32, 2**64 - 1]), st.integers()),
+            min_size=1, max_size=4,
+        ),
+        keys=st.lists(
+            st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1)),
+            max_size=5,
+        ),
+        n_words=st.integers(1, 9),
+    )
+    def test_seed_words_equal_seed_sequence(self, seeds, keys, n_words):
+        entropy = np.array([seed & (2**64 - 1) for seed in seeds], dtype=np.uint64)
+        words = _seed_words(entropy[:, None], np.array(keys, dtype=np.uint32), n_words)
+        assert len(words) == n_words
+        for i, seed in enumerate(seeds):
+            for j, key in enumerate(keys):
+                seq = np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(key,))
+                expected = seq.generate_state(n_words, np.uint32).tolist()
+                assert [int(word[i, j]) for word in words] == expected, (seed, key)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(), start=st.integers(0, 2**32 - 8), count=st.integers(0, 8))
+    def test_spawn_seeds_equal_seed_sequence(self, seed, start, count):
+        expected = [
+            int(np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(t,))
+                .generate_state(1, np.uint64)[0])
+            for t in range(start, start + count)
+        ]
+        assert _spawn_seeds(seed, start, start + count).tolist() == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 2**64 - 1), max_size=4), n_blocks=st.integers(0, 30))
+    def test_draw_grid_rows_equal_block_draws(self, seeds, n_blocks):
+        grid = _draw_grid(np.array(seeds, dtype=np.uint64), n_blocks)
+        assert grid.shape == (3, len(seeds), n_blocks) and grid.dtype == np.uint8
+        for i, seed in enumerate(seeds):
+            assert np.array_equal(grid[:, i].T, _block_draws(seed, n_blocks))
+
+    def test_decodes_exactly_counts_declared_bits_only(self):
+        """"101" is stored as codes [2, 2]; the last code's low bit is padding."""
+        table = generate_decode_table()
+        # For each partner code c, a label pair that decodes to c when the
+        # party's own operation is U0.
+        labels = {
+            int(table.partner_codes[0, table.infer_codes[a, b]]): (a, b)
+            for a in range(4) for b in range(4)
+        }
+        rows = [[2, 2], [2, 3], [2, 0], [3, 2], [0, 2]]
+        label_a, label_b = (np.array([[labels[c][i] for c in row] for row in rows])
+                            for i in range(2))
+        own = np.zeros((1, 2), dtype=np.intp)
+        sent = MessageBits.from_bits("101")
+        assert _decodes_exactly(True, own, label_a, label_b, sent, table) == [
+            True, True, False, False, False]
+        assert _decodes_exactly(False, own, label_a, label_b, sent, table) == [None] * 5
+        assert _decodes_exactly(True, own, label_a, label_b, None, table) == [None] * 5
 
     @pytest.mark.parametrize("mode", list(SessionMode))
     @pytest.mark.parametrize("fallback", list(SilentFallback))
