@@ -35,14 +35,16 @@ instead of asserting blanket security.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .protocol import Transcript
+from . import jsontext
+from .channel import _MEASURED_SIDE, LINE_KINDS, SIDES
+from .protocol import Transcript, _coded_lines
 from .quantum import BellLabel, PauliCode
 from .swap import ALL_OP_PAIRS, ENCODING_ORDER, generate_decode_table
 
@@ -183,24 +185,67 @@ class EveView:
 
     transcript: Transcript
 
+    def label_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each side's announced label per block, as its index in
+        ENCODING_ORDER (entry k-1 is block k), -1 where the side announced
+        none. A side that announced a block twice is a ValueError, side A
+        checked first, as Transcript.measurements reports it."""
+        transcript = self.transcript
+        n = transcript.usable_blocks
+        columns = (np.full(n, -1, dtype=np.intp), np.full(n, -1, dtype=np.intp))
+        lines = _coded_lines(transcript)
+        if lines is None:  # a transcript given its Announcements
+            for side, column in zip(SIDES, columns):
+                for block, label in transcript.measurements(side).items():
+                    if 1 <= block <= n:
+                        column[block - 1] = _LABEL_INDEX[label]
+            return columns
+        measured = _MEASURED_SIDE[lines.codes]
+        for index, (side, column) in enumerate(zip(SIDES, columns)):
+            mine = np.flatnonzero(measured == index)
+            blocks = lines.blocks[mine]
+            repeated = _first_repeat(blocks)
+            if repeated is not None:
+                raise ValueError(f"side {side} announced block {repeated} twice")
+            kept = (blocks >= 1) & (blocks <= n)
+            column[blocks[kept] - 1] = _LINE_LABEL[lines.codes[mine[kept]]]
+        return columns
+
     def block_announcements(self) -> list[tuple[int, BellLabel | None, BellLabel | None]]:
-        a_seen = self.transcript.measurements("A")
-        b_seen = self.transcript.measurements("B")
+        a_seen, b_seen = (column.tolist() for column in self.label_columns())
         return [
-            (k, a_seen.get(k), b_seen.get(k))
-            for k in range(1, self.transcript.usable_blocks + 1)
+            (k, _LABEL_OR_NONE[a], _LABEL_OR_NONE[b])
+            for k, a, b in zip(range(1, len(a_seen) + 1), a_seen, b_seen)
         ]
 
 
-def _view_of(a_label: BellLabel | None, b_label: BellLabel | None) -> tuple[str, int]:
-    """A block's announcement pattern and its view's column in _likelihoods()."""
-    if a_label is not None and b_label is not None:
-        return PATTERN_BOTH, 4 * _LABEL_INDEX[a_label] + _LABEL_INDEX[b_label]
-    if a_label is not None:
-        return PATTERN_A_ONLY, 16 + _LABEL_INDEX[a_label]
-    if b_label is not None:
-        return PATTERN_B_ONLY, 20 + _LABEL_INDEX[b_label]
-    return PATTERN_NONE, 24
+# By line code: the announced label's index in ENCODING_ORDER, -1 for a
+# control line. By that index, with -1 last: the label, or None.
+_LINE_LABEL = np.array([-1 if label is None else _LABEL_INDEX[label] for *_, label in LINE_KINDS])
+_LABEL_OR_NONE = (*ENCODING_ORDER, None)
+
+
+def _first_repeat(blocks: np.ndarray) -> int | None:
+    """The first entry of `blocks` equal to an earlier one, or None."""
+    if (blocks[1:] > blocks[:-1]).all():  # strictly increasing, as sessions announce
+        return None
+    _, first = np.unique(blocks, return_index=True)
+    repeats = np.ones(len(blocks), dtype=bool)
+    repeats[first] = False
+    at = np.flatnonzero(repeats)
+    return int(blocks[at[0]]) if at.size else None
+
+
+def _view_parts(column: int) -> tuple[str, BellLabel | None, BellLabel | None]:
+    """The announcement pattern and announced labels of the view in column
+    `column` of _likelihoods()."""
+    if column < 16:
+        return PATTERN_BOTH, ENCODING_ORDER[column // 4], ENCODING_ORDER[column % 4]
+    if column < 20:
+        return PATTERN_A_ONLY, ENCODING_ORDER[column - 16], None
+    if column < 24:
+        return PATTERN_B_ONLY, None, ENCODING_ORDER[column - 20]
+    return PATTERN_NONE, None, None
 
 
 @dataclass(frozen=True)
@@ -220,13 +265,44 @@ class BlockPosterior:
     mi_joint_bits: float
 
 
-@dataclass(frozen=True)
 class PosteriorReport:
-    blocks: tuple[BlockPosterior, ...]
+    """A session's block posteriors as columns: `views` holds the posterior
+    of each distinct view once, as a BlockPosterior of index 0, and
+    `which[k-1]` is the position in `views` of block k's view. Blocks of
+    one view share its values. The per-block BlockPosteriors are built the
+    first time `blocks` is read, then kept."""
+
+    __slots__ = ("views", "which", "_blocks")
+
+    def __init__(self, views: tuple[BlockPosterior, ...], which: np.ndarray):
+        self.views = views
+        self.which = which
+        self._blocks = None
+
+    @property
+    def blocks(self) -> tuple[BlockPosterior, ...]:
+        if self._blocks is None:
+            self._blocks = tuple(
+                replace(self.views[v], index=k)
+                for k, v in enumerate(self.which.tolist(), start=1)
+            )
+        return self._blocks
 
     @property
     def inconsistent_blocks(self) -> tuple[int, ...]:
-        return tuple(b.index for b in self.blocks if not b.consistent)
+        return tuple((np.flatnonzero(~self._consistent()) + 1).tolist())
+
+    def _consistent(self) -> np.ndarray:
+        """Per block, whether its view is consistent with the priors."""
+        return np.array([view.consistent for view in self.views], dtype=bool)[self.which]
+
+
+def _block_sum(report: PosteriorReport, field: str, which: np.ndarray) -> float:
+    """sum(getattr(block, field)) over the blocks whose views `which`
+    lists, added in that order as a sum over BlockPosteriors adds it, bit
+    for bit, without building them."""
+    values = np.array([getattr(view, field) for view in report.views], dtype=float)
+    return sum(values[which].tolist())
 
 
 def eve_posterior(view: EveView, priors: Mapping[OpPair, float]) -> PosteriorReport:
@@ -238,35 +314,32 @@ def eve_posterior(view: EveView, priors: Mapping[OpPair, float]) -> PosteriorRep
     """
     priors_vec = _validate_priors(priors)
     prior_entropy = _entropy_bits(priors_vec)
-    announced = view.block_announcements()
-    seen = [_view_of(a_label, b_label) for _, a_label, b_label in announced]
-    info = {
-        pattern: _pattern_information(priors_vec, pattern)
-        for pattern in {pattern for pattern, _ in seen}
-    }
-    # A block's posterior depends only on its view, so each distinct view
-    # is scored once: one gather from the table, one row per view. Blocks
-    # of one view share its read-only posterior mapping.
-    columns, inverse = np.unique(
-        np.array([column for _, column in seen], dtype=np.int64), return_inverse=True
+    a_seen, b_seen = view.label_columns()
+    # A block's view is its column in _likelihoods(), as _view_parts reads it.
+    seen = np.where(
+        a_seen >= 0,
+        np.where(b_seen >= 0, 4 * a_seen + b_seen, 16 + a_seen),
+        np.where(b_seen >= 0, 20 + b_seen, 24),
     )
+    # A block's posterior depends only on its view, so each distinct view
+    # is scored once: one gather from the table, one row per view.
+    columns, which = np.unique(seen, return_inverse=True)
     weighted = priors_vec * _likelihoods().T[columns]
-    scored = []
-    for row, evidence in zip(weighted, weighted.sum(axis=1).tolist()):
-        if evidence > 0.0:
+    info = {}
+    views = []
+    for column, row, evidence in zip(columns.tolist(), weighted, weighted.sum(axis=1).tolist()):
+        pattern, a_label, b_label = _view_parts(column)
+        if pattern not in info:
+            info[pattern] = _pattern_information(priors_vec, pattern)
+        consistent = evidence > 0.0
+        if consistent:
             post_vec = row / evidence
             posterior = MappingProxyType(dict(zip(ALL_OP_PAIRS, post_vec.tolist())))
-            scored.append((True, posterior, _entropy_bits(post_vec)))
+            posterior_entropy = _entropy_bits(post_vec)
         else:
-            scored.append((False, MappingProxyType({}), float("nan")))
-
-    blocks = []
-    for (index, a_label, b_label), (pattern, _), k in zip(
-        announced, seen, inverse.tolist()
-    ):
-        consistent, posterior, posterior_entropy = scored[k]
-        blocks.append(BlockPosterior(
-            index=index,
+            posterior, posterior_entropy = MappingProxyType({}), float("nan")
+        views.append(BlockPosterior(
+            index=0,
             announced_a=a_label,
             announced_b=b_label,
             pattern=pattern,
@@ -276,7 +349,7 @@ def eve_posterior(view: EveView, priors: Mapping[OpPair, float]) -> PosteriorRep
             posterior_entropy_bits=posterior_entropy,
             **info[pattern],
         ))
-    return PosteriorReport(blocks=tuple(blocks))
+    return PosteriorReport(tuple(views), which)
 
 
 def information_summary(
@@ -289,30 +362,32 @@ def information_summary(
     """
     priors_vec = _validate_priors(priors)
     prior_entropy = _entropy_bits(priors_vec)
-    per_block = [
+    kinds = [
         {
-            "index": b.index,
-            "pattern": b.pattern,
-            "consistent": b.consistent,
-            "prior_entropy_bits": b.prior_entropy_bits,
-            "posterior_entropy_bits": b.posterior_entropy_bits,
-            "mi_alice_bits": b.mi_alice_bits,
-            "mi_bob_bits": b.mi_bob_bits,
-            "mi_joint_bits": b.mi_joint_bits,
+            "index": 0,
+            "pattern": view.pattern,
+            "consistent": view.consistent,
+            "prior_entropy_bits": view.prior_entropy_bits,
+            "posterior_entropy_bits": view.posterior_entropy_bits,
+            "mi_alice_bits": view.mi_alice_bits,
+            "mi_bob_bits": view.mi_bob_bits,
+            "mi_joint_bits": view.mi_joint_bits,
         }
-        for b in report.blocks
+        for view in report.views
     ]
-    consistent = [b for b in report.blocks if b.consistent]
+    which = report.which
     session = {
-        "blocks": len(report.blocks),
-        "prior_entropy_bits": prior_entropy * len(report.blocks),
-        "posterior_entropy_bits": sum(b.posterior_entropy_bits for b in consistent),
-        "mi_alice_bits": sum(b.mi_alice_bits for b in report.blocks),
-        "mi_bob_bits": sum(b.mi_bob_bits for b in report.blocks),
-        "mi_joint_bits": sum(b.mi_joint_bits for b in report.blocks),
+        "blocks": len(which),
+        "prior_entropy_bits": prior_entropy * len(which),
+        "posterior_entropy_bits": _block_sum(
+            report, "posterior_entropy_bits", which[report._consistent()]
+        ),
+        "mi_alice_bits": _block_sum(report, "mi_alice_bits", which),
+        "mi_bob_bits": _block_sum(report, "mi_bob_bits", which),
+        "mi_joint_bits": _block_sum(report, "mi_joint_bits", which),
         "inconsistent_blocks": list(report.inconsistent_blocks),
     }
-    return {"per_block": per_block, "session": session}
+    return {"per_block": jsontext.indexed_rows(kinds, which.tolist()), "session": session}
 
 
 def estimate_mi_monte_carlo(

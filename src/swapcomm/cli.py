@@ -19,7 +19,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import __version__, documents
+from . import __version__, documents, jsontext
 from .adversary import (
     EveView,
     estimate_mi_monte_carlo,
@@ -285,30 +285,26 @@ def _cmd_analyze(args) -> int:
     report = eve_posterior(EveView(transcript), priors)
     summary = information_summary(report, priors)
 
-    # Blocks of one view share its posterior mapping, so each view's row
-    # of it is built once, and documents.render_json renders each view's
-    # block body once.
-    posterior_rows = {}  # id of a view's posterior mapping -> its row
-    block_rows = []
-    for block in report.blocks:
-        posterior = posterior_rows.get(id(block.posterior))
-        if posterior is None:
-            posterior = posterior_rows[id(block.posterior)] = {
-                _PAIR_KEYS[pair]: p for pair, p in block.posterior.items() if p > 0.0
-            }
-        block_rows.append({
-            "index": block.index,
-            "pattern": block.pattern,
-            "announced_a": block.announced_a.value if block.announced_a else None,
-            "announced_b": block.announced_b.value if block.announced_b else None,
-            "consistent": block.consistent,
-            "posterior": posterior,
-            "prior_entropy_bits": block.prior_entropy_bits,
-            "posterior_entropy_bits": block.posterior_entropy_bits,
-            "mi_alice_bits": block.mi_alice_bits,
-            "mi_bob_bits": block.mi_bob_bits,
-            "mi_joint_bits": block.mi_joint_bits,
-        })
+    # One row per distinct view, copied per block, so that documents.render_json
+    # renders each view's block body once.
+    view_rows = [
+        {
+            "index": 0,
+            "pattern": view.pattern,
+            "announced_a": view.announced_a.value if view.announced_a else None,
+            "announced_b": view.announced_b.value if view.announced_b else None,
+            "consistent": view.consistent,
+            "posterior": {
+                _PAIR_KEYS[pair]: p for pair, p in view.posterior.items() if p > 0.0
+            },
+            "prior_entropy_bits": view.prior_entropy_bits,
+            "posterior_entropy_bits": view.posterior_entropy_bits,
+            "mi_alice_bits": view.mi_alice_bits,
+            "mi_bob_bits": view.mi_bob_bits,
+            "mi_joint_bits": view.mi_joint_bits,
+        }
+        for view in report.views
+    ]
     out_doc = {
         "tool": dict(documents.TOOL),
         "kind": "posterior-report",
@@ -319,11 +315,11 @@ def _cmd_analyze(args) -> int:
             "fallback": transcript.fallback.value,
         },
         "priors": args.priors,
-        "blocks": block_rows,
+        "blocks": jsontext.indexed_rows(view_rows, report.which.tolist()),
         "session_totals": summary["session"],
     }
     if args.mc_blocks:
-        patterns = {b.pattern for b in report.blocks}
+        patterns = {view.pattern for view in report.views}
         out_doc["monte_carlo"] = {
             pattern: estimate_mi_monte_carlo(
                 priors, pattern, n_blocks=args.mc_blocks, seed=args.seed

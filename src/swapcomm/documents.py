@@ -16,7 +16,16 @@ import json
 import numpy as np
 
 from . import __version__, jsontext
-from .channel import MAX_FRAME_BYTES, Announcement, AnnouncementKind, FrameError
+from .channel import (
+    _MEASURED_SIDE,
+    LINE_CODES,
+    MAX_FRAME_BYTES,
+    Announcement,
+    AnnouncementKind,
+    CodedLines,
+    FrameError,
+    _wire_template,
+)
 from .protocol import (
     BlockColumns,
     BlockRecord,
@@ -44,6 +53,8 @@ _SESSION_TYPES = {
     "alice_declared_length": (int, type(None)),
     "bob_declared_length": (int, type(None)),
 }
+# The largest block a transcript line may name: the block column is int64.
+_MAX_BLOCK = (1 << 63) - 1
 
 
 def _message_field(message: MessageBits | None) -> str | None:
@@ -93,10 +104,7 @@ def _block_rows(blocks: BlockColumns) -> list[dict]:
         }
         for i in first.tolist()
     ]
-    rows = list(map(dict.copy, map(kinds.__getitem__, which.tolist())))
-    for index, row in enumerate(rows, start=1):
-        row["index"] = index
-    return rows
+    return jsontext.indexed_rows(kinds, which.tolist())
 
 
 def decode_ok(decoded: MessageBits | None, sent: MessageBits | None) -> bool | None:
@@ -173,23 +181,68 @@ def transcript_from_document(doc: dict) -> Transcript:
                     f"transcript line {number} is longer than {MAX_FRAME_BYTES - 1} bytes",
                     MAX_FRAME_BYTES - 1,
                 )
-    transcript = Transcript(
+    mode = SessionMode(fields["mode"])
+    fallback = SilentFallback(fields["fallback"])
+    usable_blocks = fields["n_pairs"] // 2
+    blocks, codes = _parse_lines(fields["id"], lines)
+    measured = _MEASURED_SIDE[codes] >= 0
+    outside = np.flatnonzero(measured & ((blocks < 1) | (blocks > usable_blocks)))
+    if outside.size:
+        raise ValueError(
+            f"measurement for block {blocks[outside[0]]} outside 1..{usable_blocks}"
+        )
+    return Transcript(
         session_id=fields["id"],
         n_pairs=fields["n_pairs"],
-        mode=SessionMode(fields["mode"]),
-        fallback=SilentFallback(fields["fallback"]),
+        mode=mode,
+        fallback=fallback,
         alice_declared_length=fields["alice_declared_length"],
         bob_declared_length=fields["bob_declared_length"],
-        announcements=tuple(Announcement.from_wire(line) for line in lines),
+        announcements=CodedLines(fields["id"], blocks, codes),
     )
-    for ann in transcript.announcements:
-        if ann.kind is AnnouncementKind.MEASUREMENT and not (
-            1 <= ann.block <= transcript.usable_blocks
-        ):
+
+
+def _parse_lines(sid: str, lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The block and line-code columns of a session's wire lines.
+
+    A line that to_wire writes for the session is read through its wire
+    template: it is the prefix, a block of at most 18 digits as str()
+    writes it, and a known suffix. Any other line takes the strict parse
+    of Announcement.from_wire, so its errors keep their types and
+    messages. A line that names another session, or a block above
+    _MAX_BLOCK, is a ValueError.
+    """
+    prefix, suffixes = _wire_template(sid)
+    code_of = {suffix: code for code, suffix in enumerate(suffixes.tolist())}
+    start = len(prefix)
+    blocks, codes = [], []
+    for number, line in enumerate(lines):
+        if line.startswith(prefix):
+            end = line.find(",", start)
+            code = code_of.get(line[end:])
+            text = line[start:end]
+            if code is not None and len(text) <= 18:
+                try:
+                    block = int(text)
+                except ValueError:
+                    block = -1
+                if block >= 0 and str(block) == text:
+                    blocks.append(block)
+                    codes.append(code)
+                    continue
+        ann = Announcement.from_wire(line)
+        if ann.session_id != sid:
             raise ValueError(
-                f"measurement for block {ann.block} outside 1..{transcript.usable_blocks}"
+                f"transcript line {number} names session {ann.session_id!r}, "
+                f"not the document's {sid!r}"
             )
-    return transcript
+        if ann.block > _MAX_BLOCK:
+            raise ValueError(
+                f"transcript line {number}: block {ann.block} is above {_MAX_BLOCK}"
+            )
+        blocks.append(ann.block)
+        codes.append(LINE_CODES[ann.side, ann.kind, ann.label])
+    return np.array(blocks, dtype=np.int64), np.array(codes, dtype=np.intp)
 
 
 def _blocks_from_document(doc: dict) -> tuple[BlockRecord, ...]:

@@ -27,6 +27,16 @@ def render(value) -> str:
     return "".join(out)
 
 
+def indexed_rows(kinds: list[dict], which: list[int]) -> list[dict]:
+    """A copy of kinds[w] for each w of `which`, its "index" set to its
+    position from 1. The copies of a kind share its value objects, so
+    `render` renders that kind's body once."""
+    rows = list(map(dict.copy, map(kinds.__getitem__, which)))
+    for index, row in enumerate(rows, start=1):
+        row["index"] = index
+    return rows
+
+
 _encode_str = json.encoder.encode_basestring_ascii
 
 

@@ -258,17 +258,25 @@ class SessionConfig:
 
 def session_id(config: SessionConfig) -> str:
     """Deterministic opaque token: same public config, same token."""
+    return _session_token(config.seed, _public_fields(config))
+
+
+def _public_fields(config: SessionConfig) -> str:
+    """The text session_id hashes after the seed: every other public field."""
     a_len = config.alice_message.declared_length if config.alice_message else None
     b_len = config.bob_message.declared_length if config.bob_message else None
-    text = "|".join([
-        "v1",
-        str(config.seed & _MASK64),
+    return "|".join([
         str(config.n_pairs),
         config.mode.value,
         config.fallback.value,
         "-" if a_len is None else str(a_len),
         "-" if b_len is None else str(b_len),
     ])
+
+
+def _session_token(seed: int, public_fields: str) -> str:
+    """session_id of the config with this seed and _public_fields text."""
+    text = f"v1|{seed & _MASK64}|{public_fields}"
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -826,6 +834,7 @@ def run_trials(config: SessionConfig, n_trials: int) -> list[tuple]:
         raise ValueError(f"n_trials must be in 0..{MAX_TRIALS}, got {n_trials}")
     config.validate()  # reads no seed, so one check holds for every trial
     table = generate_decode_table()
+    public_fields = _public_fields(config)  # the same for every trial
     step = max(1, _TRIAL_CHUNK_BLOCKS // max(config.usable_blocks, 1))
     rows = []
     for start in range(0, n_trials, step):
@@ -838,7 +847,7 @@ def run_trials(config: SessionConfig, n_trials: int) -> list[tuple]:
             config.alice_sends, op_b, label_a, label_b, config.alice_message, table
         )
         rows.extend(
-            (seed, a, b, session_id(replace(config, seed=seed)))
+            (seed, a, b, _session_token(seed, public_fields))
             for seed, a, b in zip(seeds.tolist(), ok_alice, ok_bob)
         )
     return rows

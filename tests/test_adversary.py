@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from swapcomm.adversary import (
@@ -16,11 +18,13 @@ from swapcomm.adversary import (
     point_prior,
     uniform_priors,
 )
+from swapcomm.channel import CodedLines
 from swapcomm.protocol import (
     MessageBits,
     SessionConfig,
     SessionMode,
     SilentFallback,
+    _coded_lines,
     run_session,
 )
 from swapcomm.quantum import PauliCode
@@ -158,6 +162,50 @@ class TestEvePosterior:
                     assert block.mi_alice_bits >= -1e-9
                     assert block.mi_bob_bits >= -1e-9
                     assert block.mi_joint_bits >= -1e-9
+
+
+def _with_lines(transcript, order, tuple_form):
+    """The transcript with its lines in `order`, an index list that may
+    repeat lines, held as columns or as a tuple of Announcements."""
+    lines = _coded_lines(transcript)
+    lines = CodedLines(lines.session_id, lines.blocks[order], lines.codes[order])
+    return dataclasses.replace(
+        transcript, announcements=lines.announcements() if tuple_form else lines
+    )
+
+
+class TestLabelColumns:
+    def test_tuple_form_transcript_gives_the_same_report(self):
+        res = session(alice="0110", bob="1001")
+        blocks = _coded_lines(res.transcript).blocks
+        # Lines out of block order, and one measurement line dropped.
+        order = np.delete(np.argsort(-blocks, kind="stable"), 3)
+        for priors in (uniform_priors(), point_prior(PauliCode.U0, PauliCode.U0)):
+            reports = [
+                eve_posterior(EveView(_with_lines(res.transcript, order, tuple_form)), priors)
+                for tuple_form in (False, True)
+            ]
+            assert repr(reports[0].blocks) == repr(reports[1].blocks)
+            assert reports[0].inconsistent_blocks == reports[1].inconsistent_blocks
+            summaries = [repr(information_summary(report, priors)) for report in reports]
+            assert summaries[0] == summaries[1]
+
+    @pytest.mark.parametrize("tuple_form", [False, True])
+    def test_block_announced_twice_reports_side_a_first(self, tuple_form):
+        res = session(alice="0110", bob="1001")
+        lines = _coded_lines(res.transcript)
+        order = list(range(len(lines)))
+        first_b, second_a = (
+            next(i for i, ann in enumerate(lines.announcements())
+                 if (ann.side, ann.block) == (side, block) and ann.label is not None)
+            for side, block in (("B", 1), ("A", 2))
+        )
+        # B repeats block 1 before A repeats block 2, yet A is reported.
+        order.insert(first_b + 1, first_b)
+        order.append(second_a)
+        view = EveView(_with_lines(res.transcript, order, tuple_form))
+        with pytest.raises(ValueError, match="^side A announced block 2 twice$"):
+            view.label_columns()
 
 
 class TestInformationMeasures:

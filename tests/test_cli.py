@@ -17,10 +17,21 @@ from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
+import reference_analysis
 from swapcomm import cli, documents, jsontext, protocol
+from swapcomm.adversary import (
+    EveView,
+    PosteriorReport,
+    eve_posterior,
+    independent_priors,
+    information_summary,
+    point_prior,
+    uniform_priors,
+)
 from swapcomm.channel import (
     PUBLIC_PREAMBLE,
     SUBSTRATE_PREAMBLE,
+    Announcement,
     FrameError,
     SessionListener,
 )
@@ -35,6 +46,7 @@ from swapcomm.protocol import (
     run_session,
     substrate_hello,
 )
+from swapcomm.quantum import PauliCode
 
 
 def run_cli(*argv, capsys=None):
@@ -391,6 +403,21 @@ def _with_string_pairs(doc):
     doc["session"]["n_pairs"] = "8"
 
 
+def _with_block_of(line: int, old: int, new: int):
+    """A tamper that gives transcript line `line` block `new` for `old`."""
+
+    def tamper(doc):
+        doc["transcript"][line] = doc["transcript"][line].replace(
+            f'"blk":{old},', f'"blk":{new},'
+        )
+
+    return tamper
+
+
+def _with_foreign_session_line(doc):
+    doc["transcript"][3] = doc["transcript"][3].replace(doc["session"]["id"], "0" * 16)
+
+
 def _with_number_line(doc):
     doc["transcript"][2] = 7
 
@@ -490,6 +517,18 @@ class TestAnalyze:
         (_with_number_line, "transcript must be a list of wire lines"),
         (_as_list, "document must be a JSON object"),
         (_with_list_session, "session must be a JSON object"),
+        # Lines 2-9 announce blocks 1-4, side A then B; lines 0, 1, 10 and
+        # 11 are the start and end lines, of block 0.
+        pytest.param(_with_block_of(4, 2, 1), "side A announced block 1 twice",
+                     id="duplicate-a-measurement"),
+        pytest.param(_with_block_of(5, 2, 1), "side B announced block 1 twice",
+                     id="duplicate-b-measurement"),
+        pytest.param(_with_foreign_session_line, "transcript line 3 names session "
+                     "'0000000000000000', not the document's", id="foreign-session-id"),
+        pytest.param(_with_block_of(10, 0, 10**30), f"transcript line 10: block {10**30} "
+                     f"is above {2**63 - 1}", id="huge-control-block"),
+        pytest.param(_with_block_of(2, 1, 0), "measurement for block 0 outside 1..4",
+                     id="measurement-on-block-0"),
     ])
     def test_hostile_document_rejected(self, run_doc, capsys, tamper, message):
         doc = json.loads(run_doc.read_text())
@@ -531,6 +570,23 @@ class TestAnalyze:
     def test_missing_input_file(self, capsys):
         code, out = run_cli("analyze", "/nonexistent/run.json", capsys=capsys)
         assert code == 1
+
+    def test_analyze_builds_no_announcements_or_block_posteriors(
+        self, run_doc, tmp_path, monkeypatch
+    ):
+        expected = tmp_path / "expected.json"
+        # This run also caches the session's wire template, whose making
+        # builds Announcements.
+        assert main(["analyze", str(run_doc), "--out", str(expected)]) == 0
+
+        def built(*args):
+            raise AssertionError("analyze built a per-line or per-block object")
+
+        monkeypatch.setattr(Announcement, "__post_init__", built)
+        monkeypatch.setattr(PosteriorReport, "blocks", property(built))
+        out = tmp_path / "report.json"
+        assert main(["analyze", str(run_doc), "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
 
 
 class TestDocuments:
@@ -688,6 +744,107 @@ class TestDocumentProperties:
                 code = main(["analyze", str(path), "--out", str(Path(tmp) / "report.json")])
         assert code in ((0, 1, 3) if parsed else (1, 3)), stderr.getvalue()
         assert "Traceback" not in stderr.getvalue()
+
+
+# Block spellings: as to_wire writes it, and others that int() reads; JSON
+# reads the first few (" 1 ") but not the rest ("1.0", "+1", "01").
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                              "\u0665\u0666\u0667\u0668\u0669")
+_BLOCK_SPELLINGS = (
+    str, str, str, str,
+    lambda block: f" {block} ",
+    lambda block: f"{block}.0",
+    lambda block: f"{block}e0",
+    lambda block: f"+{block}",
+    lambda block: f"0{block}",
+    lambda block: str(block).translate(_ARABIC_INDIC),
+)
+_JSON_BLOCK_SPELLINGS = 5
+
+
+def _escaped(text: str) -> str:
+    """A JSON string of `text` with every character \\u-escaped."""
+    return '"' + "".join(f"\\u{ord(char):04x}" for char in text) + '"'
+
+
+@st.composite
+def _respelled_documents(draw):
+    """A valid run document whose transcript lines are each kept, given
+    another spelling of the block, which JSON may reject, or respelled:
+    keys reordered, spaces around separators, strings \\u-escaped and the
+    block spelled another way. Some documents also lose measurement lines
+    (so blocks show every pattern), repeat a line or swap two."""
+    config = draw(_session_configs())
+    doc = json.loads(documents.render_json(documents.run_document(config, run_session(config))))
+    drop = draw(st.booleans())
+    spellings = _BLOCK_SPELLINGS[:draw(st.sampled_from([_JSON_BLOCK_SPELLINGS, None]))]
+    lines = []
+    for line in doc["transcript"]:
+        fields = json.loads(line)
+        if drop and "label" in fields and draw(st.integers(0, 9)) == 0:
+            continue
+        action = draw(st.sampled_from(["keep", "block", "respell"]))
+        if action == "keep":
+            lines.append(line)
+            continue
+        spell_block = draw(st.sampled_from(spellings))
+        if action == "block":  # the line as to_wire writes it but for the block
+            blk = f'"blk":{fields["blk"]},'
+            lines.append(line.replace(blk, f'"blk":{spell_block(fields["blk"])},'))
+            continue
+        item_sep = draw(st.sampled_from([",", ", ", " , "]))
+        key_sep = draw(st.sampled_from([":", ": ", " :"]))
+        escaped = draw(st.sets(st.sampled_from(["sid", "side", "kind", "label"])))
+        members = []
+        for key in draw(st.permutations(list(fields))):
+            value = fields[key]
+            if key == "blk":
+                text = spell_block(value)
+            elif key in escaped:
+                text = _escaped(value)
+            else:
+                text = json.dumps(value)
+            members.append(f"{json.dumps(key)}{key_sep}{text}")
+        lines.append("{" + item_sep.join(members) + "}")
+    if lines and draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
+    if len(lines) > 1 and draw(st.integers(0, 3)) == 0:
+        i, j = draw(st.lists(st.integers(0, len(lines) - 1), min_size=2, max_size=2))
+        lines[i], lines[j] = lines[j], lines[i]
+    doc["transcript"] = lines
+    return doc
+
+
+_ANALYSIS_PRIORS = st.sampled_from([
+    uniform_priors(),
+    point_prior(PauliCode.U1, PauliCode.U0),  # some blocks inconsistent
+    independent_priors({PauliCode.U0: 0.7, PauliCode.U1: 0.3},
+                       {op: 0.25 for op in PauliCode}),
+])
+
+
+class TestAnalysisProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_respelled_documents(), priors=_ANALYSIS_PRIORS)
+    def test_column_analysis_equals_the_per_object_reference(self, doc, priors):
+        def outcome(analyze):
+            try:
+                return analyze()
+            except (FrameError, ValueError) as exc:
+                return type(exc), str(exc)
+
+        def on_columns():
+            transcript = documents.transcript_from_document(copy.deepcopy(doc))
+            report = eve_posterior(EveView(transcript), priors)
+            return transcript, repr(report.blocks), repr(information_summary(report, priors))
+
+        def on_objects():
+            transcript = reference_analysis.transcript_from_document(copy.deepcopy(doc))
+            blocks = reference_analysis.eve_posterior(transcript, priors)
+            summary = reference_analysis.information_summary(blocks, priors)
+            return transcript, repr(blocks), repr(summary)
+
+        assert outcome(on_columns) == outcome(on_objects)
 
 
 _PRIOR_KEYS = [f"U{a},U{b}" for a in range(4) for b in range(4)]
