@@ -358,7 +358,8 @@ def information_summary(
     """Per-block rows and session totals of the entropy and MI bookkeeping.
 
     Blocks are independent, so session totals are sums; inconsistent blocks
-    are excluded from the posterior-entropy total and listed instead.
+    are excluded from the posterior-entropy total and listed instead. The
+    per-block rows are a read-only jsontext.KeyedItems, built only when read.
     """
     priors_vec = _validate_priors(priors)
     prior_entropy = _entropy_bits(priors_vec)
@@ -387,7 +388,7 @@ def information_summary(
         "mi_joint_bits": _block_sum(report, "mi_joint_bits", which),
         "inconsistent_blocks": list(report.inconsistent_blocks),
     }
-    return {"per_block": jsontext.indexed_rows(kinds, which.tolist()), "session": session}
+    return {"per_block": jsontext.KeyedItems(kinds, which.tolist()), "session": session}
 
 
 def estimate_mi_monte_carlo(

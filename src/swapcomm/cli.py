@@ -285,7 +285,7 @@ def _cmd_analyze(args) -> int:
     report = eve_posterior(EveView(transcript), priors)
     summary = information_summary(report, priors)
 
-    # One row per distinct view, copied per block, so that documents.render_json
+    # One row per distinct view, spliced per block, so that documents.render_json
     # renders each view's block body once.
     view_rows = [
         {
@@ -315,7 +315,7 @@ def _cmd_analyze(args) -> int:
             "fallback": transcript.fallback.value,
         },
         "priors": args.priors,
-        "blocks": jsontext.indexed_rows(view_rows, report.which.tolist()),
+        "blocks": jsontext.KeyedItems(view_rows, report.which.tolist()),
         "session_totals": summary["session"],
     }
     if args.mc_blocks:

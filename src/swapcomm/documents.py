@@ -81,10 +81,9 @@ _OP_NAMES = (*(op.name for op in PauliCode), None)
 _LABEL_NAMES = tuple(label.value for label in ENCODING_ORDER)
 
 
-def _block_rows(blocks: BlockColumns) -> list[dict]:
-    """One row per block. A row is a copy of its kind's row, built once per
-    distinct kind of block, so every row of a kind shares its value objects
-    and documents.render_json renders that kind once."""
+def _block_rows(blocks: BlockColumns) -> jsontext.KeyedItems:
+    """One row per block, its "index" from 1: a column over one row per
+    distinct kind of block, which documents.render_json renders once."""
     n = len(blocks.op_a)
     announced_a, announced_b = (np.broadcast_to(flag, n) for flag in blocks.announced)
     # One integer per distinct (op_a, op_b, label_a, label_b, flags).
@@ -104,7 +103,16 @@ def _block_rows(blocks: BlockColumns) -> list[dict]:
         }
         for i in first.tolist()
     ]
-    return jsontext.indexed_rows(kinds, which.tolist())
+    return jsontext.KeyedItems(kinds, which.tolist())
+
+
+def _transcript_lines(lines: CodedLines) -> jsontext.KeyedItems:
+    """The wire lines of coded lines, as a column over the session's
+    wire template."""
+    prefix, suffixes = _wire_template(lines.session_id)
+    return jsontext.KeyedItems(
+        suffixes.tolist(), lines.codes.tolist(), lines.blocks.tolist(), prefix
+    )
 
 
 def decode_ok(decoded: MessageBits | None, sent: MessageBits | None) -> bool | None:
@@ -115,20 +123,25 @@ def decode_ok(decoded: MessageBits | None, sent: MessageBits | None) -> bool | N
 
 
 def run_document(config: SessionConfig, result: SessionResult) -> dict:
+    """The session-run document. Its transcript and block rows are
+    jsontext.KeyedItems columns, but for the transcript of a Transcript
+    given its Announcements, which is a list."""
     t = result.transcript
     lines = _coded_lines(t)
     if lines is not None:
         measurement_count = lines.count(AnnouncementKind.MEASUREMENT)
+        wire_lines = _transcript_lines(lines)
     else:  # a transcript given its Announcements
         lines = t.announcements
         measurement_count = sum(
             1 for ann in lines if ann.kind is AnnouncementKind.MEASUREMENT
         )
+        wire_lines = t.wire_lines()
     return {
         "tool": dict(TOOL),
         "kind": "session-run",
         "session": _session_section(config, t),
-        "transcript": t.wire_lines(),
+        "transcript": wire_lines,
         "private": {
             "alice_message": _message_field(config.alice_message),
             "bob_message": _message_field(config.bob_message),
@@ -160,7 +173,10 @@ def transcript_from_document(doc: dict) -> Transcript:
     for key, types in _SESSION_TYPES.items():
         if isinstance(fields[key], bool) or not isinstance(fields[key], types):
             raise ValueError(f"session {key} has the wrong type: {fields[key]!r}")
-    if not isinstance(lines, list) or not all(isinstance(line, str) for line in lines):
+    if not isinstance(lines, list) or (
+        set(map(type, lines)) != {str}  # a str subclass takes the generator
+        and not all(isinstance(line, str) for line in lines)
+    ):
         raise ValueError("transcript must be a list of wire lines")
     for key in ("n_pairs", "alice_declared_length", "bob_declared_length"):
         if fields[key] is not None and fields[key] < 0:

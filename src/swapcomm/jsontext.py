@@ -2,10 +2,14 @@
 
 CPython writes indented JSON with its pure-Python encoder, one value at a
 time. `render` produces the same bytes with less work: it walks only dicts
-in Python, escapes a list of strings, such as a transcript, in one C-level
-join, and renders a list of rows that repeat, such as block rows, once per
-distinct row. Everything else goes to `json.dumps` itself, and a value with
-nothing to gain is one `json.dumps` call.
+in Python, and writes a `KeyedItems` column, such as a session's
+transcript or block rows, from one `json.dumps` rendering per kind of item
+with each item's key spliced in. Everything else goes to `json.dumps`
+itself, and a value with nothing to gain is one `json.dumps` call.
+
+A `KeyedItems` reads like the list it stands for, but it is not a list:
+`json.dumps` of a value that holds one raises TypeError rather than write
+other text. Pass `default=list` to render it the slow way.
 """
 from __future__ import annotations
 
@@ -13,28 +17,113 @@ import json
 from itertools import chain
 
 
+class KeyedItems:
+    """A read-only list whose items differ only in one int key.
+
+    Item i is the kind kinds[which[i]] with the int keys[i] spliced in. A
+    kind is a dict, whose first field takes the key, or a string: the item
+    is then prefix + str(key) + kind. `which` is a list of kind indexes and
+    `keys` a list or range of ints, by default each item's position from 1.
+    Items are built only when read, and each read builds a new one.
+    """
+
+    __slots__ = ("_kinds", "_which", "_keys", "_prefix")
+
+    def __init__(self, kinds: list, which: list[int], keys=None, prefix: str | None = None):
+        if keys is None:
+            keys = range(1, len(which) + 1)
+        if len(which) != len(keys):
+            raise ValueError(f"{len(which)} kinds for {len(keys)} keys")
+        self._kinds, self._which, self._keys, self._prefix = kinds, which, keys, prefix
+
+    def _item(self, kind: int, key: int):
+        if self._prefix is not None:
+            return f"{self._prefix}{key}{self._kinds[kind]}"
+        item = self._kinds[kind].copy()
+        item[next(iter(item))] = key
+        return item
+
+    def __len__(self) -> int:
+        return len(self._which)
+
+    def __iter__(self):
+        return map(self._item, self._which, self._keys)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(self._item, self._which[index], self._keys[index]))
+        return self._item(self._which[index], self._keys[index])
+
+    def __eq__(self, other):
+        if isinstance(other, (KeyedItems, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # like a list
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def _render(self, pad: str, out: list) -> None:
+        """Append the list as json.dumps(indent=2) renders it on a line
+        indented by `pad`.
+
+        Each kind is rendered once by json.dumps, with the key 0. The text
+        before the key, its head, is where the renderings of the first kind
+        with the keys 0 and 1 differ; it names the first field, or holds the
+        prefix, so the key follows it in every kind that starts with it.
+        Every item is then str(key) and its kind's tail, joined in C. Kinds
+        whose heads differ leave the whole list to json.dumps.
+        """
+        if not self._which:
+            out.append("[]")
+            return
+        if set(map(type, self._keys)) != {int}:  # str(True) is not JSON
+            raise TypeError("KeyedItems keys must be ints")
+        inner = pad + "  "
+
+        def text(kind: int, key: int) -> str:
+            item = json.dumps(self._item(kind, key), indent=2, default=_keyed_list)
+            return item.replace("\n", "\n" + inner)
+
+        zero = [text(kind, 0) for kind in range(len(self._kinds))]
+        one = text(0, 1)
+        cut = next(i for i, (x, y) in enumerate(zip(zero[0], one)) if x != y)
+        head = zero[0][:cut]
+        if not all(text.startswith(head) for text in zero):
+            out.append(json.dumps(self, indent=2, default=_keyed_list).replace("\n", "\n" + pad))
+            return
+        sep = f",\n{inner}{head}"
+        tails = [text[cut + 1:] + sep for text in zero]
+        # "%d" writes an int as str() does, without a str object per key.
+        pieces = list(chain.from_iterable(zip(self._keys, map(tails.__getitem__, self._which))))
+        pieces[-1] = pieces[-1][:-len(sep)]
+        out.append(f"[\n{inner}{head}")
+        out.append("%d%s" * len(self._which) % tuple(pieces))
+        out.append(f"\n{pad}]")
+
+
 def render(value) -> str:
-    """Exactly `json.dumps(value, indent=2) + "\\n"`."""
+    """Exactly `json.dumps(value, indent=2) + "\\n"`, with a KeyedItems
+    written as its list. Any other value json.dumps cannot write raises
+    its TypeError."""
     out: list = []
     later: list[int] = []
     if not _render(value, "", out, later):
         # Nothing in `value` renders faster than json.dumps does it whole.
-        return json.dumps(value, indent=2) + "\n"
+        return json.dumps(value, indent=2, default=_keyed_list) + "\n"
     for i in later:
         part, pad = out[i]
-        out[i] = json.dumps(part, indent=2).replace("\n", "\n" + pad)
+        out[i] = json.dumps(part, indent=2, default=_keyed_list).replace("\n", "\n" + pad)
     out.append("\n")
     return "".join(out)
 
 
-def indexed_rows(kinds: list[dict], which: list[int]) -> list[dict]:
-    """A copy of kinds[w] for each w of `which`, its "index" set to its
-    position from 1. The copies of a kind share its value objects, so
-    `render` renders that kind's body once."""
-    rows = list(map(dict.copy, map(kinds.__getitem__, which)))
-    for index, row in enumerate(rows, start=1):
-        row["index"] = index
-    return rows
+def _keyed_list(value) -> list:
+    """json.dumps's default: a KeyedItems as its list, and nothing else."""
+    if isinstance(value, KeyedItems):
+        return list(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -47,6 +136,9 @@ def _render(value, pad: str, out: list, later: list[int]) -> bool:
     A container that takes none is appended as (value, pad), its index
     noted in `later`, and rendered only if the document as a whole gains.
     """
+    if isinstance(value, KeyedItems):
+        value._render(pad, out)
+        return True
     if isinstance(value, dict):
         if value and all(type(key) is str for key in value):
             inner = pad + "  "
@@ -58,71 +150,9 @@ def _render(value, pad: str, out: list, later: list[int]) -> bool:
                 sep = ",\n" + inner
             out.append(f"\n{pad}}}")
             return gained
-    elif isinstance(value, (list, tuple)):
-        if value and (_render_strings(value, pad, out) or _render_rows(value, pad, out)):
-            return True
-    else:
+    elif not isinstance(value, (list, tuple)):
         out.append(json.dumps(value))  # a scalar renders the same without indent, in C
         return False
     later.append(len(out))
     out.append((value, pad))
     return False
-
-
-def _render_strings(items, pad: str, out: list) -> bool:
-    """Append a list of strings, such as a transcript; False if it is not one."""
-    inner = pad + "  "
-    try:
-        lines = f",\n{inner}".join(map(_encode_str, items))
-    except TypeError:  # an item is not a string
-        return False
-    out.append(f"[\n{inner}")
-    out.append(lines)
-    out.append(f"\n{pad}]")
-    return True
-
-
-def _render_rows(rows, pad: str, out: list) -> bool:
-    """Append dicts with the same str keys and an int first field; False if
-    `rows` are not such dicts or mostly differ.
-
-    Rows like these, block rows for one, repeat: the rest of a row, its
-    tail, is rendered once per distinct tail and each row's first field
-    spliced in. Tails are told apart by the identities of their values,
-    since equal values may render differently (1, True and 1.0; 0.0 and
-    -0.0) while one object always renders the same; the rows keep every
-    object alive for the call. Rows that mostly differ are left to one
-    json.dumps of the list, which is cheaper then. Every per-row step
-    iterates in C.
-    """
-    if set(map(type, rows)) != {dict}:
-        return False
-    keys = tuple(rows[0])
-    width = len(keys)
-    if not keys or not all(type(key) is str for key in keys):
-        return False
-    if list(chain.from_iterable(rows)) != [*keys] * len(rows):
-        return False
-    values = list(chain.from_iterable(map(dict.values, rows)))
-    firsts = values[::width]
-    if set(map(type, firsts)) != {int}:
-        return False
-    ids = list(map(id, values))
-    ids[::width] = [0] * len(rows)  # a tail does not depend on the first field
-    tail_ids = list(zip(*[iter(ids)] * width))
-    distinct = dict(zip(tail_ids, rows))
-    if 2 * len(distinct) > len(rows):
-        return False
-
-    inner = pad + "  "
-    head = f"{{\n{inner}  {_encode_str(keys[0])}: "
-    sep = f",\n{inner}{head}"
-    tails = {}
-    for tail_id, row in distinct.items():
-        text = json.dumps(row, indent=2).replace("\n", "\n" + inner)
-        tails[tail_id] = text[len(head) + len(str(row[keys[0]])):] + sep
-    out.append(f"[\n{inner}{head}")
-    out.extend(chain.from_iterable(zip(map(str, firsts), map(tails.__getitem__, tail_ids))))
-    out[-1] = out[-1][:-len(sep)]
-    out.append(f"\n{pad}]")
-    return True

@@ -927,7 +927,7 @@ def substrate_hello(side: str, config: SessionConfig) -> dict:
         "fallback": config.fallback.value,
         "seed": config.seed,
         "declared_length": message.declared_length if has_message else None,
-        "ops": [op.code for op in encode_bits(message)] if has_message else None,
+        "ops": _message_codes(message).tolist() if has_message else None,
     }
 
 
@@ -961,12 +961,12 @@ def _peer_message(hello: dict, peer_side: str, config: SessionConfig) -> Message
         raise SessionError(f"invalid substrate hello: declared_length {length!r}")
     n_ops = (length + 1) // 2
     if (not isinstance(ops, list) or len(ops) != n_ops
-            or any(type(op) is not int or not 0 <= op <= 3 for op in ops)):
+            or ops and (set(map(type, ops)) != {int} or min(ops) < 0 or max(ops) > 3)):
         raise SessionError(
             f"invalid substrate hello: ops must be {n_ops} integers in 0..3"
         )
     try:
-        return decode_ops([PauliCode(op) for op in ops], length)
+        return _message_from_codes(np.array(ops, dtype=np.intp), length)
     except ValueError as exc:
         raise SessionError(f"invalid substrate hello: {exc}") from exc
 

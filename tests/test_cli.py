@@ -598,7 +598,7 @@ class TestDocuments:
         )
         result = run_session(config)
         doc = documents.run_document(config, result)
-        again = documents.replay_document(json.loads(json.dumps(doc)))
+        again = documents.replay_document(json.loads(json.dumps(doc, default=list)))
         assert again.decoded_by_alice == result.decoded_by_alice
         assert again.decoded_by_bob == result.decoded_by_bob
 
@@ -625,12 +625,50 @@ class TestDocuments:
             assert documents.render_json(doc) == json.dumps(doc, indent=2) + "\n"
 
     def test_repeated_rows_of_equal_values_render_apart(self):
-        # Equal values that render differently, each repeated, in one column.
+        # Equal values that render differently, each a kind repeated in one column.
         column = [1, True, 1.0, 0.0, -0.0, float("nan"), float("inf"), [], {}, "\u00fc"]
-        rows = [{"index": i, "x": column[i % len(column)], "y": None} for i in range(60)]
-        assert jsontext._render_rows(rows, "  ", [])  # the per-row path takes them
+        kinds = [{"index": 0, "x": x, "y": None} for x in column]
+        which = [i % len(column) for i in range(60)]
+        rows = jsontext.KeyedItems(kinds, which, range(60))
+        assert list(rows) == [{"index": i, "x": column[i % len(column)], "y": None}
+                              for i in range(60)]
         doc = {"rows": rows}
-        assert documents.render_json(doc) == json.dumps(doc, indent=2) + "\n"
+        assert documents.render_json(doc) == json.dumps(doc, indent=2, default=list) + "\n"
+
+    def test_keyed_items_read_as_their_list(self):
+        kinds = [{"index": 0, "x": [1]}, {"index": 0, "x": "\u00fc"}]
+        which, keys = [1, 0, 1, 1], [5, -3, 10**20, 0]
+        rows = jsontext.KeyedItems(kinds, which, keys)
+        expected = [{**kinds[w], "index": k} for w, k in zip(which, keys)]
+        assert rows == expected and expected == rows and rows != expected[:3]
+        assert (len(rows), repr(rows), rows[1], rows[-1]) == (
+            4, repr(expected), expected[1], expected[-1])
+        assert rows[1:3] == expected[1:3] and list(reversed(rows)) == expected[::-1]
+        rows[0]["x"] = "changed"  # a read row is a copy
+        assert rows == expected
+        lines = jsontext.KeyedItems(["b", '"\u00e9\n'], [0, 1], [7, 42], prefix="a\\")
+        assert lines == ["a\\7b", 'a\\42"\u00e9\n']
+        # Kinds whose first fields differ in name have no one head.
+        unlike = jsontext.KeyedItems([{"a": 0, "x": 1}, {"bb": 0}], [0, 1, 0])
+        for doc in ({"rows": rows, "lines": lines, "empty": jsontext.KeyedItems([], [], [])},
+                    rows, lines, [rows, {"lines": lines}], {"unlike": unlike}):
+            assert documents.render_json(doc) == json.dumps(doc, indent=2, default=list) + "\n"
+        with pytest.raises(TypeError):
+            hash(rows)
+        with pytest.raises(TypeError, match="ints"):
+            documents.render_json({"rows": jsontext.KeyedItems(kinds, [0], [True])})
+        with pytest.raises(TypeError, match="KeyedItems is not JSON serializable"):
+            json.dumps({"rows": rows})
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            documents.render_json({"rows": rows, "other": {1}})
+
+    def test_unrendered_run_document_is_not_json_dumps_input(self):
+        config = SessionConfig(n_pairs=8, seed=77, alice_message=MessageBits.from_bits("0101"))
+        doc = documents.run_document(config, run_session(config))
+        with pytest.raises(TypeError, match="KeyedItems is not JSON serializable"):
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError, match="KeyedItems is not JSON serializable"):
+            json.dumps(doc)
 
 
 @st.composite
@@ -648,6 +686,31 @@ def _session_configs(draw):
         alice_message=draw(messages) if mode is not SessionMode.BOB_TO_ALICE else None,
         bob_message=draw(messages) if mode is not SessionMode.ALICE_TO_BOB else None,
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=_session_configs())
+def test_run_document_columns_render_as_json_dumps(config):
+    result = run_session(config)
+    doc = documents.run_document(config, result)
+    assert doc["transcript"] == result.transcript.wire_lines()
+    assert doc["private"]["blocks"] == [
+        {"index": r.index, "op_a": r.op_a.name if r.op_a else None,
+         "op_b": r.op_b.name if r.op_b else None,
+         "outcome_a": r.outcome.a_side.value, "outcome_b": r.outcome.b_side.value,
+         "announced_a": r.announced_a, "announced_b": r.announced_b}
+        for r in result.blocks
+    ]
+    expected = json.dumps(doc, indent=2, default=list) + "\n"
+    assert documents.render_json(doc) == expected
+    tuple_form = dataclasses.replace(
+        result, transcript=dataclasses.replace(
+            result.transcript, announcements=result.transcript.announcements
+        ), blocks=result.blocks,
+    )
+    plain = documents.run_document(config, tuple_form)
+    assert type(plain["transcript"]) is list
+    assert documents.render_json(plain) == expected
 
 
 @functools.lru_cache(maxsize=None)

@@ -160,7 +160,7 @@ def test_large_documents_equal_indented_json_dumps(pattern, tmp_path, monkeypatc
 
     def checked_render_json(doc):
         text = real_render_json(doc)
-        checks.append(text == json.dumps(doc, indent=2) + "\n")
+        checks.append(text == json.dumps(doc, indent=2, default=list) + "\n")
         return text
 
     real_render_json = documents.render_json
