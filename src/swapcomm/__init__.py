@@ -19,6 +19,7 @@ from .quantum import (  # noqa: E402
     bell_measure,
     bell_project,
     bell_project_all,
+    bell_sample,
     bell_state,
     state_equal_up_to_phase,
     tensor,

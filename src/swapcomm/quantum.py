@@ -12,7 +12,8 @@ A Bell projection transposes the measured pair's two axes to the front
 once, then takes one row dot per Bell label against that view: the same
 arithmetic as a per-label np.tensordot, so results are bit for bit those
 of contracting each label alone. A measurement builds the residual state
-only for the label it draws.
+only for the label it draws; bell_sample draws many labels from one
+projection and builds no residual at all.
 """
 from __future__ import annotations
 
@@ -213,6 +214,16 @@ def _norm(overlap: np.ndarray) -> float:
     return float(np.vdot(overlap, overlap).real)
 
 
+def _bell_overlaps(view: np.ndarray) -> tuple[list[np.ndarray], list[float]]:
+    """Each label's overlap with a pair view and its probability, in BELL_ORDER.
+
+    The one place Bell probabilities are computed, so every projection,
+    measurement and sample sees the same values bit for bit.
+    """
+    overlaps = [np.dot(bra, view) for bra in _BELL_BRAS.values()]
+    return overlaps, [_norm(overlap) for overlap in overlaps]
+
+
 def _residual(
     label: BellLabel, overlap: np.ndarray, probability: float, order: list[int]
 ) -> PureState:
@@ -248,7 +259,8 @@ def bell_project_all(
 ) -> dict[BellLabel, float]:
     """Probabilities of all four Bell outcomes on one pair (they sum to 1)."""
     view, _ = _pair_view(state, pair)
-    return {label: _norm(np.dot(bra, view)) for label, bra in _BELL_BRAS.items()}
+    _, probs = _bell_overlaps(view)
+    return dict(zip(BELL_ORDER, probs))
 
 
 def bell_measure(
@@ -261,8 +273,7 @@ def bell_measure(
     drawn label's residual is built.
     """
     view, order = _pair_view(state, pair)
-    overlaps = [np.dot(bra, view) for bra in _BELL_BRAS.values()]
-    probs = [_norm(overlap) for overlap in overlaps]
+    overlaps, probs = _bell_overlaps(view)
     u = float(rng.random())
     chosen = None
     cumulative = 0.0
@@ -276,3 +287,28 @@ def bell_measure(
     assert chosen is not None, "no outcome has positive probability"
     label = BELL_ORDER[chosen]
     return label, _residual(label, overlaps[chosen], probs[chosen], order)
+
+
+def bell_sample(
+    state: PureState, pair: tuple[int, int], rng: np.random.Generator, n: int
+) -> list[BellLabel]:
+    """n Bell-basis measurement labels of one pair, each of the same state.
+
+    Draw for draw the labels of n bell_measure calls on a same-seeded rng,
+    which is left in the same state: one uniform per draw, inverted over
+    the running sum of the positive probabilities with bell_measure's rule
+    (the first label whose sum exceeds u, the last one when none does).
+    No residual state is built.
+    """
+    if n < 0:
+        raise ValueError(f"sample count {n} is negative")
+    view, _ = _pair_view(state, pair)
+    _, probs = _bell_overlaps(view)
+    positive = [k for k, p in enumerate(probs) if p > ATOL_OP]
+    assert positive, "no outcome has positive probability"
+    # np.cumsum adds left to right, as bell_measure's loop does.
+    cumulative = np.cumsum([probs[k] for k in positive])
+    picks = np.searchsorted(cumulative, rng.random(n), side="right")
+    np.minimum(picks, len(positive) - 1, out=picks)
+    labels = [BELL_ORDER[k] for k in positive]
+    return [labels[k] for k in picks.tolist()]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -89,12 +89,18 @@ class OutcomeDistribution:
         return tuple(o for o, t in self.entries.items() if t.probability > threshold)
 
 
+@cache
 def _bell_product_basis(a_label: BellLabel, b_label: BellLabel) -> np.ndarray:
-    """4-qubit vector of |a_label>_{a1 a2} (x) |b_label>_{b1 b2}."""
+    """4-qubit vector of |a_label>_{a1 a2} (x) |b_label>_{b1 b2}, read-only.
+
+    One of 16 vectors, built once per process and shared by every caller.
+    """
     ba = bell_state(a_label).amplitudes.reshape(2, 2)
     bb = bell_state(b_label).amplitudes.reshape(2, 2)
     # indices: [x_a1, x_b1, x_a2, x_b2]
-    return np.einsum("ac,bd->abcd", ba, bb).reshape(16)
+    vector = np.einsum("ac,bd->abcd", ba, bb).reshape(16)
+    vector.flags.writeable = False
+    return vector
 
 
 def block_input_state(first: BellLabel, second: BellLabel) -> PureState:

@@ -31,8 +31,8 @@ from .quantum import (
     PauliCode,
     PureState,
     apply_local,
-    bell_measure,
     bell_project_all,
+    bell_sample,
     bell_state,
     state_equal_up_to_phase,
 )
@@ -226,7 +226,7 @@ def _check_projection_sums() -> CheckResult:
 def _check_sampling_uniformity() -> CheckResult:
     rng = np.random.default_rng(20240002)
     state = block_input_state(BellLabel.PSI_PLUS, BellLabel.PSI_PLUS)
-    draws = [bell_measure(state, (0, 2), rng)[0] for _ in range(4000)]
+    draws = bell_sample(state, (0, 2), rng, 4000)
     counts = label_counts(draws, BELL_ORDER)
     stat, p = chi_square_uniform(counts)
     passed = p > 0.001

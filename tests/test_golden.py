@@ -7,8 +7,9 @@ prior makes some blocks inconsistent). run-mixed.json is run-bidirectional
 with some measurement lines removed, so one transcript shows all four
 announcement patterns. The serve and connect documents pin both halves of
 a two-process session over loopback, the trials*.json documents pin
-`simulate --trials` in each mode, and verify.txt pins what `swapcomm verify`
-prints, so a flipped draw in its sampling check shows.
+`simulate --trials` in each mode, and verify.txt and verify.json pin what
+`swapcomm verify` prints in text and json, so a flipped draw in its
+sampling check shows.
 
 Regenerate (only when a change to the bytes is intended and versioned):
 
@@ -151,6 +152,11 @@ def test_verify_output_bytes(capsys):
     assert capsys.readouterr().out.encode() == (GOLDEN / "verify.txt").read_bytes()
 
 
+def test_verify_json_output_bytes(capsys):
+    assert main(["verify", "--format", "json"]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "verify.json").read_bytes()
+
+
 @pytest.mark.parametrize("pattern", ["both", "a-only"])
 def test_large_documents_equal_indented_json_dumps(pattern, tmp_path, monkeypatch):
     """At 20 000 pairs block rows repeat far more than in the goldens. What
@@ -260,6 +266,9 @@ def regenerate() -> None:
     with contextlib.redirect_stdout(io.StringIO()) as verify_out:
         assert main(["verify"]) == 0
     (GOLDEN / "verify.txt").write_text(verify_out.getvalue(), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()) as verify_out:
+        assert main(["verify", "--format", "json"]) == 0
+    (GOLDEN / "verify.json").write_text(verify_out.getvalue(), encoding="utf-8")
 
 
 if __name__ == "__main__":

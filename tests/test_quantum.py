@@ -18,6 +18,7 @@ from swapcomm.quantum import (
     bell_measure,
     bell_project,
     bell_project_all,
+    bell_sample,
     bell_state,
     state_equal_up_to_phase,
     tensor,
@@ -202,7 +203,8 @@ class TestBellProject:
         lambda s, p: bell_project(s, p, BellLabel.PHI_PLUS),
         bell_project_all,
         lambda s, p: bell_measure(s, p, np.random.default_rng(0)),
-    ], ids=["bell_project", "bell_project_all", "bell_measure"])
+        lambda s, p: bell_sample(s, p, np.random.default_rng(0), 3),
+    ], ids=["bell_project", "bell_project_all", "bell_measure", "bell_sample"])
     def test_bad_pair_message(self, call, pair, message):
         state = tensor(bell_state(BellLabel.PSI_PLUS), bell_state(BellLabel.PSI_PLUS))
         with pytest.raises(ValueError) as excinfo:
@@ -384,3 +386,61 @@ class TestProjectionMatchesTensordotReference:
                 want_label, want_res = _ref_bell_measure(state, pair, ref_rng)
                 assert got_label is want_label
                 assert np.array_equal(got_res.amplitudes, want_res.amplitudes)
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose uniforms are given in advance."""
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+
+    def random(self, size=None):
+        if size is None:
+            return self.uniforms.pop(0)
+        drawn, self.uniforms = self.uniforms[:size], self.uniforms[size:]
+        return np.array(drawn)
+
+
+class TestBellSample:
+    def test_eigenstate_gives_one_label(self):
+        state = tensor(bell_state(BellLabel.PHI_MINUS), bell_state(BellLabel.PSI_PLUS))
+        rng = np.random.default_rng(3)
+        assert bell_sample(state, (2, 3), rng, 40) == [BellLabel.PSI_PLUS] * 40
+
+    def test_inversion_rule_at_the_boundaries(self):
+        # PsiPlus has a positive probability at or below ATOL_OP, so it is
+        # skipped and the positive ones sum to less than 1.
+        weights = [0.5, 0.5 - 1e-13, 1e-13, 0.0]
+        state = PureState(sum(
+            math.sqrt(w) * quantum._BELL_AMPLITUDES[label]
+            for w, label in zip(weights, BELL_ORDER)
+        ))
+        probs = bell_project_all(state, (0, 1))
+        first = probs[BellLabel.PHI_PLUS]
+        total = first + probs[BellLabel.PHI_MINUS]
+        assert 0 < probs[BellLabel.PSI_PLUS] <= ATOL_OP and total < 1.0
+        uniforms = [0.0, np.nextafter(first, 0), first, np.nextafter(total, 0),
+                    total, np.nextafter(1.0, 0)]
+        want = [BellLabel.PHI_PLUS] * 2 + [BellLabel.PHI_MINUS] * 4
+        assert bell_sample(state, (0, 1), _FixedUniforms(uniforms), 6) == want
+        rng = _FixedUniforms(uniforms)
+        assert [bell_measure(state, (0, 1), rng)[0] for _ in range(6)] == want
+
+    def test_negative_count(self):
+        state = bell_state(BellLabel.PSI_MINUS)
+        with pytest.raises(ValueError, match="sample count -1 is negative"):
+            bell_sample(state, (0, 1), np.random.default_rng(0), -1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(state=_states(), data=st.data(),
+           rng_seed=st.integers(0, 2**64 - 1), n=st.integers(0, 50))
+    def test_equals_repeated_bell_measure(self, state, data, rng_seed, n):
+        pair = data.draw(st.sampled_from(
+            list(itertools.permutations(range(state.num_qubits), 2))
+        ))
+        got_rng = np.random.default_rng(rng_seed)
+        want_rng = np.random.default_rng(rng_seed)
+        got = bell_sample(state, pair, got_rng, n)
+        want = [bell_measure(state, pair, want_rng)[0] for _ in range(n)]
+        assert got == want
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
-from swapcomm.quantum import BELL_ORDER, BellLabel, PauliCode
+from swapcomm.quantum import BELL_ORDER, BellLabel, PauliCode, bell_state
 from swapcomm.swap import (
     ALL_OP_PAIRS,
     ALL_OUTCOMES,
@@ -91,6 +91,19 @@ class TestSwapDecompose:
             resummed += term.amplitude * _bell_product_basis(*outcome)
         delta = resummed - block_input_state(first, second).amplitudes
         assert np.abs(delta).max() < 1e-12
+
+    @pytest.mark.parametrize("first, second", itertools.product(BELL_ORDER, repeat=2))
+    def test_cached_product_basis_is_the_einsum_and_read_only(self, first, second):
+        vector = _bell_product_basis(first, second)
+        want = np.einsum(
+            "ac,bd->abcd",
+            bell_state(first).amplitudes.reshape(2, 2),
+            bell_state(second).amplitudes.reshape(2, 2),
+        ).reshape(16)
+        assert vector.dtype == want.dtype and vector.tobytes() == want.tobytes()
+        assert _bell_product_basis(first, second) is vector
+        with pytest.raises(ValueError):
+            vector[0] = 1.0
 
     def test_probability_equals_squared_amplitude(self):
         dist = swap_decompose(BellLabel.PHI_MINUS, BellLabel.PSI_MINUS)
