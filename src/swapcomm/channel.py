@@ -15,7 +15,11 @@ checks each side's block order as whole arrays. A TcpEndpoint plays
 then its B lines (protocol._play), and buffers what it sends until it
 next reads, so a window costs one sendall. One side writes while the
 other reads, so the exchange cannot deadlock at any socket buffer size,
-and a party buffers at most one window of its own lines.
+and a party buffers at most one window of its own lines. Both parties
+know every line of the schedule, so a receiving endpoint accepts a peer
+window that is exactly its expected wire text with one byte comparison;
+from the first byte that differs, it reads, parses and checks the
+window's lines one by one, with the same errors and byte offsets.
 
 Wire format, one announcement per line, UTF-8, newline-terminated:
 
@@ -42,8 +46,10 @@ from .quantum import BellLabel
 WIRE_VERSION = 1
 WIRE_FIELDS = ("v", "sid", "blk", "side", "kind", "label")
 SIDES = ("A", "B")
-# Longest accepted wire frame, newline included; real frames are ~100 bytes.
+# Longest accepted wire frame, newline included; real frames are ~110 bytes.
 MAX_FRAME_BYTES = 1024
+# Most bytes one receive asks the socket for: a few windows of peer lines.
+RECV_BYTES = 1 << 16
 # Schedule lines a TCP session plays per window: about 256 blocks, a few
 # tens of KiB of one side's lines.
 TCP_WINDOW_LINES = 512
@@ -197,6 +203,19 @@ def _wire_template(session_id: str) -> tuple[str, np.ndarray]:
     return zero[0][:cut], suffixes
 
 
+# Digits of the largest block a CodedLines column holds.
+_BLOCK_DIGITS = len(str(np.iinfo(np.int64).max))
+
+
+def _fits_frames(session_id: str) -> bool:
+    """Whether every wire line of the session, newline included, fits in
+    MAX_FRAME_BYTES, whatever its block (an int64). Then a line with its
+    expected text is one the per-line read accepts. A real session's lines
+    are about 110 bytes."""
+    prefix, suffixes = _wire_template(session_id)
+    return len(prefix) + _BLOCK_DIGITS + max(map(len, suffixes)) + 1 <= MAX_FRAME_BYTES
+
+
 class CodedLines:
     """Announcements of one session as columns: each line's block and its
     code in LINE_KINDS. The Announcement objects are built the first time
@@ -245,6 +264,12 @@ class CodedLines:
             f"{prefix}{block}{suffix}"
             for block, suffix in zip(self.blocks.tolist(), suffixes[self.codes].tolist())
         ]
+
+    def wire_bytes(self) -> bytes:
+        """The wire lines, each newline-terminated, as one UTF-8 bytes."""
+        lines = self.wire_lines()
+        lines.append("")
+        return "\n".join(lines).encode("utf-8")
 
     def first_difference(self, other: "CodedLines") -> int | None:
         """Index of the first line where `other` differs from these, or
@@ -365,9 +390,12 @@ class TcpEndpoint:
     """One end of the public TCP channel, speaking the line protocol.
 
     Sent lines are buffered and written in one sendall on the next
-    receive, once a window of them is buffered, or on flush. Tracks byte
-    offsets of incoming frames so malformed ones can be located, and taps
-    every line sent (when buffered) or received, in wire order.
+    receive, once a window of them is buffered, or on flush. Received
+    bytes go into a read buffer that every read shares. A window of peer
+    lines that is exactly its expected wire text is accepted with one
+    comparison; any other is read line by line, each line parsed and
+    checked, with the byte offset of a malformed one in the stream. Every
+    line sent (when buffered) or received is tapped, in wire order.
     """
 
     window = TCP_WINDOW_LINES
@@ -376,19 +404,20 @@ class TcpEndpoint:
         self.side = side
         self._sock = sock
         self._sock.settimeout(timeout)
-        self._reader = sock.makefile("rb")
+        self._in = bytearray()  # received, not yet read
+        self._eof = False
+        self._recv_error: OSError | None = None  # kept until a line needs more bytes
         self._read_offset = 0
         self._gate = _OrderGate()
         self._tap: list[Announcement | CodedLines] = []
-        self._out: list[str] = []
+        self._out = bytearray()
+        self._out_lines = 0
 
     def send(self, ann: Announcement) -> None:
         if ann.side != self.side:
             raise ChannelError(f"endpoint {self.side} cannot send for side {ann.side}")
-        self._out.append(ann.to_wire())
         self._tap.append(ann)
-        if len(self._out) >= self.window:
-            self.flush()
+        self._buffer(ann.to_wire().encode("utf-8") + b"\n", 1)
 
     def send_lines(self, lines: CodedLines) -> None:
         """send() every line of `lines`, written from the wire template."""
@@ -396,17 +425,20 @@ class TcpEndpoint:
         if other.size:
             side = LINE_KINDS[lines.codes[other[0]]][0]
             raise ChannelError(f"endpoint {self.side} cannot send for side {side}")
-        self._out.extend(lines.wire_lines())
         self._tap.append(lines)
-        if len(self._out) >= self.window:
+        self._buffer(lines.wire_bytes(), len(lines))
+
+    def _buffer(self, data: bytes, lines: int) -> None:
+        self._out += data
+        self._out_lines += lines
+        if self._out_lines >= self.window:
             self.flush()
 
     def flush(self) -> None:
         """Write every buffered line in one sendall."""
         if not self._out:
             return
-        data = ("\n".join(self._out) + "\n").encode("utf-8")
-        self._out.clear()
+        data, self._out, self._out_lines = self._out, bytearray(), 0
         try:
             self._sock.sendall(data)
         except OSError as exc:
@@ -425,13 +457,21 @@ class TcpEndpoint:
         None if every line is the expected announcement, else (received,
         expected) for the first that is not, which is the last line read.
 
-        A line with the expected text is tapped as the expected line. Any
-        other line is parsed, checked and tapped as receive() does, so its
-        errors and byte offsets are the same; if it parses to the expected
-        announcement, reading goes on.
+        If the stream's next bytes are the wire text of `expected`, they
+        are read and tapped as `expected` at once. Otherwise, from the
+        window's first line: a line with the expected text is tapped as
+        the expected line, and any other line is parsed, checked and
+        tapped as receive() does, so its errors and byte offsets are the
+        same; if it parses to the expected announcement, reading goes on.
         """
         if self._out:  # the peer reads them before it writes
             self.flush()
+        wire = expected.wire_bytes()
+        if _fits_frames(expected.session_id) and self._next_bytes_are(wire):
+            del self._in[:len(wire)]
+            self._read_offset += len(wire)
+            self._gate.admit(expected, self._tap)
+            return None
         done = 0  # lines of `expected` read and tapped
         for i, text in enumerate(expected.wire_lines()):
             try:
@@ -452,17 +492,62 @@ class TcpEndpoint:
         self._gate.admit(expected[done:], self._tap)
         return None
 
-    def _read_frame(self) -> tuple[str, int]:
-        """The next line, without its newline, and its offset in the stream."""
-        offset = self._read_offset
+    def _next_bytes_are(self, text: bytes) -> bool:
+        """Whether the stream goes on with `text`. Receives while the
+        buffered bytes are a prefix of it; stops at the first byte that
+        differs, at the end of the stream or when a receive fails. Reads
+        nothing out of the buffer."""
+        buf, checked = self._in, 0
+        while True:
+            have = min(len(buf), len(text))
+            if buf[checked:have] != text[checked:have]:
+                return False
+            if have == len(text):
+                return True
+            checked = have
+            if not self._fill():
+                return False
+
+    def _fill(self) -> bool:
+        """Append the socket's next bytes to the read buffer. False, with
+        nothing added, at the end of the stream or once a receive failed:
+        the failure is kept for the read that needs the bytes."""
+        if self._eof or self._recv_error is not None:
+            return False
         try:
-            raw = self._reader.readline(MAX_FRAME_BYTES)
+            chunk = self._sock.recv(RECV_BYTES)
         except OSError as exc:
-            raise TransportError(f"receive failed: {exc}") from exc
-        if not raw:
-            raise TransportError("peer closed the connection")
-        self._read_offset += len(raw)
-        if not raw.endswith(b"\n"):
+            self._recv_error = exc
+            return False
+        if not chunk:
+            self._eof = True
+            return False
+        self._in += chunk
+        return True
+
+    def _read_frame(self) -> tuple[str, int]:
+        """The next line, without its newline, and its offset in the stream.
+        The bytes read are those of readline(MAX_FRAME_BYTES): up to the
+        first newline within MAX_FRAME_BYTES, else that many bytes, else
+        what is left before the end of the stream."""
+        offset = self._read_offset
+        buf = self._in
+        end = buf.find(b"\n", 0, MAX_FRAME_BYTES)
+        while end < 0 and len(buf) < MAX_FRAME_BYTES:
+            searched = len(buf)
+            if not self._fill():
+                break
+            end = buf.find(b"\n", searched, MAX_FRAME_BYTES)
+        if end < 0 and len(buf) < MAX_FRAME_BYTES:
+            if self._recv_error is not None:
+                raise TransportError(f"receive failed: {self._recv_error}") from self._recv_error
+            if not buf:
+                raise TransportError("peer closed the connection")
+        size = end + 1 if end >= 0 else min(len(buf), MAX_FRAME_BYTES)
+        raw = buf[:size]
+        del buf[:size]
+        self._read_offset += size
+        if end < 0:
             raise FrameError(
                 f"frame is not newline-terminated within {MAX_FRAME_BYTES} bytes", offset
             )
@@ -477,7 +562,6 @@ class TcpEndpoint:
 
     def close(self) -> None:
         try:
-            self._reader.close()
             self._sock.close()
         except OSError:
             pass

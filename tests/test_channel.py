@@ -3,6 +3,7 @@ import json
 import random
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from swapcomm.channel import (
     TCP_WINDOW_LINES,
     Announcement,
     AnnouncementKind,
+    ChannelError,
     CodedLines,
     FrameError,
     InProcessChannel,
@@ -24,6 +26,7 @@ from swapcomm.channel import (
     TcpEndpoint,
     TransportError,
     WIRE_FIELDS,
+    _fits_frames,
     _wire_template,
     dial_session,
 )
@@ -32,12 +35,16 @@ from swapcomm.protocol import (
     MessageBits,
     SessionConfig,
     SessionError,
+    _coded_lines,
     _hello_limit,
     run_remote_party,
     run_session,
+    session_id,
     substrate_hello,
 )
 from swapcomm.quantum import BellLabel
+
+from reference_channel import ReferenceEndpoint
 
 
 @st.composite
@@ -692,3 +699,199 @@ class TestWindowedExchange:
         assert code == 3
         assert not out.exists()
         assert message in capsys.readouterr().err
+
+
+def _windows(config, size):
+    """Side A's lines of a real session, in windows of `size` lines, as
+    side B expects them."""
+    lines = _coded_lines(run_session(config).transcript).of_side("A")
+    return [lines[start:start + size] for start in range(0, len(lines), size)]
+
+
+@st.composite
+def _peer_windows(draw):
+    """_windows of a bidirectional session of 2 to 40 pairs."""
+    n_pairs = draw(st.integers(2, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    capacity = n_pairs // 2 * 2
+    config = SessionConfig(
+        n_pairs=n_pairs, seed=seed,
+        alice_message=_random_bits(draw(st.integers(1, capacity)), seed),
+        bob_message=_random_bits(draw(st.integers(1, capacity)), seed + 1),
+    )
+    return _windows(config, draw(st.integers(1, 12)))
+
+
+def _announced(windows):
+    return tuple(ann for window in windows for ann in window.announcements())
+
+
+def _mutate(stream: bytes, mutation: str, at: int, byte: int) -> bytes:
+    """`stream` with one mutation, at a position drawn from `at`."""
+    lines = stream.splitlines(keepends=True)
+    pos = at % len(stream)
+    k = at % len(lines)  # a line
+    if mutation == "none":
+        return stream
+    if mutation == "flip":
+        return stream[:pos] + bytes([stream[pos] ^ (byte or 1)]) + stream[pos + 1:]
+    if mutation == "insert":
+        return stream[:pos] + bytes([byte]) + stream[pos:]
+    if mutation == "delete":
+        return stream[:pos] + stream[pos + 1:]
+    if mutation == "truncate":
+        return stream[:pos]
+    if mutation == "utf8":  # a lone byte above 0x7f among ASCII is never UTF-8
+        return stream[:pos] + bytes([0x80 | byte]) + stream[pos + 1:]
+    if mutation == "overlong":  # line k padded to 1022..1025 bytes, newline included
+        length = MAX_FRAME_BYTES - 2 + byte % 4
+        lines[k] = lines[k][:-2] + b" " * (length - len(lines[k])) + b"}\n"
+    elif mutation == "respell":  # ", " and ": ": parses to the same announcement
+        lines[k] = json.dumps(json.loads(lines[k])).encode() + b"\n"
+    elif mutation == "extra":  # a copy of line k, at line boundary byte % (len + 1)
+        lines.insert(byte % (len(lines) + 1), lines[k])
+    return b"".join(lines)
+
+
+def _send_in_pieces(sock, stream, cuts):
+    """Write `stream` in pieces split at `cuts`, pausing between them, then
+    end it."""
+    bounds = [0, *sorted(cut % (len(stream) + 1) for cut in cuts), len(stream)]
+    try:
+        for start, end in zip(bounds, bounds[1:]):
+            sock.sendall(stream[start:end])
+            time.sleep(0.0005)
+        sock.shutdown(socket.SHUT_WR)
+    except OSError:  # the reader stopped and closed its end
+        pass
+
+
+def _receive_windows(endpoint_type, stream, cuts, windows):
+    """Play `stream` through a socketpair into a fresh endpoint of side B
+    that reads `windows` in turn, as a session does: (each window's result
+    or the error that ended the reading, the tap)."""
+    near, far = socket.socketpair()
+    endpoint = endpoint_type(near, side="B", timeout=5.0)
+    sender = threading.Thread(target=_send_in_pieces, args=(far, stream, cuts))
+    sender.start()
+    outcomes = []
+    try:
+        for window in windows:
+            try:
+                got = endpoint.receive_lines(window)
+            except ChannelError as exc:
+                outcomes.append((type(exc), str(exc), getattr(exc, "byte_offset", None)))
+                break
+            outcomes.append(got)
+            if got is not None:
+                break
+        return outcomes, endpoint.tap()
+    finally:
+        endpoint.close()
+        sender.join(timeout=10)
+        far.close()
+        assert not sender.is_alive()
+
+
+class TestWindowRead:
+    """A window that is exactly its expected wire text is read with one
+    comparison; anything else takes the per-line read, which must behave as
+    the per-line reader always did (tests/reference_channel.py)."""
+
+    CONFIG = SessionConfig(n_pairs=40, seed=3, alice_message=_random_bits(40, 3),
+                           bob_message=_random_bits(31, 4))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        windows=_peer_windows(),
+        mutation=st.sampled_from(["none", "flip", "insert", "delete", "truncate",
+                                  "utf8", "overlong", "respell", "extra"]),
+        at=st.integers(0, 2**16),
+        byte=st.integers(0, 255),
+        cuts=st.lists(st.integers(0, 2**16), max_size=3),
+    )
+    def test_window_read_equals_the_per_line_reader(self, windows, mutation, at, byte, cuts):
+        clean = b"".join(window.wire_bytes() for window in windows)
+        stream = _mutate(clean, mutation, at, byte)
+        got = _receive_windows(TcpEndpoint, stream, cuts, windows)
+        assert got == _receive_windows(ReferenceEndpoint, stream, cuts, windows)
+        if stream == clean:
+            assert got == ([None] * len(windows), _announced(windows))
+
+    @pytest.mark.parametrize("length", [MAX_FRAME_BYTES, MAX_FRAME_BYTES + 1])
+    def test_padded_line_at_the_frame_limit(self, length):
+        """A line of the second window padded to the limit parses equal and
+        is read on; one byte more is a FrameError at its offset."""
+        windows = _windows(self.CONFIG, 7)
+        clean = b"".join(window.wire_bytes() for window in windows)
+        stream = _mutate(clean, "overlong", 9, length - MAX_FRAME_BYTES + 2)
+        got = _receive_windows(TcpEndpoint, stream, [], windows)
+        assert got == _receive_windows(ReferenceEndpoint, stream, [], windows)
+        if length == MAX_FRAME_BYTES:
+            assert got == ([None] * len(windows), _announced(windows))
+        else:
+            offset = len(b"".join(clean.splitlines(keepends=True)[:9]))
+            assert got[0][-1] == (FrameError, f"frame is not newline-terminated within "
+                                  f"{MAX_FRAME_BYTES} bytes (at byte {offset})", offset)
+
+    def test_clean_window_is_read_without_the_per_line_loop(self, monkeypatch):
+        windows = _windows(self.CONFIG, 7)
+        stream = b"".join(window.wire_bytes() for window in windows)
+
+        def refused(self):
+            raise AssertionError("a clean window was read line by line")
+
+        monkeypatch.setattr(TcpEndpoint, "_read_frame", refused)
+        near, far = socket.socketpair()
+        endpoint = TcpEndpoint(near, side="B", timeout=5.0)
+        far.sendall(stream)
+        try:
+            assert [endpoint.receive_lines(window) for window in windows] == [None] * len(windows)
+            assert endpoint._read_offset == len(stream)
+            assert endpoint.tap() == _announced(windows)
+        finally:
+            endpoint.close()
+            far.close()
+
+    @pytest.mark.parametrize("sent", ["nothing", "whole lines", "part of a line"])
+    def test_stalled_peer_costs_one_timeout(self, sent):
+        [window] = _windows(self.CONFIG, TCP_WINDOW_LINES)
+        text = window.wire_bytes()
+        lines_sent = {"nothing": 0, "whole lines": 5, "part of a line": 5}[sent]
+        prefix = b"".join(text.splitlines(keepends=True)[:lines_sent])
+        if sent == "part of a line":
+            prefix += text[len(prefix):len(prefix) + 40]
+        for endpoint_type in (TcpEndpoint, ReferenceEndpoint):
+            near, far = socket.socketpair()
+            endpoint = endpoint_type(near, side="B", timeout=0.2)
+            far.sendall(prefix)
+            start = time.monotonic()
+            try:
+                with pytest.raises(TransportError, match="receive failed: timed out"):
+                    endpoint.receive_lines(window)
+                assert time.monotonic() - start < 0.4
+                assert endpoint.tap() == window[:lines_sent].announcements()
+            finally:
+                endpoint.close()
+                far.close()
+
+    def test_real_session_lines_fit_in_a_frame(self):
+        config = SessionConfig(n_pairs=2, seed=0)
+        prefix, suffixes = _wire_template(session_id(config))
+        longest = len(prefix) + len(str(2**63 - 1)) + max(map(len, suffixes)) + 1
+        assert len(session_id(config)) == 16
+        assert longest < MAX_FRAME_BYTES // 4
+        assert _fits_frames(session_id(config))
+
+    def test_expected_lines_over_the_frame_limit_are_refused(self):
+        """A session id long enough to push its lines past MAX_FRAME_BYTES:
+        the exact expected text is still refused, as the per-line read
+        refuses it."""
+        sid = "s" * MAX_FRAME_BYTES
+        assert not _fits_frames(sid)
+        window = _coded([meas(1, "A", BellLabel.PHI_PLUS, sid=sid)])
+        outcomes = [_receive_windows(endpoint_type, window.wire_bytes(), [], [window])
+                    for endpoint_type in (TcpEndpoint, ReferenceEndpoint)]
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == [(FrameError, f"frame is not newline-terminated within "
+                                   f"{MAX_FRAME_BYTES} bytes (at byte 0)", 0)]

@@ -1,7 +1,8 @@
 """Golden outputs, pinned byte for byte.
 
 The stored run documents under tests/golden/ pin seeded sampling for every
-mode, both fallbacks and an odd pair count; the stored analyze reports pin
+mode, both fallbacks and an odd pair count, in json, csv and text (run-odd
+holds the "final odd pair idle" line); the stored analyze reports pin
 the eavesdropper analyzer under uniform, skewed and point priors (the point
 prior makes some blocks inconsistent). run-mixed.json is run-bidirectional
 with some measurement lines removed, so one transcript shows all four
@@ -44,6 +45,8 @@ RUNS = {
     "odd": ["--pairs", "13", "--seed", "14",
             "--alice-msg", "111000110101", "--bob-msg", "01001"],
 }
+# The other formats of a single-session document: golden run-{run}.{suffix}.
+FORMATS = {"csv": "csv", "text": "txt"}
 # Two-process sessions: (serve flags, connect flags). Each side gets only
 # its own message.
 NETWORKED = {
@@ -121,6 +124,14 @@ def test_run_document_bytes(run, tmp_path):
     out = tmp_path / "run.json"
     assert main(["simulate", *RUNS[run], "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"run-{run}.json").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_run_document_bytes_in_other_formats(run, fmt, tmp_path):
+    out = tmp_path / "run.out"
+    assert main(["simulate", *RUNS[run], "--format", fmt, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"run-{run}.{FORMATS[fmt]}").read_bytes()
 
 
 @pytest.mark.parametrize("priors", PRIORS)
@@ -247,6 +258,9 @@ def regenerate() -> None:
     (GOLDEN / "priors-point.json").write_text(json.dumps(point, indent=2) + "\n")
     for run, flags in RUNS.items():
         assert main(["simulate", *flags, "--out", str(GOLDEN / f"run-{run}.json")]) == 0
+        for fmt, suffix in FORMATS.items():
+            out = GOLDEN / f"run-{run}.{suffix}"
+            assert main(["simulate", *flags, "--format", fmt, "--out", str(out)]) == 0
 
     def kept(line: str) -> bool:
         ann = json.loads(line)
