@@ -43,8 +43,8 @@ from typing import Mapping
 import numpy as np
 
 from . import jsontext
-from .channel import _MEASURED_SIDE, LINE_KINDS, SIDES
-from .protocol import Transcript, _coded_lines
+from .channel import SIDES
+from .protocol import Transcript
 from .quantum import BellLabel, PauliCode
 from .swap import ALL_OP_PAIRS, ENCODING_ORDER, generate_decode_table
 
@@ -190,25 +190,12 @@ class EveView:
         ENCODING_ORDER (entry k-1 is block k), -1 where the side announced
         none. A side that announced a block twice is a ValueError, side A
         checked first, as Transcript.measurements reports it."""
-        transcript = self.transcript
-        n = transcript.usable_blocks
+        n = self.transcript.usable_blocks
         columns = (np.full(n, -1, dtype=np.intp), np.full(n, -1, dtype=np.intp))
-        lines = _coded_lines(transcript)
-        if lines is None:  # a transcript given its Announcements
-            for side, column in zip(SIDES, columns):
-                for block, label in transcript.measurements(side).items():
-                    if 1 <= block <= n:
-                        column[block - 1] = _LABEL_INDEX[label]
-            return columns
-        measured = _MEASURED_SIDE[lines.codes]
-        for index, (side, column) in enumerate(zip(SIDES, columns)):
-            mine = np.flatnonzero(measured == index)
-            blocks = lines.blocks[mine]
-            repeated = _first_repeat(blocks)
-            if repeated is not None:
-                raise ValueError(f"side {side} announced block {repeated} twice")
+        for side, column in zip(SIDES, columns):
+            blocks, labels = self.transcript.measured(side)
             kept = (blocks >= 1) & (blocks <= n)
-            column[blocks[kept] - 1] = _LINE_LABEL[lines.codes[mine[kept]]]
+            column[blocks[kept] - 1] = labels[kept]
         return columns
 
     def block_announcements(self) -> list[tuple[int, BellLabel | None, BellLabel | None]]:
@@ -219,21 +206,8 @@ class EveView:
         ]
 
 
-# By line code: the announced label's index in ENCODING_ORDER, -1 for a
-# control line. By that index, with -1 last: the label, or None.
-_LINE_LABEL = np.array([-1 if label is None else _LABEL_INDEX[label] for *_, label in LINE_KINDS])
+# By label index, with -1 last: the label, or None.
 _LABEL_OR_NONE = (*ENCODING_ORDER, None)
-
-
-def _first_repeat(blocks: np.ndarray) -> int | None:
-    """The first entry of `blocks` equal to an earlier one, or None."""
-    if (blocks[1:] > blocks[:-1]).all():  # strictly increasing, as sessions announce
-        return None
-    _, first = np.unique(blocks, return_index=True)
-    repeats = np.ones(len(blocks), dtype=bool)
-    repeats[first] = False
-    at = np.flatnonzero(repeats)
-    return int(blocks[at[0]]) if at.size else None
 
 
 def _view_parts(column: int) -> tuple[str, BellLabel | None, BellLabel | None]:

@@ -8,9 +8,12 @@ order; the tap is the eavesdropper's entire view.
 A session's announcements travel as CodedLines: a block column and a line
 code column, the code naming one of the 14 (side, kind, label) a line can
 have. Announcement objects are built from them only when read, and wire
-text is cut from a per-session template. The in-process channel delivers
-and taps a window of both sides' lines at once, in schedule order, and
-checks each side's block order as whole arrays. A TcpEndpoint plays
+text is cut from a per-session template. A tap holds CodedLines only,
+admitted through an order gate that finds the first line out of block
+order as whole arrays. The per-line calls (InProcessEndpoint, and
+TcpEndpoint.send and receive) wrap one-line CodedLines. The in-process
+channel delivers and taps a window of both sides' lines at once, in
+schedule order. A TcpEndpoint plays
 `window` (TCP_WINDOW_LINES) schedule lines at a time, a window's A lines,
 then its B lines (protocol._play), and buffers what it sends until it
 next reads, so a window costs one sendall. One side writes while the
@@ -19,7 +22,9 @@ and a party buffers at most one window of its own lines. Both parties
 know every line of the schedule, so a receiving endpoint accepts a peer
 window that is exactly its expected wire text with one byte comparison;
 from the first byte that differs, it reads, parses and checks the
-window's lines one by one, with the same errors and byte offsets.
+window's lines one by one, with the same errors and byte offsets. A peer
+line of another session, or with a block past the int64 column, is a
+FrameError at its offset.
 
 Wire format, one announcement per line, UTF-8, newline-terminated:
 
@@ -203,8 +208,9 @@ def _wire_template(session_id: str) -> tuple[str, np.ndarray]:
     return zero[0][:cut], suffixes
 
 
-# Digits of the largest block a CodedLines column holds.
-_BLOCK_DIGITS = len(str(np.iinfo(np.int64).max))
+# The largest block a CodedLines column holds, and its digits.
+_MAX_BLOCK = int(np.iinfo(np.int64).max)
+_BLOCK_DIGITS = len(str(_MAX_BLOCK))
 
 
 def _fits_frames(session_id: str) -> bool:
@@ -229,6 +235,25 @@ class CodedLines:
         self.blocks = blocks
         self.codes = codes
         self._announcements = None
+
+    @classmethod
+    def of(cls, session_id: str, announcements) -> "CodedLines":
+        """Announcements of session `session_id` as coded lines, which read
+        back as their tuple. An announcement of another session, or with a
+        block above _MAX_BLOCK, is a ValueError."""
+        announcements = tuple(announcements)
+        for ann in announcements:
+            if ann.session_id != session_id:
+                raise ValueError(
+                    f"announcement names session {ann.session_id!r}, not {session_id!r}"
+                )
+            if ann.block > _MAX_BLOCK:
+                raise ValueError(f"announcement block {ann.block} is above {_MAX_BLOCK}")
+        blocks = [ann.block for ann in announcements]
+        codes = [LINE_CODES[ann.side, ann.kind, ann.label] for ann in announcements]
+        lines = cls(session_id, np.array(blocks, dtype=np.int64), np.array(codes, dtype=np.intp))
+        lines._announcements = announcements
+        return lines
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -284,59 +309,64 @@ class CodedLines:
         return n if n < len(self) else None
 
 
-def _announcements(tap: list) -> tuple[Announcement, ...]:
-    """A tap's announcements: it holds Announcements and CodedLines."""
-    return tuple(chain.from_iterable(
-        piece.announcements() if isinstance(piece, CodedLines) else (piece,) for piece in tap
-    ))
+def _announcements(tap: list[CodedLines]) -> tuple[Announcement, ...]:
+    """A tap's announcements, in order."""
+    return tuple(chain.from_iterable(lines.announcements() for lines in tap))
+
+
+def _peer_line(ann: Announcement, session_id: str, byte_offset: int) -> CodedLines:
+    """A received announcement as one coded line of session `session_id`;
+    one that no such line holds is a FrameError at its offset."""
+    try:
+        return CodedLines.of(session_id, (ann,))
+    except ValueError as exc:
+        raise FrameError(f"invalid frame: {exc}", byte_offset) from exc
 
 
 class _OrderGate:
-    """Enforces strictly increasing Measurement blocks per side."""
+    """Admits lines to a tap while each side's Measurement blocks strictly
+    increase."""
 
     def __init__(self):
-        self._last: dict[str, int] = {}
+        self._last = [0, 0]  # per side of SIDES, its last Measurement block admitted
 
-    def check(self, ann: Announcement) -> None:
-        if ann.kind is not AnnouncementKind.MEASUREMENT:
-            return
-        last = self._last.get(ann.side, 0)
-        if ann.block <= last:
-            raise OrderingError(
-                f"side {ann.side} announced block {ann.block} after block {last}"
-            )
-        self._last[ann.side] = ann.block
-
-    def admit(self, lines: CodedLines, tap: list) -> None:
-        """check() every line of `lines` in order, appending each to `tap`
-        once it passes. Lines in block order, the usual case, are checked
-        as whole arrays and tapped as one piece."""
+    def admit(self, lines: CodedLines, tap: list[CodedLines]) -> None:
+        """Append `lines` to `tap` up to the first Measurement whose block is
+        not above every earlier block of its side, and raise OrderingError
+        for that line."""
         measured = _MEASURED_SIDE[lines.codes]
-        last = {}
+        stop, error, sides = len(lines), None, []
         for index, side in enumerate(SIDES):
-            blocks = lines.blocks[measured == index]
-            if not blocks.size:
-                continue
-            if blocks[0] <= self._last.get(side, 0) or (blocks[1:] <= blocks[:-1]).any():
-                break
-            last[side] = int(blocks[-1])
-        else:
-            self._last.update(last)
-            if len(lines):
-                tap.append(lines)
-            return
-        for ann in lines.announcements():  # raises at the first line out of order
-            self.check(ann)
-            tap.append(ann)
+            at = np.flatnonzero(measured == index)
+            blocks = lines.blocks[at]
+            # Entry j: the largest block of this side before its line j.
+            before = np.maximum.accumulate(np.concatenate(([self._last[index]], blocks)))
+            bad = np.flatnonzero(blocks <= before[:-1])
+            if bad.size and at[bad[0]] < stop:
+                stop, error = int(at[bad[0]]), OrderingError(
+                    f"side {side} announced block {blocks[bad[0]]} after block {before[bad[0]]}"
+                )
+            sides.append((at, before))
+        self._last = [int(before[np.searchsorted(at, stop)]) for at, before in sides]
+        if stop:
+            tap.append(lines if stop == len(lines) else lines[:stop])
+        if error is not None:
+            raise error
 
 
 class InProcessEndpoint:
+    """One side of an in-process channel, a line at a time."""
+
     def __init__(self, channel: "InProcessChannel", side: str):
         self._channel = channel
         self.side = side
 
     def send(self, ann: Announcement) -> None:
-        self._channel._deliver(self.side, ann)
+        if ann.side != self.side:
+            raise ChannelError(f"endpoint {self.side} cannot send for side {ann.side}")
+        delivered = self._channel._deliver_lines(CodedLines.of(ann.session_id, (ann,)))
+        other = "B" if self.side == "A" else "A"
+        self._channel._queues[other].extend(delivered.announcements())
 
     def receive(self) -> Announcement:
         queue = self._channel._queues[self.side]
@@ -356,21 +386,13 @@ class InProcessChannel:
 
     def __init__(self):
         self._queues: dict[str, deque[Announcement]] = {s: deque() for s in SIDES}
-        self._tap: list[Announcement | CodedLines] = []
+        self._tap: list[CodedLines] = []
         self._gate = _OrderGate()
 
     def endpoint(self, side: str) -> InProcessEndpoint:
         if side not in SIDES:
             raise ValueError(f"side must be one of {SIDES}")
         return InProcessEndpoint(self, side)
-
-    def _deliver(self, sender: str, ann: Announcement) -> None:
-        if ann.side != sender:
-            raise ChannelError(f"endpoint {sender} cannot send for side {ann.side}")
-        self._gate.check(ann)
-        other = "B" if sender == "A" else "A"
-        self._queues[other].append(ann)
-        self._tap.append(ann)
 
     def _deliver_lines(self, lines: CodedLines) -> CodedLines:
         """Deliver a window of both sides' lines at once, in order, and
@@ -409,18 +431,15 @@ class TcpEndpoint:
         self._recv_error: OSError | None = None  # kept until a line needs more bytes
         self._read_offset = 0
         self._gate = _OrderGate()
-        self._tap: list[Announcement | CodedLines] = []
+        self._tap: list[CodedLines] = []
         self._out = bytearray()
         self._out_lines = 0
 
     def send(self, ann: Announcement) -> None:
-        if ann.side != self.side:
-            raise ChannelError(f"endpoint {self.side} cannot send for side {ann.side}")
-        self._tap.append(ann)
-        self._buffer(ann.to_wire().encode("utf-8") + b"\n", 1)
+        self.send_lines(CodedLines.of(ann.session_id, (ann,)))
 
     def send_lines(self, lines: CodedLines) -> None:
-        """send() every line of `lines`, written from the wire template."""
+        """Buffer and tap every line of `lines`, written from the wire template."""
         other = np.flatnonzero(_LINE_SIDE[lines.codes] != SIDES.index(self.side))
         if other.size:
             side = LINE_KINDS[lines.codes[other[0]]][0]
@@ -445,11 +464,12 @@ class TcpEndpoint:
             raise TransportError(f"send failed: {exc}") from exc
 
     def receive(self) -> Announcement:
+        """Read, check and tap one peer line, of any session."""
         if self._out:  # the peer reads them before it writes
             self.flush()
-        ann = Announcement.from_wire(*self._read_frame())
-        self._gate.check(ann)
-        self._tap.append(ann)
+        line, offset = self._read_frame()
+        ann = Announcement.from_wire(line, offset)
+        self._gate.admit(_peer_line(ann, ann.session_id, offset), self._tap)
         return ann
 
     def receive_lines(self, expected: CodedLines) -> tuple[Announcement, Announcement] | None:
@@ -458,11 +478,12 @@ class TcpEndpoint:
         expected) for the first that is not, which is the last line read.
 
         If the stream's next bytes are the wire text of `expected`, they
-        are read and tapped as `expected` at once. Otherwise, from the
-        window's first line: a line with the expected text is tapped as
-        the expected line, and any other line is parsed, checked and
-        tapped as receive() does, so its errors and byte offsets are the
-        same; if it parses to the expected announcement, reading goes on.
+        are read at once. Otherwise each line is read in turn: one with the
+        expected text, or another spelling of the expected announcement, is
+        read on. Any other line is parsed and checked as receive() does, so
+        its errors and byte offsets are the same, and a line of another
+        session, or with a block above _MAX_BLOCK, is a FrameError at its
+        offset. The lines read before it are tapped as `expected`.
         """
         if self._out:  # the peer reads them before it writes
             self.flush()
@@ -472,24 +493,23 @@ class TcpEndpoint:
             self._read_offset += len(wire)
             self._gate.admit(expected, self._tap)
             return None
-        done = 0  # lines of `expected` read and tapped
         for i, text in enumerate(expected.wire_lines()):
             try:
                 line, offset = self._read_frame()
+                if line == text:
+                    continue
+                ann = Announcement.from_wire(line, offset)
+                received = _peer_line(ann, expected.session_id, offset)
+                want = expected.announcement(i)
+                if ann == want:
+                    continue
             except ChannelError:
-                self._gate.admit(expected[done:i], self._tap)
+                self._gate.admit(expected[:i], self._tap)
                 raise
-            if line == text:
-                continue
-            self._gate.admit(expected[done:i], self._tap)
-            done = i + 1
-            ann = Announcement.from_wire(line, offset)
-            self._gate.check(ann)
-            self._tap.append(ann)
-            want = expected.announcement(i)
-            if ann != want:
-                return ann, want
-        self._gate.admit(expected[done:], self._tap)
+            self._gate.admit(expected[:i], self._tap)
+            self._gate.admit(received, self._tap)
+            return ann, want
+        self._gate.admit(expected, self._tap)
         return None
 
     def _next_bytes_are(self, text: bytes) -> bool:

@@ -12,11 +12,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 
 import numpy as np
 
 from . import __version__, jsontext
 from .channel import (
+    _MAX_BLOCK,
     _MEASURED_SIDE,
     LINE_CODES,
     MAX_FRAME_BYTES,
@@ -28,19 +30,17 @@ from .channel import (
 )
 from .protocol import (
     BlockColumns,
-    BlockRecord,
     MessageBits,
     SessionConfig,
     SessionMode,
     SessionResult,
     SilentFallback,
     Transcript,
-    _block_columns,
-    _coded_lines,
-    replay,
+    _flag_code,
+    _replay_codes,
 )
 from .quantum import BellLabel, PauliCode
-from .swap import ENCODING_ORDER, SwapOutcome
+from .swap import ENCODING_ORDER, LABEL_CODES
 
 TOOL = {"name": "swapcomm", "version": __version__}
 
@@ -53,8 +53,6 @@ _SESSION_TYPES = {
     "alice_declared_length": (int, type(None)),
     "bob_declared_length": (int, type(None)),
 }
-# The largest block a transcript line may name: the block column is int64.
-_MAX_BLOCK = (1 << 63) - 1
 
 
 def _message_field(message: MessageBits | None) -> str | None:
@@ -124,34 +122,24 @@ def decode_ok(decoded: MessageBits | None, sent: MessageBits | None) -> bool | N
 
 def run_document(config: SessionConfig, result: SessionResult) -> dict:
     """The session-run document. Its transcript and block rows are
-    jsontext.KeyedItems columns, but for the transcript of a Transcript
-    given its Announcements, which is a list."""
+    jsontext.KeyedItems columns."""
     t = result.transcript
-    lines = _coded_lines(t)
-    if lines is not None:
-        measurement_count = lines.count(AnnouncementKind.MEASUREMENT)
-        wire_lines = _transcript_lines(lines)
-    else:  # a transcript given its Announcements
-        lines = t.announcements
-        measurement_count = sum(
-            1 for ann in lines if ann.kind is AnnouncementKind.MEASUREMENT
-        )
-        wire_lines = t.wire_lines()
+    lines = t.lines
     return {
         "tool": dict(TOOL),
         "kind": "session-run",
         "session": _session_section(config, t),
-        "transcript": wire_lines,
+        "transcript": _transcript_lines(lines),
         "private": {
             "alice_message": _message_field(config.alice_message),
             "bob_message": _message_field(config.bob_message),
-            "blocks": _block_rows(_block_columns(result)),
+            "blocks": _block_rows(result.block_columns),
             "decoded_by_alice": _message_field(result.decoded_by_alice),
             "decoded_by_bob": _message_field(result.decoded_by_bob),
         },
         "summary": {
             "announcements": len(lines),
-            "measurement_announcements": measurement_count,
+            "measurement_announcements": lines.count(AnnouncementKind.MEASUREMENT),
             "decode_ok_alice": decode_ok(result.decoded_by_alice, config.bob_message),
             "decode_ok_bob": decode_ok(result.decoded_by_bob, config.alice_message),
         },
@@ -261,36 +249,55 @@ def _parse_lines(sid: str, lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return np.array(blocks, dtype=np.int64), np.array(codes, dtype=np.intp)
 
 
-def _blocks_from_document(doc: dict) -> tuple[BlockRecord, ...]:
+# A block row's fields after its index, which make up its kind.
+_ROW_KIND = operator.itemgetter(
+    "op_a", "op_b", "outcome_a", "outcome_b", "announced_a", "announced_b"
+)
+_ROW_INDEX = operator.itemgetter("index")
+
+
+def _row_codes(number: int, row: dict) -> list[int]:
+    """Block row `number` as the codes of protocol._record_codes, each
+    field read in turn after the index. A missing, mistyped or unknown
+    value is a ValueError."""
+    try:
+        row["index"]  # a row without an index fails here first
+        codes = [-1 if row[op] is None else PauliCode[row[op]].code for op in ("op_a", "op_b")]
+        codes += [LABEL_CODES[BellLabel(row[label])] for label in ("outcome_a", "outcome_b")]
+        codes += [_flag_code(row[flag]) for flag in ("announced_a", "announced_b")]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"block row {number} is malformed: {type(exc).__name__}: {exc}"
+        ) from exc
+    return codes
+
+
+def _blocks_from_document(doc: dict) -> tuple[list, np.ndarray]:
+    """The index values of a run document's block rows, and the rows as
+    the six code rows of protocol._record_codes. Each distinct kind of row
+    is read once; the first malformed row is a ValueError."""
     private = doc.get("private")
     rows = private.get("blocks") if isinstance(private, dict) else None
     if not isinstance(rows, list):
         raise ValueError("private blocks must be a list of block rows")
-    records = []
-    for number, row in enumerate(rows):
-        try:
-            records.append(BlockRecord(
-                index=row["index"],
-                op_a=PauliCode[row["op_a"]] if row["op_a"] is not None else None,
-                op_b=PauliCode[row["op_b"]] if row["op_b"] is not None else None,
-                outcome=SwapOutcome(
-                    BellLabel(row["outcome_a"]), BellLabel(row["outcome_b"])
-                ),
-                announced_a=row["announced_a"],
-                announced_b=row["announced_b"],
-            ))
-        except (KeyError, TypeError, ValueError) as exc:  # a missing, mistyped or unknown value
-            raise ValueError(
-                f"block row {number} is malformed: {type(exc).__name__}: {exc}"
-            ) from exc
-    return tuple(records)
+    try:
+        first = {}  # a kind of row -> the first row of that kind
+        which = [first.setdefault(kind, i) for i, kind in enumerate(map(_ROW_KIND, rows))]
+        indices = list(map(_ROW_INDEX, rows))
+    except (KeyError, TypeError):  # a row that is not an object, lacks a field or is unhashable
+        which, indices = range(len(rows)), None  # read every row
+    numbers, kind = np.unique(which, return_inverse=True)
+    codes = [_row_codes(number, rows[number]) for number in numbers.tolist()]
+    if indices is None:
+        indices = list(map(_ROW_INDEX, rows))
+    return indices, np.array(codes, dtype=np.intp).reshape(-1, 6)[kind].T
 
 
 def replay_document(doc: dict) -> SessionResult:
     """Re-derive the decoded messages recorded in a session document."""
     if doc.get("kind") != "session-run":
         raise ValueError(f"cannot replay a {doc.get('kind')!r} document")
-    return replay(transcript_from_document(doc), _blocks_from_document(doc))
+    return _replay_codes(transcript_from_document(doc), *_blocks_from_document(doc))
 
 
 def render_json(doc: dict) -> str:

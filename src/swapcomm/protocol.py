@@ -13,7 +13,7 @@ same outcomes. block_rng defines a block's stream. _seed_words replays
 numpy's SeedSequence over arrays of seeds and spawn keys, and _draw_grid
 builds on it the draws of every block under a column of seeds in one
 vectorised pass, bit for bit equal to block_rng's. A session is the
-one-seed case (_block_draws). run_trials is the many-seed case: it derives
+one-seed case (_session_blocks). run_trials is the many-seed case: it derives
 every trial seed with the same replay and samples and decodes all trials
 as rows of (trials x blocks) arrays. Sampling and decoding are gathers
 from the decode table's code arrays.
@@ -25,10 +25,11 @@ peer announces against the schedule both derived from the public config.
 
 A session is a table of small integers: its blocks are four code columns
 (BlockColumns) and its schedule is a block column and a line code column
-(channel.CodedLines), exchanged and checked a window at a time. The
-BlockRecord, SwapOutcome and Announcement objects of SessionResult.blocks
-and Transcript.announcements are built from the columns the first time
-they are read, and kept.
+(channel.CodedLines), exchanged and checked a window at a time. These are
+the one form a SessionResult and a Transcript store; records or
+announcements given instead are converted at construction. The objects
+of SessionResult.blocks and Transcript.announcements are built from the
+columns when first read, and kept. replay checks on columns too.
 """
 from __future__ import annotations
 
@@ -41,6 +42,7 @@ from functools import partial
 import numpy as np
 
 from .channel import (
+    _MEASURED_SIDE,
     LINE_CODES,
     LINE_KINDS,
     SIDES,
@@ -283,7 +285,7 @@ def _session_token(seed: int, public_fields: str) -> str:
 def block_rng(seed: int, block_index: int) -> np.random.Generator:
     """Independent stream for one block, derived from (seed, block index).
 
-    This defines the sampling stream; _block_draws computes the same draws
+    This defines the sampling stream; _draw_grid computes the same draws
     for all blocks at once.
     """
     seq = np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=(block_index,))
@@ -402,12 +404,6 @@ def _draw_grid(seeds: np.ndarray, n_blocks: int) -> np.ndarray:
     return draws
 
 
-def _block_draws(seed: int, n_blocks: int) -> np.ndarray:
-    """The first three integers(4) draws of block_rng(seed, k) for every
-    block k in 1..n_blocks, as row k-1 of an (n_blocks, 3) uint8 array."""
-    return _draw_grid(_seed_column(seed), n_blocks)[:, 0].T
-
-
 def _spawn_seeds(seed: int, start: int, stop: int) -> np.ndarray:
     """The seeds of trials start..stop-1 of a run with seed `seed`: trial t
     has the first generate_state(1, uint64) word of SeedSequence(seed,
@@ -463,17 +459,15 @@ class BlockColumns:
 
     @classmethod
     def from_records(cls, records: tuple[BlockRecord, ...]) -> "BlockColumns":
-        codes = np.array(
-            [(-1 if rec.op_a is None else rec.op_a.code,
-              -1 if rec.op_b is None else rec.op_b.code,
-              LABEL_CODES[rec.outcome.a_side],
-              LABEL_CODES[rec.outcome.b_side]) for rec in records],
-            dtype=np.intp,
-        ).reshape(-1, 4).T
+        """The columns of records whose indices are 1..n in order; any
+        other indices are a ValueError."""
+        for pos, rec in enumerate(records, start=1):
+            if rec.index != pos:
+                raise ValueError(f"record {pos} has index {rec.index}, not {pos}")
         flags = np.array(
             [(rec.announced_a, rec.announced_b) for rec in records], dtype=bool
         ).reshape(-1, 2).T
-        columns = cls(tuple(codes), tuple(flags))
+        columns = cls(tuple(_record_codes(records)[:4]), tuple(flags))
         columns._records = records
         return columns
 
@@ -491,13 +485,32 @@ class BlockColumns:
         return self._records
 
 
-class _BuiltOnRead:
-    """A frozen dataclass field that holds its objects, or columns of type
-    `columns` from which `build` makes them. Reading the field gives the
-    objects; the columns build them once and keep them."""
+def _flag_code(value) -> int:
+    """An announced flag as a code: 1 for a value equal to True, 0 for one
+    equal to False, 2 for any other."""
+    return 1 if value == True else 0 if value == False else 2  # noqa: E712 - 1 and 1.0 are True
 
-    def __init__(self, columns: type, build):
-        self._columns, self._build = columns, build
+
+def _record_codes(records) -> np.ndarray:
+    """Block records as six code rows: op_a, op_b, label_a, label_b and the
+    _flag_code of each announced flag."""
+    return np.array(
+        [(-1 if rec.op_a is None else rec.op_a.code,
+          -1 if rec.op_b is None else rec.op_b.code,
+          LABEL_CODES[rec.outcome.a_side], LABEL_CODES[rec.outcome.b_side],
+          _flag_code(rec.announced_a), _flag_code(rec.announced_b)) for rec in records],
+        dtype=np.intp,
+    ).reshape(-1, 6).T
+
+
+class _StoredAsColumns:
+    """A frozen dataclass field stored in one form, as columns of type
+    `columns`: objects given instead are converted by `convert(instance,
+    objects)` once, when the field is set. Reading the field gives the
+    objects `build` makes from the columns."""
+
+    def __init__(self, columns: type, convert, build):
+        self._columns, self._convert, self._build = columns, convert, build
 
     def __set_name__(self, owner, name):
         self._name = name
@@ -505,18 +518,34 @@ class _BuiltOnRead:
     def __get__(self, obj, owner=None):
         if obj is None:
             raise AttributeError(self._name)  # so the field has no default
-        value = obj.__dict__[self._name]
-        return self._build(value) if isinstance(value, self._columns) else value
+        return self._build(obj.__dict__[self._name])
 
     def __set__(self, obj, value):
+        if not isinstance(value, self._columns):
+            value = self._convert(obj, value)
         obj.__dict__[self._name] = value
+
+
+# By line code: the label code of a Measurement, -1 for a control line.
+_LINE_LABEL = np.array([-1 if label is None else LABEL_CODES[label] for *_, label in LINE_KINDS])
+
+
+def _first_repeat(blocks: np.ndarray) -> int | None:
+    """The first entry of `blocks` equal to an earlier one, or None."""
+    if (blocks[1:] > blocks[:-1]).all():  # strictly increasing, as sessions announce
+        return None
+    repeats = np.setdiff1d(np.arange(len(blocks)), np.unique(blocks, return_index=True)[1])
+    return int(blocks[repeats[0]]) if repeats.size else None
 
 
 @dataclass(frozen=True)
 class Transcript:
     """Everything public: the announcements in order plus session metadata.
 
-    `announcements` may be given as CodedLines; it reads as their tuple.
+    `announcements` is stored as CodedLines of the session, its `lines`;
+    Announcements given instead are converted at construction. Lines or
+    an announcement of another session, or a block above the int64
+    range, are a ValueError. Reading the field gives the Announcements.
     """
 
     session_id: str
@@ -525,54 +554,65 @@ class Transcript:
     fallback: SilentFallback
     alice_declared_length: int | None
     bob_declared_length: int | None
-    announcements: tuple[Announcement, ...] = _BuiltOnRead(CodedLines, CodedLines.announcements)
+    announcements: tuple[Announcement, ...] = _StoredAsColumns(
+        CodedLines, lambda t, anns: CodedLines.of(t.session_id, anns), CodedLines.announcements
+    )
+
+    def __post_init__(self):
+        if self.lines.session_id != self.session_id:
+            raise ValueError(
+                f"lines of session {self.lines.session_id!r} in transcript {self.session_id!r}"
+            )
+
+    @property
+    def lines(self) -> CodedLines:
+        return vars(self)["announcements"]
 
     @property
     def usable_blocks(self) -> int:
         return self.n_pairs // 2
 
+    def measured(self, side: str) -> tuple[np.ndarray, np.ndarray]:
+        """The blocks and label codes (LABEL_CODES) of one side's
+        Measurement lines, in order. A block announced twice is a
+        ValueError."""
+        lines = self.lines
+        mine = np.flatnonzero(_MEASURED_SIDE[lines.codes] == SIDES.index(side))
+        blocks = lines.blocks[mine]
+        repeated = _first_repeat(blocks)
+        if repeated is not None:
+            raise ValueError(f"side {side} announced block {repeated} twice")
+        return blocks, _LINE_LABEL[lines.codes[mine]]
+
     def measurements(self, side: str) -> dict[int, BellLabel]:
         """Announced measurement labels for one side, keyed by block."""
-        out: dict[int, BellLabel] = {}
-        for ann in self.announcements:
-            if ann.kind is AnnouncementKind.MEASUREMENT and ann.side == side:
-                if ann.block in out:
-                    raise ValueError(
-                        f"side {side} announced block {ann.block} twice"
-                    )
-                out[ann.block] = ann.label
-        return out
+        blocks, labels = self.measured(side)
+        return dict(zip(blocks.tolist(), map(ENCODING_ORDER.__getitem__, labels.tolist())))
 
     def wire_lines(self) -> list[str]:
-        coded = _coded_lines(self)
-        if coded is not None:
-            return coded.wire_lines()
-        return [ann.to_wire() for ann in self.announcements]
+        return self.lines.wire_lines()
 
 
 @dataclass(frozen=True)
 class SessionResult:
     """A session's decodes, private blocks and public transcript.
 
-    `blocks` may be given as BlockColumns; it reads as their records.
+    `blocks` is stored as BlockColumns, its `block_columns`; BlockRecords
+    given instead are converted at construction, and indices other than
+    1..n are a ValueError. Reading the field gives the BlockRecords.
     """
 
     decoded_by_alice: MessageBits | None  # Bob's message, as Alice decoded it
     decoded_by_bob: MessageBits | None
-    blocks: tuple[BlockRecord, ...] = _BuiltOnRead(BlockColumns, BlockColumns.records)
+    blocks: tuple[BlockRecord, ...] = _StoredAsColumns(
+        BlockColumns, lambda _, records: BlockColumns.from_records(tuple(records)),
+        BlockColumns.records,
+    )
     transcript: Transcript
 
-
-def _coded_lines(transcript: Transcript) -> CodedLines | None:
-    """A transcript's announcements as CodedLines, if it holds them so."""
-    lines = vars(transcript)["announcements"]
-    return lines if isinstance(lines, CodedLines) else None
-
-
-def _block_columns(result: SessionResult) -> BlockColumns:
-    """A session result's blocks as code columns."""
-    blocks = vars(result)["blocks"]
-    return blocks if isinstance(blocks, BlockColumns) else BlockColumns.from_records(blocks)
+    @property
+    def block_columns(self) -> BlockColumns:
+        return vars(self)["blocks"]
 
 
 def _block_codes(config: SessionConfig, seeds: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -613,21 +653,6 @@ def _session_blocks(config: SessionConfig) -> BlockColumns:
     """The blocks of config's session, under its own seed."""
     codes = _block_codes(config, _seed_column(config.seed))
     return BlockColumns(tuple(c[0] for c in codes), config.announce_pattern())
-
-
-def _compute_blocks(config: SessionConfig) -> tuple[BlockRecord, ...]:
-    return _session_blocks(config).records()
-
-
-def sample_block_outcomes(
-    op_a: PauliCode, op_b: PauliCode, n_blocks: int, seed: int
-) -> list[SwapOutcome]:
-    """Outcomes of n_blocks independent blocks with fixed operations,
-    drawn as a session draws them."""
-    table = generate_decode_table()
-    label_a = _block_draws(seed, n_blocks)[:, 0].astype(np.intp)
-    label_b = table.pairing_codes[table.composite_codes[op_a.code, op_b.code], label_a]
-    return [_OUTCOMES[o] for o in (4 * label_a + label_b).tolist()]
 
 
 # Line codes of each side's Measurement, indexed by [side, label code].
@@ -724,23 +749,26 @@ def _play(config: SessionConfig, exchange, tap) -> SessionResult:
 
     A finished session's transcript is the verified schedule, in schedule
     order. Any failure raises SessionError with the transcript so far,
-    which for a ChannelError is the tap.
+    which for a ChannelError is the tap: its lines of this session, as a
+    channel used before may hold others.
     """
     table = generate_decode_table()
     blocks = _session_blocks(config)
     sid = session_id(config)
     schedule = _announcement_schedule(sid, config, blocks)
+
+    def so_far(announcements) -> Transcript:
+        return _make_transcript(config, sid, [a for a in announcements if a.session_id == sid])
+
     try:
         mismatch = exchange(schedule)
     except ChannelError as exc:
-        raise SessionError(
-            str(exc), transcript=_make_transcript(config, sid, tap())
-        ) from exc
+        raise SessionError(str(exc), transcript=so_far(tap())) from exc
     if mismatch is not None:
-        got, want, so_far = mismatch
+        got, want, seen = mismatch
         raise SessionError(
             f"peer announced {got.to_wire()} where {want.to_wire()} was expected",
-            transcript=_make_transcript(config, sid, so_far),
+            transcript=so_far(seen),
         )
     transcript = _make_transcript(config, sid, schedule)
     return SessionResult(*_decode(transcript, blocks, table), blocks, transcript)
@@ -863,47 +891,61 @@ def replay(transcript: Transcript, blocks) -> SessionResult:
     outcome column of the recorded operations.
     """
     blocks = tuple(blocks)
+    return _replay_codes(transcript, [rec.index for rec in blocks], _record_codes(blocks))
+
+
+def _replay_codes(transcript: Transcript, indices: list, codes: np.ndarray) -> SessionResult:
+    """replay of blocks given as their index values and the six code rows
+    of _record_codes. Each check runs over whole rows. The failure raised
+    is the one a walk of the blocks in order meets first: at the lowest
+    block, the index, then the flags, then side A's and side B's label,
+    then the outcome column."""
     table = generate_decode_table()
-    if len(blocks) != transcript.usable_blocks:
-        raise ReplayError(
-            f"{len(blocks)} records for {transcript.usable_blocks} blocks", 0
-        )
-    announced = {side: transcript.measurements(side) for side in SIDES}
+    n = transcript.usable_blocks
+    if len(indices) != n:
+        raise ReplayError(f"{len(indices)} records for {n} blocks", 0)
+    measured = [transcript.measured(side) for side in SIDES]
     pattern = SessionConfig(
         transcript.n_pairs, transcript.mode, transcript.fallback
     ).announce_pattern()
-    for side, announces in zip(SIDES, pattern):
-        expected = set(range(1, transcript.usable_blocks + 1)) if announces else set()
-        got = set(announced[side])
-        if got != expected:
-            odd = min(got.symmetric_difference(expected), default=0)
-            raise ReplayError(f"side {side} announcement pattern is inconsistent", odd)
+    announced = []  # per side: the announced label code of each block, -1 for none
+    for side, announces, (got, labels) in zip(SIDES, pattern, measured):
+        column = np.full(n, -1, dtype=np.intp)
+        inside = (got >= 1) & (got <= n) & announces
+        column[got[inside] - 1] = labels[inside]
+        missing = np.flatnonzero(column < 0)[:1] + 1 if announces else []
+        odd = [*got[~inside].tolist(), *missing]
+        if odd:
+            raise ReplayError(f"side {side} announcement pattern is inconsistent", int(min(odd)))
+        announced.append(column)
 
-    columns = BlockColumns.from_records(blocks)
-    composite = table.composite_codes[np.maximum(columns.op_a, 0), np.maximum(columns.op_b, 0)]
-    outside = np.flatnonzero(table.infer_codes[columns.label_a, columns.label_b] != composite)
-    first_outside = int(outside[0]) + 1 if outside.size else 0
-
-    for pos, rec in enumerate(blocks, start=1):
-        if rec.index != pos:
-            raise ReplayError(f"record index {rec.index} out of order", pos)
-        if (rec.announced_a, rec.announced_b) != pattern:
-            raise ReplayError("announced flags disagree with the session mode", pos)
-        for side, announces, label in zip(SIDES, pattern, rec.outcome):
-            if announces and announced[side][rec.index] is not label:
-                raise ReplayError(
-                    f"side {side} announced "
-                    f"{announced[side][rec.index].value}, record says {label.value}",
-                    rec.index,
-                )
-        if pos == first_outside:
-            raise ReplayError(
-                f"outcome {rec.outcome!r} is outside the "
-                f"{ENCODING_ORDER[composite[pos - 1]].value} column of the recorded operations",
-                rec.index,
-            )
-
-    return SessionResult(*_decode(transcript, columns, table), blocks, transcript)
+    op_a, op_b, label_a, label_b, flag_a, flag_b = codes
+    composite = table.composite_codes[np.maximum(op_a, 0), np.maximum(op_b, 0)]
+    first_bad_index = n + 1 if indices == list(range(1, n + 1)) else next(
+        pos for pos, index in enumerate(indices, start=1) if index != pos)
+    firsts = [first_bad_index] + [
+        int(np.argmax(bad)) + 1 if bad.any() else n + 1
+        for bad in (  # each check of the walk of a block, in its order
+            (flag_a != pattern[0]) | (flag_b != pattern[1]),
+            (announced[0] != label_a) & pattern[0],
+            (announced[1] != label_b) & pattern[1],
+            table.infer_codes[label_a, label_b] != composite,
+        )
+    ]
+    pos = min(firsts)
+    if pos <= n:
+        at, index = pos - 1, indices[pos - 1]
+        raise ReplayError(*[
+            (f"record index {index} out of order", pos),
+            ("announced flags disagree with the session mode", pos),
+            *((f"side {side} announced {ENCODING_ORDER[column[at]].value}, "
+               f"record says {ENCODING_ORDER[recorded[at]].value}", index)
+              for side, column, recorded in zip(SIDES, announced, (label_a, label_b))),
+            (f"outcome {_OUTCOMES[4 * label_a[at] + label_b[at]]!r} is outside the "
+             f"{ENCODING_ORDER[composite[at]].value} column of the recorded operations", index),
+        ][firsts.index(pos)])
+    columns = BlockColumns((op_a, op_b, label_a, label_b), pattern)
+    return SessionResult(*_decode(transcript, columns, table), columns, transcript)
 
 
 # --------------------------------------------------------------------------

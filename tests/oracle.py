@@ -86,7 +86,7 @@ DRAW_LABELS = ("PsiPlus", "PsiMinus", "PhiPlus", "PhiMinus")
 
 
 def session_blocks(seed, n_blocks, alice_bits, bob_bits, random_fallback):
-    """Reference for protocol._compute_blocks, sampled one block at a time.
+    """Reference for protocol._session_blocks, sampled one block at a time.
 
     Block k draws from numpy's stream for SeedSequence(seed mod 2^64,
     spawn_key=(k,)), in a fixed order: Alice's fallback operation if she

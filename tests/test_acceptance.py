@@ -24,7 +24,6 @@ from swapcomm.protocol import (
     MessageBits,
     SessionConfig,
     run_session,
-    sample_block_outcomes,
 )
 from swapcomm.quantum import BELL_ORDER, BellLabel, PauliCode
 from swapcomm.stats import chi_square_uniform, label_counts
@@ -153,12 +152,25 @@ def test_criterion_4_protocol_determinism_and_speed():
         assert elapsed < 10.0, f"took {elapsed:.2f}s"
 
 
+def fixed_op_outcomes(op_a, op_b, n_blocks, seed):
+    """The block outcomes of a session of n_blocks blocks whose messages
+    repeat op_a and op_b."""
+    config = SessionConfig(
+        n_pairs=2 * n_blocks, seed=seed,
+        alice_message=MessageBits.from_bits(format(op_a.code, "02b") * n_blocks),
+        bob_message=MessageBits.from_bits(format(op_b.code, "02b") * n_blocks),
+    )
+    blocks = run_session(config).blocks
+    assert {(rec.op_a, rec.op_b) for rec in blocks} == {(op_a, op_b)}
+    return [rec.outcome for rec in blocks]
+
+
 def test_criterion_5_sampling_fidelity():
     with criterion(5, "block outcomes uniform per fixed operation pair"):
         table = generate_decode_table()
         for op_a, op_b in ALL_OP_PAIRS:
             seed = 58_000 + 4 * op_a.code + op_b.code
-            outcomes = sample_block_outcomes(op_a, op_b, 10_000, seed=seed)
+            outcomes = fixed_op_outcomes(op_a, op_b, 10_000, seed=seed)
             column = table.composite[(op_a, op_b)]
             support = [o for o in table.infer if table.infer[o] is column]
             assert set(outcomes) <= set(support)

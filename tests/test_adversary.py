@@ -24,7 +24,6 @@ from swapcomm.protocol import (
     SessionConfig,
     SessionMode,
     SilentFallback,
-    _coded_lines,
     run_session,
 )
 from swapcomm.quantum import PauliCode
@@ -167,7 +166,7 @@ class TestEvePosterior:
 def _with_lines(transcript, order, tuple_form):
     """The transcript with its lines in `order`, an index list that may
     repeat lines, held as columns or as a tuple of Announcements."""
-    lines = _coded_lines(transcript)
+    lines = transcript.lines
     lines = CodedLines(lines.session_id, lines.blocks[order], lines.codes[order])
     return dataclasses.replace(
         transcript, announcements=lines.announcements() if tuple_form else lines
@@ -177,7 +176,7 @@ def _with_lines(transcript, order, tuple_form):
 class TestLabelColumns:
     def test_tuple_form_transcript_gives_the_same_report(self):
         res = session(alice="0110", bob="1001")
-        blocks = _coded_lines(res.transcript).blocks
+        blocks = res.transcript.lines.blocks
         # Lines out of block order, and one measurement line dropped.
         order = np.delete(np.argsort(-blocks, kind="stable"), 3)
         for priors in (uniform_priors(), point_prior(PauliCode.U0, PauliCode.U0)):
@@ -193,7 +192,7 @@ class TestLabelColumns:
     @pytest.mark.parametrize("tuple_form", [False, True])
     def test_block_announced_twice_reports_side_a_first(self, tuple_form):
         res = session(alice="0110", bob="1001")
-        lines = _coded_lines(res.transcript)
+        lines = res.transcript.lines
         order = list(range(len(lines)))
         first_b, second_a = (
             next(i for i, ann in enumerate(lines.announcements())

@@ -26,6 +26,7 @@ from swapcomm.channel import (
     TcpEndpoint,
     TransportError,
     WIRE_FIELDS,
+    _OrderGate,
     _fits_frames,
     _wire_template,
     dial_session,
@@ -35,7 +36,6 @@ from swapcomm.protocol import (
     MessageBits,
     SessionConfig,
     SessionError,
-    _coded_lines,
     _hello_limit,
     run_remote_party,
     run_session,
@@ -269,6 +269,31 @@ class TestInProcessChannel:
             channel._deliver_lines(lines)
         assert channel.tap() == anns[:3]
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(st.tuples(st.integers(0, len(LINE_KINDS) - 1), st.integers(0, 12)),
+                       max_size=30),
+        cuts=st.lists(st.integers(0, 30), max_size=4),
+    )
+    def test_order_gate_equals_the_per_announcement_check(self, lines, cuts):
+        """Lines admitted in windows: the same tap and the same OrderingError
+        as checking each announcement in turn."""
+        coded = CodedLines("s", np.array([block for _, block in lines], dtype=np.int64),
+                           np.array([code for code, _ in lines], dtype=np.intp))
+        bounds = [0, *sorted(cut % (len(coded) + 1) for cut in cuts), len(coded)]
+
+        def admitted(gate):
+            tap, error = [], None
+            try:
+                for start, stop in zip(bounds, bounds[1:]):
+                    gate.admit(coded[start:stop], tap)
+            except OrderingError as exc:
+                error = str(exc)
+            return error, [ann for piece in tap for ann in (
+                piece.announcements() if isinstance(piece, CodedLines) else (piece,))]
+
+        assert admitted(_OrderGate()) == admitted(_ReferenceGate())
+
     def test_session_tap_is_the_transcript_built_once(self):
         channel = InProcessChannel()
         result = run_session(SessionConfig(
@@ -277,6 +302,18 @@ class TestInProcessChannel:
         assert channel.tap() == result.transcript.announcements
         assert result.transcript.announcements is result.transcript.announcements
         assert result.blocks is result.blocks
+
+    def test_session_on_a_used_channel_aborts_with_its_own_lines(self):
+        """The tap of a used channel holds another session's lines; the
+        abort transcript holds this session's lines of it."""
+        channel = InProcessChannel()
+        first = SessionConfig(n_pairs=6, seed=1, alice_message=MessageBits.from_bits("01"))
+        run_session(first, channel)
+        second = dataclasses.replace(first, seed=2)
+        with pytest.raises(SessionError, match="block 1 after block 3") as err:
+            run_session(second, channel)
+        assert err.value.transcript.announcements == tuple(
+            ann for ann in channel.tap() if ann.session_id == session_id(second))
 
     def test_tap_counts_for_bidirectional_session(self):
         channel = InProcessChannel()
@@ -457,6 +494,43 @@ class TestBoundedReads:
         try:
             assert endpoint.receive_lines(_coded(anns)) is None
             assert endpoint.tap() == anns
+            assert len(endpoint._tap) == 1  # the respelled line joined the expected lines
+        finally:
+            endpoint.close()
+            far.close()
+
+    @pytest.mark.parametrize("sid, block, message", [
+        ("s2", 2, "invalid frame: announcement names session 's2', not 's1'"),
+        ("s1", 10**23, f"invalid frame: announcement block {10**23} is above {2**63 - 1}"),
+    ])
+    def test_receive_lines_refuses_a_line_no_column_holds(self, sid, block, message):
+        """A peer line of another session, or with a block past int64, is a
+        FrameError at its offset; the lines before it are tapped."""
+        near, far = socket.socketpair()
+        endpoint = TcpEndpoint(near, side="A", timeout=5.0)
+        anns = (meas(1, "B", BellLabel.PHI_PLUS), meas(2, "B", BellLabel.PSI_MINUS))
+        first = anns[0].to_wire().encode() + b"\n"
+        far.sendall(first + meas(block, "B", BellLabel.PSI_MINUS, sid=sid).to_wire().encode()
+                    + b"\n")
+        try:
+            with pytest.raises(FrameError) as err:
+                endpoint.receive_lines(_coded(anns))
+            assert str(err.value) == f"{message} (at byte {len(first)})"
+            assert err.value.byte_offset == len(first)
+            assert endpoint.tap() == anns[:1]
+        finally:
+            endpoint.close()
+            far.close()
+
+    def test_receive_refuses_a_block_past_int64(self):
+        near, far = socket.socketpair()
+        endpoint = TcpEndpoint(near, side="A", timeout=5.0)
+        far.sendall(meas(2**63, "B", BellLabel.PHI_PLUS).to_wire().encode() + b"\n")
+        try:
+            with pytest.raises(FrameError, match="above") as err:
+                endpoint.receive()
+            assert err.value.byte_offset == 0
+            assert endpoint.tap() == ()
         finally:
             endpoint.close()
             far.close()
@@ -704,7 +778,7 @@ class TestWindowedExchange:
 def _windows(config, size):
     """Side A's lines of a real session, in windows of `size` lines, as
     side B expects them."""
-    lines = _coded_lines(run_session(config).transcript).of_side("A")
+    lines = run_session(config).transcript.lines.of_side("A")
     return [lines[start:start + size] for start in range(0, len(lines), size)]
 
 
@@ -766,6 +840,67 @@ def _send_in_pieces(sock, stream, cuts):
         pass
 
 
+class _ReferenceGate:
+    """The per-announcement order check that tests/reference_channel.py
+    calls, as channel._OrderGate.check was, with an admit that checks and
+    taps each line in turn: a tap that holds Announcements."""
+
+    def __init__(self):
+        self._last: dict[str, int] = {}
+
+    def check(self, ann: Announcement) -> None:
+        if ann.kind is not AnnouncementKind.MEASUREMENT:
+            return
+        last = self._last.get(ann.side, 0)
+        if ann.block <= last:
+            raise OrderingError(
+                f"side {ann.side} announced block {ann.block} after block {last}"
+            )
+        self._last[ann.side] = ann.block
+
+    def admit(self, lines: CodedLines, tap: list) -> None:
+        for ann in lines.announcements():
+            self.check(ann)
+            tap.append(ann)
+
+
+class _Reference(ReferenceEndpoint):
+    """The per-line reader, with the order gate and the tap it had."""
+
+    def __init__(self, sock, side, timeout=10.0):
+        super().__init__(sock, side, timeout)
+        self._gate = _ReferenceGate()
+
+    def tap(self):
+        return tuple(self._tap)
+
+
+def _under_the_session_rule(reference, stream, windows):
+    """The per-line reader's (outcomes, tap) of `stream`, under the rule
+    that a received line of another session, or with a block above
+    2**63-1, is a FrameError at its offset and is not tapped. The reader
+    returned such a line as a mismatch, or refused it for its order."""
+    outcomes, tap = reference
+    sid = windows[0].session_id
+    last = outcomes[-1] if outcomes else None
+    # Every line read before that one was tapped, and ended at a newline.
+    starts = [0, *(at + 1 for at, byte in enumerate(stream) if byte == ord("\n"))]
+    if isinstance(last, tuple) and isinstance(last[0], Announcement):
+        line, got, tap = len(tap) - 1, last[0], tap[:-1]
+    elif last is not None and last[0] is OrderingError:
+        line = len(tap)
+        got = Announcement.from_wire(stream[starts[line]:starts[line + 1] - 1].decode())
+    else:
+        return reference
+    if got.session_id != sid:
+        message = f"invalid frame: announcement names session {got.session_id!r}, not {sid!r}"
+    elif got.block > 2**63 - 1:
+        message = f"invalid frame: announcement block {got.block} is above {2**63 - 1}"
+    else:
+        return reference
+    return [*outcomes[:-1], (FrameError, f"{message} (at byte {starts[line]})", starts[line])], tap
+
+
 def _receive_windows(endpoint_type, stream, cuts, windows):
     """Play `stream` through a socketpair into a fresh endpoint of side B
     that reads `windows` in turn, as a session does: (each window's result
@@ -814,7 +949,8 @@ class TestWindowRead:
         clean = b"".join(window.wire_bytes() for window in windows)
         stream = _mutate(clean, mutation, at, byte)
         got = _receive_windows(TcpEndpoint, stream, cuts, windows)
-        assert got == _receive_windows(ReferenceEndpoint, stream, cuts, windows)
+        assert got == _under_the_session_rule(
+            _receive_windows(_Reference, stream, cuts, windows), stream, windows)
         if stream == clean:
             assert got == ([None] * len(windows), _announced(windows))
 
@@ -826,7 +962,7 @@ class TestWindowRead:
         clean = b"".join(window.wire_bytes() for window in windows)
         stream = _mutate(clean, "overlong", 9, length - MAX_FRAME_BYTES + 2)
         got = _receive_windows(TcpEndpoint, stream, [], windows)
-        assert got == _receive_windows(ReferenceEndpoint, stream, [], windows)
+        assert got == _receive_windows(_Reference, stream, [], windows)
         if length == MAX_FRAME_BYTES:
             assert got == ([None] * len(windows), _announced(windows))
         else:
@@ -861,7 +997,7 @@ class TestWindowRead:
         prefix = b"".join(text.splitlines(keepends=True)[:lines_sent])
         if sent == "part of a line":
             prefix += text[len(prefix):len(prefix) + 40]
-        for endpoint_type in (TcpEndpoint, ReferenceEndpoint):
+        for endpoint_type in (TcpEndpoint, _Reference):
             near, far = socket.socketpair()
             endpoint = endpoint_type(near, side="B", timeout=0.2)
             far.sendall(prefix)
@@ -891,7 +1027,7 @@ class TestWindowRead:
         assert not _fits_frames(sid)
         window = _coded([meas(1, "A", BellLabel.PHI_PLUS, sid=sid)])
         outcomes = [_receive_windows(endpoint_type, window.wire_bytes(), [], [window])
-                    for endpoint_type in (TcpEndpoint, ReferenceEndpoint)]
+                    for endpoint_type in (TcpEndpoint, _Reference)]
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == [(FrameError, f"frame is not newline-terminated within "
                                    f"{MAX_FRAME_BYTES} bytes (at byte 0)", 0)]

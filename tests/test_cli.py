@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 
 import reference_analysis
+import reference_replay
 from swapcomm import cli, documents, jsontext, protocol
 from swapcomm.adversary import (
     EveView,
@@ -29,6 +30,7 @@ from swapcomm.adversary import (
     uniform_priors,
 )
 from swapcomm.channel import (
+    MAX_FRAME_BYTES,
     PUBLIC_PREAMBLE,
     SUBSTRATE_PREAMBLE,
     Announcement,
@@ -39,6 +41,7 @@ from swapcomm.cli import main
 from swapcomm.protocol import (
     CapacityError,
     MessageBits,
+    ReplayError,
     SessionConfig,
     SessionError,
     SessionMode,
@@ -709,7 +712,7 @@ def test_run_document_columns_render_as_json_dumps(config):
         ), blocks=result.blocks,
     )
     plain = documents.run_document(config, tuple_form)
-    assert type(plain["transcript"]) is list
+    assert type(plain["transcript"]) is type(doc["transcript"])  # converted at construction
     assert documents.render_json(plain) == expected
 
 
@@ -910,6 +913,99 @@ class TestAnalysisProperties:
         assert outcome(on_columns) == outcome(on_objects)
 
 
+_ROW_FIELDS = ("index", "op_a", "op_b", "outcome_a", "outcome_b", "announced_a", "announced_b")
+_OP_VALUES = [None, *(op.name for op in PauliCode)]
+_LABEL_VALUES = ["PsiPlus", "PsiMinus", "PhiPlus", "PhiMinus"]
+
+
+@st.composite
+def _replayed_documents(draw):
+    """A valid run document of every mode and fallback, 0 to 81 pairs,
+    with at most one mutation: a block row dropped, repeated or swapped
+    with another; an index renumbered; a flag flipped; an op or outcome
+    changed; a row field retyped or deleted; or a transcript line given
+    another label or another block, dropped or repeated."""
+    config = draw(_session_configs())
+    doc = json.loads(documents.render_json(documents.run_document(config, run_session(config))))
+    rows, lines = doc["private"]["blocks"], doc["transcript"]
+    measured = [k for k, line in enumerate(lines) if '"label":' in line]
+    mutation = draw(st.sampled_from(["none"] + 2 * [
+        "drop", "repeat", "swap", "renumber", "flip", "op", "outcome", "retype", "delete",
+    ] * bool(rows) + ["relabel", "reblock", "unline", "reline"] * bool(measured)))
+    if rows:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+    if mutation == "drop":
+        rows.remove(row)
+    elif mutation == "repeat":
+        rows.insert(draw(st.integers(0, len(rows))), dict(row))
+    elif mutation == "swap":
+        i, j = rows.index(row), draw(st.integers(0, len(rows) - 1))
+        rows[i], rows[j] = rows[j], rows[i]
+    elif mutation == "renumber":
+        row["index"] = draw(st.integers(-1, len(rows) + 1).filter(lambda k: k != row["index"]))
+    elif mutation == "flip":
+        flag = draw(st.sampled_from(["announced_a", "announced_b"]))
+        row[flag] = not row[flag]
+    elif mutation in ("op", "outcome"):
+        field = draw(st.sampled_from([f"{mutation}_a", f"{mutation}_b"]))
+        values = _OP_VALUES if mutation == "op" else _LABEL_VALUES
+        row[field] = draw(st.sampled_from(values).filter(lambda value: value != row[field]))
+    elif mutation == "retype":
+        field = draw(st.sampled_from(_ROW_FIELDS))
+        retyped = _RETYPED | st.sampled_from([1, 1.0, 0.0, False, "U1", "PsiPlus"])
+        row[field] = draw(retyped.filter(lambda value: type(value) is not type(row[field])))
+    elif mutation == "delete":
+        del row[draw(st.sampled_from(_ROW_FIELDS))]
+    elif mutation in ("relabel", "reblock", "unline", "reline"):
+        k = draw(st.sampled_from(measured))
+        fields = json.loads(lines[k])
+        if mutation == "relabel":
+            fields["label"] = draw(st.sampled_from(_LABEL_VALUES).filter(
+                lambda value: value != fields["label"]))
+        elif mutation == "reblock":
+            fields["blk"] = draw(st.integers(1, len(rows)))
+        line = json.dumps(fields, separators=(",", ":"))
+        if mutation == "unline":
+            del lines[k]
+        elif mutation == "reline":
+            lines.insert(draw(st.integers(0, len(lines))), line)
+        else:
+            lines[k] = line
+    return doc
+
+
+class TestReplayProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_replayed_documents())
+    def test_column_replay_equals_the_per_record_reference(self, doc):
+        def outcome(replay):
+            try:
+                return replay(copy.deepcopy(doc))
+            except (FrameError, ValueError) as exc:
+                return type(exc), str(exc), getattr(exc, "block", None)
+
+        def as_the_record_walk(want):
+            """The per-record path built its flag columns before its walk
+            of the records, and numpy refused a flag that is a JSON array.
+            The column path raises the walk's error for that row."""
+            if not (isinstance(want, tuple) and want[1].startswith("setting an array element")):
+                return want
+            pos = next(pos for pos, row in enumerate(doc["private"]["blocks"], start=1)
+                       if isinstance(row["announced_a"], list)
+                       or isinstance(row["announced_b"], list))
+            return ReplayError, f"block {pos}: announced flags disagree with the session mode", pos
+
+        assert outcome(documents.replay_document) == as_the_record_walk(
+            outcome(reference_replay.replay_document))
+        try:  # the same records, replayed with protocol.replay
+            transcript = documents.transcript_from_document(doc)
+            records = reference_replay.blocks_from_document(doc)
+        except ValueError:
+            return
+        assert outcome(lambda _: protocol.replay(transcript, records)) == as_the_record_walk(
+            outcome(lambda _: reference_replay.replay(transcript, records)))
+
+
 _PRIOR_KEYS = [f"U{a},U{b}" for a in range(4) for b in range(4)]
 _PRIOR_VALUES = _JSON_TREES | st.floats(0, 1) | st.sampled_from([1 / 16, 10**400, -(10**309)])
 
@@ -1051,6 +1147,77 @@ class TestNetworkedCli:
         assert code == 3
         assert not out.exists()
         assert "cannot reach" in captured.err
+
+    PEER = SessionConfig(n_pairs=8, seed=7, alice_message=MessageBits.from_bits("0110"),
+                         bob_message=MessageBits.from_bits("1011"))
+
+    @pytest.mark.parametrize("fault", [
+        "another session", "overlong line", "block out of order", "wrong label", "closed socket",
+    ])
+    def test_connect_console_script_exits_3_per_peer_fault(self, fault, tmp_path):
+        """`python -m swapcomm connect` against a scripted side A that sends a
+        valid substrate hello, its lines up to block 2, then one fault: exit
+        3, one `swapcomm:` line on stderr, with the byte offset where there is
+        one, and no traceback."""
+        lines = [ann for ann in run_session(self.PEER).transcript.announcements
+                 if ann.side == "A"]
+        at = next(i for i, ann in enumerate(lines) if ann.block == 2)
+        head = b"".join(ann.to_wire().encode() + b"\n" for ann in lines[:at])
+        sid, bad = lines[at].session_id, lines[at]
+        wrong = next(label for label in _LABEL_VALUES if label != bad.label.value)
+        tail, message = {
+            "another session": (
+                dataclasses.replace(bad, session_id="0" * 16).to_wire(),
+                f"invalid frame: announcement names session '{'0' * 16}', not '{sid}' "
+                f"(at byte {len(head)})"),
+            "overlong line": (
+                "x" * (2 * MAX_FRAME_BYTES),
+                f"frame is not newline-terminated within {MAX_FRAME_BYTES} bytes "
+                f"(at byte {len(head)})"),
+            "block out of order": (
+                lines[at - 1].to_wire(), "side A announced block 1 after block 1"),
+            "wrong label": (
+                bad.to_wire().replace(bad.label.value, wrong),
+                f"peer announced {bad.to_wire().replace(bad.label.value, wrong)} "
+                f"where {bad.to_wire()} was expected"),
+            "closed socket": (None, "peer closed the connection"),
+        }[fault]
+        stream = head + (b"" if tail is None else tail.encode() + b"\n")
+        listener = SessionListener("127.0.0.1", 0, timeout=10.0)
+        host, port = listener.address
+
+        def scripted_peer():
+            substrate, endpoint = listener.accept()
+            try:
+                substrate.send_hello(substrate_hello("A", self.PEER))
+                substrate.receive_hello(1 << 16)
+                endpoint._sock.sendall(stream)
+                endpoint._sock.shutdown(socket.SHUT_WR)
+                while endpoint._sock.recv(1 << 16):
+                    pass
+            except OSError:
+                pass
+            finally:
+                substrate.close()
+                endpoint.close()
+                listener.close()
+
+        peer = threading.Thread(target=scripted_peer)
+        peer.start()
+        out = tmp_path / "never.json"
+        try:
+            connect = subprocess.run(
+                [sys.executable, "-m", "swapcomm", "connect", "--peer", f"{host}:{port}",
+                 "--pairs", "8", "--seed", "7", "--bob-msg", "1011", "--timeout", "10",
+                 "--out", str(out)],
+                capture_output=True, text=True, timeout=60,
+            )
+        finally:
+            peer.join(timeout=20)
+        assert not peer.is_alive()
+        assert connect.returncode == 3, connect.stderr
+        assert connect.stderr.splitlines() == [f"swapcomm: {message}"]
+        assert not out.exists()
 
     def test_peer_message_over_capacity_is_a_session_failure(self, tmp_path, capsys):
         """The peer's oversized message is not this user's usage error: exit 3."""

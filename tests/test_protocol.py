@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from swapcomm.channel import LINE_CODES, AnnouncementKind, CodedLines, InProcessChannel
+import reference_replay
+from swapcomm.channel import (
+    LINE_CODES,
+    Announcement,
+    AnnouncementKind,
+    CodedLines,
+    InProcessChannel,
+)
 from swapcomm.protocol import (
     MAX_BLOCKS,
     CapacityError,
@@ -16,12 +23,12 @@ from swapcomm.protocol import (
     SessionError,
     SessionMode,
     SilentFallback,
-    _block_draws,
-    _compute_blocks,
     _decodes_exactly,
     _draw_grid,
     _peer_message,
+    _seed_column,
     _seed_words,
+    _session_blocks,
     _spawn_seeds,
     block_rng,
     decode_ops,
@@ -30,7 +37,6 @@ from swapcomm.protocol import (
     replay,
     run_remote_party,
     run_session,
-    sample_block_outcomes,
     session_id,
     substrate_hello,
 )
@@ -38,6 +44,23 @@ from swapcomm.quantum import BELL_ORDER, BellLabel, PauliCode, bell_measure, bel
 from swapcomm.quantum import apply_local, tensor
 from swapcomm.stats import chi_square_uniform, label_counts
 from swapcomm.swap import A_PAIR, B_PAIR, SwapOutcome, generate_decode_table
+
+
+def _block_draws(seed, n_blocks):
+    """The first three integers(4) draws of block_rng(seed, k) for every
+    block k in 1..n_blocks, as row k-1 of an (n_blocks, 3) uint8 array:
+    the one-seed case of _draw_grid."""
+    return _draw_grid(_seed_column(seed), n_blocks)[:, 0].T
+
+
+def fixed_op_outcomes(op_a, op_b, n_blocks, seed):
+    """The block outcomes of a session of n_blocks blocks whose messages
+    repeat op_a and op_b."""
+    config = bidirectional(2 * n_blocks, seed, format(op_a.code, "02b") * n_blocks,
+                           format(op_b.code, "02b") * n_blocks)
+    blocks = run_session(config).blocks
+    assert {(rec.op_a, rec.op_b) for rec in blocks} == {(op_a, op_b)}
+    return [rec.outcome for rec in blocks]
 
 
 def bidirectional(n_pairs, seed, alice, bob):
@@ -246,7 +269,7 @@ class TestModes:
 
 class TestOutcomeDistribution:
     def test_chi_square_uniform_per_fixed_ops(self):
-        outcomes = sample_block_outcomes(PauliCode.U1, PauliCode.U2, 10_000, seed=4242)
+        outcomes = fixed_op_outcomes(PauliCode.U1, PauliCode.U2, 10_000, seed=4242)
         table = generate_decode_table()
         column = table.composite[(PauliCode.U1, PauliCode.U2)]
         support = [o for o in table.infer if table.infer[o] is column]
@@ -344,10 +367,78 @@ class TestReplay:
             replay(res.transcript, blocks)
         assert err.value.block == 2
 
+    def test_hand_built_forms_are_stored_as_columns(self):
+        res = self.make_result()
+        transcript = dataclasses.replace(
+            res.transcript, announcements=tuple(res.transcript.announcements))
+        result = dataclasses.replace(res, transcript=transcript, blocks=tuple(res.blocks))
+        assert type(transcript.lines) is CodedLines
+        assert np.array_equal(transcript.lines.codes, res.transcript.lines.codes)
+        assert result == res
+        assert np.array_equal(result.block_columns.label_b, res.block_columns.label_b)
+
+    @pytest.mark.parametrize("sid, block", [("other", 1), (None, 2**63)])
+    def test_transcript_of_lines_no_column_holds_is_refused(self, sid, block):
+        res = self.make_result()
+        ann = Announcement(sid or res.transcript.session_id, block, "A",
+                           AnnouncementKind.MEASUREMENT, BellLabel.PHI_PLUS)
+        with pytest.raises(ValueError, match="session|above"):
+            dataclasses.replace(res.transcript, announcements=(ann,))
+
+    def test_transcript_of_another_sessions_lines_is_refused(self):
+        res = self.make_result()
+        lines = res.transcript.lines
+        with pytest.raises(ValueError, match="lines of session 'other'"):
+            dataclasses.replace(res.transcript,
+                                announcements=CodedLines("other", lines.blocks, lines.codes))
+
+    @pytest.mark.parametrize("indices", [[2, 1, 3, 4], [1, 2, 3, 3], [0, 1, 2, 3]])
+    def test_result_of_misnumbered_records_is_refused(self, indices):
+        res = self.make_result()
+        records = [dataclasses.replace(res.blocks[i % 4], index=k)
+                   for i, k in enumerate(indices)]
+        with pytest.raises(ValueError, match="index"):
+            dataclasses.replace(res, blocks=records)
+
     def test_missing_block_record(self):
         res = self.make_result()
         with pytest.raises(ReplayError):
             replay(res.transcript, res.blocks[:-1])
+
+    @pytest.mark.parametrize("edit", [
+        [("B", 3), ("B", 2)],  # two measurements of a side that announces none
+        [("A", 1, 0), ("A", 9)],  # blocks outside 1..4, and block 1 missing
+        [("A", 1, 7)],  # block 1 missing, block 7 outside
+        [("A", 3, None)],  # block 3 missing
+    ], ids=repr)
+    def test_pattern_errors_name_the_block_the_record_walk_names(self, edit):
+        """Hand-built transcripts whose measurements break the pattern in
+        ways a document cannot hold: replay names the lowest block at
+        fault, as the per-record reference does."""
+        config = SessionConfig(n_pairs=8, seed=4, mode=SessionMode.ALICE_TO_BOB,
+                               fallback=SilentFallback.ANNOUNCED_SILENCE,
+                               alice_message=MessageBits.from_bits("0110"))
+        res = run_session(config)
+        anns = list(res.transcript.announcements)
+        for side, block, *new in edit:
+            at = next((i for i, ann in enumerate(anns)
+                       if (ann.side, ann.block, ann.label is not None) == (side, block, True)),
+                      None)
+            if at is None:
+                anns.insert(-2, Announcement(res.transcript.session_id, block, side,
+                                             AnnouncementKind.MEASUREMENT, BellLabel.PHI_PLUS))
+            elif new == [None]:
+                del anns[at]
+            else:
+                anns[at] = dataclasses.replace(anns[at], block=new[0])
+        transcript = dataclasses.replace(res.transcript, announcements=tuple(anns))
+        errors = []
+        for run in (replay, reference_replay.replay):
+            with pytest.raises(ReplayError) as err:
+                run(transcript, res.blocks)
+            errors.append((str(err.value), err.value.block))
+        assert errors[0] == errors[1]
+        assert "announcement pattern is inconsistent" in errors[0][0]
 
 
 class TestBatchedSampling:
@@ -440,7 +531,7 @@ class TestBatchedSampling:
             bob_message=MessageBits.from_bits(bob) if bob else None,
         )
         config.validate()
-        records = _compute_blocks(config)
+        records = _session_blocks(config).records()
         got = [
             (rec.index,
              None if rec.op_a is None else rec.op_a.code,
