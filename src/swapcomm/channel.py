@@ -9,11 +9,11 @@ A session's announcements travel as CodedLines: a block column and a line
 code column, the code naming one of the 14 (side, kind, label) a line can
 have. Announcement objects are built from them only when read, and wire
 text is cut from a per-session template. A tap holds CodedLines only,
-admitted through an order gate that finds the first line out of block
-order as whole arrays. The per-line calls (InProcessEndpoint, and
-TcpEndpoint.send and receive) wrap one-line CodedLines. The in-process
-channel delivers and taps a window of both sides' lines at once, in
-schedule order. A TcpEndpoint plays
+admitted through an order gate that finds the first line out of its
+session's block order as whole arrays. The per-line calls
+(InProcessEndpoint, and TcpEndpoint.send and receive) wrap one-line
+CodedLines. The in-process channel delivers and taps a window of both
+sides' lines at once, in schedule order. A TcpEndpoint plays
 `window` (TCP_WINDOW_LINES) schedule lines at a time, a window's A lines,
 then its B lines (protocol._play), and buffers what it sends until it
 next reads, so a window costs one sendall. One side writes while the
@@ -30,14 +30,16 @@ Wire format, one announcement per line, UTF-8, newline-terminated:
 
     {"v":1,"sid":"<token>","blk":3,"side":"A","kind":"Measurement","label":"PsiPlus"}
 
-The label field is present exactly for Measurement announcements. The
-channel is unauthenticated; see README for the known classical-layer gap.
+The label field is present exactly for Measurement announcements.
+Announcement.to_wire defines the line and Announcement.from_wire is its
+one strict parse; CodedLines.from_wire_lines reads stored lines back
+through the session's template. The channel is unauthenticated; see
+README for the known classical-layer gap.
 """
 from __future__ import annotations
 
 import enum
 import json
-import re
 import socket
 from collections import deque
 from dataclasses import dataclass
@@ -118,20 +120,6 @@ class Announcement:
 
     @classmethod
     def from_wire(cls, line: str, byte_offset: int = 0) -> "Announcement":
-        canonical = _CANONICAL_LINE.fullmatch(line)
-        if canonical is None:
-            return cls._from_json(line, byte_offset)
-        sid, block, side, kind, label = canonical.groups()
-        try:
-            return cls(
-                sid, int(block), side, _KINDS[kind],
-                _LABELS[label] if label is not None else None,
-            )
-        except ValueError as exc:  # e.g. a label on a control announcement
-            raise FrameError(f"invalid frame: {exc}", byte_offset) from exc
-
-    @classmethod
-    def _from_json(cls, line: str, byte_offset: int) -> "Announcement":
         """The strict parse of any line: every error, typed and located."""
         try:
             fields = json.loads(line)
@@ -163,19 +151,6 @@ class Announcement:
         except (KeyError, ValueError) as exc:
             raise FrameError(f"invalid frame: {exc}", byte_offset) from exc
 
-
-_KINDS = {kind.value: kind for kind in AnnouncementKind}
-_LABELS = {label.value: label for label in BellLabel}
-# The line to_wire writes, read without json.loads: the fields in order, a
-# sid of printable ASCII that needs no escaping, a block of at most 18
-# digits with no leading zero, and known names. Any other line takes the
-# strict path, so errors keep their types, messages and byte offsets.
-_CANONICAL_LINE = re.compile(
-    rf'\{{"v":{WIRE_VERSION},"sid":"([ !#-\[\]-~]*)","blk":(0|[1-9][0-9]{{0,17}}),'
-    rf'"side":"({"|".join(map(re.escape, SIDES))})",'
-    rf'"kind":"({"|".join(map(re.escape, _KINDS))})"'
-    rf'(?:,"label":"({"|".join(map(re.escape, _LABELS))})")?\}}'
-)
 
 # Every (side, kind, label) a line can have; a coded line's code is its
 # index here. Per side: a Measurement for each label, then the controls.
@@ -255,6 +230,50 @@ class CodedLines:
         lines._announcements = announcements
         return lines
 
+    @classmethod
+    def from_wire_lines(cls, session_id: str, lines: list[str]) -> "CodedLines":
+        """The coded lines of a session's wire lines; the inverse of
+        wire_lines().
+
+        A line that to_wire writes for the session is read through its wire
+        template: it is the prefix, a block of at most 18 digits as str()
+        writes it, and a known suffix. Any other line takes the strict parse
+        of Announcement.from_wire, so its errors keep their types and
+        messages. A line that names another session, or a block above
+        _MAX_BLOCK, is a ValueError.
+        """
+        prefix, suffixes = _wire_template(session_id)
+        code_of = {suffix: code for code, suffix in enumerate(suffixes.tolist())}
+        start = len(prefix)
+        blocks, codes = [], []
+        for number, line in enumerate(lines):
+            if line.startswith(prefix):
+                end = line.find(",", start)
+                code = code_of.get(line[end:])
+                text = line[start:end]
+                if code is not None and len(text) <= 18:
+                    try:
+                        block = int(text)
+                    except ValueError:
+                        block = -1
+                    if block >= 0 and str(block) == text:
+                        blocks.append(block)
+                        codes.append(code)
+                        continue
+            ann = Announcement.from_wire(line)
+            if ann.session_id != session_id:
+                raise ValueError(
+                    f"transcript line {number} names session {ann.session_id!r}, "
+                    f"not the document's {session_id!r}"
+                )
+            if ann.block > _MAX_BLOCK:
+                raise ValueError(
+                    f"transcript line {number}: block {ann.block} is above {_MAX_BLOCK}"
+                )
+            blocks.append(ann.block)
+            codes.append(LINE_CODES[ann.side, ann.kind, ann.label])
+        return cls(session_id, np.array(blocks, dtype=np.int64), np.array(codes, dtype=np.intp))
+
     def __len__(self) -> int:
         return len(self.codes)
 
@@ -325,29 +344,30 @@ def _peer_line(ann: Announcement, session_id: str, byte_offset: int) -> CodedLin
 
 class _OrderGate:
     """Admits lines to a tap while each side's Measurement blocks strictly
-    increase."""
+    increase within each session."""
 
     def __init__(self):
-        self._last = [0, 0]  # per side of SIDES, its last Measurement block admitted
+        self._last = {}  # session id -> per side of SIDES, its last Measurement block admitted
 
     def admit(self, lines: CodedLines, tap: list[CodedLines]) -> None:
         """Append `lines` to `tap` up to the first Measurement whose block is
         not above every earlier block of its side, and raise OrderingError
         for that line."""
         measured = _MEASURED_SIDE[lines.codes]
+        last = self._last.setdefault(lines.session_id, [0, 0])
         stop, error, sides = len(lines), None, []
         for index, side in enumerate(SIDES):
             at = np.flatnonzero(measured == index)
             blocks = lines.blocks[at]
             # Entry j: the largest block of this side before its line j.
-            before = np.maximum.accumulate(np.concatenate(([self._last[index]], blocks)))
+            before = np.maximum.accumulate(np.concatenate(([last[index]], blocks)))
             bad = np.flatnonzero(blocks <= before[:-1])
             if bad.size and at[bad[0]] < stop:
                 stop, error = int(at[bad[0]]), OrderingError(
                     f"side {side} announced block {blocks[bad[0]]} after block {before[bad[0]]}"
                 )
             sides.append((at, before))
-        self._last = [int(before[np.searchsorted(at, stop)]) for at, before in sides]
+        last[:] = [int(before[np.searchsorted(at, stop)]) for at, before in sides]
         if stop:
             tap.append(lines if stop == len(lines) else lines[:stop])
         if error is not None:

@@ -5,7 +5,9 @@ text prints a block-by-block trace. Documents carry no timestamps, so the
 same flags and seed always produce byte-identical output. The private
 section (operations, outcomes, messages, decodes) is clearly segregated
 from the public transcript; an analyzer must only ever read the public
-parts.
+parts. A stored transcript's lines are read back by
+channel.CodedLines.from_wire_lines; this module checks the document
+around them.
 """
 from __future__ import annotations
 
@@ -18,11 +20,8 @@ import numpy as np
 
 from . import __version__, jsontext
 from .channel import (
-    _MAX_BLOCK,
     _MEASURED_SIDE,
-    LINE_CODES,
     MAX_FRAME_BYTES,
-    Announcement,
     AnnouncementKind,
     CodedLines,
     FrameError,
@@ -188,12 +187,12 @@ def transcript_from_document(doc: dict) -> Transcript:
     mode = SessionMode(fields["mode"])
     fallback = SilentFallback(fields["fallback"])
     usable_blocks = fields["n_pairs"] // 2
-    blocks, codes = _parse_lines(fields["id"], lines)
-    measured = _MEASURED_SIDE[codes] >= 0
-    outside = np.flatnonzero(measured & ((blocks < 1) | (blocks > usable_blocks)))
+    coded = CodedLines.from_wire_lines(fields["id"], lines)
+    measured = _MEASURED_SIDE[coded.codes] >= 0
+    outside = np.flatnonzero(measured & ((coded.blocks < 1) | (coded.blocks > usable_blocks)))
     if outside.size:
         raise ValueError(
-            f"measurement for block {blocks[outside[0]]} outside 1..{usable_blocks}"
+            f"measurement for block {coded.blocks[outside[0]]} outside 1..{usable_blocks}"
         )
     return Transcript(
         session_id=fields["id"],
@@ -202,51 +201,8 @@ def transcript_from_document(doc: dict) -> Transcript:
         fallback=fallback,
         alice_declared_length=fields["alice_declared_length"],
         bob_declared_length=fields["bob_declared_length"],
-        announcements=CodedLines(fields["id"], blocks, codes),
+        announcements=coded,
     )
-
-
-def _parse_lines(sid: str, lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The block and line-code columns of a session's wire lines.
-
-    A line that to_wire writes for the session is read through its wire
-    template: it is the prefix, a block of at most 18 digits as str()
-    writes it, and a known suffix. Any other line takes the strict parse
-    of Announcement.from_wire, so its errors keep their types and
-    messages. A line that names another session, or a block above
-    _MAX_BLOCK, is a ValueError.
-    """
-    prefix, suffixes = _wire_template(sid)
-    code_of = {suffix: code for code, suffix in enumerate(suffixes.tolist())}
-    start = len(prefix)
-    blocks, codes = [], []
-    for number, line in enumerate(lines):
-        if line.startswith(prefix):
-            end = line.find(",", start)
-            code = code_of.get(line[end:])
-            text = line[start:end]
-            if code is not None and len(text) <= 18:
-                try:
-                    block = int(text)
-                except ValueError:
-                    block = -1
-                if block >= 0 and str(block) == text:
-                    blocks.append(block)
-                    codes.append(code)
-                    continue
-        ann = Announcement.from_wire(line)
-        if ann.session_id != sid:
-            raise ValueError(
-                f"transcript line {number} names session {ann.session_id!r}, "
-                f"not the document's {sid!r}"
-            )
-        if ann.block > _MAX_BLOCK:
-            raise ValueError(
-                f"transcript line {number}: block {ann.block} is above {_MAX_BLOCK}"
-            )
-        blocks.append(ann.block)
-        codes.append(LINE_CODES[ann.side, ann.kind, ann.label])
-    return np.array(blocks, dtype=np.int64), np.array(codes, dtype=np.intp)
 
 
 # A block row's fields after its index, which make up its kind.

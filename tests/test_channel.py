@@ -44,7 +44,9 @@ from swapcomm.protocol import (
 )
 from swapcomm.quantum import BellLabel
 
+import reference_channel
 from reference_channel import ReferenceEndpoint
+from test_protocol import _ScriptedSubstrate
 
 
 @st.composite
@@ -159,8 +161,9 @@ class TestWireFormat:
         byte_offset=st.integers(0, 10**6),
     )
     def test_from_wire_equals_strict_parse(self, ann, position, edit, char, byte_offset):
-        """The canonical-line shortcut gives what the strict json.loads path
-        gives: the same announcement, or the same error at the same offset."""
+        """The one strict parse gives what the old two-path from_wire gave
+        (tests/reference_channel.py): the same announcement, or the same
+        error at the same offset."""
         line = ann.to_wire()
         at = position % (len(line) + 1)
         if edit == "replace":
@@ -176,7 +179,7 @@ class TestWireFormat:
             except FrameError as exc:
                 return str(exc), exc.byte_offset
 
-        assert outcome(Announcement.from_wire) == outcome(Announcement._from_json)
+        assert outcome(Announcement.from_wire) == outcome(reference_channel.from_wire)
 
     @given(
         sid=st.text() | st.text(st.characters(min_codepoint=32, max_codepoint=126)),
@@ -196,12 +199,41 @@ class TestWireFormat:
             '{"v":1,"sid":"s","blk":0,"side":"A","kind":"SessionStart","label":"PsiPlus"}',
             '{"v":1,"sid":"s","blk":3,"side":"A","kind":"Measurement"}',
         ):
-            with pytest.raises(FrameError, match="exactly Measurement") as fast:
+            assert reference_channel.takes_the_regex(line)
+            with pytest.raises(FrameError, match="exactly Measurement") as strict:
                 Announcement.from_wire(line, 40)
-            with pytest.raises(FrameError) as strict:
-                Announcement._from_json(line, 40)
-            assert (str(fast.value), fast.value.byte_offset) == (
-                str(strict.value), strict.value.byte_offset)
+            with pytest.raises(FrameError) as old:
+                reference_channel.from_wire(line, 40)
+            assert (str(strict.value), strict.value.byte_offset) == (
+                str(old.value), old.value.byte_offset)
+
+    @pytest.mark.parametrize("sid", [
+        "", " ", "!", "#", "[", "]", "~", '"', "\\", "\x7f", "\x1f", "é", "s" * 300,
+        session_id(SessionConfig(n_pairs=2, seed=0)),
+    ])
+    def test_from_wire_at_the_old_regex_edges(self, sid):
+        """Canonical lines of any session, blocks of 18 and 19 digits, a
+        label on a control line and a measurement without one, on both
+        sides of the old regular expression's bounds: the strict parse
+        gives what the old from_wire gave, at the same offset."""
+        plain = all(" " <= char <= "~" and char not in '"\\' for char in sid)
+        for block in (0, 10**17 - 1, 10**17, 10**18 - 1, 10**18, 2**63 - 1, 2**63, 10**19 - 1):
+            for line_kind in LINE_KINDS:
+                line = Announcement(sid, block, *line_kind).to_wire()
+                assert reference_channel.takes_the_regex(line) == (plain and block < 10**18)
+                if line_kind[2] is None:  # a label on a control line
+                    edited = line[:-1] + ',"label":"PhiMinus"}'
+                else:  # a measurement without its label
+                    edited = line[:line.index(',"label"')] + "}"
+                leading_zero = line.replace(f'"blk":{block},', f'"blk":0{block},')
+                for text in (line, edited, leading_zero):
+                    outcomes = []
+                    for parse in (Announcement.from_wire, reference_channel.from_wire):
+                        try:
+                            outcomes.append(parse(text, 7))
+                        except FrameError as exc:
+                            outcomes.append((str(exc), exc.byte_offset))
+                    assert outcomes[0] == outcomes[1], text
 
     @pytest.mark.parametrize("block", [True, 1.0, "1", None])
     def test_non_int_block_rejected(self, block):
@@ -303,17 +335,21 @@ class TestInProcessChannel:
         assert result.transcript.announcements is result.transcript.announcements
         assert result.blocks is result.blocks
 
-    def test_session_on_a_used_channel_aborts_with_its_own_lines(self):
-        """The tap of a used channel holds another session's lines; the
-        abort transcript holds this session's lines of it."""
+    def test_session_on_a_used_channel_runs_on_its_own_lines(self):
+        """The order gate keeps each session's blocks apart: a second
+        session on a used channel runs, and its transcript is its own
+        lines of the tap."""
         channel = InProcessChannel()
         first = SessionConfig(n_pairs=6, seed=1, alice_message=MessageBits.from_bits("01"))
         run_session(first, channel)
         second = dataclasses.replace(first, seed=2)
-        with pytest.raises(SessionError, match="block 1 after block 3") as err:
-            run_session(second, channel)
-        assert err.value.transcript.announcements == tuple(
+        result = run_session(second, channel)
+        assert result.decoded_by_bob == first.alice_message
+        assert result.transcript == run_session(second).transcript
+        assert result.transcript.announcements == tuple(
             ann for ann in channel.tap() if ann.session_id == session_id(second))
+        with pytest.raises(SessionError, match="block 1 after block 3"):
+            run_session(second, channel)  # the same session again is out of order
 
     def test_tap_counts_for_bidirectional_session(self):
         channel = InProcessChannel()
@@ -706,11 +742,13 @@ class TestWindowedExchange:
         return before + tail, bad, wrong, len(before)
 
     @staticmethod
-    def _serve(sock, stream):
-        """Write `stream`, end the stream, and discard what the peer sends."""
+    def _serve(sock, stream, end=True):
+        """Write `stream`, end the stream unless told not to, and discard
+        what the peer sends until it closes."""
         try:
             sock.sendall(stream)
-            sock.shutdown(socket.SHUT_WR)
+            if end:
+                sock.shutdown(socket.SHUT_WR)
             while sock.recv(65536):
                 pass
         except OSError:
@@ -1031,3 +1069,74 @@ class TestWindowRead:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == [(FrameError, f"frame is not newline-terminated within "
                                    f"{MAX_FRAME_BYTES} bytes (at byte 0)", 0)]
+
+
+class _FewLineWindows(TcpEndpoint):
+    window = 5
+
+
+class TestHostilePeer:
+    """run_remote_party over a real socket against a peer that replays a
+    recorded clean stream with one mutation, then ends the stream or stalls."""
+
+    TIMEOUT = 0.5
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_pairs=st.integers(2, 40),
+        seed=st.integers(0, 2**32 - 1),
+        mutation=st.sampled_from(["flip", "insert", "delete", "truncate",
+                                  "utf8", "overlong", "respell", "extra"]),
+        at=st.integers(0, 2**16),
+        byte=st.integers(0, 255),
+        stall=st.booleans(),
+    )
+    def test_mutated_peer_stream_ends_clean_or_in_a_session_error(
+            self, n_pairs, seed, mutation, at, byte, stall):
+        capacity = n_pairs // 2 * 2
+        config = SessionConfig(
+            n_pairs=n_pairs, seed=seed, alice_message=_random_bits(capacity, seed),
+            bob_message=_random_bits(capacity - 1, seed + 1),
+        )
+        clean = run_session(config)
+        schedule = clean.transcript.lines
+        # What A's endpoint taps of a clean session: per window, A's lines, then B's.
+        wire_order = []
+        for first in range(0, len(schedule), _FewLineWindows.window):
+            window = schedule[first:first + _FewLineWindows.window]
+            wire_order += [*window.of_side("A").announcements(),
+                           *window.of_side("B").announcements()]
+        stream = _mutate(schedule.of_side("B").wire_bytes(), mutation, at, byte)
+        near, far = socket.socketpair()
+        endpoint = _FewLineWindows(near, side="A", timeout=self.TIMEOUT)
+        peer = threading.Thread(target=TestWindowedExchange._serve,
+                                args=(far, stream, not stall))
+        peer.start()
+        mine = dataclasses.replace(config, bob_message=None)
+        start = time.monotonic()
+        try:
+            result = run_remote_party(
+                "A", mine, _ScriptedSubstrate(substrate_hello("B", config)), endpoint)
+        except SessionError as exc:
+            error = exc
+        else:
+            error = None
+        finally:
+            elapsed = time.monotonic() - start
+            endpoint.close()
+            peer.join(timeout=10)
+            far.close()
+        assert not peer.is_alive()
+        assert elapsed < self.TIMEOUT + 1
+        if error is None:
+            assert result.transcript == clean.transcript
+            assert (result.decoded_by_alice, result.decoded_by_bob) == (
+                clean.decoded_by_alice, clean.decoded_by_bob)
+            return
+        seen = list(error.transcript.announcements)
+        if isinstance(error.__cause__, ChannelError):
+            assert seen == wire_order[:len(seen)]
+        else:  # a mismatch: the differing peer line ends the transcript
+            assert error.__cause__ is None and str(error).startswith("peer announced")
+            assert seen[:-1] == wire_order[:len(seen) - 1]
+            assert seen[-1] != wire_order[len(seen) - 1]

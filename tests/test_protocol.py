@@ -656,6 +656,21 @@ class TestPeerCheck:
         partial = err.value.transcript.announcements
         assert partial == clean[:bad] + (_relabel(clean[bad]),)
 
+    def test_abort_on_a_used_channel_holds_only_its_own_lines(self):
+        """Two sessions on one tampering channel each abort at their own
+        tampered line; the second's transcript holds none of the first's."""
+        channel = _TamperingChannel()
+        for seed in (5, 6):
+            config = dataclasses.replace(self.CONFIG, seed=seed)
+            clean = run_session(config).transcript.announcements
+            bad = next(i for i, ann in enumerate(clean)
+                       if ann.kind is AnnouncementKind.MEASUREMENT
+                       and (ann.block, ann.side) == (2, "B"))
+            with pytest.raises(SessionError, match="peer announced") as err:
+                run_session(config, channel=channel)
+            assert err.value.transcript.announcements == clean[:bad] + (_relabel(clean[bad]),)
+        assert len({ann.session_id for ann in channel.tap()}) == 2
+
     def test_remote_party_rejects_wrong_peer_label(self):
         clean = run_session(self.CONFIG).transcript.announcements
         peer_lines = [ann for ann in clean if ann.side == "B"]
