@@ -24,7 +24,9 @@ window that is exactly its expected wire text with one byte comparison;
 from the first byte that differs, it reads, parses and checks the
 window's lines one by one, with the same errors and byte offsets. A peer
 line of another session, or with a block past the int64 column, is a
-FrameError at its offset.
+FrameError at its offset. After its last window each side half-closes
+and reads its peer to the end of the stream, so a byte past the peer's
+last line is a FrameError at its offset too.
 
 Wire format, one announcement per line, UTF-8, newline-terminated:
 
@@ -432,10 +434,10 @@ class TcpEndpoint:
     """One end of the public TCP channel, speaking the line protocol.
 
     Sent lines are buffered and written in one sendall on the next
-    receive, once a window of them is buffered, or on flush. Received
-    bytes go into a read buffer that every read shares. A window of peer
-    lines that is exactly its expected wire text is accepted with one
-    comparison; any other is read line by line, each line parsed and
+    receive, once a window of them is buffered, or on flush or finish.
+    Received bytes go into a read buffer that every read shares. A window
+    of peer lines that is exactly its expected wire text is accepted with
+    one comparison; any other is read line by line, each line parsed and
     checked, with the byte offset of a malformed one in the stream. Every
     line sent (when buffered) or received is tapped, in wire order.
     """
@@ -482,6 +484,20 @@ class TcpEndpoint:
             self._sock.sendall(data)
         except OSError as exc:
             raise TransportError(f"send failed: {exc}") from exc
+
+    def finish(self) -> None:
+        """End the exchange: write what is buffered, end this side's
+        stream, and read the peer's to its end within the timeout. A byte
+        past the peer's last line is a FrameError at its offset."""
+        self.flush()
+        try:
+            self._sock.shutdown(socket.SHUT_WR)
+        except OSError as exc:
+            raise TransportError(f"send failed: {exc}") from exc
+        if self._in or self._fill():
+            raise FrameError("bytes past the peer's last line", self._read_offset)
+        if self._recv_error is not None:
+            raise TransportError(f"receive failed: {self._recv_error}") from self._recv_error
 
     def receive(self) -> Announcement:
         """Read, check and tap one peer line, of any session."""
@@ -656,6 +672,18 @@ class SubstrateLink:
         if not isinstance(hello, dict) or hello.get("v") != WIRE_VERSION:
             raise TransportError("invalid substrate hello")
         return hello
+
+    def finish(self) -> None:
+        """End the link: end this side's stream and read the peer's to its
+        end within the timeout. A byte past the peer's hello is a
+        TransportError."""
+        try:
+            self._sock.shutdown(socket.SHUT_WR)
+            extra = self._reader.read(1)
+        except OSError as exc:
+            raise TransportError(f"substrate receive failed: {exc}") from exc
+        if extra:
+            raise TransportError("bytes past the peer's substrate hello")
 
     def close(self) -> None:
         try:

@@ -1,11 +1,12 @@
 """Indented JSON text, exactly as `json.dumps(value, indent=2)` writes it.
 
 CPython writes indented JSON with its pure-Python encoder, one value at a
-time. `render` produces the same bytes with less work: it walks only dicts
-in Python, and writes a `KeyedItems` column, such as a session's
-transcript or block rows, from one `json.dumps` rendering per kind of item
-with each item's key spliced in. Everything else goes to `json.dumps`
-itself, and a value with nothing to gain is one `json.dumps` call.
+time. `render` produces the same bytes with less work, in one walk of the
+value: it walks only dicts in Python, and writes a `KeyedItems` column,
+such as a session's transcript or block rows, from one `json.dumps`
+rendering per kind of item with each item's key spliced in. Every other
+value, a list or a scalar, is one `json.dumps` call where the walk meets
+it.
 
 A `KeyedItems` reads like the list it stands for, but it is not a list:
 `json.dumps` of a value that holds one raises TypeError rather than write
@@ -81,17 +82,12 @@ class KeyedItems:
         if set(map(type, self._keys)) != {int}:  # str(True) is not JSON
             raise TypeError("KeyedItems keys must be ints")
         inner = pad + "  "
-
-        def text(kind: int, key: int) -> str:
-            item = json.dumps(self._item(kind, key), indent=2, default=_keyed_list)
-            return item.replace("\n", "\n" + inner)
-
-        zero = [text(kind, 0) for kind in range(len(self._kinds))]
-        one = text(0, 1)
+        zero = [_dumps(self._item(kind, 0), inner) for kind in range(len(self._kinds))]
+        one = _dumps(self._item(0, 1), inner)
         cut = next(i for i, (x, y) in enumerate(zip(zero[0], one)) if x != y)
         head = zero[0][:cut]
         if not all(text.startswith(head) for text in zero):
-            out.append(json.dumps(self, indent=2, default=_keyed_list).replace("\n", "\n" + pad))
+            out.append(_dumps(self, pad))
             return
         sep = f",\n{inner}{head}"
         tails = [text[cut + 1:] + sep for text in zero]
@@ -108,13 +104,7 @@ def render(value) -> str:
     written as its list. Any other value json.dumps cannot write raises
     its TypeError."""
     out: list = []
-    later: list[int] = []
-    if not _render(value, "", out, later):
-        # Nothing in `value` renders faster than json.dumps does it whole.
-        return json.dumps(value, indent=2, default=_keyed_list) + "\n"
-    for i in later:
-        part, pad = out[i]
-        out[i] = json.dumps(part, indent=2, default=_keyed_list).replace("\n", "\n" + pad)
+    _render(value, "", out)
     out.append("\n")
     return "".join(out)
 
@@ -126,33 +116,27 @@ def _keyed_list(value) -> list:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _dumps(value, pad: str) -> str:
+    """json.dumps(indent=2) of `value` on a line indented by `pad`."""
+    return json.dumps(value, indent=2, default=_keyed_list).replace("\n", "\n" + pad)
+
+
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _render(value, pad: str, out: list, later: list[int]) -> bool:
+def _render(value, pad: str, out: list) -> None:
     """Append `value` as json.dumps(indent=2) renders it on a line indented
-    by `pad`; True if some part of it took a faster path than json.dumps.
-
-    A container that takes none is appended as (value, pad), its index
-    noted in `later`, and rendered only if the document as a whole gains.
-    """
+    by `pad`: a KeyedItems from its kinds, a non-empty dict with str keys
+    field by field, and anything else as one json.dumps call."""
     if isinstance(value, KeyedItems):
         value._render(pad, out)
-        return True
-    if isinstance(value, dict):
-        if value and all(type(key) is str for key in value):
-            inner = pad + "  "
-            sep = "{\n" + inner
-            gained = False
-            for key, item in value.items():
-                out.append(f"{sep}{_encode_str(key)}: ")
-                gained = _render(item, inner, out, later) or gained
-                sep = ",\n" + inner
-            out.append(f"\n{pad}}}")
-            return gained
-    elif not isinstance(value, (list, tuple)):
-        out.append(json.dumps(value))  # a scalar renders the same without indent, in C
-        return False
-    later.append(len(out))
-    out.append((value, pad))
-    return False
+    elif isinstance(value, dict) and value and all(type(key) is str for key in value):
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            out.append(f"{sep}{_encode_str(key)}: ")
+            _render(item, inner, out)
+            sep = ",\n" + inner
+        out.append(f"\n{pad}}}")
+    else:
+        out.append(_dumps(value, pad))

@@ -796,8 +796,9 @@ def _exchange_remote(side: str, endpoint, schedule: CodedLines):
     """One side over its endpoint (TcpEndpoint), in windows of
     `endpoint.window` lines: each window's A lines, then its B lines, each
     side keeping its own order. This side sends its lines and reads and
-    checks its peer's. The transcript so far is the endpoint's tap: the
-    lines in wire order, up to and including a peer line that differs."""
+    checks its peer's, then finishes: a byte past the peer's last line is a
+    FrameError. The transcript so far is the endpoint's tap: the lines in
+    wire order, up to and including a peer line that differs."""
     for start in range(0, len(schedule), endpoint.window):
         window = schedule[start:start + endpoint.window]
         for announcer in SIDES:
@@ -810,7 +811,7 @@ def _exchange_remote(side: str, endpoint, schedule: CodedLines):
             mismatch = endpoint.receive_lines(lines)
             if mismatch is not None:
                 return (*mismatch, endpoint.tap())
-    endpoint.flush()
+    endpoint.finish()
     return None
 
 
@@ -1033,4 +1034,6 @@ def run_remote_party(side: str, config: SessionConfig, substrate, endpoint) -> S
         full.validate()  # this party's own fields already passed
     except ValueError as exc:
         raise SessionError(f"invalid substrate hello: {exc}") from exc
-    return _play(full, partial(_exchange_remote, side, endpoint), endpoint.tap)
+    result = _play(full, partial(_exchange_remote, side, endpoint), endpoint.tap)
+    substrate.finish()  # after the exchange: a peer may hold its link open until then
+    return result

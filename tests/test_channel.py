@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from swapcomm.channel import (
     LINE_CODES,
@@ -610,6 +610,24 @@ class TestBoundedReads:
             sender.close()
             receiver.close()
 
+    @pytest.mark.parametrize("after", [b"", b"x", b"{}\n"])
+    def test_finish_rejects_bytes_past_the_peer_hello(self, after):
+        near, far = socket.socketpair()
+        link = SubstrateLink(near, timeout=5.0)
+        far.sendall(json.dumps({"v": 1}).encode() + b"\n" + after)
+        far.shutdown(socket.SHUT_WR)
+        try:
+            assert link.receive_hello(200) == {"v": 1}
+            if after:
+                with pytest.raises(TransportError, match="past the peer's substrate hello"):
+                    link.finish()
+            else:
+                link.finish()
+            assert far.recv(1) == b""  # this side ended its stream
+        finally:
+            link.close()
+            far.close()
+
 
 class _CountingSocket(socket.socket):
     """A socket that counts its sendall calls."""
@@ -666,6 +684,9 @@ class _PeerHello:
 
     def receive_hello(self, limit):
         return self.hello
+
+    def finish(self):
+        pass
 
 
 class TestWindowedExchange:
@@ -1091,6 +1112,9 @@ class TestHostilePeer:
         byte=st.integers(0, 255),
         stall=st.booleans(),
     )
+    # B's four lines, and a copy of the first appended after the last.
+    @example(n_pairs=4, seed=1, mutation="extra", at=0, byte=4, stall=False)
+    @example(n_pairs=4, seed=1, mutation="extra", at=0, byte=4, stall=True)
     def test_mutated_peer_stream_ends_clean_or_in_a_session_error(
             self, n_pairs, seed, mutation, at, byte, stall):
         capacity = n_pairs // 2 * 2
@@ -1106,7 +1130,8 @@ class TestHostilePeer:
             window = schedule[first:first + _FewLineWindows.window]
             wire_order += [*window.of_side("A").announcements(),
                            *window.of_side("B").announcements()]
-        stream = _mutate(schedule.of_side("B").wire_bytes(), mutation, at, byte)
+        clean_stream = schedule.of_side("B").wire_bytes()
+        stream = _mutate(clean_stream, mutation, at, byte)
         near, far = socket.socketpair()
         endpoint = _FewLineWindows(near, side="A", timeout=self.TIMEOUT)
         peer = threading.Thread(target=TestWindowedExchange._serve,
@@ -1128,6 +1153,10 @@ class TestHostilePeer:
             far.close()
         assert not peer.is_alive()
         assert elapsed < self.TIMEOUT + 1
+        if len(stream) > len(clean_stream) and stream.startswith(clean_stream):
+            # Bytes past B's last line: A reads its peer to the end of the stream.
+            assert isinstance(error, SessionError) and isinstance(error.__cause__, FrameError)
+            assert error.__cause__.byte_offset == len(clean_stream)
         if error is None:
             assert result.transcript == clean.transcript
             assert (result.decoded_by_alice, result.decoded_by_bob) == (

@@ -627,6 +627,23 @@ class TestDocuments:
                                  "nested": {"rows": rows, "lines": lines}}):
             assert documents.render_json(doc) == json.dumps(doc, indent=2) + "\n"
 
+    def test_render_json_of_shapes_the_tree_strategy_never_draws(self):
+        rows = jsontext.KeyedItems([{"index": 0, "x": [1]}, {"index": 0, "x": "y"}], [0, 1, 0])
+        for doc in ((1, "a", (2.5, None)), {"t": (1, [2, (3,)]), "u": ()},
+                    {1: "a", 2: {"b": 3}}, {1.5: 0, True: 1, None: 2, "s": [4]},
+                    {"a": {False: [1], "b": 2}}, 7, "text\n", None, -1.5, True, [], [1, [2]],
+                    {}, {"e": {}, "f": []}, [{"a": 1}, rows, {"b": rows}],
+                    {"list": [rows, {"c": 2}], "rows": rows}):
+            assert documents.render_json(doc) == json.dumps(doc, indent=2, default=list) + "\n"
+        looped = [1]
+        looped.append(looped)
+        for bad in ({1, 2}, {"a": {"b": {1}}}, [{"c": {1}}], looped, {"a": looped}):
+            with pytest.raises((TypeError, ValueError)) as want:
+                json.dumps(bad, indent=2)
+            with pytest.raises(type(want.value)) as got:
+                documents.render_json(bad)
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
     def test_repeated_rows_of_equal_values_render_apart(self):
         # Equal values that render differently, each a kind repeated in one column.
         column = [1, True, 1.0, 0.0, -0.0, float("nan"), float("inf"), [], {}, "\u00fc"]
@@ -1153,36 +1170,43 @@ class TestNetworkedCli:
 
     @pytest.mark.parametrize("fault", [
         "another session", "overlong line", "block out of order", "wrong label", "closed socket",
+        "trailing byte",
     ])
     def test_connect_console_script_exits_3_per_peer_fault(self, fault, tmp_path):
         """`python -m swapcomm connect` against a scripted side A that sends a
-        valid substrate hello, its lines up to block 2, then one fault: exit
-        3, one `swapcomm:` line on stderr, with the byte offset where there is
-        one, and no traceback."""
+        valid substrate hello, its lines up to block 2, then one fault (or
+        all its lines, then one byte): exit 3, one `swapcomm:` line on
+        stderr, with the byte offset where there is one, and no traceback."""
         lines = [ann for ann in run_session(self.PEER).transcript.announcements
                  if ann.side == "A"]
         at = next(i for i, ann in enumerate(lines) if ann.block == 2)
         head = b"".join(ann.to_wire().encode() + b"\n" for ann in lines[:at])
         sid, bad = lines[at].session_id, lines[at]
         wrong = next(label for label in _LABEL_VALUES if label != bad.label.value)
-        tail, message = {
+
+        def line(text):
+            return text.encode() + b"\n"
+
+        every = head + b"".join(line(ann.to_wire()) for ann in lines[at:])
+        stream, message = {
             "another session": (
-                dataclasses.replace(bad, session_id="0" * 16).to_wire(),
+                head + line(dataclasses.replace(bad, session_id="0" * 16).to_wire()),
                 f"invalid frame: announcement names session '{'0' * 16}', not '{sid}' "
                 f"(at byte {len(head)})"),
             "overlong line": (
-                "x" * (2 * MAX_FRAME_BYTES),
+                head + line("x" * (2 * MAX_FRAME_BYTES)),
                 f"frame is not newline-terminated within {MAX_FRAME_BYTES} bytes "
                 f"(at byte {len(head)})"),
             "block out of order": (
-                lines[at - 1].to_wire(), "side A announced block 1 after block 1"),
+                head + line(lines[at - 1].to_wire()), "side A announced block 1 after block 1"),
             "wrong label": (
-                bad.to_wire().replace(bad.label.value, wrong),
+                head + line(bad.to_wire().replace(bad.label.value, wrong)),
                 f"peer announced {bad.to_wire().replace(bad.label.value, wrong)} "
                 f"where {bad.to_wire()} was expected"),
-            "closed socket": (None, "peer closed the connection"),
+            "closed socket": (head, "peer closed the connection"),
+            "trailing byte": (
+                every + b"x", f"bytes past the peer's last line (at byte {len(every)})"),
         }[fault]
-        stream = head + (b"" if tail is None else tail.encode() + b"\n")
         listener = SessionListener("127.0.0.1", 0, timeout=10.0)
         host, port = listener.address
 

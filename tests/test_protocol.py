@@ -602,6 +602,9 @@ class _ScriptedSubstrate:
         self.limits.append(limit)
         return self.hello
 
+    def finish(self):
+        pass
+
 
 class _ScriptedEndpoint:
     """Plays a peer whose lines are fixed in advance."""
@@ -615,7 +618,7 @@ class _ScriptedEndpoint:
     def send(self, ann):
         self._tap.append(ann)
 
-    def flush(self):
+    def finish(self):
         pass
 
     def receive(self):
