@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
 from pathlib import Path
 
@@ -78,12 +79,18 @@ def _resolve_out(path: str | None) -> Path | None:
     return out
 
 
-def _emit(text: str, out: Path | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
+def _emit(doc: dict, out: Path | None, fmt: str = "json") -> None:
+    """Write `doc` in format `fmt` to the file `out`, or to stdout. JSON is
+    written as documents.render_json renders it, in slices; csv and text are
+    rendered whole before the file is opened."""
+    text = None if fmt == "json" else documents.render(doc, fmt)
+    if out is not None:
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text, encoding="utf-8")
+    with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as fh:
+        if text is None:
+            documents.render_json(doc, fh.write)
+        else:
+            fh.write(text)
 
 
 def _host_port(value: str) -> tuple[str, int]:
@@ -181,12 +188,12 @@ def _cmd_simulate(args) -> int:
             "trials": rows,
             "summary": {"trials": len(rows), "all_decodes_exact": ok == len(rows)},
         }
-        _emit(documents.render_json(doc), _resolve_out(args.out))
+        _emit(doc, _resolve_out(args.out))
         return EXIT_OK
 
     result = run_session(config)
     doc = documents.run_document(config, result)
-    _emit(documents.render(doc, args.format), _resolve_out(args.out))
+    _emit(doc, _resolve_out(args.out), args.format)
     return EXIT_OK
 
 
@@ -216,7 +223,7 @@ def _cmd_table(args) -> int:
         "composite": composite,
         "audit": audit_reference_table().to_dict(),
     }
-    _emit(documents.render_json(doc), _resolve_out(args.out))
+    _emit(doc, _resolve_out(args.out))
     return EXIT_OK
 
 
@@ -228,7 +235,7 @@ def _cmd_verify(args) -> int:
             "kind": "verification-report",
             "checks": [asdict(check) for check in report.checks],
         }
-        sys.stdout.write(documents.render_json(doc))
+        _emit(doc, None)
         return EXIT_OK if report.ok else EXIT_VERIFY
     for check in report.checks:
         status = "ok" if check.passed else "FAIL"
@@ -326,7 +333,7 @@ def _cmd_analyze(args) -> int:
             )
             for pattern in sorted(patterns)
         }
-    _emit(documents.render_json(out_doc), _resolve_out(args.out))
+    _emit(out_doc, _resolve_out(args.out))
     return EXIT_OK
 
 
@@ -357,7 +364,7 @@ def _cmd_party(args) -> int:
     del endpoint  # free its tap, a second copy of the peer's lines, before rendering
     doc = documents.run_document(config, result)
     doc["session"]["party"] = args.side
-    _emit(documents.render(doc, args.format), _resolve_out(args.out))
+    _emit(doc, _resolve_out(args.out), args.format)
     return EXIT_OK
 
 

@@ -256,9 +256,14 @@ def replay_document(doc: dict) -> SessionResult:
     return _replay_codes(transcript_from_document(doc), *_blocks_from_document(doc))
 
 
-def render_json(doc: dict) -> str:
-    """Exactly `json.dumps(doc, indent=2) + "\\n"`, the pinned document format."""
-    return jsontext.render(doc)
+def render_json(doc: dict, write=None) -> str | None:
+    """Exactly `json.dumps(doc, indent=2) + "\\n"`, the pinned document
+    format: passed to `write` in slices as it renders, or, with no `write`,
+    returned as one string."""
+    if write is None:
+        return jsontext.render(doc)
+    jsontext.stream(doc, write)
+    return None
 
 
 def render_csv(doc: dict) -> str:

@@ -6,7 +6,9 @@ value: it walks only dicts in Python, and writes a `KeyedItems` column,
 such as a session's transcript or block rows, from one `json.dumps`
 rendering per kind of item with each item's key spliced in. Every other
 value, a list or a scalar, is one `json.dumps` call where the walk meets
-it.
+it. `stream` passes that text to a write callable as the walk makes it,
+a `KeyedItems` in slices of _CHUNK items, so no whole-document string is
+ever built; `render` is the same walk, joined.
 
 A `KeyedItems` reads like the list it stands for, but it is not a list:
 `json.dumps` of a value that holds one raises TypeError rather than write
@@ -16,6 +18,10 @@ from __future__ import annotations
 
 import json
 from itertools import chain
+
+# Items of a KeyedItems rendered per write: each write then holds one
+# slice's text, not the whole list's.
+_CHUNK = 4096
 
 
 class KeyedItems:
@@ -65,19 +71,20 @@ class KeyedItems:
     def __repr__(self) -> str:
         return repr(list(self))
 
-    def _render(self, pad: str, out: list) -> None:
-        """Append the list as json.dumps(indent=2) renders it on a line
-        indented by `pad`.
+    def _render(self, pad: str, write) -> None:
+        """Pass the list to `write` as json.dumps(indent=2) renders it on a
+        line indented by `pad`, in slices of at most _CHUNK items.
 
         Each kind is rendered once by json.dumps, with the key 0. The text
         before the key, its head, is where the renderings of the first kind
         with the keys 0 and 1 differ; it names the first field, or holds the
         prefix, so the key follows it in every kind that starts with it.
         Every item is then str(key) and its kind's tail, joined in C. Kinds
-        whose heads differ leave the whole list to json.dumps.
+        whose heads differ leave each slice to json.dumps.
         """
-        if not self._which:
-            out.append("[]")
+        n = len(self._which)
+        if not n:
+            write("[]")
             return
         if set(map(type, self._keys)) != {int}:  # str(True) is not JSON
             raise TypeError("KeyedItems keys must be ints")
@@ -87,26 +94,45 @@ class KeyedItems:
         cut = next(i for i, (x, y) in enumerate(zip(zero[0], one)) if x != y)
         head = zero[0][:cut]
         if not all(text.startswith(head) for text in zero):
-            out.append(_dumps(self, pad))
+            # A slice's items are the text between the brackets of its list.
+            sep = "["
+            for start in range(0, n, _CHUNK):
+                write(sep)
+                write(_dumps(self[start:start + _CHUNK], pad)[1:-len(pad) - 2])
+                sep = ","
+            write(f"\n{pad}]")
             return
         sep = f",\n{inner}{head}"
         tails = [text[cut + 1:] + sep for text in zero]
-        # "%d" writes an int as str() does, without a str object per key.
-        pieces = list(chain.from_iterable(zip(self._keys, map(tails.__getitem__, self._which))))
-        pieces[-1] = pieces[-1][:-len(sep)]
-        out.append(f"[\n{inner}{head}")
-        out.append("%d%s" * len(self._which) % tuple(pieces))
-        out.append(f"\n{pad}]")
+        write(f"[\n{inner}{head}")
+        for start in range(0, n, _CHUNK):
+            stop = min(start + _CHUNK, n)
+            # "%d" writes an int as str() does, without a str object per key.
+            pieces = list(chain.from_iterable(
+                zip(self._keys[start:stop], map(tails.__getitem__, self._which[start:stop]))
+            ))
+            if stop == n:
+                pieces[-1] = pieces[-1][:-len(sep)]
+            write("%d%s" * (stop - start) % tuple(pieces))
+        write(f"\n{pad}]")
 
 
 def render(value) -> str:
     """Exactly `json.dumps(value, indent=2) + "\\n"`, with a KeyedItems
-    written as its list. Any other value json.dumps cannot write raises
-    its TypeError."""
+    written as its list: the text `stream` writes, joined. Any other value
+    json.dumps cannot write raises its TypeError."""
     out: list = []
-    _render(value, "", out)
-    out.append("\n")
+    stream(value, out.append)
     return "".join(out)
+
+
+def stream(value, write) -> None:
+    """Pass the text of `render(value)` to `write` in pieces as the walk
+    makes them: a KeyedItems one slice of _CHUNK items at a time, any other
+    value but a dict in one json.dumps call. A value json.dumps cannot
+    write raises its TypeError after the pieces before it were passed on."""
+    _render(value, "", write)
+    write("\n")
 
 
 def _keyed_list(value) -> list:
@@ -124,19 +150,19 @@ def _dumps(value, pad: str) -> str:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _render(value, pad: str, out: list) -> None:
-    """Append `value` as json.dumps(indent=2) renders it on a line indented
-    by `pad`: a KeyedItems from its kinds, a non-empty dict with str keys
-    field by field, and anything else as one json.dumps call."""
+def _render(value, pad: str, write) -> None:
+    """Pass `value` to `write` as json.dumps(indent=2) renders it on a line
+    indented by `pad`: a KeyedItems from its kinds, a non-empty dict with
+    str keys field by field, and anything else as one json.dumps call."""
     if isinstance(value, KeyedItems):
-        value._render(pad, out)
+        value._render(pad, write)
     elif isinstance(value, dict) and value and all(type(key) is str for key in value):
         inner = pad + "  "
         sep = "{\n" + inner
         for key, item in value.items():
-            out.append(f"{sep}{_encode_str(key)}: ")
-            _render(item, inner, out)
+            write(f"{sep}{_encode_str(key)}: ")
+            _render(item, inner, write)
             sep = ",\n" + inner
-        out.append(f"\n{pad}}}")
+        write(f"\n{pad}}}")
     else:
-        out.append(_dumps(value, pad))
+        write(_dumps(value, pad))

@@ -4,6 +4,7 @@ import copy
 import functools
 import io
 import json
+import random
 import resource
 import socket
 import subprocess
@@ -123,6 +124,33 @@ class TestSimulate:
         lines = out.out.strip().splitlines()
         assert lines[0] == "index,op_a,op_b,outcome_a,outcome_b,announced_a,announced_b"
         assert len(lines) == 3
+
+    def test_no_write_holds_the_whole_document(self, tmp_path, monkeypatch):
+        lengths = []
+        render_json = documents.render_json
+
+        def recorded(doc, write):
+            def passed_on(piece):
+                lengths.append(len(piece))
+                write(piece)
+
+            render_json(doc, passed_on)
+
+        monkeypatch.setattr(documents, "render_json", recorded)
+        out = tmp_path / "run.json"
+        assert main(["simulate", "--pairs", "20000", "--seed", "4", "--out", str(out)]) == 0
+        size = out.stat().st_size
+        assert sum(lengths) == size  # the text is ASCII: every byte went through the writer
+        assert max(lengths) < size / 4
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_stdout_is_what_out_writes(self, fmt, tmp_path, capsys):
+        flags = ["simulate", "--pairs", "20000", "--seed", "4", "--format", fmt]
+        out = tmp_path / "run"
+        assert main([*flags, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(flags) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
 
     def test_out_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SWAPCOMM_OUT_DIR", str(tmp_path))
@@ -388,6 +416,7 @@ def _rows(draw):
 
 
 _ROWS = _rows()
+_CHUNK = jsontext._CHUNK
 
 
 def _without_session_id(doc):
@@ -681,6 +710,45 @@ class TestDocuments:
             json.dumps({"rows": rows})
         with pytest.raises(TypeError, match="set is not JSON serializable"):
             documents.render_json({"rows": rows, "other": {1}})
+
+    @pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    @pytest.mark.parametrize("shape", ["dict", "prefix", "unlike"])
+    @settings(max_examples=4, deadline=None)
+    @given(data=st.data())
+    def test_streamed_keyed_items_at_slice_edges(self, n, shape, data):
+        """A KeyedItems of dict kinds, of prefix kinds, or of dict kinds whose
+        first fields differ in name (left to json.dumps slice by slice),
+        streams as json.dumps writes it, and past one slice no write holds
+        more than one slice's text."""
+        if shape == "prefix":
+            kinds = data.draw(st.lists(st.text(max_size=4), min_size=1, max_size=4))
+            prefix = data.draw(st.text(max_size=4))
+        else:
+            names = data.draw(st.lists(st.text(max_size=3), min_size=2, max_size=4, unique=True))
+            firsts = names if shape == "unlike" else names[:1] * data.draw(st.integers(1, 4))
+            fields = st.dictionaries(st.text(max_size=3).filter(lambda key: key not in names),
+                                     _JSON_TREES, max_size=2)
+            kinds, prefix = [{first: 0, **data.draw(fields)} for first in firsts], None
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        which = rng.choices(range(len(kinds)), k=n)
+        keys = data.draw(st.sampled_from([None, [rng.randrange(-2**70, 2**70) for _ in which]]))
+        rows = jsontext.KeyedItems(kinds, which, keys, prefix)
+        depth = data.draw(st.integers(0, 2))
+        value = rows
+        for _ in range(depth):
+            value = {"before": [0], "rows": value, "after": 1}
+        pieces = []
+        jsontext.stream(value, pieces.append)
+        text = "".join(pieces)
+        assert text == json.dumps(value, indent=2, default=list) + "\n"
+        assert text == jsontext.render(value)
+        if n > _CHUNK:
+            # The text of the longest slice as a list of its own, on a line
+            # indented as deep as the column.
+            pad = "\n" + "  " * depth
+            longest = max(len(json.dumps(rows[start:start + _CHUNK], indent=2).replace("\n", pad))
+                          for start in range(0, n, _CHUNK))
+            assert max(map(len, pieces)) <= longest
 
     def test_unrendered_run_document_is_not_json_dumps_input(self):
         config = SessionConfig(n_pairs=8, seed=77, alice_message=MessageBits.from_bits("0101"))

@@ -175,14 +175,18 @@ def test_large_documents_equal_indented_json_dumps(pattern, tmp_path, monkeypatc
     was given, and of the document read back from the file."""
     checks = []
 
-    def checked_render_json(doc):
-        text = real_render_json(doc)
-        checks.append(text == json.dumps(doc, indent=2, default=list) + "\n")
-        return text
+    def checked_render_json(doc, write):
+        pieces = []
+
+        def passed_on(piece):
+            pieces.append(piece)
+            write(piece)
+
+        real_render_json(doc, passed_on)
+        checks.append("".join(pieces) == json.dumps(doc, indent=2, default=list) + "\n")
 
     real_render_json = documents.render_json
     monkeypatch.setattr(documents, "render_json", checked_render_json)
-    monkeypatch.setitem(documents.RENDERERS, "json", checked_render_json)
     bits = np.random.default_rng(7).integers(2, size=20_000)
     message = tmp_path / "message.txt"
     message.write_text("".join(map(str, bits)))
