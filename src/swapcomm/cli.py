@@ -80,17 +80,12 @@ def _resolve_out(path: str | None) -> Path | None:
 
 
 def _emit(doc: dict, out: Path | None, fmt: str = "json") -> None:
-    """Write `doc` in format `fmt` to the file `out`, or to stdout. JSON is
-    written as documents.render_json renders it, in slices; csv and text are
-    rendered whole before the file is opened."""
-    text = None if fmt == "json" else documents.render(doc, fmt)
+    """Write `doc` in format `fmt` to the file `out`, or to stdout, as
+    documents.RENDERERS[fmt] renders it, in slices."""
     if out is not None:
         out.parent.mkdir(parents=True, exist_ok=True)
     with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as fh:
-        if text is None:
-            documents.render_json(doc, fh.write)
-        else:
-            fh.write(text)
+        documents.RENDERERS[fmt](doc, fh.write)
 
 
 def _host_port(value: str) -> tuple[str, int]:

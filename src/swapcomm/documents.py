@@ -12,9 +12,9 @@ around them.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import operator
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -80,7 +80,7 @@ _LABEL_NAMES = tuple(label.value for label in ENCODING_ORDER)
 
 def _block_rows(blocks: BlockColumns) -> jsontext.KeyedItems:
     """One row per block, its "index" from 1: a column over one row per
-    distinct kind of block, which documents.render_json renders once."""
+    distinct kind of block, which each renderer reads once."""
     n = len(blocks.op_a)
     announced_a, announced_b = (np.broadcast_to(flag, n) for flag in blocks.announced)
     # One integer per distinct (op_a, op_b, label_a, label_b, flags).
@@ -256,72 +256,82 @@ def replay_document(doc: dict) -> SessionResult:
     return _replay_codes(transcript_from_document(doc), *_blocks_from_document(doc))
 
 
-def render_json(doc: dict, write=None) -> str | None:
-    """Exactly `json.dumps(doc, indent=2) + "\\n"`, the pinned document
-    format: passed to `write` in slices as it renders, or, with no `write`,
-    returned as one string."""
-    if write is None:
-        return jsontext.render(doc)
+def render_json(doc: dict, write) -> None:
+    """Pass `write` exactly `json.dumps(doc, indent=2) + "\\n"`, the pinned
+    document format, in slices as it renders."""
     jsontext.stream(doc, write)
-    return None
 
 
-def render_csv(doc: dict) -> str:
-    """Per-block table; private columns, so only for session-run documents."""
+def _block_items(doc: dict, fmt: str) -> jsontext.KeyedItems:
+    """A session-run document's block rows as a KeyedItems. Rows read
+    from a file, a plain list, are one kind each; an index that is not an
+    int is a ValueError."""
     if doc.get("kind") != "session-run":
-        raise ValueError("csv format applies to session-run documents only")
-    out = io.StringIO()
-    fields = ["index", "op_a", "op_b", "outcome_a", "outcome_b",
-              "announced_a", "announced_b"]
-    writer = csv.DictWriter(out, fieldnames=fields, lineterminator="\n")
-    writer.writeheader()
-    for row in doc["private"]["blocks"]:
-        writer.writerow(row)
-    return out.getvalue()
+        raise ValueError(f"{fmt} format applies to session-run documents only")
+    rows = doc["private"]["blocks"]
+    if not isinstance(rows, jsontext.KeyedItems):
+        rows = jsontext.KeyedItems(rows, range(len(rows)), list(map(_ROW_INDEX, rows)))
+    if set(map(type, rows.keys)) - {int}:
+        raise ValueError("block row index must be an int")
+    return rows
 
 
-def render_text(doc: dict) -> str:
-    """Block-by-block trace of a session run."""
-    if doc.get("kind") != "session-run":
-        raise ValueError("text format applies to session-run documents only")
+def render_csv(doc: dict, write) -> None:
+    """Per-block table; private columns, so only for session-run documents.
+    Each kind of row is one csv line, written with the index 0 and cut
+    after it; every block's index is spliced in by jsontext.write_rows."""
+    blocks = _block_items(doc, "csv")
+    # writerow returns what its file's write returns: here the csv line.
+    line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    write(line(["index", "op_a", "op_b", "outcome_a", "outcome_b",
+                "announced_a", "announced_b"]))
+    tails = [line([0, *_ROW_KIND(kind)])[1:] for kind in blocks.kinds]
+    jsontext.write_rows(write, "%d%s", len(blocks), tails, blocks.which, blocks.keys)
+
+
+def render_text(doc: dict, write) -> None:
+    """Block-by-block trace of a session run: each kind of block line is
+    made once, and block k's numbers, k, 2k-1 and 2k, are spliced in by
+    jsontext.write_rows."""
+    blocks = _block_items(doc, "text")
     s = doc["session"]
     p = doc["private"]
-    lines = [
-        f"session {s['id']}  mode={s['mode']}  fallback={s['fallback']}  "
-        f"pairs={s['n_pairs']}  seed={s['seed']}",
-        f"blocks: {s['usable_blocks']}"
-        + ("  (final odd pair idle)" if s["idle_final_pair"] else ""),
-    ]
+    write(f"session {s['id']}  mode={s['mode']}  fallback={s['fallback']}  "
+          f"pairs={s['n_pairs']}  seed={s['seed']}\n")
+    write(f"blocks: {s['usable_blocks']}"
+          + ("  (final odd pair idle)\n" if s["idle_final_pair"] else "\n"))
     if p["alice_message"] is not None:
-        lines.append(f"alice sends: {p['alice_message'] or '(empty)'}")
+        write(f"alice sends: {p['alice_message'] or '(empty)'}\n")
     if p["bob_message"] is not None:
-        lines.append(f"bob sends:   {p['bob_message'] or '(empty)'}")
-    for row in p["blocks"]:
-        k = row["index"]
-        ops = (f"ops A={row['op_a'] or '--'} B={row['op_b'] or '--'}").lower()
+        write(f"bob sends:   {p['bob_message'] or '(empty)'}\n")
+    tails = []
+    for kind in blocks.kinds:
+        ops = f"ops A={kind['op_a'] or '--'} B={kind['op_b'] or '--'}".lower()
         announced = ",".join(
-            side for side, on in (("A", row["announced_a"]), ("B", row["announced_b"]))
+            side for side, on in (("A", kind["announced_a"]), ("B", kind["announced_b"]))
             if on
         ) or "none"
-        lines.append(
-            f"block {k}: pairs ({2 * k - 1},{2 * k})  {ops}  "
-            f"measured A={row['outcome_a']} B={row['outcome_b']}  announced {announced}"
-        )
+        tails.append(f"  {ops}  measured A={kind['outcome_a']} B={kind['outcome_b']}"
+                     f"  announced {announced}\n")
+    seconds = [2 * k for k in blocks.keys]
+    jsontext.write_rows(write, "block %d: pairs (%d,%d)%s", len(blocks), tails, blocks.which,
+                        blocks.keys, [k - 1 for k in seconds], seconds)
     if p["decoded_by_alice"] is not None:
-        lines.append(f"decoded by alice: {p['decoded_by_alice'] or '(empty)'}")
+        write(f"decoded by alice: {p['decoded_by_alice'] or '(empty)'}\n")
     if p["decoded_by_bob"] is not None:
-        lines.append(f"decoded by bob:   {p['decoded_by_bob'] or '(empty)'}")
-    return "\n".join(lines) + "\n"
+        write(f"decoded by bob:   {p['decoded_by_bob'] or '(empty)'}\n")
 
 
 RENDERERS = {"json": render_json, "csv": render_csv, "text": render_text}
 
 
 def render(doc: dict, fmt: str) -> str:
-    try:
-        return RENDERERS[fmt](doc)
-    except KeyError:
-        raise ValueError(f"unknown format {fmt!r}") from None
+    """What RENDERERS[fmt] writes of `doc`, as one string."""
+    if fmt not in RENDERERS:
+        raise ValueError(f"unknown format {fmt!r}")
+    out: list = []
+    RENDERERS[fmt](doc, out.append)
+    return "".join(out)
 
 
 def load_document(path: str) -> dict:

@@ -1,14 +1,15 @@
 """Indented JSON text, exactly as `json.dumps(value, indent=2)` writes it.
 
 CPython writes indented JSON with its pure-Python encoder, one value at a
-time. `render` produces the same bytes with less work, in one walk of the
+time. `stream` produces the same bytes with less work, in one walk of the
 value: it walks only dicts in Python, and writes a `KeyedItems` column,
 such as a session's transcript or block rows, from one `json.dumps`
 rendering per kind of item with each item's key spliced in. Every other
 value, a list or a scalar, is one `json.dumps` call where the walk meets
-it. `stream` passes that text to a write callable as the walk makes it,
-a `KeyedItems` in slices of _CHUNK items, so no whole-document string is
-ever built; `render` is the same walk, joined.
+it. The text goes to a write callable as the walk makes it, a `KeyedItems`
+in slices of _CHUNK items by `write_rows`, so no whole-document string is
+ever built. `write_rows` splices keys into per-kind text for the csv and
+text documents too.
 
 A `KeyedItems` reads like the list it stands for, but it is not a list:
 `json.dumps` of a value that holds one raises TypeError rather than write
@@ -19,7 +20,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 
-# Items of a KeyedItems rendered per write: each write then holds one
+# Rows formatted per write by write_rows: each write then holds one
 # slice's text, not the whole list's.
 _CHUNK = 4096
 
@@ -29,37 +30,40 @@ class KeyedItems:
 
     Item i is the kind kinds[which[i]] with the int keys[i] spliced in. A
     kind is a dict, whose first field takes the key, or a string: the item
-    is then prefix + str(key) + kind. `which` is a list of kind indexes and
-    `keys` a list or range of ints, by default each item's position from 1.
-    Items are built only when read, and each read builds a new one.
+    is then prefix + str(key) + kind. Dict kinds must name their first
+    field alike. `which` is a list of kind indexes and `keys` a list or
+    range of ints, by default each item's position from 1. Items are built
+    only when read, and each read builds a new one.
     """
 
-    __slots__ = ("_kinds", "_which", "_keys", "_prefix")
+    __slots__ = ("kinds", "which", "keys", "_prefix")
 
     def __init__(self, kinds: list, which: list[int], keys=None, prefix: str | None = None):
         if keys is None:
             keys = range(1, len(which) + 1)
         if len(which) != len(keys):
             raise ValueError(f"{len(which)} kinds for {len(keys)} keys")
-        self._kinds, self._which, self._keys, self._prefix = kinds, which, keys, prefix
+        if prefix is None and len({next(iter(kind)) for kind in kinds}) > 1:
+            raise ValueError("KeyedItems dict kinds must share their first field's name")
+        self.kinds, self.which, self.keys, self._prefix = kinds, which, keys, prefix
 
     def _item(self, kind: int, key: int):
         if self._prefix is not None:
-            return f"{self._prefix}{key}{self._kinds[kind]}"
-        item = self._kinds[kind].copy()
+            return f"{self._prefix}{key}{self.kinds[kind]}"
+        item = self.kinds[kind].copy()
         item[next(iter(item))] = key
         return item
 
     def __len__(self) -> int:
-        return len(self._which)
+        return len(self.which)
 
     def __iter__(self):
-        return map(self._item, self._which, self._keys)
+        return map(self._item, self.which, self.keys)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return list(map(self._item, self._which[index], self._keys[index]))
-        return self._item(self._which[index], self._keys[index])
+            return list(map(self._item, self.which[index], self.keys[index]))
+        return self._item(self.which[index], self.keys[index])
 
     def __eq__(self, other):
         if isinstance(other, (KeyedItems, list)):
@@ -78,59 +82,47 @@ class KeyedItems:
         Each kind is rendered once by json.dumps, with the key 0. The text
         before the key, its head, is where the renderings of the first kind
         with the keys 0 and 1 differ; it names the first field, or holds the
-        prefix, so the key follows it in every kind that starts with it.
-        Every item is then str(key) and its kind's tail, joined in C. Kinds
-        whose heads differ leave each slice to json.dumps.
+        prefix, so the key follows it in every kind. Every item but the last
+        is then its key and its kind's tail, which ends in the separator and
+        the next item's head, written by write_rows.
         """
-        n = len(self._which)
+        n = len(self.which)
         if not n:
             write("[]")
             return
-        if set(map(type, self._keys)) != {int}:  # str(True) is not JSON
+        if set(map(type, self.keys)) != {int}:  # str(True) is not JSON
             raise TypeError("KeyedItems keys must be ints")
         inner = pad + "  "
-        zero = [_dumps(self._item(kind, 0), inner) for kind in range(len(self._kinds))]
+        zero = [_dumps(self._item(kind, 0), inner) for kind in range(len(self.kinds))]
         one = _dumps(self._item(0, 1), inner)
         cut = next(i for i, (x, y) in enumerate(zip(zero[0], one)) if x != y)
-        head = zero[0][:cut]
-        if not all(text.startswith(head) for text in zero):
-            # A slice's items are the text between the brackets of its list.
-            sep = "["
-            for start in range(0, n, _CHUNK):
-                write(sep)
-                write(_dumps(self[start:start + _CHUNK], pad)[1:-len(pad) - 2])
-                sep = ","
-            write(f"\n{pad}]")
-            return
-        sep = f",\n{inner}{head}"
-        tails = [text[cut + 1:] + sep for text in zero]
-        write(f"[\n{inner}{head}")
-        for start in range(0, n, _CHUNK):
-            stop = min(start + _CHUNK, n)
-            # "%d" writes an int as str() does, without a str object per key.
-            pieces = list(chain.from_iterable(
-                zip(self._keys[start:stop], map(tails.__getitem__, self._which[start:stop]))
-            ))
-            if stop == n:
-                pieces[-1] = pieces[-1][:-len(sep)]
-            write("%d%s" * (stop - start) % tuple(pieces))
-        write(f"\n{pad}]")
+        tails = [text[cut + 1:] for text in zero]
+        sep = f",\n{inner}{zero[0][:cut]}"
+        write(f"[\n{inner}{zero[0][:cut]}")
+        write_rows(write, "%d%s", n - 1, [tail + sep for tail in tails], self.which, self.keys)
+        write(f"{self.keys[-1]}{tails[self.which[-1]]}\n{pad}]")
 
 
-def render(value) -> str:
-    """Exactly `json.dumps(value, indent=2) + "\\n"`, with a KeyedItems
-    written as its list: the text `stream` writes, joined. Any other value
-    json.dumps cannot write raises its TypeError."""
-    out: list = []
-    stream(value, out.append)
-    return "".join(out)
+def write_rows(write, row: str, n: int, tails: list, which, *columns) -> None:
+    """Pass `write` row % (columns[0][i], ..., tails[which[i]]) for i in
+    0..n-1, one C-level % per slice of _CHUNK rows. "%d" writes an int as
+    str() does. Keep a row's separator in its tail: % scans the format's
+    literal text once per row."""
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        pieces = chain.from_iterable(zip(
+            *(column[start:stop] for column in columns),
+            map(tails.__getitem__, which[start:stop]),
+        ))
+        write(row * (stop - start) % tuple(pieces))
 
 
 def stream(value, write) -> None:
-    """Pass the text of `render(value)` to `write` in pieces as the walk
-    makes them: a KeyedItems one slice of _CHUNK items at a time, any other
-    value but a dict in one json.dumps call. A value json.dumps cannot
-    write raises its TypeError after the pieces before it were passed on."""
+    """Pass `write` exactly `json.dumps(value, indent=2) + "\\n"`, with a
+    KeyedItems written as its list, in pieces as the walk makes them: a
+    KeyedItems one slice of _CHUNK items at a time, any other value but a
+    dict in one json.dumps call. A value json.dumps cannot write raises
+    its TypeError after the pieces before it were passed on."""
     _render(value, "", write)
     write("\n")
 

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 
 import reference_analysis
+import reference_documents
 import reference_replay
 from swapcomm import cli, documents, jsontext, protocol
 from swapcomm.adversary import (
@@ -125,20 +126,24 @@ class TestSimulate:
         assert lines[0] == "index,op_a,op_b,outcome_a,outcome_b,announced_a,announced_b"
         assert len(lines) == 3
 
-    def test_no_write_holds_the_whole_document(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_no_write_holds_the_whole_document(self, fmt, tmp_path, monkeypatch):
         lengths = []
-        render_json = documents.render_json
+        renderer = documents.RENDERERS[fmt]
 
         def recorded(doc, write):
             def passed_on(piece):
                 lengths.append(len(piece))
                 write(piece)
 
-            render_json(doc, passed_on)
+            renderer(doc, passed_on)
 
-        monkeypatch.setattr(documents, "render_json", recorded)
-        out = tmp_path / "run.json"
-        assert main(["simulate", "--pairs", "20000", "--seed", "4", "--out", str(out)]) == 0
+        monkeypatch.setitem(documents.RENDERERS, fmt, recorded)
+        out = tmp_path / "run"
+        # Five slices of block rows, the whole of a csv table or text trace.
+        pairs = str(10 * _CHUNK)
+        assert main(["simulate", "--pairs", pairs, "--seed", "4", "--format", fmt,
+                     "--out", str(out)]) == 0
         size = out.stat().st_size
         assert sum(lengths) == size  # the text is ASCII: every byte went through the writer
         assert max(lengths) < size / 4
@@ -641,7 +646,7 @@ class TestDocuments:
             bob_message=MessageBits.from_bits("101100"),
         )
         doc = documents.run_document(config, run_session(config))
-        text = documents.render_text(doc)
+        text = documents.render(doc, "text")
         assert "block 1: pairs (1,2)" in text
         assert "decoded by bob:   011110" in text
 
@@ -654,7 +659,7 @@ class TestDocuments:
     def test_render_json_is_indented_json_dumps(self, tree, rows, lines):
         for doc in (tree, rows, {"tree": tree, "rows": rows,
                                  "nested": {"rows": rows, "lines": lines}}):
-            assert documents.render_json(doc) == json.dumps(doc, indent=2) + "\n"
+            assert documents.render(doc, "json") == json.dumps(doc, indent=2) + "\n"
 
     def test_render_json_of_shapes_the_tree_strategy_never_draws(self):
         rows = jsontext.KeyedItems([{"index": 0, "x": [1]}, {"index": 0, "x": "y"}], [0, 1, 0])
@@ -663,14 +668,14 @@ class TestDocuments:
                     {"a": {False: [1], "b": 2}}, 7, "text\n", None, -1.5, True, [], [1, [2]],
                     {}, {"e": {}, "f": []}, [{"a": 1}, rows, {"b": rows}],
                     {"list": [rows, {"c": 2}], "rows": rows}):
-            assert documents.render_json(doc) == json.dumps(doc, indent=2, default=list) + "\n"
+            assert documents.render(doc, "json") == json.dumps(doc, indent=2, default=list) + "\n"
         looped = [1]
         looped.append(looped)
         for bad in ({1, 2}, {"a": {"b": {1}}}, [{"c": {1}}], looped, {"a": looped}):
             with pytest.raises((TypeError, ValueError)) as want:
                 json.dumps(bad, indent=2)
             with pytest.raises(type(want.value)) as got:
-                documents.render_json(bad)
+                documents.render(bad, "json")
             assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
     def test_repeated_rows_of_equal_values_render_apart(self):
@@ -682,7 +687,7 @@ class TestDocuments:
         assert list(rows) == [{"index": i, "x": column[i % len(column)], "y": None}
                               for i in range(60)]
         doc = {"rows": rows}
-        assert documents.render_json(doc) == json.dumps(doc, indent=2, default=list) + "\n"
+        assert documents.render(doc, "json") == json.dumps(doc, indent=2, default=list) + "\n"
 
     def test_keyed_items_read_as_their_list(self):
         kinds = [{"index": 0, "x": [1]}, {"index": 0, "x": "\u00fc"}]
@@ -697,29 +702,29 @@ class TestDocuments:
         assert rows == expected
         lines = jsontext.KeyedItems(["b", '"\u00e9\n'], [0, 1], [7, 42], prefix="a\\")
         assert lines == ["a\\7b", 'a\\42"\u00e9\n']
-        # Kinds whose first fields differ in name have no one head.
-        unlike = jsontext.KeyedItems([{"a": 0, "x": 1}, {"bb": 0}], [0, 1, 0])
+        # Kinds whose first fields differ in name have no one head: refused.
+        with pytest.raises(ValueError, match="first field"):
+            jsontext.KeyedItems([{"a": 0, "x": 1}, {"bb": 0}], [0, 1, 0])
         for doc in ({"rows": rows, "lines": lines, "empty": jsontext.KeyedItems([], [], [])},
-                    rows, lines, [rows, {"lines": lines}], {"unlike": unlike}):
-            assert documents.render_json(doc) == json.dumps(doc, indent=2, default=list) + "\n"
+                    rows, lines, [rows, {"lines": lines}]):
+            assert documents.render(doc, "json") == json.dumps(doc, indent=2, default=list) + "\n"
         with pytest.raises(TypeError):
             hash(rows)
         with pytest.raises(TypeError, match="ints"):
-            documents.render_json({"rows": jsontext.KeyedItems(kinds, [0], [True])})
+            documents.render({"rows": jsontext.KeyedItems(kinds, [0], [True])}, "json")
         with pytest.raises(TypeError, match="KeyedItems is not JSON serializable"):
             json.dumps({"rows": rows})
         with pytest.raises(TypeError, match="set is not JSON serializable"):
-            documents.render_json({"rows": rows, "other": {1}})
+            documents.render({"rows": rows, "other": {1}}, "json")
 
     @pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
     @pytest.mark.parametrize("shape", ["dict", "prefix", "unlike"])
     @settings(max_examples=4, deadline=None)
     @given(data=st.data())
     def test_streamed_keyed_items_at_slice_edges(self, n, shape, data):
-        """A KeyedItems of dict kinds, of prefix kinds, or of dict kinds whose
-        first fields differ in name (left to json.dumps slice by slice),
-        streams as json.dumps writes it, and past one slice no write holds
-        more than one slice's text."""
+        """A KeyedItems of dict kinds or of prefix kinds streams as json.dumps
+        writes it, and past one slice no write holds more than one slice's
+        text. Dict kinds whose first fields differ in name are refused."""
         if shape == "prefix":
             kinds = data.draw(st.lists(st.text(max_size=4), min_size=1, max_size=4))
             prefix = data.draw(st.text(max_size=4))
@@ -732,6 +737,10 @@ class TestDocuments:
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         which = rng.choices(range(len(kinds)), k=n)
         keys = data.draw(st.sampled_from([None, [rng.randrange(-2**70, 2**70) for _ in which]]))
+        if shape == "unlike":
+            with pytest.raises(ValueError, match="first field"):
+                jsontext.KeyedItems(kinds, which, keys, prefix)
+            return
         rows = jsontext.KeyedItems(kinds, which, keys, prefix)
         depth = data.draw(st.integers(0, 2))
         value = rows
@@ -741,7 +750,7 @@ class TestDocuments:
         jsontext.stream(value, pieces.append)
         text = "".join(pieces)
         assert text == json.dumps(value, indent=2, default=list) + "\n"
-        assert text == jsontext.render(value)
+        assert text == documents.render(value, "json")
         if n > _CHUNK:
             # The text of the longest slice as a list of its own, on a line
             # indented as deep as the column.
@@ -790,7 +799,7 @@ def test_run_document_columns_render_as_json_dumps(config):
         for r in result.blocks
     ]
     expected = json.dumps(doc, indent=2, default=list) + "\n"
-    assert documents.render_json(doc) == expected
+    assert documents.render(doc, "json") == expected
     tuple_form = dataclasses.replace(
         result, transcript=dataclasses.replace(
             result.transcript, announcements=result.transcript.announcements
@@ -798,7 +807,45 @@ def test_run_document_columns_render_as_json_dumps(config):
     )
     plain = documents.run_document(config, tuple_form)
     assert type(plain["transcript"]) is type(doc["transcript"])  # converted at construction
-    assert documents.render_json(plain) == expected
+    assert documents.render(plain, "json") == expected
+
+
+_ROW_BY_ROW = {"csv": reference_documents.render_csv, "text": reference_documents.render_text}
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=_session_configs())
+def test_csv_and_text_equal_the_row_by_row_renderers(config):
+    """csv and text, written per kind of block row, give the bytes of the
+    renderers that walked the rows one by one; so does the document read
+    back from its JSON, whose rows are a plain list."""
+    doc = documents.run_document(config, run_session(config))
+    loaded = json.loads(documents.render(doc, "json"))
+    for fmt, reference in _ROW_BY_ROW.items():
+        expected = reference(doc)
+        assert documents.render(doc, fmt) == expected
+        assert documents.render(loaded, fmt) == expected
+
+
+def test_csv_and_text_across_slice_edges():
+    rng = random.Random(29)
+    blocks = 2 * _CHUNK + 1
+    config = SessionConfig(
+        n_pairs=2 * blocks, seed=29,
+        alice_message=MessageBits.from_bits("".join(rng.choice("01") for _ in range(blocks))),
+        bob_message=MessageBits.from_bits("".join(rng.choice("01") for _ in range(blocks))),
+    )
+    doc = documents.run_document(config, run_session(config))
+    loaded = json.loads(documents.render(doc, "json"))
+    for fmt, reference in _ROW_BY_ROW.items():
+        expected = reference(doc)
+        assert documents.render(doc, fmt) == expected
+        assert documents.render(loaded, fmt) == expected
+    for index in ("5", True, 5.0, None):
+        loaded["private"]["blocks"][blocks - 1]["index"] = index
+        for fmt in _ROW_BY_ROW:
+            with pytest.raises(ValueError, match="index must be an int"):
+                documents.render(loaded, fmt)
 
 
 @functools.lru_cache(maxsize=None)
@@ -811,7 +858,7 @@ def _small_run_documents():
                       fallback=SilentFallback.ANNOUNCED_SILENCE,
                       alice_message=MessageBits.from_bits("011")),
     ]
-    return tuple(documents.render_json(documents.run_document(config, run_session(config)))
+    return tuple(documents.render(documents.run_document(config, run_session(config)), "json")
                  for config in configs)
 
 
@@ -867,7 +914,7 @@ class TestDocumentProperties:
         result = run_session(config)
         transcript = result.transcript
         assert transcript.wire_lines() == [ann.to_wire() for ann in transcript.announcements]
-        doc = json.loads(documents.render_json(documents.run_document(config, result)))
+        doc = json.loads(documents.render(documents.run_document(config, result), "json"))
         assert documents.transcript_from_document(doc) == transcript
         again = documents.replay_document(doc)
         assert again.decoded_by_alice == result.decoded_by_alice
@@ -926,7 +973,7 @@ def _respelled_documents(draw):
     block spelled another way. Some documents also lose measurement lines
     (so blocks show every pattern), repeat a line or swap two."""
     config = draw(_session_configs())
-    doc = json.loads(documents.render_json(documents.run_document(config, run_session(config))))
+    doc = json.loads(documents.render(documents.run_document(config, run_session(config)), "json"))
     drop = draw(st.booleans())
     spellings = _BLOCK_SPELLINGS[:draw(st.sampled_from([_JSON_BLOCK_SPELLINGS, None]))]
     lines = []
@@ -1011,7 +1058,7 @@ def _replayed_documents(draw):
     changed; a row field retyped or deleted; or a transcript line given
     another label or another block, dropped or repeated."""
     config = draw(_session_configs())
-    doc = json.loads(documents.render_json(documents.run_document(config, run_session(config))))
+    doc = json.loads(documents.render(documents.run_document(config, run_session(config)), "json"))
     rows, lines = doc["private"]["blocks"], doc["transcript"]
     measured = [k for k, line in enumerate(lines) if '"label":' in line]
     mutation = draw(st.sampled_from(["none"] + 2 * [

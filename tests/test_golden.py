@@ -185,8 +185,8 @@ def test_large_documents_equal_indented_json_dumps(pattern, tmp_path, monkeypatc
         real_render_json(doc, passed_on)
         checks.append("".join(pieces) == json.dumps(doc, indent=2, default=list) + "\n")
 
-    real_render_json = documents.render_json
-    monkeypatch.setattr(documents, "render_json", checked_render_json)
+    real_render_json = documents.RENDERERS["json"]
+    monkeypatch.setitem(documents.RENDERERS, "json", checked_render_json)
     bits = np.random.default_rng(7).integers(2, size=20_000)
     message = tmp_path / "message.txt"
     message.write_text("".join(map(str, bits)))
