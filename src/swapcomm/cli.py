@@ -12,6 +12,7 @@ and seed. SWAPCOMM_OUT_DIR, when set, prefixes relative --out paths.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -418,5 +419,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry of `swapcomm` and `python -m swapcomm`. The import-time
+    heap is frozen first, so the collections of interpreter teardown skip
+    it; `main` is the in-process API and leaves the host's GC alone."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import copy
 import functools
+import gc
 import io
 import json
 import random
@@ -1386,3 +1387,64 @@ class TestNetworkedCli:
         assert code == 3
         assert not out.exists()
         assert "invalid substrate hello" in captured.err
+
+
+# Run in a fresh process: `cli.main` becomes a probe that prints the freeze
+# count it sees, then the process starts the CLI the way `{start}` does.
+_FREEZE_PROBE = """\
+import gc
+from swapcomm import cli
+
+def probe(argv=None):
+    print(gc.get_freeze_count())
+    return 0
+
+cli.main = probe
+{start}
+"""
+
+
+class TestProcessEntry:
+    """`python -m swapcomm` and the `swapcomm` console script both start
+    through `cli.run`, which freezes the import-time heap before `main`;
+    `main` itself, the in-process API, never freezes."""
+
+    @pytest.mark.parametrize("start", [
+        'import runpy; runpy.run_module("swapcomm", run_name="__main__")',
+        "cli.run()",
+    ], ids=["python -m", "console script"])
+    def test_a_process_entry_freezes_before_main(self, start):
+        probe = subprocess.run(
+            [sys.executable, "-c", _FREEZE_PROBE.format(start=start)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert probe.returncode == 0, probe.stderr
+        assert int(probe.stdout) > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["verify"],
+        ["simulate", "--pairs", "6", "--alice-msg", "011110", "--bob-msg", "101100", "--seed", "7"],
+    ])
+    def test_main_leaves_the_freeze_count_alone(self, argv, capsys):
+        before = gc.get_freeze_count()
+        assert main(argv) == 0
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv, code", [
+        (["verify"], 0),
+        (["simulate", "--pairs", "-1"], 1),
+        (["connect", "--peer", "127.0.0.1:{port}", "--pairs", "6", "--bob-msg", "101100",
+          "--timeout", "5"], 3),
+    ], ids=["verify", "usage error", "connect refused"])
+    def test_python_m_prints_and_exits_as_main(self, argv, code, capsys):
+        # A bound socket that does not listen: a connect to it is refused.
+        with socket.socket() as closed:
+            closed.bind(("127.0.0.1", 0))
+            argv = [arg.format(port=closed.getsockname()[1]) for arg in argv]
+            process = subprocess.run(
+                [sys.executable, "-m", "swapcomm", *argv],
+                capture_output=True, text=True, timeout=60,
+            )
+            in_process = main(argv), *capsys.readouterr()
+        assert (process.returncode, process.stdout, process.stderr) == in_process
+        assert in_process[0] == code
