@@ -50,6 +50,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import jsontext
 from .quantum import BellLabel
 
 WIRE_VERSION = 1
@@ -312,10 +313,20 @@ class CodedLines:
         ]
 
     def wire_bytes(self) -> bytes:
-        """The wire lines, each newline-terminated, as one UTF-8 bytes."""
-        lines = self.wire_lines()
-        lines.append("")
-        return "\n".join(lines).encode("utf-8")
+        """The wire lines, each newline-terminated, as one UTF-8 bytes.
+        jsontext.write_rows writes each line's block and, as its tail, its
+        code's suffix, the newline and the next line's prefix, so the
+        session id travels only as text spliced in, whatever it holds."""
+        if not len(self):
+            return b""
+        prefix, suffixes = _wire_template(self.session_id)
+        ends = [f"{suffix}\n" for suffix in suffixes.tolist()]
+        which = self.codes.tolist()
+        which[-1] += len(ends)  # the last line ends at its newline
+        out = [prefix]
+        jsontext.write_rows(out.append, "%d%s", len(which), [end + prefix for end in ends] + ends,
+                            which, self.blocks.tolist())
+        return "".join(out).encode("utf-8")
 
     def first_difference(self, other: "CodedLines") -> int | None:
         """Index of the first line where `other` differs from these, or

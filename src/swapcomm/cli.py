@@ -157,13 +157,13 @@ def _config_from_args(args) -> SessionConfig:
     )
 
 
-def _trial_rows(config: SessionConfig, trials: int) -> list[dict]:
+def _trial_rows(config: SessionConfig, trials: int) -> jsontext.RowColumns:
     """The rows of a trials document, one per trial of `config`."""
-    return [
-        {"trial": trial, "seed": seed, "decode_ok_alice": ok_alice,
-         "decode_ok_bob": ok_bob, "session_id": sid}
-        for trial, (seed, ok_alice, ok_bob, sid) in enumerate(run_trials(config, trials))
-    ]
+    seeds, ok_alice, ok_bob, sids = list(zip(*run_trials(config, trials))) or [()] * 4
+    return jsontext.RowColumns({
+        "trial": range(len(seeds)), "seed": seeds, "decode_ok_alice": ok_alice,
+        "decode_ok_bob": ok_bob, "session_id": sids,
+    })
 
 
 def _cmd_simulate(args) -> int:
@@ -174,15 +174,12 @@ def _cmd_simulate(args) -> int:
                 f"--format {args.format} applies to a single session; --trials writes json"
             )
         rows = _trial_rows(config, args.trials)
-        ok = sum(
-            1 for r in rows
-            if r["decode_ok_alice"] in (True, None) and r["decode_ok_bob"] in (True, None)
-        )
+        exact = all(False not in rows.columns[key] for key in ("decode_ok_alice", "decode_ok_bob"))
         doc = {
             "tool": dict(documents.TOOL),
             "kind": "simulate-trials",
             "trials": rows,
-            "summary": {"trials": len(rows), "all_decodes_exact": ok == len(rows)},
+            "summary": {"trials": len(rows), "all_decodes_exact": exact},
         }
         _emit(doc, _resolve_out(args.out))
         return EXIT_OK

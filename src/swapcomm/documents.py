@@ -78,27 +78,34 @@ _OP_NAMES = (*(op.name for op in PauliCode), None)
 _LABEL_NAMES = tuple(label.value for label in ENCODING_ORDER)
 
 
+# A block's kind is its (op_a + 1, op_b + 1, label_a, label_b, announced_a,
+# announced_b) as one integer in these ranges, each field a digit.
+_KIND_RANGES = (5, 5, 4, 4, 2, 2)
+
+
 def _block_rows(blocks: BlockColumns) -> jsontext.KeyedItems:
     """One row per block, its "index" from 1: a column over one row per
-    distinct kind of block, which each renderer reads once."""
+    distinct kind of block, which each renderer reads once. The kinds are
+    in the order of their codes, found by a count over every code."""
     n = len(blocks.op_a)
     announced_a, announced_b = (np.broadcast_to(flag, n) for flag in blocks.announced)
-    # One integer per distinct (op_a, op_b, label_a, label_b, flags).
     kind = (
         (((blocks.op_a + 1) * 5 + blocks.op_b + 1) * 4 + blocks.label_a) * 4 + blocks.label_b
     ) * 4 + 2 * announced_a + announced_b
-    _, first, which = np.unique(kind, return_index=True, return_inverse=True)
+    seen = np.bincount(kind, minlength=1) > 0
+    which = (np.cumsum(seen) - 1)[kind]
+    fields = np.unravel_index(np.flatnonzero(seen), _KIND_RANGES)
     kinds = [
         {
             "index": 0,
-            "op_a": _OP_NAMES[blocks.op_a[i]],
-            "op_b": _OP_NAMES[blocks.op_b[i]],
-            "outcome_a": _LABEL_NAMES[blocks.label_a[i]],
-            "outcome_b": _LABEL_NAMES[blocks.label_b[i]],
-            "announced_a": bool(announced_a[i]),
-            "announced_b": bool(announced_b[i]),
+            "op_a": _OP_NAMES[op_a - 1],
+            "op_b": _OP_NAMES[op_b - 1],
+            "outcome_a": _LABEL_NAMES[label_a],
+            "outcome_b": _LABEL_NAMES[label_b],
+            "announced_a": bool(flag_a),
+            "announced_b": bool(flag_b),
         }
-        for i in first.tolist()
+        for op_a, op_b, label_a, label_b, flag_a, flag_b in zip(*(f.tolist() for f in fields))
     ]
     return jsontext.KeyedItems(kinds, which.tolist())
 

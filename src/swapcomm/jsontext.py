@@ -2,30 +2,52 @@
 
 CPython writes indented JSON with its pure-Python encoder, one value at a
 time. `stream` produces the same bytes with less work, in one walk of the
-value: it walks only dicts in Python, and writes a `KeyedItems` column,
-such as a session's transcript or block rows, from one `json.dumps`
-rendering per kind of item with each item's key spliced in. Every other
-value, a list or a scalar, is one `json.dumps` call where the walk meets
-it. The text goes to a write callable as the walk makes it, a `KeyedItems`
-in slices of _CHUNK items by `write_rows`, so no whole-document string is
-ever built. `write_rows` splices keys into per-kind text for the csv and
-text documents too.
+value: it walks only dicts in Python, and writes two kinds of column from
+row text with each row's values spliced in. A `KeyedItems`, such as a
+session's transcript or block rows, is one `json.dumps` rendering per
+kind of item with each item's int key spliced in. A `RowColumns`, such as
+a trials document's rows, is one row text with every field's value
+spliced in, ints through %d, so its rows never pass through `json.dumps`.
+Every other value, a list or a scalar, is one `json.dumps` call where the
+walk meets it. The text goes to a write callable as the walk makes it, a
+column in slices of _CHUNK rows by `write_rows`, so no whole-document
+string is ever built. `write_rows` is the one splice of code columns
+into text: it writes the csv and text documents and the wire windows of
+channel.CodedLines too.
 
-A `KeyedItems` reads like the list it stands for, but it is not a list:
+A column reads like the list it stands for, but it is not a list:
 `json.dumps` of a value that holds one raises TypeError rather than write
 other text. Pass `default=list` to render it the slow way.
 """
 from __future__ import annotations
 
 import json
-from itertools import chain
+from operator import itemgetter
 
 # Rows formatted per write by write_rows: each write then holds one
 # slice's text, not the whole list's.
 _CHUNK = 4096
 
+_encode_str = json.encoder.encode_basestring_ascii
 
-class KeyedItems:
+
+class _Column:
+    """What a read-only column shares with the list it stands for."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if isinstance(other, (_Column, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # like a list
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+class KeyedItems(_Column):
     """A read-only list whose items differ only in one int key.
 
     Item i is the kind kinds[which[i]] with the int keys[i] spliced in. A
@@ -65,16 +87,6 @@ class KeyedItems:
             return list(map(self._item, self.which[index], self.keys[index]))
         return self._item(self.which[index], self.keys[index])
 
-    def __eq__(self, other):
-        if isinstance(other, (KeyedItems, list)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None  # like a list
-
-    def __repr__(self) -> str:
-        return repr(list(self))
-
     def _render(self, pad: str, write) -> None:
         """Pass the list to `write` as json.dumps(indent=2) renders it on a
         line indented by `pad`, in slices of at most _CHUNK items.
@@ -103,33 +115,102 @@ class KeyedItems:
         write(f"{self.keys[-1]}{tails[self.which[-1]]}\n{pad}]")
 
 
+# JSON's literals, by the values json.dumps writes as them.
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+class RowColumns(_Column):
+    """A read-only list of dicts with the same fields, held as one column
+    per field. `columns` maps each field, in order, to a list, tuple or
+    range of the rows' values. Rows are built only when read, and each
+    read builds a new one.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: dict):
+        if not columns or set(map(type, columns)) != {str}:
+            raise ValueError("RowColumns needs one or more str fields")
+        if len(set(map(len, columns.values()))) > 1:
+            raise ValueError("RowColumns columns must be of one length")
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+    def __iter__(self):
+        return (dict(zip(self.columns, values)) for values in zip(*self.columns.values()))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(RowColumns({f: c[index] for f, c in self.columns.items()}))
+        return {field: column[index] for field, column in self.columns.items()}
+
+    def _render(self, pad: str, write) -> None:
+        """Pass the list to `write` as json.dumps(indent=2) renders it on a
+        line indented by `pad`, in slices of at most _CHUNK rows.
+
+        Every row is one row text with each field's value spliced in by
+        write_rows: a column of ints through %d, of bools and None as
+        JSON's literals, of strs as encode_basestring_ascii escapes them,
+        and of any other values one json.dumps call per value.
+        """
+        n = len(self)
+        if not n:
+            write("[]")
+            return
+        inner, field_pad = pad + "  ", pad + "    "
+        fields, cells = [], []
+        for field, column in self.columns.items():
+            types = set(map(type, column))
+            if types == {int}:
+                spec, cell = "%d", column
+            elif types <= {bool, type(None)}:
+                spec, cell = "%s", list(map(_LITERALS.__getitem__, column))
+            elif types == {str}:
+                spec, cell = "%s", list(map(_encode_str, column))
+            else:
+                spec, cell = "%s", [_dumps(value, field_pad) for value in column]
+            fields.append(f"{_encode_str(field).replace('%', '%%')}: {spec}")
+            cells.append(cell)
+        row = f"{{\n{field_pad}" + f",\n{field_pad}".join(fields) + f"\n{inner}}}%s"
+        write(f"[\n{inner}")
+        write_rows(write, row, n, [f",\n{inner}", ""], [0] * (n - 1) + [1], *cells)
+        write(f"\n{pad}]")
+
+
 def write_rows(write, row: str, n: int, tails: list, which, *columns) -> None:
     """Pass `write` row % (columns[0][i], ..., tails[which[i]]) for i in
     0..n-1, one C-level % per slice of _CHUNK rows. "%d" writes an int as
     str() does. Keep a row's separator in its tail: % scans the format's
-    literal text once per row."""
+    literal text once per row. Each slice's arguments are laid out by
+    slice assignment, a column at a time, so no row builds a tuple."""
+    width = len(columns) + 1
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        pieces = chain.from_iterable(zip(
-            *(column[start:stop] for column in columns),
-            map(tails.__getitem__, which[start:stop]),
-        ))
+        pieces = [None] * (width * (stop - start))
+        for j, column in enumerate(columns):
+            pieces[j::width] = column[start:stop]
+        kinds = which[start:stop]
+        # itemgetter of one index gives that item, not a 1-tuple.
+        tail = itemgetter(*kinds)(tails)
+        pieces[width - 1::width] = tail if len(kinds) > 1 else [tail]
         write(row * (stop - start) % tuple(pieces))
 
 
 def stream(value, write) -> None:
     """Pass `write` exactly `json.dumps(value, indent=2) + "\\n"`, with a
-    KeyedItems written as its list, in pieces as the walk makes them: a
-    KeyedItems one slice of _CHUNK items at a time, any other value but a
-    dict in one json.dumps call. A value json.dumps cannot write raises
-    its TypeError after the pieces before it were passed on."""
+    column written as its list, in pieces as the walk makes them: a column
+    one slice of _CHUNK rows at a time, any other value but a dict in one
+    json.dumps call. A value json.dumps cannot write raises its TypeError
+    after the pieces before it were passed on."""
     _render(value, "", write)
     write("\n")
 
 
 def _keyed_list(value) -> list:
-    """json.dumps's default: a KeyedItems as its list, and nothing else."""
-    if isinstance(value, KeyedItems):
+    """json.dumps's default: a column as its list, and nothing else."""
+    if isinstance(value, _Column):
         return list(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -139,14 +220,11 @@ def _dumps(value, pad: str) -> str:
     return json.dumps(value, indent=2, default=_keyed_list).replace("\n", "\n" + pad)
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-
-
 def _render(value, pad: str, write) -> None:
     """Pass `value` to `write` as json.dumps(indent=2) renders it on a line
-    indented by `pad`: a KeyedItems from its kinds, a non-empty dict with
-    str keys field by field, and anything else as one json.dumps call."""
-    if isinstance(value, KeyedItems):
+    indented by `pad`: a column in slices, a non-empty dict with str keys
+    field by field, and anything else as one json.dumps call."""
+    if isinstance(value, _Column):
         value._render(pad, write)
     elif isinstance(value, dict) and value and all(type(key) is str for key in value):
         inner = pad + "  "

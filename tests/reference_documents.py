@@ -6,11 +6,18 @@ or formatted into one line of the trace, and the whole text returned as
 one string. The functions are verbatim. The renderers that write each kind
 of block row once, with every block's numbers spliced in, must give the
 same bytes.
+
+write_rows is jsontext.write_rows as it was while each slice's arguments
+were zipped row by row, verbatim; the one that lays them out a column at
+a time must write the same slices.
 """
 from __future__ import annotations
 
 import csv
 import io
+from itertools import chain
+
+from swapcomm.jsontext import _CHUNK
 
 
 def render_csv(doc: dict) -> str:
@@ -60,3 +67,17 @@ def render_text(doc: dict) -> str:
         lines.append(f"decoded by bob:   {p['decoded_by_bob'] or '(empty)'}")
     return "\n".join(lines) + "\n"
 
+
+
+def write_rows(write, row: str, n: int, tails: list, which, *columns) -> None:
+    """Pass `write` row % (columns[0][i], ..., tails[which[i]]) for i in
+    0..n-1, one C-level % per slice of _CHUNK rows. "%d" writes an int as
+    str() does. Keep a row's separator in its tail: % scans the format's
+    literal text once per row."""
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        pieces = chain.from_iterable(zip(
+            *(column[start:stop] for column in columns),
+            map(tails.__getitem__, which[start:stop]),
+        ))
+        write(row * (stop - start) % tuple(pieces))

@@ -194,6 +194,24 @@ class TestWireFormat:
         lines = CodedLines(sid, np.array(blocks, dtype=np.int64), np.arange(len(LINE_KINDS)))
         assert lines.wire_lines() == [ann.to_wire() for ann in lines.announcements()]
 
+    @pytest.mark.parametrize("n", [0, 1, 2, TCP_WINDOW_LINES, 2 * 4096 + 1])
+    @pytest.mark.parametrize("sid", ["%", '%s"%d\u00e9\u2028', "%%\\", "\ud800 \u00fc%"])
+    def test_wire_bytes_are_the_lines_to_wire_writes(self, n, sid):
+        """A window's wire text is each announcement's to_wire line and a
+        newline, for a session id with %, a quote or non-ASCII text."""
+        rng = random.Random(n)
+        anns = [Announcement(sid, rng.choice([0, 7, 2**63 - 1, rng.randrange(10**6)]),
+                             *rng.choice(LINE_KINDS)) for _ in range(n)]
+        expected = "".join(ann.to_wire() + "\n" for ann in anns).encode("utf-8")
+        assert CodedLines.of(sid, anns).wire_bytes() == expected
+
+    @given(sid=st.text(), lines=st.lists(st.tuples(
+        st.integers(0, 2**63 - 1), st.sampled_from(LINE_KINDS)), max_size=20))
+    def test_wire_bytes_of_any_session(self, sid, lines):
+        anns = [Announcement(sid, block, *line_kind) for block, line_kind in lines]
+        expected = "".join(ann.to_wire() + "\n" for ann in anns).encode("utf-8")
+        assert CodedLines.of(sid, anns).wire_bytes() == expected
+
     def test_canonical_line_breaking_an_invariant_is_a_frame_error(self):
         for line in (
             '{"v":1,"sid":"s","blk":0,"side":"A","kind":"SessionStart","label":"PsiPlus"}',

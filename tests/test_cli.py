@@ -760,6 +760,108 @@ class TestDocuments:
                           for start in range(0, n, _CHUNK))
             assert max(map(len, pieces)) <= longest
 
+    @pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_write_rows_equals_the_zipped_splice(self, n, data):
+        """write_rows passes on the slices of the verbatim zipped splice,
+        with `which` and the int columns a list or a range, one to three
+        columns, a % in every tail and in the text between the fields, and
+        `which` and the columns longer than the n rows written."""
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        length = n + data.draw(st.integers(0, 2))
+        kinds = data.draw(st.lists(st.tuples(st.text(max_size=3), st.text(max_size=3))
+                                   .map("%".join), min_size=1, max_size=5))
+        if data.draw(st.booleans()):
+            which, tails = range(length), [rng.choice(kinds) for _ in range(length)]
+        else:
+            which, tails = [rng.randrange(len(kinds)) for _ in range(length)], kinds
+        specs, columns = [], []
+        for shape in data.draw(st.lists(st.sampled_from(["range", "ints", "strs"]),
+                                        min_size=1, max_size=3)):
+            start = rng.randrange(-2**70, 2**70)
+            if shape == "range":
+                specs.append("%d")
+                columns.append(range(start, start + length))
+            elif shape == "ints":
+                specs.append("%d")
+                columns.append([rng.randrange(-2**70, 2**70) for _ in range(length)])
+            else:
+                specs.append("%s")
+                columns.append([rng.choice(kinds) for _ in range(length)])
+        texts = [data.draw(st.text(max_size=3)).replace("%", "%%") for _ in specs]
+        row = "".join(text + spec for text, spec in zip(texts, specs)) + "%s"
+        got, want = [], []
+        jsontext.write_rows(got.append, row, n, tails, which, *columns)
+        reference_documents.write_rows(want.append, row, n, tails, which, *columns)
+        assert got == want
+        assert len(got) == -(-n // _CHUNK)
+
+    def test_row_columns_read_as_their_list(self):
+        columns = {"n": range(3), "%d": ("a", "\u00fc", '"'), "x": [None, [1], {"k": 1.5}]}
+        rows = jsontext.RowColumns(columns)
+        expected = [{"n": i, "%d": s, "x": x} for i, s, x in zip(*columns.values())]
+        assert rows == expected and expected == rows and rows != expected[:2]
+        assert (len(rows), repr(rows), rows[1], rows[-1]) == (
+            3, repr(expected), expected[1], expected[-1])
+        assert rows[1:] == expected[1:] and rows[::-1] == expected[::-1]
+        assert list(reversed(rows)) == expected[::-1]
+        rows[0]["n"] = 7  # a read row is a new dict
+        assert rows == expected
+        with pytest.raises(TypeError):
+            hash(rows)
+        for bad in ({}, {1: [0]}, {"a": [0], "b": [0, 1]}):
+            with pytest.raises(ValueError, match="RowColumns"):
+                jsontext.RowColumns(bad)
+        with pytest.raises(TypeError, match="RowColumns is not JSON serializable"):
+            json.dumps({"rows": rows})
+
+    @pytest.mark.parametrize("n", [0, 1, 2, _CHUNK + 1])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_row_columns_render_as_json_dumps(self, n, data):
+        """Columns of ints, of bools and None, of strs, and of any JSON
+        values, in fields whose names hold % or need escaping, stream as
+        json.dumps writes their rows, at any depth."""
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        values = {
+            "ints": st.lists(st.integers(-2**70, 2**70), min_size=1, max_size=4),
+            "literals": st.lists(st.sampled_from([True, False, None]), min_size=1),
+            "strs": st.lists(st.text(max_size=4), min_size=1, max_size=4),
+            "trees": st.lists(_JSON_TREES, min_size=1, max_size=3),
+        }
+        fields = data.draw(st.lists(st.text(max_size=3) | st.just("%s"), min_size=1,
+                                    max_size=4, unique=True))
+        columns = {}
+        for field in fields:
+            pool = data.draw(values[data.draw(st.sampled_from(sorted(values)))])
+            column = [rng.choice(pool) for _ in range(n)]
+            columns[field] = tuple(column) if data.draw(st.booleans()) else column
+        if data.draw(st.booleans()):
+            columns[data.draw(st.text(max_size=3).filter(lambda f: f not in columns))] = range(n)
+        value = jsontext.RowColumns(columns)
+        for _ in range(data.draw(st.integers(0, 2))):
+            value = {"before": [0], "rows": value, "after": {}}
+        assert documents.render(value, "json") == json.dumps(value, indent=2, default=list) + "\n"
+
+    def test_trials_document_across_slices(self, tmp_path):
+        """A trials document of more rows than two slices, from its row
+        columns and as the CLI writes it, is json.dumps(indent=2) text."""
+        trials = 2 * _CHUNK + 1
+        config = SessionConfig(n_pairs=5, seed=11, alice_message=MessageBits.from_bits("01"),
+                               bob_message=MessageBits.from_bits("1"))
+        rows = cli._trial_rows(config, trials)
+        doc = {"tool": dict(documents.TOOL), "kind": "simulate-trials", "trials": rows}
+        assert documents.render(doc, "json") == json.dumps(doc, indent=2, default=list) + "\n"
+        out = tmp_path / "trials.json"
+        assert main(["simulate", "--pairs", "5", "--seed", "11", "--alice-msg", "01",
+                     "--bob-msg", "1", "--trials", str(trials), "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        written = json.loads(text)
+        assert text == json.dumps(written, indent=2) + "\n"
+        assert written["trials"] == rows
+        assert written["summary"] == {"trials": trials, "all_decodes_exact": True}
+
     def test_unrendered_run_document_is_not_json_dumps_input(self):
         config = SessionConfig(n_pairs=8, seed=77, alice_message=MessageBits.from_bits("0101"))
         doc = documents.run_document(config, run_session(config))

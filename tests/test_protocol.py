@@ -94,6 +94,17 @@ class TestMessageBits:
         with pytest.raises(ValueError, match="only '0' and '1'"):
             MessageBits.from_bits("012")
 
+    @pytest.mark.parametrize("bits", [
+        "2", "12", "0 ", " 1", "0\t", "1\n", "\u0661\u0660", "0\uff11", "\U0001d7ce1", "o1",
+        "10" * 1000 + "2", "\x00\x00",
+    ])
+    def test_rejects_any_character_but_ascii_zero_and_one(self, bits):
+        padded = bits + "0" * (len(bits) % 2)
+        for message in (lambda: MessageBits.from_bits(bits),
+                        lambda: MessageBits(bits=padded, declared_length=len(padded))):
+            with pytest.raises(ValueError, match="^bits must contain only '0' and '1'$"):
+                message()
+
     def test_parse_plain(self):
         assert parse_message("0110") == MessageBits.from_bits("0110")
 
