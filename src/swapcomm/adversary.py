@@ -16,7 +16,8 @@ announced outcome pair is uniform over the four outcomes of L's column, so
 
 Every other announcement pattern is a marginal of this 16x16 table: summing
 over b_idx gives the a-only likelihoods, over a_idx the b-only ones, and
-over both the single none view. Every a-side label occurs exactly once in
+over both the single none view. _VIEW_PARTS is the one layout of these 25
+views as the table's columns. Every a-side label occurs exactly once in
 every column, which is why a single side's announcement carries no
 information at all: its likelihood is 1/4 under every operation pair.
 
@@ -62,13 +63,29 @@ PATTERN_A_ONLY = "a-only"
 PATTERN_B_ONLY = "b-only"
 PATTERN_NONE = "none"
 
-# Each pattern's views as columns of the _likelihoods() table.
+# The one layout of the 25 views: column c of _likelihoods() is the view
+# _VIEW_PARTS[c], (pattern, a-side label, b-side label), None for a silent side.
+_VIEW_PARTS = (
+    *((PATTERN_BOTH, a, b) for a in ENCODING_ORDER for b in ENCODING_ORDER),
+    *((PATTERN_A_ONLY, a, None) for a in ENCODING_ORDER),
+    *((PATTERN_B_ONLY, None, b) for b in ENCODING_ORDER),
+    (PATTERN_NONE, None, None),
+)
+
+# Each pattern's views: its run of columns of _likelihoods().
+_PATTERNS = [parts[0] for parts in _VIEW_PARTS]
 _VIEWS = {
-    PATTERN_BOTH: slice(0, 16),    # 4*a_idx + b_idx
-    PATTERN_A_ONLY: slice(16, 20),  # a_idx
-    PATTERN_B_ONLY: slice(20, 24),  # b_idx
-    PATTERN_NONE: slice(24, 25),
+    pattern: slice(_PATTERNS.index(pattern), _PATTERNS.index(pattern) + _PATTERNS.count(pattern))
+    for pattern in dict.fromkeys(_PATTERNS)
 }
+
+# _VIEW_CODES[a + 1, b + 1]: the column of the view of label indices a and b, -1 if silent.
+_VIEW_CODES = np.empty((5, 5), dtype=np.intp)
+_VIEW_CODES[
+    [_LABEL_INDEX.get(a, -1) + 1 for _, a, _ in _VIEW_PARTS],
+    [_LABEL_INDEX.get(b, -1) + 1 for _, _, b in _VIEW_PARTS],
+] = range(len(_VIEW_PARTS))
+_VIEW_CODES.flags.writeable = False
 
 
 def uniform_priors() -> dict[OpPair, float]:
@@ -108,11 +125,11 @@ def _validate_priors(priors: Mapping[OpPair, float]) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _likelihoods() -> np.ndarray:
-    """lik[ops_index, view] = P(view | ops), views laid out as in _VIEWS.
+    """lik[ops_index, view] = P(view | ops), views laid out as in _VIEW_PARTS.
 
-    The 16x16 both-sides table from the decode table, followed by its
-    a-only, b-only and none marginals. Built on first use, not at import,
-    so that importing the package stays as cheap as before.
+    The both-sides likelihoods from the decode table, with a side that
+    announced nothing summed out. Built on first use, not at import, so
+    that importing the package stays as cheap as before.
     """
     table = generate_decode_table()
     both = np.zeros((16, 4, 4))  # (ops, a_idx, b_idx)
@@ -120,11 +137,10 @@ def _likelihoods() -> np.ndarray:
         for pair in table.combos[label]:
             both[_PAIR_INDEX[pair], _LABEL_INDEX[outcome.a_side],
                  _LABEL_INDEX[outcome.b_side]] = 0.25
-    lik = np.hstack([
-        both.reshape(16, 16),
-        both.sum(axis=2),
-        both.sum(axis=1),
-        both.sum(axis=(1, 2))[:, None],
+    every = slice(None)
+    lik = np.column_stack([
+        both[:, _LABEL_INDEX.get(a, every), _LABEL_INDEX.get(b, every)].reshape(16, -1).sum(1)
+        for _, a, b in _VIEW_PARTS
     ])
     lik.flags.writeable = False
     return lik
@@ -154,14 +170,17 @@ def _pattern_likelihoods(pattern: str) -> np.ndarray:
 
 
 def _pattern_information(priors_vec: np.ndarray, pattern: str) -> dict[str, float]:
-    lik = _pattern_likelihoods(pattern)
-    joint_ops = priors_vec[:, None] * lik  # (16 ops, n_views)
-    by_alice = joint_ops.reshape(4, 4, -1).sum(axis=1)
-    by_bob = joint_ops.reshape(4, 4, -1).sum(axis=0)
+    return _joint_information(priors_vec[:, None] * _pattern_likelihoods(pattern))
+
+
+def _joint_information(joint: np.ndarray) -> dict[str, float]:
+    """mi_alice_bits, mi_bob_bits and mi_joint_bits of a joint probability
+    matrix of (16 operation pairs, indexed by 4*a.code + b.code) x views."""
+    by_ops = joint.reshape(4, 4, -1)
     return {
-        "mi_alice_bits": _mi_bits(by_alice),
-        "mi_bob_bits": _mi_bits(by_bob),
-        "mi_joint_bits": _mi_bits(joint_ops),
+        "mi_alice_bits": _mi_bits(by_ops.sum(axis=1)),
+        "mi_bob_bits": _mi_bits(by_ops.sum(axis=0)),
+        "mi_joint_bits": _mi_bits(joint),
     }
 
 
@@ -197,29 +216,6 @@ class EveView:
             kept = (blocks >= 1) & (blocks <= n)
             column[blocks[kept] - 1] = labels[kept]
         return columns
-
-    def block_announcements(self) -> list[tuple[int, BellLabel | None, BellLabel | None]]:
-        a_seen, b_seen = (column.tolist() for column in self.label_columns())
-        return [
-            (k, _LABEL_OR_NONE[a], _LABEL_OR_NONE[b])
-            for k, a, b in zip(range(1, len(a_seen) + 1), a_seen, b_seen)
-        ]
-
-
-# By label index, with -1 last: the label, or None.
-_LABEL_OR_NONE = (*ENCODING_ORDER, None)
-
-
-def _view_parts(column: int) -> tuple[str, BellLabel | None, BellLabel | None]:
-    """The announcement pattern and announced labels of the view in column
-    `column` of _likelihoods()."""
-    if column < 16:
-        return PATTERN_BOTH, ENCODING_ORDER[column // 4], ENCODING_ORDER[column % 4]
-    if column < 20:
-        return PATTERN_A_ONLY, ENCODING_ORDER[column - 16], None
-    if column < 24:
-        return PATTERN_B_ONLY, None, ENCODING_ORDER[column - 20]
-    return PATTERN_NONE, None, None
 
 
 @dataclass(frozen=True)
@@ -289,20 +285,17 @@ def eve_posterior(view: EveView, priors: Mapping[OpPair, float]) -> PosteriorRep
     priors_vec = _validate_priors(priors)
     prior_entropy = _entropy_bits(priors_vec)
     a_seen, b_seen = view.label_columns()
-    # A block's view is its column in _likelihoods(), as _view_parts reads it.
-    seen = np.where(
-        a_seen >= 0,
-        np.where(b_seen >= 0, 4 * a_seen + b_seen, 16 + a_seen),
-        np.where(b_seen >= 0, 20 + b_seen, 24),
-    )
-    # A block's posterior depends only on its view, so each distinct view
-    # is scored once: one gather from the table, one row per view.
-    columns, which = np.unique(seen, return_inverse=True)
+    seen = _VIEW_CODES[a_seen + 1, b_seen + 1]  # each block's column in _likelihoods()
+    # A block's posterior depends only on its view, so each distinct view is
+    # scored once, in column order. which[k-1] counts the views before block k's.
+    present = np.bincount(seen, minlength=len(_VIEW_PARTS)) > 0
+    columns = np.flatnonzero(present)
+    which = (np.cumsum(present) - 1)[seen]
     weighted = priors_vec * _likelihoods().T[columns]
     info = {}
     views = []
     for column, row, evidence in zip(columns.tolist(), weighted, weighted.sum(axis=1).tolist()):
-        pattern, a_label, b_label = _view_parts(column)
+        pattern, a_label, b_label = _VIEW_PARTS[column]
         if pattern not in info:
             info[pattern] = _pattern_information(priors_vec, pattern)
         consistent = evidence > 0.0
@@ -326,6 +319,11 @@ def eve_posterior(view: EveView, priors: Mapping[OpPair, float]) -> PosteriorRep
     return PosteriorReport(tuple(views), which)
 
 
+# The fields of a per-block row, in order. A view's index is 0.
+_ROW_FIELDS = ("index", "pattern", "consistent", "prior_entropy_bits", "posterior_entropy_bits",
+               "mi_alice_bits", "mi_bob_bits", "mi_joint_bits")
+
+
 def information_summary(
     report: PosteriorReport, priors: Mapping[OpPair, float]
 ) -> dict:
@@ -337,19 +335,7 @@ def information_summary(
     """
     priors_vec = _validate_priors(priors)
     prior_entropy = _entropy_bits(priors_vec)
-    kinds = [
-        {
-            "index": 0,
-            "pattern": view.pattern,
-            "consistent": view.consistent,
-            "prior_entropy_bits": view.prior_entropy_bits,
-            "posterior_entropy_bits": view.posterior_entropy_bits,
-            "mi_alice_bits": view.mi_alice_bits,
-            "mi_bob_bits": view.mi_bob_bits,
-            "mi_joint_bits": view.mi_joint_bits,
-        }
-        for view in report.views
-    ]
+    kinds = [{field: getattr(view, field) for field in _ROW_FIELDS} for view in report.views]
     which = report.which
     session = {
         "blocks": len(which),
@@ -387,25 +373,20 @@ def estimate_mi_monte_carlo(
     rng = np.random.default_rng(seed)
     ops = rng.choice(16, size=n_blocks, p=priors_vec)
     a_idx = rng.integers(4, size=n_blocks)
-    b_idx = partner_b[ops, a_idx]
-    if pattern == PATTERN_BOTH:
-        views = 4 * a_idx + b_idx
-    elif pattern == PATTERN_A_ONLY:
-        views = a_idx
-    elif pattern == PATTERN_B_ONLY:
-        views = b_idx
-    else:
-        views = np.zeros(n_blocks, dtype=np.int64)
+    views = _pattern_views(pattern, a_idx, partner_b[ops, a_idx])
 
-    counts = np.bincount(ops * n_views + views, minlength=16 * n_views).reshape(
-        16, n_views
-    )
-    joint = counts / n_blocks
-    by_alice = joint.reshape(4, 4, -1).sum(axis=1)
-    by_bob = joint.reshape(4, 4, -1).sum(axis=0)
-    return {
-        "mi_alice_bits": _mi_bits(by_alice),
-        "mi_bob_bits": _mi_bits(by_bob),
-        "mi_joint_bits": _mi_bits(joint),
-        "n_blocks": float(n_blocks),
-    }
+    counts = np.bincount(ops * n_views + views, minlength=16 * n_views)
+    joint = counts.reshape(16, n_views) / n_blocks
+    return {**_joint_information(joint), "n_blocks": float(n_blocks)}
+
+
+def _pattern_views(pattern: str, a_idx: np.ndarray, b_idx: np.ndarray) -> np.ndarray:
+    """Each block's view as its position in _VIEWS[pattern], from both sides'
+    measured label indices: arithmetic, faster here than a _VIEW_CODES gather."""
+    if pattern == PATTERN_BOTH:
+        return 4 * a_idx + b_idx
+    if pattern == PATTERN_A_ONLY:
+        return a_idx
+    if pattern == PATTERN_B_ONLY:
+        return b_idx
+    return np.zeros_like(a_idx)

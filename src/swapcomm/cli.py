@@ -159,7 +159,7 @@ def _config_from_args(args) -> SessionConfig:
 
 def _trial_rows(config: SessionConfig, trials: int) -> jsontext.RowColumns:
     """The rows of a trials document, one per trial of `config`."""
-    seeds, ok_alice, ok_bob, sids = list(zip(*run_trials(config, trials))) or [()] * 4
+    seeds, ok_alice, ok_bob, sids = run_trials(config, trials)
     return jsontext.RowColumns({
         "trial": range(len(seeds)), "seed": seeds, "decode_ok_alice": ok_alice,
         "decode_ok_bob": ok_bob, "session_id": sids,

@@ -205,10 +205,6 @@ class SessionConfig:
         return self.n_pairs // 2
 
     @property
-    def has_idle_pair(self) -> bool:
-        return self.n_pairs % 2 == 1
-
-    @property
     def alice_sends(self) -> bool:
         return self.mode is not SessionMode.BOB_TO_ALICE
 
@@ -849,11 +845,12 @@ def _decodes_exactly(
     return exact.tolist()
 
 
-def run_trials(config: SessionConfig, n_trials: int) -> list[tuple]:
+def run_trials(config: SessionConfig, n_trials: int) -> tuple[list, list, list, list]:
     """Sessions 0..n_trials-1 of `config`: trial t runs under the seed
-    _spawn_seeds derives from (config.seed, t). Per trial gives (seed,
-    decode_ok_alice, decode_ok_bob, session id), each as run_session of
-    the config with that seed and documents.decode_ok would give it.
+    _spawn_seeds derives from (config.seed, t). Gives four columns, entry
+    t of each for trial t: seeds, decode_ok_alice, decode_ok_bob and
+    session ids, each as run_session of the config with that seed and
+    documents.decode_ok would give it.
 
     The trials are sampled and decoded as rows of (trials x blocks) code
     arrays, in chunks of at most _TRIAL_CHUNK_BLOCKS blocks. No trial
@@ -867,21 +864,18 @@ def run_trials(config: SessionConfig, n_trials: int) -> list[tuple]:
     table = generate_decode_table()
     public_fields = _public_fields(config)  # the same for every trial
     step = max(1, _TRIAL_CHUNK_BLOCKS // max(config.usable_blocks, 1))
-    rows = []
+    seeds, ok_alice, ok_bob = [], [], []
     for start in range(0, n_trials, step):
-        seeds = _spawn_seeds(config.seed, start, min(start + step, n_trials))
-        op_a, op_b, label_a, label_b = _block_codes(config, seeds)
-        ok_alice = _decodes_exactly(
+        chunk = _spawn_seeds(config.seed, start, min(start + step, n_trials))
+        op_a, op_b, label_a, label_b = _block_codes(config, chunk)
+        ok_alice += _decodes_exactly(
             config.bob_sends, op_a, label_a, label_b, config.bob_message, table
         )
-        ok_bob = _decodes_exactly(
+        ok_bob += _decodes_exactly(
             config.alice_sends, op_b, label_a, label_b, config.alice_message, table
         )
-        rows.extend(
-            (seed, a, b, _session_token(seed, public_fields))
-            for seed, a, b in zip(seeds.tolist(), ok_alice, ok_bob)
-        )
-    return rows
+        seeds += chunk.tolist()
+    return seeds, ok_alice, ok_bob, [_session_token(seed, public_fields) for seed in seeds]
 
 
 def replay(transcript: Transcript, blocks) -> SessionResult:

@@ -7,10 +7,16 @@ built per block, and totals summed over those objects. The only edits are
 the names, the imports and that the report is returned as its tuple of
 blocks. The column path must give an equal transcript, equal blocks and
 equal totals, or the same error.
+
+Also a verbatim copy of adversary.estimate_mi_monte_carlo as it was before
+the view layout was written down once in adversary._VIEW_PARTS, with its
+per-pattern view arithmetic inline. The estimator must still give the same
+floats, bit for bit.
 """
 from __future__ import annotations
 
 from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -21,9 +27,12 @@ from swapcomm.adversary import (
     PATTERN_BOTH,
     PATTERN_NONE,
     BlockPosterior,
+    OpPair,
     _entropy_bits,
     _likelihoods,
+    _mi_bits,
     _pattern_information,
+    _pattern_likelihoods,
     _validate_priors,
 )
 from swapcomm.channel import MAX_FRAME_BYTES, Announcement, AnnouncementKind, FrameError
@@ -189,3 +198,49 @@ def information_summary(blocks: tuple[BlockPosterior, ...], priors) -> dict:
         "inconsistent_blocks": [b.index for b in blocks if not b.consistent],
     }
     return {"per_block": per_block, "session": session}
+
+
+def estimate_mi_monte_carlo(
+    priors: Mapping[OpPair, float],
+    pattern: str = PATTERN_BOTH,
+    n_blocks: int = 100_000,
+    seed: int = 0,
+) -> dict[str, float]:
+    """Plug-in MI estimates from simulated blocks, for cross-checking the
+    analytic values.
+
+    Each block draws an operation pair from the priors and an outcome from
+    the swapping law (a-side uniform, b-side fixed by the composite's
+    column), then reduces the outcome to the given announcement pattern.
+    """
+    priors_vec = _validate_priors(priors)
+    n_views = _pattern_likelihoods(pattern).shape[1]
+    # partner_b[ops_index, a_idx]: the b_idx paired with a_idx in the column
+    # of the operations' composite label.
+    partner_b = _pattern_likelihoods(PATTERN_BOTH).reshape(16, 4, 4).argmax(axis=2)
+
+    rng = np.random.default_rng(seed)
+    ops = rng.choice(16, size=n_blocks, p=priors_vec)
+    a_idx = rng.integers(4, size=n_blocks)
+    b_idx = partner_b[ops, a_idx]
+    if pattern == PATTERN_BOTH:
+        views = 4 * a_idx + b_idx
+    elif pattern == PATTERN_A_ONLY:
+        views = a_idx
+    elif pattern == PATTERN_B_ONLY:
+        views = b_idx
+    else:
+        views = np.zeros(n_blocks, dtype=np.int64)
+
+    counts = np.bincount(ops * n_views + views, minlength=16 * n_views).reshape(
+        16, n_views
+    )
+    joint = counts / n_blocks
+    by_alice = joint.reshape(4, 4, -1).sum(axis=1)
+    by_bob = joint.reshape(4, 4, -1).sum(axis=0)
+    return {
+        "mi_alice_bits": _mi_bits(by_alice),
+        "mi_bob_bits": _mi_bits(by_bob),
+        "mi_joint_bits": _mi_bits(joint),
+        "n_blocks": float(n_blocks),
+    }

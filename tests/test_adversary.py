@@ -4,12 +4,18 @@ import math
 import numpy as np
 import pytest
 
+import reference_analysis
 from swapcomm.adversary import (
+    _VIEW_CODES,
+    _VIEW_PARTS,
+    _VIEWS,
     PATTERN_A_ONLY,
     PATTERN_B_ONLY,
     PATTERN_BOTH,
     PATTERN_NONE,
     EveView,
+    _likelihoods,
+    _pattern_views,
     estimate_mi_monte_carlo,
     eve_posterior,
     independent_priors,
@@ -26,7 +32,8 @@ from swapcomm.protocol import (
     SilentFallback,
     run_session,
 )
-from swapcomm.quantum import PauliCode
+from swapcomm.quantum import BellLabel, PauliCode
+from swapcomm.swap import ALL_OP_PAIRS, ENCODING_ORDER, generate_decode_table
 
 ALL_PATTERNS = (PATTERN_BOTH, PATTERN_A_ONLY, PATTERN_B_ONLY, PATTERN_NONE)
 
@@ -130,9 +137,13 @@ class TestEvePosterior:
     def test_view_is_transcript_only(self):
         res = session(alice="0110", bob="1001")
         view = EveView(res.transcript)
-        for _, a_label, b_label in view.block_announcements():
-            assert not isinstance(a_label, PauliCode)
-            assert not isinstance(b_label, PauliCode)
+        assert [field.name for field in dataclasses.fields(view)] == ["transcript"]
+        for column in view.label_columns():
+            # Indices into ENCODING_ORDER: announced labels, never operation codes.
+            assert len(column) == 2 and set(column.tolist()) <= {0, 1, 2, 3}
+            labels = [ENCODING_ORDER[i] for i in column.tolist()]
+            assert all(isinstance(label, BellLabel) for label in labels)
+            assert not any(isinstance(label, PauliCode) for label in labels)
 
     def test_report_numeric_invariants(self):
         # Posteriors of consistent blocks sum to 1; MI values never go
@@ -292,6 +303,88 @@ class TestMonteCarloAgreement:
                                      n_blocks=100_000, seed=14)
         for key in ("mi_alice_bits", "mi_bob_bits", "mi_joint_bits"):
             assert abs(mc[key] - analytic[key]) < 0.02, key
+
+
+# Which sides each pattern's views show: (side A, side B).
+_SHOWN = {
+    PATTERN_BOTH: (True, True),
+    PATTERN_A_ONLY: (True, False),
+    PATTERN_B_ONLY: (False, True),
+    PATTERN_NONE: (False, False),
+}
+
+
+def _label_index(label):
+    return -1 if label is None else ENCODING_ORDER.index(label)
+
+
+class TestViewLayout:
+    """_VIEW_PARTS is the one layout of the views; everything else agrees."""
+
+    def test_every_column_agrees(self):
+        table = generate_decode_table()
+        lik = _likelihoods()
+        assert lik.shape == (16, len(_VIEW_PARTS)) == (16, 25)
+        assert sorted(_VIEW_CODES.ravel().tolist()) == list(range(25))
+        assert list(_VIEWS) == list(ALL_PATTERNS)
+        for column, (pattern, a_label, b_label) in enumerate(_VIEW_PARTS):
+            assert _VIEWS[pattern].start <= column < _VIEWS[pattern].stop
+            assert (a_label is not None, b_label is not None) == _SHOWN[pattern]
+            assert _VIEW_CODES[_label_index(a_label) + 1, _label_index(b_label) + 1] == column
+            # P(view | ops): the outcomes of the operations' composite column
+            # that show these labels, 1/4 each.
+            want = np.zeros(16)
+            for outcome, second in table.infer.items():
+                if a_label in (None, outcome.a_side) and b_label in (None, outcome.b_side):
+                    for i, pair in enumerate(ALL_OP_PAIRS):
+                        want[i] += 0.25 if table.composite[pair] is second else 0.0
+            assert np.array_equal(lik[:, column], want), column
+
+    @pytest.mark.parametrize("pattern", ALL_PATTERNS)
+    def test_monte_carlo_views_follow_the_layout(self, pattern):
+        a_idx, b_idx = (grid.ravel() for grid in np.meshgrid(range(4), range(4)))
+        views = _pattern_views(pattern, a_idx, b_idx)
+        shows_a, shows_b = _SHOWN[pattern]
+        for a, b, view in zip(a_idx.tolist(), b_idx.tolist(), views.tolist()):
+            column = range(25)[_VIEWS[pattern]][view]
+            want = _VIEW_CODES[a + 1 if shows_a else 0, b + 1 if shows_b else 0]
+            assert column == want, (a, b)
+
+    @pytest.mark.parametrize("pattern", ALL_PATTERNS)
+    @pytest.mark.parametrize("priors", [
+        uniform_priors(),
+        independent_priors(dict(zip(PauliCode, (0.4, 0.3, 0.2, 0.1))),
+                           dict(zip(PauliCode, (0.15, 0.25, 0.35, 0.25)))),
+        point_prior(PauliCode.U1, PauliCode.U0),
+    ], ids=["uniform", "skewed", "point"])
+    def test_monte_carlo_equals_the_reference(self, pattern, priors):
+        for seed in (0, 1, 12, 2**40):
+            for n_blocks in (1, 37, 4096, 50_000):
+                got = estimate_mi_monte_carlo(priors, pattern, n_blocks, seed)
+                want = reference_analysis.estimate_mi_monte_carlo(priors, pattern, n_blocks, seed)
+                assert repr(got) == repr(want), (seed, n_blocks)
+
+    def test_report_views_in_column_order(self):
+        res = session(alice="011010", bob="100101")
+        lines = res.transcript.lines
+        # Drop B's measurement of block 1 and A's of block 2: an a-only and
+        # a b-only view, which follow the both-sides views in column order.
+        dropped = [
+            i for i, ann in enumerate(lines.announcements())
+            if ann.label is not None and (ann.side, ann.block) in {("B", 1), ("A", 2)}
+        ]
+        kept = np.delete(np.arange(len(lines)), dropped)
+        view = EveView(_with_lines(res.transcript, kept, False))
+        report = eve_posterior(view, uniform_priors())
+        columns = [
+            _VIEW_CODES[_label_index(v.announced_a) + 1, _label_index(v.announced_b) + 1]
+            for v in report.views
+        ]
+        a_seen, b_seen = view.label_columns()
+        seen = _VIEW_CODES[a_seen + 1, b_seen + 1]
+        assert columns == sorted(set(seen.tolist()))
+        assert np.array_equal(np.array(columns)[report.which], seen)
+        assert [v.pattern for v in report.views][-2:] == [PATTERN_A_ONLY, PATTERN_B_ONLY]
 
 
 class TestSessionPatterns:

@@ -37,6 +37,7 @@ from swapcomm.protocol import (
     replay,
     run_remote_party,
     run_session,
+    run_trials,
     session_id,
     substrate_hello,
 )
@@ -568,6 +569,17 @@ class TestBatchedSampling:
             SessionConfig(n_pairs=2 * MAX_BLOCKS + 2).validate()
         with pytest.raises(ValueError, match="n_blocks must be in"):
             _block_draws(7, MAX_BLOCKS + 1)
+
+
+class TestRunTrials:
+    def test_no_trials_give_four_empty_columns(self):
+        assert run_trials(bidirectional(6, 7, "011110", "101100"), 0) == ([], [], [], [])
+
+    def test_one_entry_per_trial_in_each_column(self):
+        seeds, ok_alice, ok_bob, sids = run_trials(bidirectional(6, 7, "011110", "101100"), 3)
+        assert seeds == _spawn_seeds(7, 0, 3).tolist()
+        assert ok_alice == ok_bob == [True] * 3
+        assert len(set(sids)) == 3
 
 
 class TestSessionId:
