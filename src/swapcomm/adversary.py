@@ -63,6 +63,9 @@ PATTERN_A_ONLY = "a-only"
 PATTERN_B_ONLY = "b-only"
 PATTERN_NONE = "none"
 
+# The most blocks estimate_mi_monte_carlo draws: about 350 MB at its peak.
+MAX_MC_BLOCKS = 10**7
+
 # The one layout of the 25 views: column c of _likelihoods() is the view
 # _VIEW_PARTS[c], (pattern, a-side label, b-side label), None for a silent side.
 _VIEW_PARTS = (
@@ -363,7 +366,10 @@ def estimate_mi_monte_carlo(
     Each block draws an operation pair from the priors and an outcome from
     the swapping law (a-side uniform, b-side fixed by the composite's
     column), then reduces the outcome to the given announcement pattern.
+    A block count outside 1..MAX_MC_BLOCKS is a ValueError.
     """
+    if not 1 <= n_blocks <= MAX_MC_BLOCKS:
+        raise ValueError(f"n_blocks must be in 1..{MAX_MC_BLOCKS}, got {n_blocks}")
     priors_vec = _validate_priors(priors)
     n_views = _pattern_likelihoods(pattern).shape[1]
     # partner_b[ops_index, a_idx]: the b_idx paired with a_idx in the column

@@ -444,13 +444,13 @@ class InProcessChannel:
 class TcpEndpoint:
     """One end of the public TCP channel, speaking the line protocol.
 
-    Sent lines are buffered and written in one sendall on the next
-    receive, once a window of them is buffered, or on flush or finish.
-    Received bytes go into a read buffer that every read shares. A window
-    of peer lines that is exactly its expected wire text is accepted with
-    one comparison; any other is read line by line, each line parsed and
-    checked, with the byte offset of a malformed one in the stream. Every
-    line sent (when buffered) or received is tapped, in wire order.
+    Sent lines are buffered and written in one sendall before the endpoint
+    next reads, or on flush or finish. Received bytes go into a read buffer
+    that every read shares. A window of peer lines that is exactly its
+    expected wire text is accepted with one comparison; any other is read
+    line by line, each line parsed and checked, with the byte offset of a
+    malformed one in the stream. Every line sent (when buffered) or
+    received is tapped, in wire order.
     """
 
     window = TCP_WINDOW_LINES
@@ -466,7 +466,6 @@ class TcpEndpoint:
         self._gate = _OrderGate()
         self._tap: list[CodedLines] = []
         self._out = bytearray()
-        self._out_lines = 0
 
     def send(self, ann: Announcement) -> None:
         self.send_lines(CodedLines.of(ann.session_id, (ann,)))
@@ -478,19 +477,13 @@ class TcpEndpoint:
             side = LINE_KINDS[lines.codes[other[0]]][0]
             raise ChannelError(f"endpoint {self.side} cannot send for side {side}")
         self._tap.append(lines)
-        self._buffer(lines.wire_bytes(), len(lines))
-
-    def _buffer(self, data: bytes, lines: int) -> None:
-        self._out += data
-        self._out_lines += lines
-        if self._out_lines >= self.window:
-            self.flush()
+        self._out += lines.wire_bytes()
 
     def flush(self) -> None:
         """Write every buffered line in one sendall."""
         if not self._out:
             return
-        data, self._out, self._out_lines = self._out, bytearray(), 0
+        data, self._out = self._out, bytearray()
         try:
             self._sock.sendall(data)
         except OSError as exc:
@@ -512,8 +505,7 @@ class TcpEndpoint:
 
     def receive(self) -> Announcement:
         """Read, check and tap one peer line, of any session."""
-        if self._out:  # the peer reads them before it writes
-            self.flush()
+        self.flush()  # the peer reads them before it writes
         line, offset = self._read_frame()
         ann = Announcement.from_wire(line, offset)
         self._gate.admit(_peer_line(ann, ann.session_id, offset), self._tap)
@@ -532,8 +524,7 @@ class TcpEndpoint:
         session, or with a block above _MAX_BLOCK, is a FrameError at its
         offset. The lines read before it are tapped as `expected`.
         """
-        if self._out:  # the peer reads them before it writes
-            self.flush()
+        self.flush()  # the peer reads them before it writes
         wire = expected.wire_bytes()
         if _fits_frames(expected.session_id) and self._next_bytes_are(wire):
             del self._in[:len(wire)]

@@ -23,6 +23,7 @@ from pathlib import Path
 
 from . import __version__, documents, jsontext
 from .adversary import (
+    MAX_MC_BLOCKS,
     EveView,
     estimate_mi_monte_carlo,
     eve_posterior,
@@ -384,7 +385,7 @@ def main(argv=None) -> int:
     p_an = sub.add_parser("analyze", help="eavesdropper analysis of a transcript document")
     p_an.add_argument("input", help="path to a session-run or transcript document")
     p_an.add_argument("--priors", default="uniform", metavar="uniform|@FILE")
-    p_an.add_argument("--mc-blocks", type=_at_least(0), default=0,
+    p_an.add_argument("--mc-blocks", type=_at_least(0, MAX_MC_BLOCKS), default=0,
                       help="add Monte Carlo MI estimates over this many blocks")
     p_an.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
     p_an.add_argument("--out", default=None)

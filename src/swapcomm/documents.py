@@ -72,41 +72,39 @@ def _session_section(config: SessionConfig, transcript: Transcript) -> dict:
     }
 
 
-# Indexed by an op code (-1, no operation, is the last entry) and by a
-# label code.
-_OP_NAMES = (*(op.name for op in PauliCode), None)
-_LABEL_NAMES = tuple(label.value for label in ENCODING_ORDER)
-
-
-# A block's kind is its (op_a + 1, op_b + 1, label_a, label_b, announced_a,
-# announced_b) as one integer in these ranges, each field a digit.
-_KIND_RANGES = (5, 5, 4, 4, 2, 2)
+# The values that op, label and flag codes stand for, at their codes, and
+# the parse of a value to its code. Op code c is at c + 1, so -1 is None.
+_OP = ((None, *(op.name for op in PauliCode)),
+       lambda name: -1 if name is None else PauliCode[name].code)
+_LABEL = (tuple(label.value for label in ENCODING_ORDER),
+          lambda value: LABEL_CODES[BellLabel(value)])
+_FLAG = ((False, True), _flag_code)
+# The block-row fields after the index, in row order. A block's kind is its
+# codes as one number, a digit per field in the range of its values.
+_ROW_FIELDS = {
+    "op_a": _OP, "op_b": _OP,
+    "outcome_a": _LABEL, "outcome_b": _LABEL,
+    "announced_a": _FLAG, "announced_b": _FLAG,
+}
+_ROW_KIND = operator.itemgetter(*_ROW_FIELDS)
+_ROW_INDEX = operator.itemgetter("index")
 
 
 def _block_rows(blocks: BlockColumns) -> jsontext.KeyedItems:
     """One row per block, its "index" from 1: a column over one row per
     distinct kind of block, which each renderer reads once. The kinds are
-    in the order of their codes, found by a count over every code."""
-    n = len(blocks.op_a)
-    announced_a, announced_b = (np.broadcast_to(flag, n) for flag in blocks.announced)
-    kind = (
-        (((blocks.op_a + 1) * 5 + blocks.op_b + 1) * 4 + blocks.label_a) * 4 + blocks.label_b
-    ) * 4 + 2 * announced_a + announced_b
+    in the order of their numbers, found by a count over every block."""
+    codes = (blocks.op_a + 1, blocks.op_b + 1, blocks.label_a, blocks.label_b, *blocks.announced)
+    ranges = [len(values) for values, _ in _ROW_FIELDS.values()]
+    kind = 0
+    for code, size in zip(codes, ranges):
+        kind = kind * size + code
     seen = np.bincount(kind, minlength=1) > 0
     which = (np.cumsum(seen) - 1)[kind]
-    fields = np.unravel_index(np.flatnonzero(seen), _KIND_RANGES)
-    kinds = [
-        {
-            "index": 0,
-            "op_a": _OP_NAMES[op_a - 1],
-            "op_b": _OP_NAMES[op_b - 1],
-            "outcome_a": _LABEL_NAMES[label_a],
-            "outcome_b": _LABEL_NAMES[label_b],
-            "announced_a": bool(flag_a),
-            "announced_b": bool(flag_b),
-        }
-        for op_a, op_b, label_a, label_b, flag_a, flag_b in zip(*(f.tolist() for f in fields))
-    ]
+    digits = np.unravel_index(np.flatnonzero(seen), ranges)
+    columns = ([values[d] for d in digit.tolist()]
+               for digit, (values, _) in zip(digits, _ROW_FIELDS.values()))
+    kinds = [{"index": 0, **dict(zip(_ROW_FIELDS, row))} for row in zip(*columns)]
     return jsontext.KeyedItems(kinds, which.tolist())
 
 
@@ -212,27 +210,17 @@ def transcript_from_document(doc: dict) -> Transcript:
     )
 
 
-# A block row's fields after its index, which make up its kind.
-_ROW_KIND = operator.itemgetter(
-    "op_a", "op_b", "outcome_a", "outcome_b", "announced_a", "announced_b"
-)
-_ROW_INDEX = operator.itemgetter("index")
-
-
 def _row_codes(number: int, row: dict) -> list[int]:
     """Block row `number` as the codes of protocol._record_codes, each
     field read in turn after the index. A missing, mistyped or unknown
     value is a ValueError."""
     try:
         row["index"]  # a row without an index fails here first
-        codes = [-1 if row[op] is None else PauliCode[row[op]].code for op in ("op_a", "op_b")]
-        codes += [LABEL_CODES[BellLabel(row[label])] for label in ("outcome_a", "outcome_b")]
-        codes += [_flag_code(row[flag]) for flag in ("announced_a", "announced_b")]
+        return [parse(row[field]) for field, (_, parse) in _ROW_FIELDS.items()]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
             f"block row {number} is malformed: {type(exc).__name__}: {exc}"
         ) from exc
-    return codes
 
 
 def _blocks_from_document(doc: dict) -> tuple[list, np.ndarray]:
@@ -253,7 +241,7 @@ def _blocks_from_document(doc: dict) -> tuple[list, np.ndarray]:
     codes = [_row_codes(number, rows[number]) for number in numbers.tolist()]
     if indices is None:
         indices = list(map(_ROW_INDEX, rows))
-    return indices, np.array(codes, dtype=np.intp).reshape(-1, 6)[kind].T
+    return indices, np.array(codes, dtype=np.intp).reshape(-1, len(_ROW_FIELDS))[kind].T
 
 
 def replay_document(doc: dict) -> SessionResult:
@@ -290,8 +278,7 @@ def render_csv(doc: dict, write) -> None:
     blocks = _block_items(doc, "csv")
     # writerow returns what its file's write returns: here the csv line.
     line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
-    write(line(["index", "op_a", "op_b", "outcome_a", "outcome_b",
-                "announced_a", "announced_b"]))
+    write(line(["index", *_ROW_FIELDS]))
     tails = [line([0, *_ROW_KIND(kind)])[1:] for kind in blocks.kinds]
     jsontext.write_rows(write, "%d%s", len(blocks), tails, blocks.which, blocks.keys)
 

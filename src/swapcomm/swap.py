@@ -14,7 +14,7 @@ are qubits (0, 2) and (1, 3).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache, lru_cache
 from typing import Iterator, Mapping, NamedTuple
 
@@ -301,14 +301,7 @@ class Discrepancy:
     derived: str
 
     def to_dict(self) -> dict:
-        return {
-            "section": self.section,
-            "column": self.column,
-            "row": self.row,
-            "detail": self.detail,
-            "printed": self.printed,
-            "derived": self.derived,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from swapcomm.adversary import (
     _VIEW_CODES,
     _VIEW_PARTS,
     _VIEWS,
+    MAX_MC_BLOCKS,
     PATTERN_A_ONLY,
     PATTERN_B_ONLY,
     PATTERN_BOTH,
@@ -291,6 +292,11 @@ class TestMonteCarloAgreement:
             mc = estimate_mi_monte_carlo(uniform_priors(), pattern,
                                          n_blocks=100_000, seed=13)
             assert abs(mc["mi_joint_bits"]) < 0.02
+
+    @pytest.mark.parametrize("n_blocks", [-1, 0, MAX_MC_BLOCKS + 1])
+    def test_block_count_outside_its_range_is_a_value_error(self, n_blocks):
+        with pytest.raises(ValueError, match=rf"^n_blocks must be in 1\.\.{MAX_MC_BLOCKS}, got"):
+            estimate_mi_monte_carlo(uniform_priors(), n_blocks=n_blocks)
 
     def test_matches_analytic_for_skewed_priors(self):
         priors = independent_priors(

@@ -488,6 +488,28 @@ class TestTcpChannel:
         assert all(isinstance(e, SessionError) for e in errors.values())
         assert any("seed" in str(e) for e in errors.values())
 
+    def test_sent_lines_are_written_only_on_flush(self):
+        config = SessionConfig(n_pairs=3 * TCP_WINDOW_LINES, seed=5,
+                               alice_message=_random_bits(3 * TCP_WINDOW_LINES, 5))
+        lines = run_session(config).transcript.lines.of_side("A")
+        assert len(lines) > TcpEndpoint.window
+        near, far = socket.socketpair()
+        endpoint = TcpEndpoint(near, side="A", timeout=5.0)
+        far.settimeout(0)
+        try:
+            endpoint.send_lines(lines)
+            with pytest.raises(BlockingIOError):  # more than a window, and no byte yet
+                far.recv(1)
+            endpoint.flush()
+            far.settimeout(5.0)
+            wire, received = lines.wire_bytes(), bytearray()
+            while len(received) < len(wire):
+                received += far.recv(len(wire))
+            assert received == wire
+        finally:
+            endpoint.close()
+            far.close()
+
     def test_unreachable_peer(self):
         with pytest.raises(TransportError, match="cannot reach"):
             dial_session("127.0.0.1", 1, timeout=0.5)

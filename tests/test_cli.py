@@ -210,6 +210,7 @@ class TestSimulate:
         # A trial index is one 32-bit spawn word: 2^32 trials at most.
         (["simulate", "--pairs", "6", "--trials", str(2**32 + 1)], "--trials", "at most"),
         (["analyze", "run.json", "--mc-blocks", "-5"], "--mc-blocks", "at least"),
+        (["analyze", "run.json", "--mc-blocks", str(10**15)], "--mc-blocks", "at most"),
     ])
     def test_out_of_range_count_is_a_usage_error(self, argv, flag, bound, tmp_path, capsys):
         out = tmp_path / "never.json"
@@ -650,6 +651,28 @@ class TestDocuments:
         text = documents.render(doc, "text")
         assert "block 1: pairs (1,2)" in text
         assert "decoded by bob:   011110" in text
+
+    def test_every_kind_of_block_row_round_trips(self):
+        """All 5*5*4*4*2*2 kinds of block, silent ops and both flag values
+        included, as flag columns: their rows, read back from JSON, give
+        the same six code rows, and csv heads them with the table's fields."""
+        grid = np.meshgrid(range(-1, 4), range(-1, 4), range(4), range(4), (0, 1), (0, 1),
+                           indexing="ij")
+        codes = np.stack([axis.ravel() for axis in grid])
+        assert codes.shape == (6, 1600)
+        blocks = protocol.BlockColumns(tuple(codes[:4]), tuple(codes[4:].astype(bool)))
+        doc = {"kind": "session-run", "private": {"blocks": documents._block_rows(blocks)}}
+        assert len(doc["private"]["blocks"].kinds) == 1600
+        loaded = json.loads(documents.render(doc, "json"))
+        assert all(list(row) == ["index", *documents._ROW_FIELDS]
+                   for row in loaded["private"]["blocks"])
+        indices, again = documents._blocks_from_document(loaded)
+        assert indices == list(range(1, 1601))
+        np.testing.assert_array_equal(again, codes)
+        header = documents.render(doc, "csv").split("\n", 1)[0]
+        assert header.split(",") == ["index", *documents._ROW_FIELDS]
+        assert list(documents._ROW_FIELDS) == [
+            "op_a", "op_b", "outcome_a", "outcome_b", "announced_a", "announced_b"]
 
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="unknown format"):
