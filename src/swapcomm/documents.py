@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,11 +34,10 @@ from .protocol import (
     SessionResult,
     SilentFallback,
     Transcript,
-    _flag_code,
     _replay_codes,
 )
-from .quantum import BellLabel, PauliCode
-from .swap import ENCODING_ORDER, LABEL_CODES
+from .quantum import PauliCode
+from .swap import ENCODING_ORDER
 
 TOOL = {"name": "swapcomm", "version": __version__}
 
@@ -72,40 +70,30 @@ def _session_section(config: SessionConfig, transcript: Transcript) -> dict:
     }
 
 
-# The values that op, label and flag codes stand for, at their codes, and
-# the parse of a value to its code. Op code c is at c + 1, so -1 is None.
-_OP = ((None, *(op.name for op in PauliCode)),
-       lambda name: -1 if name is None else PauliCode[name].code)
-_LABEL = (tuple(label.value for label in ENCODING_ORDER),
-          lambda value: LABEL_CODES[BellLabel(value)])
-_FLAG = ((False, True), _flag_code)
-# The block-row fields after the index, in row order. A block's kind is its
-# codes as one number, a digit per field in the range of its values.
+# The private block table of a format 2 run document: per field, in this
+# order, one string with a character per block, block k's at position
+# k - 1. The character is the block's code in protocol._record_codes, "-"
+# for -1 (no operation) and otherwise its digit. A field has its lowest
+# code and the values that its codes stand for, from that code up.
+_OPS = (None, *(op.name for op in PauliCode))
+_LABELS = tuple(label.value for label in ENCODING_ORDER)
 _ROW_FIELDS = {
-    "op_a": _OP, "op_b": _OP,
-    "outcome_a": _LABEL, "outcome_b": _LABEL,
-    "announced_a": _FLAG, "announced_b": _FLAG,
+    "op_a": (-1, _OPS), "op_b": (-1, _OPS),
+    "outcome_a": (0, _LABELS), "outcome_b": (0, _LABELS),
+    "announced_a": (0, (False, True)), "announced_b": (0, (False, True)),
 }
-_ROW_KIND = operator.itemgetter(*_ROW_FIELDS)
-_ROW_INDEX = operator.itemgetter("index")
+_CODE_CHARS = np.frombuffer(b"-0123", np.uint8)  # code c's character is at c + 1
+_CHAR_CODES = np.full(256, 9, np.intp)  # each byte's code; 9 is no code
+_CHAR_CODES[_CODE_CHARS] = np.arange(-1, 4)
 
 
-def _block_rows(blocks: BlockColumns) -> jsontext.KeyedItems:
-    """One row per block, its "index" from 1: a column over one row per
-    distinct kind of block, which each renderer reads once. The kinds are
-    in the order of their numbers, found by a count over every block."""
-    codes = (blocks.op_a + 1, blocks.op_b + 1, blocks.label_a, blocks.label_b, *blocks.announced)
-    ranges = [len(values) for values, _ in _ROW_FIELDS.values()]
-    kind = 0
-    for code, size in zip(codes, ranges):
-        kind = kind * size + code
-    seen = np.bincount(kind, minlength=1) > 0
-    which = (np.cumsum(seen) - 1)[kind]
-    digits = np.unravel_index(np.flatnonzero(seen), ranges)
-    columns = ([values[d] for d in digit.tolist()]
-               for digit, (values, _) in zip(digits, _ROW_FIELDS.values()))
-    kinds = [{"index": 0, **dict(zip(_ROW_FIELDS, row))} for row in zip(*columns)]
-    return jsontext.KeyedItems(kinds, which.tolist())
+def _block_table(blocks: BlockColumns) -> dict:
+    """The block table's six columns, each one gather of _CODE_CHARS."""
+    n = len(blocks.op_a)
+    codes = (blocks.op_a, blocks.op_b, blocks.label_a, blocks.label_b,
+             *(np.broadcast_to(flag, n).astype(np.intp) for flag in blocks.announced))
+    return {field: _CODE_CHARS[code + 1].tobytes().decode("ascii")
+            for field, code in zip(_ROW_FIELDS, codes)}
 
 
 def _transcript_lines(lines: CodedLines) -> jsontext.KeyedItems:
@@ -125,19 +113,21 @@ def decode_ok(decoded: MessageBits | None, sent: MessageBits | None) -> bool | N
 
 
 def run_document(config: SessionConfig, result: SessionResult) -> dict:
-    """The session-run document. Its transcript and block rows are
-    jsontext.KeyedItems columns."""
+    """The session-run document, in format 2. Its transcript is a
+    jsontext.KeyedItems column, and its private blocks are the block
+    table: a dict of six strings."""
     t = result.transcript
     lines = t.lines
     return {
         "tool": dict(TOOL),
         "kind": "session-run",
+        "format": 2,
         "session": _session_section(config, t),
         "transcript": _transcript_lines(lines),
         "private": {
             "alice_message": _message_field(config.alice_message),
             "bob_message": _message_field(config.bob_message),
-            "blocks": _block_rows(result.block_columns),
+            "blocks": _block_table(result.block_columns),
             "decoded_by_alice": _message_field(result.decoded_by_alice),
             "decoded_by_bob": _message_field(result.decoded_by_bob),
         },
@@ -210,45 +200,54 @@ def transcript_from_document(doc: dict) -> Transcript:
     )
 
 
-def _row_codes(number: int, row: dict) -> list[int]:
-    """Block row `number` as the codes of protocol._record_codes, each
-    field read in turn after the index. A missing, mistyped or unknown
-    value is a ValueError."""
-    try:
-        row["index"]  # a row without an index fails here first
-        return [parse(row[field]) for field, (_, parse) in _ROW_FIELDS.items()]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(
-            f"block row {number} is malformed: {type(exc).__name__}: {exc}"
-        ) from exc
+def _table_fault(field: str, block: int, problem: str) -> ValueError:
+    return ValueError(f"private blocks {field} at block {block}: {problem}")
 
 
-def _blocks_from_document(doc: dict) -> tuple[list, np.ndarray]:
-    """The index values of a run document's block rows, and the rows as
-    the six code rows of protocol._record_codes. Each distinct kind of row
-    is read once; the first malformed row is a ValueError."""
+def _read_block_table(doc: dict, n: int) -> np.ndarray:
+    """The block table of a format 2 run document of n blocks, as the six
+    code rows of protocol._record_codes. A missing, unknown, mistyped or
+    mis-sized column, or a character outside its column's codes, is a
+    ValueError that names the column and the block."""
     private = doc.get("private")
-    rows = private.get("blocks") if isinstance(private, dict) else None
-    if not isinstance(rows, list):
-        raise ValueError("private blocks must be a list of block rows")
-    try:
-        first = {}  # a kind of row -> the first row of that kind
-        which = [first.setdefault(kind, i) for i, kind in enumerate(map(_ROW_KIND, rows))]
-        indices = list(map(_ROW_INDEX, rows))
-    except (KeyError, TypeError):  # a row that is not an object, lacks a field or is unhashable
-        which, indices = range(len(rows)), None  # read every row
-    numbers, kind = np.unique(which, return_inverse=True)
-    codes = [_row_codes(number, rows[number]) for number in numbers.tolist()]
-    if indices is None:
-        indices = list(map(_ROW_INDEX, rows))
-    return indices, np.array(codes, dtype=np.intp).reshape(-1, len(_ROW_FIELDS))[kind].T
+    table = private.get("blocks") if isinstance(private, dict) else None
+    if doc.get("format") != 2 or not isinstance(table, dict):
+        s = doc["session"] if isinstance(doc.get("session"), dict) else {}
+        raise ValueError(
+            "private blocks are not a format 2 block table: regenerate the document with "
+            f"`swapcomm simulate --pairs {s.get('n_pairs')} --seed {s.get('seed')} "
+            f"--mode {s.get('mode')} --fallback {s.get('fallback')}`, and its private "
+            "alice_message and bob_message, where not null, as --alice-msg and --bob-msg"
+        )
+    unknown = [field for field in table if field not in _ROW_FIELDS]
+    if unknown:
+        raise _table_fault(repr(unknown[0]), 1, "not a column of the block table")
+    codes = np.empty((len(_ROW_FIELDS), n), np.intp)
+    for row, (field, (low, values)) in zip(codes, _ROW_FIELDS.items()):
+        text = table.get(field)
+        if not isinstance(text, str):
+            raise _table_fault(field, 1, "missing" if field not in table
+                               else f"a {type(text).__name__}, not a string")
+        if len(text) != n:
+            raise _table_fault(field, min(len(text), n) + 1,
+                               f"{len(text)} characters for {n} blocks")
+        # Each character outside ASCII becomes one "?", which has no code.
+        row[:] = _CHAR_CODES[np.frombuffer(text.encode("ascii", "replace"), np.uint8)]
+        bad = np.flatnonzero((row < low) | (row >= low + len(values)))
+        if bad.size:
+            alphabet = _CODE_CHARS[low + 1:low + 1 + len(values)].tobytes().decode()
+            raise _table_fault(field, int(bad[0]) + 1,
+                               f"{text[bad[0]]!r} is not one of {alphabet!r}")
+    return codes
 
 
 def replay_document(doc: dict) -> SessionResult:
     """Re-derive the decoded messages recorded in a session document."""
     if doc.get("kind") != "session-run":
         raise ValueError(f"cannot replay a {doc.get('kind')!r} document")
-    return _replay_codes(transcript_from_document(doc), *_blocks_from_document(doc))
+    transcript = transcript_from_document(doc)
+    n = transcript.usable_blocks
+    return _replay_codes(transcript, list(range(1, n + 1)), _read_block_table(doc, n))
 
 
 def render_json(doc: dict, write) -> None:
@@ -257,37 +256,39 @@ def render_json(doc: dict, write) -> None:
     jsontext.stream(doc, write)
 
 
-def _block_items(doc: dict, fmt: str) -> jsontext.KeyedItems:
-    """A session-run document's block rows as a KeyedItems. Rows read
-    from a file, a plain list, are one kind each; an index that is not an
-    int is a ValueError."""
+def _block_kinds(doc: dict, fmt: str) -> tuple[list, list]:
+    """A session-run document's distinct kinds of block, each a tuple of
+    its six fields' values, in the order of their numbers (a digit per
+    field in the range of its values), and each block's kind."""
     if doc.get("kind") != "session-run":
         raise ValueError(f"{fmt} format applies to session-run documents only")
-    rows = doc["private"]["blocks"]
-    if not isinstance(rows, jsontext.KeyedItems):
-        rows = jsontext.KeyedItems(rows, range(len(rows)), list(map(_ROW_INDEX, rows)))
-    if set(map(type, rows.keys)) - {int}:
-        raise ValueError("block row index must be an int")
-    return rows
+    lows, values = zip(*_ROW_FIELDS.values())
+    ranges = list(map(len, values))
+    codes = _read_block_table(doc, doc["session"]["usable_blocks"])
+    kind = np.ravel_multi_index(tuple(codes - np.array(lows)[:, None]), ranges)
+    seen = np.bincount(kind, minlength=1) > 0
+    digits = np.unravel_index(np.flatnonzero(seen), ranges)
+    kinds = zip(*(map(field.__getitem__, digit.tolist()) for field, digit in zip(values, digits)))
+    return list(kinds), (np.cumsum(seen) - 1)[kind].tolist()
 
 
 def render_csv(doc: dict, write) -> None:
     """Per-block table; private columns, so only for session-run documents.
     Each kind of row is one csv line, written with the index 0 and cut
     after it; every block's index is spliced in by jsontext.write_rows."""
-    blocks = _block_items(doc, "csv")
+    kinds, which = _block_kinds(doc, "csv")
     # writerow returns what its file's write returns: here the csv line.
     line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
     write(line(["index", *_ROW_FIELDS]))
-    tails = [line([0, *_ROW_KIND(kind)])[1:] for kind in blocks.kinds]
-    jsontext.write_rows(write, "%d%s", len(blocks), tails, blocks.which, blocks.keys)
+    tails = [line([0, *kind])[1:] for kind in kinds]
+    jsontext.write_rows(write, "%d%s", len(which), tails, which, range(1, len(which) + 1))
 
 
 def render_text(doc: dict, write) -> None:
     """Block-by-block trace of a session run: each kind of block line is
     made once, and block k's numbers, k, 2k-1 and 2k, are spliced in by
     jsontext.write_rows."""
-    blocks = _block_items(doc, "text")
+    kinds, which = _block_kinds(doc, "text")
     s = doc["session"]
     p = doc["private"]
     write(f"session {s['id']}  mode={s['mode']}  fallback={s['fallback']}  "
@@ -299,17 +300,15 @@ def render_text(doc: dict, write) -> None:
     if p["bob_message"] is not None:
         write(f"bob sends:   {p['bob_message'] or '(empty)'}\n")
     tails = []
-    for kind in blocks.kinds:
-        ops = f"ops A={kind['op_a'] or '--'} B={kind['op_b'] or '--'}".lower()
+    for op_a, op_b, outcome_a, outcome_b, announced_a, announced_b in kinds:
+        ops = f"ops A={op_a or '--'} B={op_b or '--'}".lower()
         announced = ",".join(
-            side for side, on in (("A", kind["announced_a"]), ("B", kind["announced_b"]))
-            if on
+            side for side, on in (("A", announced_a), ("B", announced_b)) if on
         ) or "none"
-        tails.append(f"  {ops}  measured A={kind['outcome_a']} B={kind['outcome_b']}"
-                     f"  announced {announced}\n")
-    seconds = [2 * k for k in blocks.keys]
-    jsontext.write_rows(write, "block %d: pairs (%d,%d)%s", len(blocks), tails, blocks.which,
-                        blocks.keys, [k - 1 for k in seconds], seconds)
+        tails.append(f"  {ops}  measured A={outcome_a} B={outcome_b}  announced {announced}\n")
+    n = len(which)
+    jsontext.write_rows(write, "block %d: pairs (%d,%d)%s", n, tails, which,
+                        range(1, n + 1), range(1, 2 * n, 2), range(2, 2 * n + 1, 2))
     if p["decoded_by_alice"] is not None:
         write(f"decoded by alice: {p['decoded_by_alice'] or '(empty)'}\n")
     if p["decoded_by_bob"] is not None:

@@ -4,7 +4,7 @@ CPython writes indented JSON with its pure-Python encoder, one value at a
 time. `stream` produces the same bytes with less work, in one walk of the
 value: it walks only dicts in Python, and writes two kinds of column from
 row text with each row's values spliced in. A `KeyedItems`, such as a
-session's transcript or block rows, is one `json.dumps` rendering per
+session's transcript or an analysis's rows, is one `json.dumps` rendering per
 kind of item with each item's int key spliced in. A `RowColumns`, such as
 a trials document's rows, is one row text with every field's value
 spliced in, ints through %d, so its rows never pass through `json.dumps`.

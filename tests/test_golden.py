@@ -6,7 +6,9 @@ holds the "final odd pair idle" line); the stored analyze reports pin
 the eavesdropper analyzer under uniform, skewed and point priors (the point
 prior makes some blocks inconsistent). run-mixed.json is run-bidirectional
 with some measurement lines removed, so one transcript shows all four
-announcement patterns. The serve and connect documents pin both halves of
+announcement patterns. run-odd-format1.json is run-odd as format 1 wrote
+it, with its block table as one row per block: analyze still reads it,
+replay does not. The serve and connect documents pin both halves of
 a two-process session over loopback, the trials*.json documents pin
 `simulate --trials` in each mode, and verify.txt and verify.json pin what
 `swapcomm verify` prints in text and json, so a flipped draw in its
@@ -22,6 +24,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -143,6 +146,38 @@ def test_analyze_report_bytes(document, priors, tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("priors", PRIORS)
+def test_format_1_run_analyzes_as_its_format_2_run(priors, tmp_path):
+    """analyze reads only the session and the transcript, which format 2
+    left as they were: the format 1 run gives the pinned report."""
+    out = tmp_path / "report.json"
+    assert _analyze("odd-format1", priors, out) == 0
+    assert out.read_bytes() == (GOLDEN / f"analyze-odd-{_priors_name(priors)}.json").read_bytes()
+
+
+def test_format_1_run_regenerates_but_does_not_replay(tmp_path):
+    """Replaying or rendering a format 1 run is a ValueError that names the
+    simulate flags, from its own session, that regenerate it. With its
+    messages they write the same run in format 2."""
+    doc = json.loads((GOLDEN / "run-odd-format1.json").read_text())
+    assert "format" not in doc and isinstance(doc["private"]["blocks"], list)
+    flags = ["--pairs", "13", "--seed", "14", "--mode", "bidirectional", "--fallback", "random"]
+    regenerate = f"regenerate the document with `swapcomm simulate {' '.join(flags)}`"
+    with pytest.raises(ValueError, match=re.escape(regenerate)):
+        documents.replay_document(doc)
+    for fmt in FORMATS:
+        with pytest.raises(ValueError, match=re.escape(regenerate)):
+            documents.render(doc, fmt)
+    private = doc["private"]
+    out = tmp_path / "run.json"
+    assert main(["simulate", *flags, "--alice-msg", private["alice_message"],
+                 "--bob-msg", private["bob_message"], "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "run-odd.json").read_bytes()
+    again = json.loads(out.read_text())
+    del again["format"], again["private"]["blocks"], private["blocks"]
+    assert again == doc
+
+
 @pytest.mark.parametrize("run", sorted(NETWORKED))
 def test_serve_connect_document_bytes(run, tmp_path):
     serve_out, connect_out = tmp_path / "serve.json", tmp_path / "connect.json"
@@ -170,9 +205,10 @@ def test_verify_json_output_bytes(capsys):
 
 @pytest.mark.parametrize("pattern", ["both", "a-only"])
 def test_large_documents_equal_indented_json_dumps(pattern, tmp_path, monkeypatch):
-    """At 20 000 pairs block rows repeat far more than in the goldens. What
-    render_json writes must equal json.dumps(indent=2) of the document it
-    was given, and of the document read back from the file."""
+    """At 20 000 pairs transcript lines and analysis rows repeat far more
+    than in the goldens. What render_json writes must equal
+    json.dumps(indent=2) of the document it was given, and of the document
+    read back from the file."""
     checks = []
 
     def checked_render_json(doc, write):
