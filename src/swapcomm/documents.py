@@ -246,8 +246,7 @@ def replay_document(doc: dict) -> SessionResult:
     if doc.get("kind") != "session-run":
         raise ValueError(f"cannot replay a {doc.get('kind')!r} document")
     transcript = transcript_from_document(doc)
-    n = transcript.usable_blocks
-    return _replay_codes(transcript, list(range(1, n + 1)), _read_block_table(doc, n))
+    return _replay_codes(transcript, None, _read_block_table(doc, transcript.usable_blocks))
 
 
 def render_json(doc: dict, write) -> None:
