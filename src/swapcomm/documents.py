@@ -89,9 +89,8 @@ _CHAR_CODES[_CODE_CHARS] = np.arange(-1, 4)
 
 def _block_table(blocks: BlockColumns) -> dict:
     """The block table's six columns, each one gather of _CODE_CHARS."""
-    n = len(blocks.op_a)
     codes = (blocks.op_a, blocks.op_b, blocks.label_a, blocks.label_b,
-             *(np.broadcast_to(flag, n).astype(np.intp) for flag in blocks.announced))
+             *(np.broadcast_to(flag, len(blocks.op_a)) for flag in blocks.announced))
     return {field: _CODE_CHARS[code + 1].tobytes().decode("ascii")
             for field, code in zip(_ROW_FIELDS, codes)}
 
@@ -205,10 +204,9 @@ def _table_fault(field: str, block: int, problem: str) -> ValueError:
 
 
 def _read_block_table(doc: dict, n: int) -> np.ndarray:
-    """The block table of a format 2 run document of n blocks, as the six
-    code rows of protocol._record_codes. A missing, unknown, mistyped or
-    mis-sized column, or a character outside its column's codes, is a
-    ValueError that names the column and the block."""
+    """The six code rows of protocol._record_codes from the block table of
+    a format 2 run document of n blocks. An n that is no count is a
+    ValueError, and so is any column fault, named by column and block."""
     private = doc.get("private")
     table = private.get("blocks") if isinstance(private, dict) else None
     if doc.get("format") != 2 or not isinstance(table, dict):
@@ -222,8 +220,10 @@ def _read_block_table(doc: dict, n: int) -> np.ndarray:
     unknown = [field for field in table if field not in _ROW_FIELDS]
     if unknown:
         raise _table_fault(repr(unknown[0]), 1, "not a column of the block table")
-    codes = np.empty((len(_ROW_FIELDS), n), np.intp)
-    for row, (field, (low, values)) in zip(codes, _ROW_FIELDS.items()):
+    if type(n) is not int or n < 0:
+        raise ValueError(f"private blocks: usable_blocks {n!r} is not a count of blocks")
+    codes = []  # each row made only once its column is n characters long
+    for field, (low, values) in _ROW_FIELDS.items():
         text = table.get(field)
         if not isinstance(text, str):
             raise _table_fault(field, 1, "missing" if field not in table
@@ -232,13 +232,14 @@ def _read_block_table(doc: dict, n: int) -> np.ndarray:
             raise _table_fault(field, min(len(text), n) + 1,
                                f"{len(text)} characters for {n} blocks")
         # Each character outside ASCII becomes one "?", which has no code.
-        row[:] = _CHAR_CODES[np.frombuffer(text.encode("ascii", "replace"), np.uint8)]
+        row = _CHAR_CODES[np.frombuffer(text.encode("ascii", "replace"), np.uint8)]
         bad = np.flatnonzero((row < low) | (row >= low + len(values)))
         if bad.size:
             alphabet = _CODE_CHARS[low + 1:low + 1 + len(values)].tobytes().decode()
             raise _table_fault(field, int(bad[0]) + 1,
                                f"{text[bad[0]]!r} is not one of {alphabet!r}")
-    return codes
+        codes.append(row)
+    return np.array(codes)
 
 
 def replay_document(doc: dict) -> SessionResult:
@@ -246,7 +247,8 @@ def replay_document(doc: dict) -> SessionResult:
     if doc.get("kind") != "session-run":
         raise ValueError(f"cannot replay a {doc.get('kind')!r} document")
     transcript = transcript_from_document(doc)
-    return _replay_codes(transcript, None, _read_block_table(doc, transcript.usable_blocks))
+    n = transcript.usable_blocks
+    return _replay_codes(transcript, list(range(1, n + 1)), _read_block_table(doc, n))
 
 
 def render_json(doc: dict, write) -> None:

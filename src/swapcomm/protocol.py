@@ -891,16 +891,16 @@ def replay(transcript: Transcript, blocks) -> SessionResult:
     return _replay_codes(transcript, [rec.index for rec in blocks], _record_codes(blocks))
 
 
-def _replay_codes(transcript: Transcript, indices: list | None, codes: np.ndarray) -> SessionResult:
-    """replay of blocks given as their index values, None for 1..n in
-    order, and the six code rows of _record_codes. Each check runs over
-    whole rows. The failure raised is the one a walk of the blocks in
-    order meets first: at the lowest block, the index, then the flags,
-    then side A's and side B's label, then the outcome column."""
+def _replay_codes(transcript: Transcript, indices: list, codes: np.ndarray) -> SessionResult:
+    """replay of blocks given as their index values and the six code rows
+    of _record_codes. Each check runs over whole rows. The failure raised
+    is the one a walk of the blocks in order meets first: at the lowest
+    block, the index, then the flags, then side A's and side B's label,
+    then the outcome column."""
     table = generate_decode_table()
     n = transcript.usable_blocks
-    if codes.shape[1] != n:
-        raise ReplayError(f"{codes.shape[1]} records for {n} blocks", 0)
+    if len(indices) != n:
+        raise ReplayError(f"{len(indices)} records for {n} blocks", 0)
     measured = [transcript.measured(side) for side in SIDES]
     pattern = SessionConfig(
         transcript.n_pairs, transcript.mode, transcript.fallback
@@ -918,7 +918,7 @@ def _replay_codes(transcript: Transcript, indices: list | None, codes: np.ndarra
 
     op_a, op_b, label_a, label_b, flag_a, flag_b = codes
     composite = table.composite_codes[np.maximum(op_a, 0), np.maximum(op_b, 0)]
-    first_bad_index = n + 1 if indices is None or indices == list(range(1, n + 1)) else next(
+    first_bad_index = n + 1 if indices == list(range(1, n + 1)) else next(
         pos for pos, index in enumerate(indices, start=1) if index != pos)
     firsts = [first_bad_index] + [
         int(np.argmax(bad)) + 1 if bad.any() else n + 1
@@ -931,7 +931,7 @@ def _replay_codes(transcript: Transcript, indices: list | None, codes: np.ndarra
     ]
     pos = min(firsts)
     if pos <= n:
-        at, index = pos - 1, pos if indices is None else indices[pos - 1]
+        at, index = pos - 1, indices[pos - 1]
         raise ReplayError(*[
             (f"record index {index} out of order", pos),
             ("announced flags disagree with the session mode", pos),

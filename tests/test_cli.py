@@ -753,6 +753,22 @@ class TestDocuments:
         doc["private"]["blocks"]["op_c"] = doc["private"]["blocks"]["op_a"]
         self._assert_table_fault(doc, re.escape("private blocks 'op_c' at block 1: "))
 
+    @pytest.mark.parametrize("usable_blocks", [10**12, -1, "5", 5.0, True, None])
+    def test_csv_and_text_of_a_bad_block_count_are_a_value_error(self, usable_blocks):
+        """csv and text read n from the session's usable_blocks: a count no
+        column has is a column fault, and a value that is no count is a
+        ValueError before any table is made."""
+        doc = json.loads(_small_run_documents()[0])
+        n = len(doc["private"]["blocks"]["op_a"])
+        doc["session"]["usable_blocks"] = usable_blocks
+        names = (f"private blocks op_a at block {n + 1}: {n} characters for {10**12} blocks"
+                 if usable_blocks == 10**12 else
+                 f"private blocks: usable_blocks {usable_blocks!r} is not a count of blocks")
+        for fmt in ("csv", "text"):
+            with pytest.raises(ValueError, match=re.escape(names)) as err:
+                documents.render(doc, fmt)
+            assert type(err.value) is ValueError
+
     @staticmethod
     def _assert_table_fault(doc, names):
         for read in (documents.replay_document, functools.partial(documents.render, fmt="csv"),
