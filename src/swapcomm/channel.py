@@ -58,11 +58,13 @@ WIRE_FIELDS = ("v", "sid", "blk", "side", "kind", "label")
 SIDES = ("A", "B")
 # Longest accepted wire frame, newline included; real frames are ~110 bytes.
 MAX_FRAME_BYTES = 1024
-# Most bytes one receive asks the socket for: a few windows of peer lines.
+# Most bytes one receive asks the socket for: about a quarter of one side's
+# lines of a window.
 RECV_BYTES = 1 << 16
-# Schedule lines a TCP session plays per window: about 256 blocks, a few
-# tens of KiB of one side's lines.
-TCP_WINDOW_LINES = 512
+# Schedule lines a TCP session plays per window: about 2 048 blocks, some
+# 220 KiB of one side's lines. The same size as jsontext._CHUNK, so the
+# wire text of a window is one write_rows slice.
+TCP_WINDOW_LINES = 4096
 
 
 class ChannelError(Exception):
@@ -465,7 +467,7 @@ class TcpEndpoint:
         self._read_offset = 0
         self._gate = _OrderGate()
         self._tap: list[CodedLines] = []
-        self._out = bytearray()
+        self._out: list[bytes] = []  # wire text of the lines sent since the last write
 
     def send(self, ann: Announcement) -> None:
         self.send_lines(CodedLines.of(ann.session_id, (ann,)))
@@ -477,13 +479,14 @@ class TcpEndpoint:
             side = LINE_KINDS[lines.codes[other[0]]][0]
             raise ChannelError(f"endpoint {self.side} cannot send for side {side}")
         self._tap.append(lines)
-        self._out += lines.wire_bytes()
+        self._out.append(lines.wire_bytes())
 
     def flush(self) -> None:
         """Write every buffered line in one sendall."""
         if not self._out:
             return
-        data, self._out = self._out, bytearray()
+        # A window's text is one part, which join hands back uncopied.
+        data, self._out = b"".join(self._out), []
         try:
             self._sock.sendall(data)
         except OSError as exc:
@@ -631,9 +634,11 @@ class TcpEndpoint:
 # stands in for the pre-shared entangled pairs; it carries one private
 # hello per party (config cross-check plus that party's encoded operations)
 # and is invisible to the tap. Only the public channel is the transcript.
+# Substrate v2 hellos carry the operations as one string of codes 0-3;
+# a v1 peer, whose hello held a list, is refused at its preamble.
 # --------------------------------------------------------------------------
 
-SUBSTRATE_PREAMBLE = b"swapcomm-substrate v1\n"
+SUBSTRATE_PREAMBLE = b"swapcomm-substrate v2\n"
 PUBLIC_PREAMBLE = b"swapcomm-public v1\n"
 
 

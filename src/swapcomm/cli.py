@@ -6,8 +6,9 @@ eavesdropper knowledge from a transcript document), serve/connect (the two
 halves of a networked two-process session).
 
 Exit codes: 0 success, 1 usage or capacity error, 2 verification failure,
-3 transport or session failure. Every path is deterministic given flags
-and seed. SWAPCOMM_OUT_DIR, when set, prefixes relative --out paths.
+3 transport or session failure, 141 when stdout's reader closed it early.
+Every path is deterministic given flags and seed. SWAPCOMM_OUT_DIR, when
+set, prefixes relative --out paths.
 """
 from __future__ import annotations
 
@@ -50,6 +51,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_TRANSPORT = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process a closed pipe ended
 
 _MODES = {m.value: m for m in SessionMode}
 _FALLBACKS = {f.value: f for f in SilentFallback}
@@ -405,13 +407,17 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout fails here, not at exit
+        return code
     except CapacityError as exc:
         print(f"swapcomm: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ChannelError, SessionError) as exc:
         print(f"swapcomm: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
+    except BrokenPipeError:  # stdout's: a socket's is a TransportError
+        return EXIT_PIPE
     except (ValueError, OSError) as exc:
         print(f"swapcomm: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -422,7 +428,13 @@ def run() -> None:
     heap is frozen first, so the collections of interpreter teardown skip
     it; `main` is the in-process API and leaves the host's GC alone."""
     gc.freeze()
-    sys.exit(main())
+    code = main()
+    if code == EXIT_PIPE:
+        # What stdout still buffers goes to devnull, so the flush at exit
+        # does not fail on the closed pipe again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

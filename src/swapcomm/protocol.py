@@ -366,16 +366,17 @@ def _seed_column(seed: int) -> np.ndarray:
     return np.array([seed & _MASK64], dtype=np.uint64)
 
 
-def _draw_grid(seeds: np.ndarray, n_blocks: int) -> np.ndarray:
-    """The first three integers(4) draws of block_rng(seed, k) for every
-    seed of the uint64 column `seeds` and every block k in 1..n_blocks:
-    draw j of block k under seed i is entry [j, i, k-1] of a
-    (3, len(seeds), n_blocks) uint8 array.
+def _draw_grid(seeds: np.ndarray, n_blocks: int, rows: int) -> np.ndarray:
+    """The first `rows` (1 to 3) integers(4) draws of block_rng(seed, k)
+    for every seed of the uint64 column `seeds` and every block k in
+    1..n_blocks: draw j of block k under seed i is entry [j, i, k-1] of a
+    (rows, len(seeds), n_blocks) uint8 array.
 
     The generate_state(4, uint64) words of _seed_words seed PCG64, whose
     steps run over uint64 arrays. integers(4) takes one buffered 32-bit
     half of a raw output per draw, and Lemire's method never rejects for a
-    range of 4, so a draw is the half's top two bits.
+    range of 4, so a draw is the half's top two bits. The first two draws
+    share one raw output; only the third takes a second PCG64 step.
     """
     if not 0 <= n_blocks <= MAX_BLOCKS:
         raise ValueError(f"n_blocks must be in 0..{MAX_BLOCKS}, got {n_blocks}")
@@ -390,15 +391,17 @@ def _draw_grid(seeds: np.ndarray, n_blocks: int) -> np.ndarray:
     hi = inc_hi + v0 + (lo < inc_lo)
     hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
     raw = []
-    for _ in range(2):  # next64: step, then XSL-RR output
+    for _ in range((rows + 1) // 2):  # next64: step, then XSL-RR output
         hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
         x, rot = hi ^ lo, hi >> 58
         raw.append((x >> rot) | (x << ((64 - rot) & 63)))
 
-    draws = np.empty((3, len(seeds), n_blocks), dtype=np.uint8)
+    draws = np.empty((rows, len(seeds), n_blocks), dtype=np.uint8)
     draws[0] = (raw[0] & _M32) >> 30
-    draws[1] = raw[0] >> 62
-    draws[2] = (raw[1] & _M32) >> 30
+    if rows > 1:
+        draws[1] = raw[0] >> 62
+    if rows > 2:
+        draws[2] = (raw[1] & _M32) >> 30
     return draws
 
 
@@ -629,8 +632,11 @@ def _block_codes(config: SessionConfig, seeds: np.ndarray) -> tuple[np.ndarray, 
     table = generate_decode_table()
     n = config.usable_blocks
     # Fixed draw order per block: Alice's fallback op, Bob's, then the
-    # a-side label; both parties must consume the stream identically.
-    draws = iter(_draw_grid(seeds, n).astype(np.intp))
+    # a-side label; both parties must consume the stream identically. A
+    # side with its own ops draws none, so only the draws used are made.
+    random_sides = sum(not sends and config.fallback is SilentFallback.RANDOM_OPS
+                       for sends in (config.alice_sends, config.bob_sends))
+    draws = iter(_draw_grid(seeds, n, 1 + random_sides).astype(np.intp))
     ops = []
     for side, sends in (("A", config.alice_sends), ("B", config.bob_sends)):
         if sends:
@@ -966,14 +972,19 @@ def substrate_hello(side: str, config: SessionConfig) -> dict:
         "fallback": config.fallback.value,
         "seed": config.seed,
         "declared_length": message.declared_length if has_message else None,
-        "ops": _message_codes(message).tolist() if has_message else None,
+        "ops": _ops_text(message) if has_message else None,
     }
+
+
+def _ops_text(message: MessageBits) -> str:
+    """A hello's ops: one ASCII character 0-3 per operation code."""
+    return (_message_codes(message) + ord("0")).astype(np.uint8).tobytes().decode("ascii")
 
 
 def _hello_limit(config: SessionConfig) -> int:
     """Byte bound on a peer hello that matches `config`: fixed fields, the
-    seed's digits, and about two bytes per op for at most one op a block."""
-    return 256 + len(str(config.seed)) + 2 * config.usable_blocks
+    seed's digits, and one byte per op for at most one op a block."""
+    return 256 + len(str(config.seed)) + config.usable_blocks
 
 
 def _peer_message(hello: dict, peer_side: str, config: SessionConfig) -> MessageBits | None:
@@ -999,13 +1010,16 @@ def _peer_message(hello: dict, peer_side: str, config: SessionConfig) -> Message
     if type(length) is not int or length < 0:  # bool is an int subclass
         raise SessionError(f"invalid substrate hello: declared_length {length!r}")
     n_ops = (length + 1) // 2
-    if (not isinstance(ops, list) or len(ops) != n_ops
-            or ops and (set(map(type, ops)) != {int} or min(ops) < 0 or max(ops) > 3)):
+    # Deleting every 0-3 from the ASCII bytes leaves nothing, as MessageBits
+    # checks its bits.
+    if (not isinstance(ops, str) or len(ops) != n_ops or not ops.isascii()
+            or ops.encode("ascii").translate(None, b"0123")):
         raise SessionError(
-            f"invalid substrate hello: ops must be {n_ops} integers in 0..3"
+            f"invalid substrate hello: ops must be a string of {n_ops} codes 0-3"
         )
+    codes = np.frombuffer(ops.encode("ascii"), dtype=np.uint8) - ord("0")
     try:
-        return _message_from_codes(np.array(ops, dtype=np.intp), length)
+        return _message_from_codes(codes, length)
     except ValueError as exc:
         raise SessionError(f"invalid substrate hello: {exc}") from exc
 

@@ -21,6 +21,7 @@ from swapcomm.channel import (
     FrameError,
     InProcessChannel,
     OrderingError,
+    SUBSTRATE_PREAMBLE,
     SessionListener,
     SubstrateLink,
     TcpEndpoint,
@@ -496,15 +497,22 @@ class TestTcpChannel:
         near, far = socket.socketpair()
         endpoint = TcpEndpoint(near, side="A", timeout=5.0)
         far.settimeout(0)
+        wire, received = lines.wire_bytes(), bytearray()
+
+        def drain():  # the lines outgrow the socket buffers, so flush needs a reader
+            while len(received) < len(wire):
+                received.extend(far.recv(len(wire)))
+
+        reader = threading.Thread(target=drain)
         try:
             endpoint.send_lines(lines)
             with pytest.raises(BlockingIOError):  # more than a window, and no byte yet
                 far.recv(1)
-            endpoint.flush()
             far.settimeout(5.0)
-            wire, received = lines.wire_bytes(), bytearray()
-            while len(received) < len(wire):
-                received += far.recv(len(wire))
+            reader.start()
+            endpoint.flush()
+            reader.join(timeout=10)
+            assert not reader.is_alive()
             assert received == wire
         finally:
             endpoint.close()
@@ -528,6 +536,33 @@ class TestTcpChannel:
             listener.accept()
         t.join()
         listener.close()
+
+    def test_listener_refuses_a_v1_substrate_peer(self):
+        """A peer of substrate v1, whose hello held its ops as a list, is
+        refused at its preamble, with both preambles named."""
+        listener = SessionListener("127.0.0.1", 0, timeout=5.0)
+        host, port = listener.address
+
+        def old_peer():
+            with socket.create_connection((host, port), timeout=5.0) as sock:
+                sock.sendall(b"swapcomm-substrate v1\n")
+                try:
+                    sock.recv(1)  # until the listener closes it
+                except OSError:
+                    pass
+
+        t = threading.Thread(target=old_peer)
+        t.start()
+        try:
+            with pytest.raises(TransportError) as info:
+                listener.accept()
+        finally:
+            t.join(timeout=10)
+            listener.close()
+        assert SUBSTRATE_PREAMBLE == b"swapcomm-substrate v2\n"
+        assert str(info.value) == (
+            "unexpected preamble b'swapcomm-substrate v1\\n', "
+            "wanted b'swapcomm-substrate v2\\n'")
 
 
 class TestBoundedReads:
@@ -646,6 +681,9 @@ class TestBoundedReads:
             sender.send_hello(substrate_hello("B", config))
             hello = receiver.receive_hello(_hello_limit(config))
             assert len(hello["ops"]) == 5_000
+            # One byte per op: the limit is within the fixed fields' allowance.
+            line = json.dumps(hello, separators=(",", ":")).encode() + b"\n"
+            assert len(line) <= _hello_limit(config) < len(line) + 256
         finally:
             sender.close()
             receiver.close()
@@ -738,15 +776,18 @@ class TestWindowedExchange:
         ("peer closed", "peer closed the connection"),
     ]
 
+    # About four windows: the faults fall in the middle of the second.
+    PAIRS = 4 * TCP_WINDOW_LINES - 48
     CONFIG = SessionConfig(
-        n_pairs=2000, seed=17,
-        alice_message=_random_bits(2000, 1), bob_message=_random_bits(1998, 2),
+        n_pairs=PAIRS, seed=17,
+        alice_message=_random_bits(PAIRS, 1), bob_message=_random_bits(PAIRS - 2, 2),
     )
 
     def test_small_socket_buffers_do_not_deadlock(self):
+        pairs = 6 * TCP_WINDOW_LINES - 72
         config = SessionConfig(
-            n_pairs=3000, seed=23,
-            alice_message=_random_bits(3000, 3), bob_message=_random_bits(3000, 4),
+            n_pairs=pairs, seed=23,
+            alice_message=_random_bits(pairs, 3), bob_message=_random_bits(pairs, 4),
         )
         expected = run_session(config).transcript
         windows = -(-len(expected.announcements) // TCP_WINDOW_LINES)
@@ -864,7 +905,7 @@ class TestWindowedExchange:
         bob_msg.write_text(self.CONFIG.bob_message.bits)
         out = tmp_path / "never.json"
         code = main([
-            "connect", "--peer", f"{host}:{port}", "--pairs", "2000", "--seed", "17",
+            "connect", "--peer", f"{host}:{port}", "--pairs", str(self.PAIRS), "--seed", "17",
             "--bob-msg", f"@{bob_msg}", "--timeout", "10", "--out", str(out),
         ])
         server.join(timeout=10)

@@ -5,6 +5,7 @@ import functools
 import gc
 import io
 import json
+import os
 import random
 import re
 import resource
@@ -40,6 +41,7 @@ from swapcomm.channel import (
     Announcement,
     FrameError,
     SessionListener,
+    TcpEndpoint,
 )
 from swapcomm.cli import main
 from swapcomm.protocol import (
@@ -1470,10 +1472,11 @@ class TestNetworkedCli:
         assert serve_doc["session"]["party"] == "A"
 
     def test_deeply_nested_hello_exits_3(self, tmp_path):
-        """A peer whose substrate hello nests 5 000 lists deep: exit 3."""
+        """A peer whose substrate hello nests 5 000 lists deep: exit 3. At
+        20 000 pairs its 10 001 bytes are within the hello limit."""
         server = subprocess.Popen(
             [sys.executable, "-m", "swapcomm", "serve",
-             "--listen", "127.0.0.1:0", "--pairs", "10000", "--alice-msg", "0",
+             "--listen", "127.0.0.1:0", "--pairs", "20000", "--alice-msg", "0",
              "--seed", "7", "--timeout", "10", "--out", str(tmp_path / "never.json")],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
@@ -1624,7 +1627,7 @@ class TestNetworkedCli:
         listener = SessionListener("127.0.0.1", 0, timeout=10.0)
         host, port = listener.address
         peer = SessionConfig(n_pairs=4, seed=7, alice_message=MessageBits.from_bits("0110"))
-        hello = {**substrate_hello("A", peer), "declared_length": 8, "ops": [0, 1, 2, 3]}
+        hello = {**substrate_hello("A", peer), "declared_length": 8, "ops": "0123"}
 
         def hostile_server():
             substrate, endpoint = listener.accept()
@@ -1647,6 +1650,86 @@ class TestNetworkedCli:
         assert code == 3
         assert not out.exists()
         assert "invalid substrate hello" in captured.err
+
+    def test_a_v1_substrate_peer_is_refused_at_its_preamble(self, tmp_path):
+        """A peer of substrate v1, whose hello held its ops as a list: serve
+        exits 3 with one line naming both preambles, and writes nothing."""
+        out = tmp_path / "never.json"
+        server = subprocess.Popen(
+            [sys.executable, "-m", "swapcomm", "serve",
+             "--listen", "127.0.0.1:0", "--pairs", "6", "--alice-msg", "011110",
+             "--seed", "7", "--timeout", "10", "--out", str(out)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            host, port = server.stdout.readline().split()[1].rsplit(":", 1)
+            with socket.create_connection((host, int(port)), timeout=10) as substrate:
+                substrate.sendall(b"swapcomm-substrate v1\n")
+                _, err = server.communicate(timeout=15)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 3, err
+        assert err.splitlines() == [
+            "swapcomm: unexpected preamble b'swapcomm-substrate v1\\n', "
+            "wanted b'swapcomm-substrate v2\\n'"]
+        assert SUBSTRATE_PREAMBLE == b"swapcomm-substrate v2\n"
+        assert not out.exists()
+
+    def test_a_broken_pipe_on_the_socket_is_a_transport_failure(
+            self, monkeypatch, tmp_path, capsys):
+        """EPIPE from a public socket whose peer has gone is the session's
+        transport failure (exit 3), not a closed stdout."""
+        peer = SessionConfig(n_pairs=8, seed=7, bob_message=MessageBits.from_bits("1011"))
+        near, far = socket.socketpair()
+        far.close()
+
+        class PeerHello:
+            def send_hello(self, hello):
+                pass
+
+            def receive_hello(self, limit):
+                return substrate_hello("B", peer)
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(cli, "_listen", lambda args: (PeerHello(), TcpEndpoint(near, "A")))
+        out = tmp_path / "never.json"
+        code, captured = run_cli(
+            "serve", "--listen", "127.0.0.1:0", "--pairs", "8", "--seed", "7",
+            "--alice-msg", "0110", "--out", str(out), capsys=capsys,
+        )
+        assert code == 3
+        assert captured.err == "swapcomm: send failed: [Errno 32] Broken pipe\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("read", [0, 10])
+    def test_a_closed_stdout_ends_quietly_with_141(self, read, unbuffered):
+        """A reader that closes stdout after 10 bytes, as `| head -c 10`
+        does, or before the first: exit 141 (128 + SIGPIPE), with nothing on
+        stderr. Buffered, stdout can still hold bytes at exit, and writing
+        them must not fail again."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        process = subprocess.Popen(
+            [sys.executable, "-m", "swapcomm", "simulate", "--pairs", "20000", "--seed", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            head = process.stdout.read(read)
+            process.stdout.close()
+            err = process.stderr.read()
+            code = process.wait(timeout=60)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+        assert head == b'{\n  "tool"'[:read]
+        assert (code, err) == (141, b"")
 
 
 # Run in a fresh process: `cli.main` becomes a probe that prints the freeze

@@ -51,7 +51,7 @@ def _block_draws(seed, n_blocks):
     """The first three integers(4) draws of block_rng(seed, k) for every
     block k in 1..n_blocks, as row k-1 of an (n_blocks, 3) uint8 array:
     the one-seed case of _draw_grid."""
-    return _draw_grid(_seed_column(seed), n_blocks)[:, 0].T
+    return _draw_grid(_seed_column(seed), n_blocks, 3)[:, 0].T
 
 
 def fixed_op_outcomes(op_a, op_b, n_blocks, seed):
@@ -508,10 +508,25 @@ class TestBatchedSampling:
     @settings(max_examples=40, deadline=None)
     @given(seeds=st.lists(st.integers(0, 2**64 - 1), max_size=4), n_blocks=st.integers(0, 30))
     def test_draw_grid_rows_equal_block_draws(self, seeds, n_blocks):
-        grid = _draw_grid(np.array(seeds, dtype=np.uint64), n_blocks)
+        grid = _draw_grid(np.array(seeds, dtype=np.uint64), n_blocks, 3)
         assert grid.shape == (3, len(seeds), n_blocks) and grid.dtype == np.uint8
         for i, seed in enumerate(seeds):
             assert np.array_equal(grid[:, i].T, _block_draws(seed, n_blocks))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 2**64 - 1), max_size=4), n_blocks=st.integers(0, 30),
+           rows=st.integers(1, 3))
+    def test_grid_of_fewer_rows_is_the_first_rows(self, seeds, n_blocks, rows):
+        """A grid of k rows is the first k rows of the 3-row grid, and the
+        first k draws of each block's block_rng."""
+        column = np.array(seeds, dtype=np.uint64)
+        grid = _draw_grid(column, n_blocks, rows)
+        assert grid.shape == (rows, len(seeds), n_blocks) and grid.dtype == np.uint8
+        assert np.array_equal(grid, _draw_grid(column, n_blocks, 3)[:rows])
+        for i, seed in enumerate(seeds):
+            for k in range(1, n_blocks + 1):
+                rng = block_rng(seed, k)
+                assert grid[:, i, k - 1].tolist() == [int(rng.integers(4)) for _ in range(rows)]
 
     def test_decodes_exactly_counts_declared_bits_only(self):
         """"101" is stored as codes [2, 2]; the last code's low bit is padding."""
@@ -711,7 +726,8 @@ class TestPeerCheck:
 
 _HELLO_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-5, 2**70) | st.floats() | st.text(max_size=6)
-    | st.sampled_from(["hello", "A", "B", "bidirectional", "random", 1, 8, 4, [2, 3]]),
+    | st.sampled_from(["hello", "A", "B", "bidirectional", "random", 1, 8, 4, [2, 3],
+                       "23", "2", "231", "2\u0663", "2\ud800"]),
     lambda children: (st.lists(children, max_size=5)
                       | st.dictionaries(st.text(max_size=3), children, max_size=3)),
     max_leaves=8,
@@ -723,26 +739,31 @@ class TestSubstrateHelloSchema:
     before any announcement is sent."""
 
     MINE = SessionConfig(n_pairs=8, seed=1, alice_message=MessageBits.from_bits("0110"))
-    # The well-formed peer hello: Bob's "1011" is ops [2, 3].
+    # The well-formed peer hello: Bob's "1011" is ops "23".
     PEER = substrate_hello("B", dataclasses.replace(
         MINE, alice_message=None, bob_message=MessageBits.from_bits("1011")))
 
     @pytest.mark.parametrize("fields", [
-        {"declared_length": True, "ops": [2]},
-        {"declared_length": -2, "ops": []},
+        {"declared_length": True, "ops": "2"},
+        {"declared_length": -2, "ops": ""},
         {"declared_length": "4"},
         {"declared_length": 4.0},
         {"declared_length": None},
         {"ops": None},
-        {"ops": "23"},
+        {"ops": [2, 3]},  # the list form of substrate v1
         {"ops": [2.0, 3]},
         {"ops": [2, True]},
-        {"ops": [2, 4]},
-        {"ops": [-1, 3]},
-        {"ops": [2, 3, 1]},
-        {"ops": [2]},
-        {"declared_length": 3, "ops": [2, 3]},  # nonzero padding bit
-        {"declared_length": 20, "ops": [0] * 10},  # over capacity
+        {"ops": 23},
+        {"ops": "24"},
+        {"ops": "/3"},
+        {"ops": "2\u0663"},  # ARABIC-INDIC DIGIT THREE: a digit, not ASCII
+        {"ops": "2\ud800"},  # a lone surrogate
+        {"ops": "2 "},
+        {"ops": "231"},
+        {"ops": "2"},
+        {"ops": ""},
+        {"declared_length": 3, "ops": "23"},  # nonzero padding bit
+        {"declared_length": 20, "ops": "0" * 10},  # over capacity
         {"seed": True},
         {"seed": 1.0},
         {"n_pairs": "8"},
@@ -755,6 +776,15 @@ class TestSubstrateHelloSchema:
             run_remote_party("A", self.MINE, substrate, endpoint)
         assert endpoint.tap() == ()
 
+    def test_ops_travel_as_one_character_per_op(self):
+        assert self.PEER["ops"] == "23"
+        assert _peer_message(self.PEER, "B", self.MINE) == MessageBits.from_bits("1011")
+
+    @pytest.mark.parametrize("ops", [[2, 3], "24", "2\u0663", "2\ud800", "231", "2"], ids=repr)
+    def test_malformed_ops_name_their_encoding(self, ops):
+        with pytest.raises(SessionError, match="ops must be a string of 2 codes 0-3"):
+            _peer_message({**self.PEER, "ops": ops}, "B", self.MINE)
+
     def test_bool_n_pairs_rejected(self):
         mine = SessionConfig(n_pairs=1, seed=1)
         peer = {**substrate_hello("B", mine), "n_pairs": True}
@@ -764,7 +794,7 @@ class TestSubstrateHelloSchema:
     def test_message_from_a_silent_peer_rejected(self):
         mine = SessionConfig(n_pairs=8, seed=1, mode=SessionMode.ALICE_TO_BOB,
                              alice_message=MessageBits.from_bits("0110"))
-        peer = {**substrate_hello("B", mine), "declared_length": 2, "ops": [1]}
+        peer = {**substrate_hello("B", mine), "declared_length": 2, "ops": "1"}
         with pytest.raises(SessionError, match="no sending role"):
             run_remote_party("A", mine, _ScriptedSubstrate(peer), _ScriptedEndpoint())
 
