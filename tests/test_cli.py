@@ -1382,13 +1382,15 @@ class TestReplayProperties:
         def as_the_record_walk(want):
             """The per-record path built its flag columns before its walk
             of the records, and numpy refused a flag that is a JSON array.
-            The column path raises the walk's error for that row."""
+            The column path raises the walk's first error: a row before
+            the array's may fail first. The reference's walk gives it with
+            None for the array, which no mode's flag equals either."""
             if not (isinstance(want, tuple) and want[1].startswith("setting an array element")):
                 return want
-            pos = next(pos for pos, row in enumerate(rows_doc["private"]["blocks"], start=1)
-                       if isinstance(row.get("announced_a"), list)
-                       or isinstance(row.get("announced_b"), list))
-            return ReplayError, f"block {pos}: announced flags disagree with the session mode", pos
+            unlisted = tuple(dataclasses.replace(rec, **{
+                flag: None for flag in ("announced_a", "announced_b")
+                if isinstance(getattr(rec, flag), list)}) for rec in records)
+            return outcome(lambda _: reference_replay.replay(transcript, unlisted))
 
         assert outcome(documents.replay_document, doc) == as_the_column_reader(
             outcome(reference_replay.replay_document, _as_rows(doc)))
