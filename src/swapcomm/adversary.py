@@ -43,7 +43,6 @@ from typing import Mapping
 
 import numpy as np
 
-from . import jsontext
 from .channel import SIDES
 from .protocol import Transcript
 from .quantum import BellLabel, PauliCode
@@ -322,23 +321,16 @@ def eve_posterior(view: EveView, priors: Mapping[OpPair, float]) -> PosteriorRep
     return PosteriorReport(tuple(views), which)
 
 
-# The fields of a per-block row, in order. A view's index is 0.
-_ROW_FIELDS = ("index", "pattern", "consistent", "prior_entropy_bits", "posterior_entropy_bits",
-               "mi_alice_bits", "mi_bob_bits", "mi_joint_bits")
-
-
 def information_summary(
     report: PosteriorReport, priors: Mapping[OpPair, float]
 ) -> dict:
-    """Per-block rows and session totals of the entropy and MI bookkeeping.
+    """Session totals of the entropy and MI bookkeeping, under "session".
 
     Blocks are independent, so session totals are sums; inconsistent blocks
-    are excluded from the posterior-entropy total and listed instead. The
-    per-block rows are a read-only jsontext.KeyedItems, built only when read.
+    are excluded from the posterior-entropy total and listed instead.
     """
     priors_vec = _validate_priors(priors)
     prior_entropy = _entropy_bits(priors_vec)
-    kinds = [{field: getattr(view, field) for field in _ROW_FIELDS} for view in report.views]
     which = report.which
     session = {
         "blocks": len(which),
@@ -351,7 +343,7 @@ def information_summary(
         "mi_joint_bits": _block_sum(report, "mi_joint_bits", which),
         "inconsistent_blocks": list(report.inconsistent_blocks),
     }
-    return {"per_block": jsontext.KeyedItems(kinds, which.tolist()), "session": session}
+    return {"session": session}
 
 
 def estimate_mi_monte_carlo(

@@ -10,12 +10,12 @@ code column, the code naming one of the 14 (side, kind, label) a line can
 have. Announcement objects are built from them only when read, and wire
 text is cut from a per-session template. A tap holds CodedLines only,
 admitted through an order gate that finds the first line out of its
-session's block order as whole arrays. The per-line calls
-(InProcessEndpoint, and TcpEndpoint.send and receive) wrap one-line
-CodedLines. The in-process channel delivers and taps a window of both
-sides' lines at once, in schedule order. A TcpEndpoint plays
-`window` (TCP_WINDOW_LINES) schedule lines at a time, a window's A lines,
-then its B lines (protocol._play), and buffers what it sends until it
+session's block order as whole arrays. The per-line calls of
+InProcessEndpoint wrap one-line CodedLines. The in-process channel
+delivers and taps a window of both sides' lines at once, in schedule
+order. A TcpEndpoint plays `window` (TCP_WINDOW_LINES) schedule lines
+at a time, a window's A lines, then its B lines (protocol._play), one
+send or receive call each, and buffers what it sends until it
 next reads, so a window costs one sendall. One side writes while the
 other reads, so the exchange cannot deadlock at any socket buffer size,
 and a party buffers at most one window of its own lines. Both parties
@@ -348,15 +348,6 @@ def _announcements(tap: list[CodedLines]) -> tuple[Announcement, ...]:
     return tuple(chain.from_iterable(lines.announcements() for lines in tap))
 
 
-def _peer_line(ann: Announcement, session_id: str, byte_offset: int) -> CodedLines:
-    """A received announcement as one coded line of session `session_id`;
-    one that no such line holds is a FrameError at its offset."""
-    try:
-        return CodedLines.of(session_id, (ann,))
-    except ValueError as exc:
-        raise FrameError(f"invalid frame: {exc}", byte_offset) from exc
-
-
 class _OrderGate:
     """Admits lines to a tap while each side's Measurement blocks strictly
     increase within each session."""
@@ -469,10 +460,7 @@ class TcpEndpoint:
         self._tap: list[CodedLines] = []
         self._out: list[bytes] = []  # wire text of the lines sent since the last write
 
-    def send(self, ann: Announcement) -> None:
-        self.send_lines(CodedLines.of(ann.session_id, (ann,)))
-
-    def send_lines(self, lines: CodedLines) -> None:
+    def send(self, lines: CodedLines) -> None:
         """Buffer and tap every line of `lines`, written from the wire template."""
         other = np.flatnonzero(_LINE_SIDE[lines.codes] != SIDES.index(self.side))
         if other.size:
@@ -506,15 +494,7 @@ class TcpEndpoint:
         if self._recv_error is not None:
             raise TransportError(f"receive failed: {self._recv_error}") from self._recv_error
 
-    def receive(self) -> Announcement:
-        """Read, check and tap one peer line, of any session."""
-        self.flush()  # the peer reads them before it writes
-        line, offset = self._read_frame()
-        ann = Announcement.from_wire(line, offset)
-        self._gate.admit(_peer_line(ann, ann.session_id, offset), self._tap)
-        return ann
-
-    def receive_lines(self, expected: CodedLines) -> tuple[Announcement, Announcement] | None:
+    def receive(self, expected: CodedLines) -> tuple[Announcement, Announcement] | None:
         """Read one line per line of `expected` and check each against it:
         None if every line is the expected announcement, else (received,
         expected) for the first that is not, which is the last line read.
@@ -522,10 +502,10 @@ class TcpEndpoint:
         If the stream's next bytes are the wire text of `expected`, they
         are read at once. Otherwise each line is read in turn: one with the
         expected text, or another spelling of the expected announcement, is
-        read on. Any other line is parsed and checked as receive() does, so
-        its errors and byte offsets are the same, and a line of another
-        session, or with a block above _MAX_BLOCK, is a FrameError at its
-        offset. The lines read before it are tapped as `expected`.
+        read on. Any other line takes Announcement.from_wire's strict
+        parse, with its errors and byte offsets; a line of another session,
+        or with a block above _MAX_BLOCK, is a FrameError at its offset.
+        The lines read before it are tapped as `expected`.
         """
         self.flush()  # the peer reads them before it writes
         wire = expected.wire_bytes()
@@ -540,7 +520,10 @@ class TcpEndpoint:
                 if line == text:
                     continue
                 ann = Announcement.from_wire(line, offset)
-                received = _peer_line(ann, expected.session_id, offset)
+                try:
+                    received = CodedLines.of(expected.session_id, (ann,))
+                except ValueError as exc:  # a line that no column of the session holds
+                    raise FrameError(f"invalid frame: {exc}", offset) from exc
                 want = expected.announcement(i)
                 if ann == want:
                     continue

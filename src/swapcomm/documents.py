@@ -242,8 +242,21 @@ def _read_block_table(doc: dict, n: int) -> np.ndarray:
     return np.array(codes)
 
 
+def _section(doc: dict, name: str, fields) -> dict:
+    """doc[name], a JSON object that must hold every one of `fields`."""
+    section = doc.get(name)
+    if not isinstance(section, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    for field in fields:
+        if field not in section:
+            raise ValueError(f"{name} has no field {field!r}")
+    return section
+
+
 def replay_document(doc: dict) -> SessionResult:
     """Re-derive the decoded messages recorded in a session document."""
+    if not isinstance(doc, dict):
+        raise ValueError("document must be a JSON object")
     if doc.get("kind") != "session-run":
         raise ValueError(f"cannot replay a {doc.get('kind')!r} document")
     transcript = transcript_from_document(doc)
@@ -261,11 +274,11 @@ def _block_kinds(doc: dict, fmt: str) -> tuple[list, list]:
     """A session-run document's distinct kinds of block, each a tuple of
     its six fields' values, in the order of their numbers (a digit per
     field in the range of its values), and each block's kind."""
-    if doc.get("kind") != "session-run":
+    if not isinstance(doc, dict) or doc.get("kind") != "session-run":
         raise ValueError(f"{fmt} format applies to session-run documents only")
     lows, values = zip(*_ROW_FIELDS.values())
     ranges = list(map(len, values))
-    codes = _read_block_table(doc, doc["session"]["usable_blocks"])
+    codes = _read_block_table(doc, _section(doc, "session", ["usable_blocks"])["usable_blocks"])
     kind = np.ravel_multi_index(tuple(codes - np.array(lows)[:, None]), ranges)
     seen = np.bincount(kind, minlength=1) > 0
     digits = np.unravel_index(np.flatnonzero(seen), ranges)
@@ -290,8 +303,9 @@ def render_text(doc: dict, write) -> None:
     made once, and block k's numbers, k, 2k-1 and 2k, are spliced in by
     jsontext.write_rows."""
     kinds, which = _block_kinds(doc, "text")
-    s = doc["session"]
-    p = doc["private"]
+    s = _section(doc, "session", ["id", "mode", "fallback", "n_pairs", "seed", "idle_final_pair"])
+    p = _section(doc, "private", ["alice_message", "bob_message",
+                                  "decoded_by_alice", "decoded_by_bob"])
     write(f"session {s['id']}  mode={s['mode']}  fallback={s['fallback']}  "
           f"pairs={s['n_pairs']}  seed={s['seed']}\n")
     write(f"blocks: {s['usable_blocks']}"

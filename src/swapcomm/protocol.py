@@ -810,9 +810,9 @@ def _exchange_remote(side: str, endpoint, schedule: CodedLines):
             if not len(lines):
                 continue
             if announcer == side:
-                endpoint.send_lines(lines)
+                endpoint.send(lines)
                 continue
-            mismatch = endpoint.receive_lines(lines)
+            mismatch = endpoint.receive(lines)
             if mismatch is not None:
                 return (*mismatch, endpoint.tap())
     endpoint.finish()

@@ -505,7 +505,7 @@ class TestTcpChannel:
 
         reader = threading.Thread(target=drain)
         try:
-            endpoint.send_lines(lines)
+            endpoint.send(lines)
             with pytest.raises(BlockingIOError):  # more than a window, and no byte yet
                 far.recv(1)
             far.settimeout(5.0)
@@ -514,6 +514,25 @@ class TestTcpChannel:
             reader.join(timeout=10)
             assert not reader.is_alive()
             assert received == wire
+        finally:
+            endpoint.close()
+            far.close()
+
+    def test_send_refuses_the_other_sides_lines(self):
+        """A window that holds a line of the peer's side is refused whole:
+        nothing of it is buffered, written or tapped."""
+        near, far = socket.socketpair()
+        endpoint = TcpEndpoint(near, side="A", timeout=5.0)
+        far.settimeout(0)
+        lines = _coded([meas(1, "A", BellLabel.PHI_PLUS), meas(1, "B", BellLabel.PSI_MINUS)])
+        try:
+            with pytest.raises(ChannelError) as err:
+                endpoint.send(lines)
+            assert str(err.value) == "endpoint A cannot send for side B"
+            endpoint.flush()
+            with pytest.raises(BlockingIOError):
+                far.recv(1)
+            assert endpoint.tap() == ()
         finally:
             endpoint.close()
             far.close()
@@ -568,92 +587,66 @@ class TestTcpChannel:
 class TestBoundedReads:
     """Every read off a socket has a byte limit; socketpair stands in for TCP."""
 
-    def test_overlong_frame_is_a_frame_error_at_its_offset(self):
-        near, far = socket.socketpair()
-        endpoint = TcpEndpoint(near, side="A", timeout=5.0)
-        first = meas(1, "B", BellLabel.PHI_PLUS).to_wire().encode() + b"\n"
-        far.sendall(first + b"x" * (2 * MAX_FRAME_BYTES) + b"\n")
-        try:
-            assert endpoint.receive() == meas(1, "B", BellLabel.PHI_PLUS)
-            with pytest.raises(FrameError, match=f"within {MAX_FRAME_BYTES} bytes") as info:
-                endpoint.receive()
-            assert info.value.byte_offset == len(first)
-        finally:
-            endpoint.close()
-            far.close()
-
-    def test_frame_at_the_limit_is_read(self):
-        near, far = socket.socketpair()
-        endpoint = TcpEndpoint(near, side="A", timeout=5.0)
-        line = meas(1, "B", BellLabel.PHI_PLUS).to_wire()
-        line = line[:-1] + " " * (MAX_FRAME_BYTES - len(line) - 1) + "}"
-        far.sendall(line.encode() + b"\n")
-        try:
-            assert endpoint.receive() == meas(1, "B", BellLabel.PHI_PLUS)
-        finally:
-            endpoint.close()
-            far.close()
-
-    def test_receive_lines_accepts_an_equal_line_in_another_spelling(self):
+    @pytest.mark.parametrize("spelling", ["spaced", "padded to the frame limit"])
+    def test_receive_accepts_an_equal_line_in_another_spelling(self, spelling):
         near, far = socket.socketpair()
         endpoint = TcpEndpoint(near, side="A", timeout=5.0)
         anns = (meas(1, "B", BellLabel.PHI_PLUS), meas(2, "B", BellLabel.PSI_MINUS),
                 meas(3, "B", BellLabel.PSI_PLUS))
-        spaced = json.dumps(json.loads(anns[1].to_wire()), indent=None)  # ", " and ": "
-        assert spaced != anns[1].to_wire()
-        far.sendall("\n".join([anns[0].to_wire(), spaced, anns[2].to_wire()]).encode() + b"\n")
+        line = anns[1].to_wire()
+        if spelling == "spaced":
+            spelled = json.dumps(json.loads(line), indent=None)  # ", " and ": "
+        else:  # with its newline, the longest frame that is read
+            spelled = line[:-1] + " " * (MAX_FRAME_BYTES - len(line) - 1) + "}"
+            assert len(spelled.encode()) + 1 == MAX_FRAME_BYTES
+        assert spelled != line
+        far.sendall("\n".join([anns[0].to_wire(), spelled, anns[2].to_wire()]).encode() + b"\n")
         try:
-            assert endpoint.receive_lines(_coded(anns)) is None
+            assert endpoint.receive(_coded(anns)) is None
             assert endpoint.tap() == anns
             assert len(endpoint._tap) == 1  # the respelled line joined the expected lines
         finally:
             endpoint.close()
             far.close()
 
-    @pytest.mark.parametrize("sid, block, message", [
-        ("s2", 2, "invalid frame: announcement names session 's2', not 's1'"),
-        ("s1", 10**23, f"invalid frame: announcement block {10**23} is above {2**63 - 1}"),
-    ])
-    def test_receive_lines_refuses_a_line_no_column_holds(self, sid, block, message):
-        """A peer line of another session, or with a block past int64, is a
-        FrameError at its offset; the lines before it are tapped."""
+    @pytest.mark.parametrize("lead", [0, 1])
+    @pytest.mark.parametrize("line, message", [
+        (meas(2, "B", BellLabel.PSI_MINUS, sid="s2").to_wire(),
+         "invalid frame: announcement names session 's2', not 's1'"),
+        (meas(10**23, "B", BellLabel.PSI_MINUS).to_wire(),
+         f"invalid frame: announcement block {10**23} is above {2**63 - 1}"),
+        (meas(2**63, "B", BellLabel.PSI_MINUS).to_wire(),
+         f"invalid frame: announcement block {2**63} is above {2**63 - 1}"),
+        ("x" * (2 * MAX_FRAME_BYTES),
+         f"frame is not newline-terminated within {MAX_FRAME_BYTES} bytes"),
+    ], ids=["other-session", "block-past-int64", "block-at-2**63", "overlong"])
+    def test_receive_refuses_a_bad_line_at_its_offset(self, line, message, lead):
+        """A peer line of another session, with a block past int64, or with
+        no newline within MAX_FRAME_BYTES is a FrameError at its offset,
+        after `lead` good lines; the lines before it are tapped."""
         near, far = socket.socketpair()
         endpoint = TcpEndpoint(near, side="A", timeout=5.0)
         anns = (meas(1, "B", BellLabel.PHI_PLUS), meas(2, "B", BellLabel.PSI_MINUS))
-        first = anns[0].to_wire().encode() + b"\n"
-        far.sendall(first + meas(block, "B", BellLabel.PSI_MINUS, sid=sid).to_wire().encode()
-                    + b"\n")
+        before = "".join(ann.to_wire() + "\n" for ann in anns[:lead]).encode()
+        far.sendall(before + line.encode() + b"\n")
         try:
             with pytest.raises(FrameError) as err:
-                endpoint.receive_lines(_coded(anns))
-            assert str(err.value) == f"{message} (at byte {len(first)})"
-            assert err.value.byte_offset == len(first)
-            assert endpoint.tap() == anns[:1]
+                endpoint.receive(_coded(anns))
+            assert str(err.value) == f"{message} (at byte {len(before)})"
+            assert err.value.byte_offset == len(before)
+            assert endpoint.tap() == anns[:lead]
         finally:
             endpoint.close()
             far.close()
 
-    def test_receive_refuses_a_block_past_int64(self):
-        near, far = socket.socketpair()
-        endpoint = TcpEndpoint(near, side="A", timeout=5.0)
-        far.sendall(meas(2**63, "B", BellLabel.PHI_PLUS).to_wire().encode() + b"\n")
-        try:
-            with pytest.raises(FrameError, match="above") as err:
-                endpoint.receive()
-            assert err.value.byte_offset == 0
-            assert endpoint.tap() == ()
-        finally:
-            endpoint.close()
-            far.close()
-
-    def test_receive_lines_stops_at_the_first_line_that_differs(self):
+    def test_receive_stops_at_the_first_line_that_differs(self):
         near, far = socket.socketpair()
         endpoint = TcpEndpoint(near, side="A", timeout=5.0)
         anns = (meas(1, "B", BellLabel.PHI_PLUS), meas(2, "B", BellLabel.PSI_MINUS))
         wrong = meas(2, "B", BellLabel.PHI_MINUS)
         far.sendall(f"{anns[0].to_wire()}\n{wrong.to_wire()}\n".encode())
         try:
-            assert endpoint.receive_lines(_coded(anns)) == (wrong, anns[1])
+            assert endpoint.receive(_coded(anns)) == (wrong, anns[1])
             assert endpoint.tap() == (anns[0], wrong)
         finally:
             endpoint.close()
@@ -1005,7 +998,10 @@ class _ReferenceGate:
 
 
 class _Reference(ReferenceEndpoint):
-    """The per-line reader, with the order gate and the tap it had."""
+    """The per-line reader, with the order gate and the tap it had, read
+    through the name the window read took."""
+
+    receive = ReferenceEndpoint.receive_lines
 
     def __init__(self, sock, side, timeout=10.0):
         super().__init__(sock, side, timeout)
@@ -1053,7 +1049,7 @@ def _receive_windows(endpoint_type, stream, cuts, windows):
     try:
         for window in windows:
             try:
-                got = endpoint.receive_lines(window)
+                got = endpoint.receive(window)
             except ChannelError as exc:
                 outcomes.append((type(exc), str(exc), getattr(exc, "byte_offset", None)))
                 break
@@ -1122,7 +1118,7 @@ class TestWindowRead:
         endpoint = TcpEndpoint(near, side="B", timeout=5.0)
         far.sendall(stream)
         try:
-            assert [endpoint.receive_lines(window) for window in windows] == [None] * len(windows)
+            assert [endpoint.receive(window) for window in windows] == [None] * len(windows)
             assert endpoint._read_offset == len(stream)
             assert endpoint.tap() == _announced(windows)
         finally:
@@ -1144,7 +1140,7 @@ class TestWindowRead:
             start = time.monotonic()
             try:
                 with pytest.raises(TransportError, match="receive failed: timed out"):
-                    endpoint.receive_lines(window)
+                    endpoint.receive(window)
                 assert time.monotonic() - start < 0.4
                 assert endpoint.tap() == window[:lines_sent].announcements()
             finally:

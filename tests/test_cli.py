@@ -540,6 +540,7 @@ class TestAnalyze:
                      id="duplicate-key"),
         pytest.param('{"U0,U0": 1' + "0" * 400 + "}", "prior for U0,U0 is out of range",
                      id="integer-beyond-float-range"),
+        pytest.param('{"U0,U0": -0.5, "U1,U1": 1.5}', "negative prior for", id="negative"),
     ])
     def test_malformed_priors_rejected(self, run_doc, tmp_path, capsys,
                                        content, message):
@@ -550,6 +551,11 @@ class TestAnalyze:
         )
         assert code == 1
         assert message in out.err
+
+    def test_priors_neither_uniform_nor_a_file_rejected(self, run_doc, capsys):
+        code, out = run_cli("analyze", str(run_doc), "--priors", "x", capsys=capsys)
+        assert code == 1
+        assert "swapcomm: priors must be 'uniform' or @file, got 'x'" in out.err
 
     @pytest.mark.parametrize("tamper, message", [
         (_without_session_id, "missing 'id'"),
@@ -662,6 +668,39 @@ def _as_rows(doc: dict) -> dict:
     return rows_doc
 
 
+def _without(section: str, field: str):
+    """An edit that deletes doc[section][field]."""
+
+    def edit(doc):
+        del doc[section][field]
+        return doc
+
+    return edit
+
+
+# (read, edit of a run document, the ValueError's message), with its id.
+_MALFORMED_READS = [
+    pytest.param("replay", lambda doc: [], "document must be a JSON object", id="replay-list"),
+    *(pytest.param(fmt, lambda doc: [], f"{fmt} format applies to session-run documents only",
+                   id=f"{fmt}-list") for fmt in ("csv", "text")),
+    *(pytest.param(read, lambda doc: {"kind": "session-run", "session": []},
+                   "session must be a JSON object", id=f"{read}-list-session")
+      for read in ("replay", "csv", "text")),
+    *(pytest.param(fmt, lambda doc: {"kind": "session-run"}, "session must be a JSON object",
+                   id=f"{fmt}-no-session") for fmt in ("csv", "text")),
+    *(pytest.param(fmt, _without("session", "usable_blocks"),
+                   "session has no field 'usable_blocks'", id=f"{fmt}-no-session-usable_blocks")
+      for fmt in ("csv", "text")),
+    *(pytest.param("text", _without(section, field), f"{section} has no field {field!r}",
+                   id=f"text-no-{section}-{field}")
+      for section, fields in (("session", ("id", "mode", "fallback", "n_pairs", "seed",
+                                           "idle_final_pair")),
+                              ("private", ("alice_message", "bob_message", "decoded_by_alice",
+                                           "decoded_by_bob")))
+      for field in fields),
+]
+
+
 class TestDocuments:
     def test_replay_document_round_trip(self):
         config = SessionConfig(
@@ -771,6 +810,16 @@ class TestDocuments:
                 documents.render(doc, fmt)
             assert type(err.value) is ValueError
 
+    @pytest.mark.parametrize("read, edit, message", _MALFORMED_READS)
+    def test_malformed_document_is_a_value_error_that_names_the_fault(self, read, edit, message):
+        doc = edit(json.loads(_small_run_documents()[0]))
+        reads = {"replay": documents.replay_document,
+                 "csv": functools.partial(documents.render, fmt="csv"),
+                 "text": functools.partial(documents.render, fmt="text")}
+        with pytest.raises(ValueError) as err:
+            reads[read](doc)
+        assert (type(err.value), str(err.value)) == (ValueError, message)
+
     @staticmethod
     def _assert_table_fault(doc, names):
         for read in (documents.replay_document, functools.partial(documents.render, fmt="csv"),
@@ -834,6 +883,9 @@ class TestDocuments:
         # Kinds whose first fields differ in name have no one head: refused.
         with pytest.raises(ValueError, match="first field"):
             jsontext.KeyedItems([{"a": 0, "x": 1}, {"bb": 0}], [0, 1, 0])
+        # A kind column and a key column of different lengths: refused.
+        with pytest.raises(ValueError, match="^2 kinds for 3 keys$"):
+            jsontext.KeyedItems(kinds, [0, 1], [7, 8, 9])
         for doc in ({"rows": rows, "lines": lines, "empty": jsontext.KeyedItems([], [], [])},
                     rows, lines, [rows, {"lines": lines}]):
             assert documents.render(doc, "json") == json.dumps(doc, indent=2, default=list) + "\n"
@@ -1277,13 +1329,14 @@ class TestAnalysisProperties:
         def on_columns():
             transcript = documents.transcript_from_document(copy.deepcopy(doc))
             report = eve_posterior(EveView(transcript), priors)
-            return transcript, repr(report.blocks), repr(information_summary(report, priors))
+            summary = information_summary(report, priors)
+            return transcript, repr(report.blocks), repr(summary["session"])
 
         def on_objects():
             transcript = reference_analysis.transcript_from_document(copy.deepcopy(doc))
             blocks = reference_analysis.eve_posterior(transcript, priors)
             summary = reference_analysis.information_summary(blocks, priors)
-            return transcript, repr(blocks), repr(summary)
+            return transcript, repr(blocks), repr(summary["session"])
 
         assert outcome(on_columns) == outcome(on_objects)
 
@@ -1499,17 +1552,25 @@ class TestNetworkedCli:
         assert "Traceback" not in err
         assert not (tmp_path / "never.json").exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["serve", "--listen", "127.0.0.1:99999", "--alice-msg", "01"],
-        ["connect", "--peer", "127.0.0.1:70000", "--bob-msg", "10"],
-    ])
-    def test_port_out_of_range_is_a_usage_error(self, argv, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, message", [
+        (["serve", "--listen", "127.0.0.1:99999", "--alice-msg", "01"],
+         "port must be in 0..65535"),
+        (["connect", "--peer", "127.0.0.1:70000", "--bob-msg", "10"],
+         "port must be in 0..65535"),
+        (["serve", "--listen", "127.0.0.1", "--alice-msg", "01"],
+         "expected HOST:PORT, got '127.0.0.1'"),
+        (["connect", "--peer", "127.0.0.1", "--bob-msg", "10"],
+         "expected HOST:PORT, got '127.0.0.1'"),
+    ], ids=["serve-port-out-of-range", "connect-port-out-of-range",
+            "serve-without-port", "connect-without-port"])
+    def test_address_without_a_valid_port_is_a_usage_error(self, argv, message, tmp_path,
+                                                          capsys):
         out = tmp_path / "never.json"
         with pytest.raises(SystemExit) as err:
             main([*argv, "--pairs", "6", "--timeout", "0.5", "--out", str(out)])
         assert err.value.code == 1
         err_text = capsys.readouterr().err
-        assert "port must be in 0..65535" in err_text
+        assert message in err_text
         assert "cannot reach" not in err_text
         assert not out.exists()
 

@@ -629,6 +629,17 @@ class _TamperingChannel(InProcessChannel):
         return super()._deliver_lines(CodedLines(lines.session_id, lines.blocks, codes))
 
 
+class _DroppingChannel(InProcessChannel):
+    """Delivers and taps a window only up to its line `keep`: the rest is lost."""
+
+    def __init__(self, keep):
+        super().__init__()
+        self.keep = keep
+
+    def _deliver_lines(self, lines):
+        return super()._deliver_lines(lines[:self.keep])
+
+
 class _ScriptedSubstrate:
     def __init__(self, hello):
         self.hello, self.sent, self.limits = hello, [], []
@@ -645,32 +656,24 @@ class _ScriptedSubstrate:
 
 
 class _ScriptedEndpoint:
-    """Plays a peer whose lines are fixed in advance."""
+    """Plays a peer whose lines are fixed in advance, a window at a time."""
 
-    window = 1
+    window = 4
 
     def __init__(self, peer_lines=()):
         self._script = list(peer_lines)
         self._tap = []
 
-    def send(self, ann):
-        self._tap.append(ann)
+    def send(self, lines):
+        self._tap.extend(lines.announcements())
 
     def finish(self):
         pass
 
-    def receive(self):
-        ann = self._script.pop(0)
-        self._tap.append(ann)
-        return ann
-
-    def send_lines(self, lines):
-        for ann in lines.announcements():
-            self.send(ann)
-
-    def receive_lines(self, expected):
+    def receive(self, expected):
         for want in expected.announcements():
-            got = self.receive()
+            got = self._script.pop(0)
+            self._tap.append(got)
             if got != want:
                 return got, want
         return None
@@ -711,6 +714,31 @@ class TestPeerCheck:
                 run_session(config, channel=channel)
             assert err.value.transcript.announcements == clean[:bad] + (_relabel(clean[bad]),)
         assert len({ann.session_id for ann in channel.tap()}) == 2
+
+    @pytest.mark.parametrize("side, receiver", [("A", "B"), ("B", "A")])
+    def test_in_process_delivery_that_drops_the_tail_is_a_session_error(self, side, receiver):
+        """The lines are lost from a line of `side` on, so the other side
+        has nothing to receive; the transcript so far is what was tapped."""
+        clean = run_session(self.CONFIG).transcript.announcements
+        keep = next(i for i, ann in enumerate(clean) if i and ann.side == side)
+        with pytest.raises(SessionError) as err:
+            run_session(self.CONFIG, channel=_DroppingChannel(keep))
+        assert str(err.value) == f"endpoint {receiver}: nothing to receive"
+        assert err.value.transcript.announcements == clean[:keep]
+
+    @pytest.mark.parametrize("side, cleared, message", [
+        ("C", "bob_message", "side must be 'A' or 'B', got 'C'"),
+        ("A", None, "party A must not be given the peer's message"),
+        ("B", None, "party B must not be given the peer's message"),
+    ])
+    def test_remote_party_refuses_a_bad_side_or_the_peers_message(self, side, cleared, message):
+        config = dataclasses.replace(self.CONFIG, **{cleared: None}) if cleared else self.CONFIG
+        substrate = _ScriptedSubstrate(substrate_hello("B", self.CONFIG))
+        endpoint = _ScriptedEndpoint()
+        with pytest.raises(ValueError) as err:
+            run_remote_party(side, config, substrate, endpoint)
+        assert str(err.value) == message
+        assert substrate.sent == [] and endpoint.tap() == ()
 
     def test_remote_party_rejects_wrong_peer_label(self):
         clean = run_session(self.CONFIG).transcript.announcements
