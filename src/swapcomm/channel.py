@@ -617,11 +617,14 @@ class TcpEndpoint:
 # stands in for the pre-shared entangled pairs; it carries one private
 # hello per party (config cross-check plus that party's encoded operations)
 # and is invisible to the tap. Only the public channel is the transcript.
-# Substrate v2 hellos carry the operations as one string of codes 0-3;
-# a v1 peer, whose hello held a list, is refused at its preamble.
+# Substrate hellos carry the operations as one string of codes 0-3 (v2 on).
+# A v3 peer samples the splitmix64 stream (protocol.STREAM); a v2 peer
+# sampled numpy's PCG64 and would derive other outcomes from the same
+# seed, so it is refused at its preamble, as is a v1 peer, whose hello
+# held a list.
 # --------------------------------------------------------------------------
 
-SUBSTRATE_PREAMBLE = b"swapcomm-substrate v2\n"
+SUBSTRATE_PREAMBLE = b"swapcomm-substrate v3\n"
 PUBLIC_PREAMBLE = b"swapcomm-public v1\n"
 
 

@@ -5,20 +5,21 @@ reference audit), verify (check the algebra end to end), analyze (quantify
 eavesdropper knowledge from a transcript document), serve/connect (the two
 halves of a networked two-process session).
 
-Exit codes: 0 success, 1 usage or capacity error, 2 verification failure,
-3 transport or session failure, 141 when stdout's reader closed it early.
+Exit codes: 0 success, 1 usage or capacity error (running out of memory
+too), 2 verification failure, 3 transport or session failure, 141 when
+stdout's reader closed it early.
 Every path is deterministic given flags and seed. SWAPCOMM_OUT_DIR, when
 set, prefixes relative --out paths.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import math
 import os
 import sys
-from contextlib import nullcontext
 from dataclasses import asdict
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from .adversary import (
 from .channel import ChannelError, FrameError, SessionListener, dial_session
 from .protocol import (
     MAX_TRIALS,
+    STREAM,
     CapacityError,
     SessionConfig,
     SessionError,
@@ -85,11 +87,29 @@ def _resolve_out(path: str | None) -> Path | None:
 
 def _emit(doc: dict, out: Path | None, fmt: str = "json") -> None:
     """Write `doc` in format `fmt` to the file `out`, or to stdout, as
-    documents.RENDERERS[fmt] renders it, in slices."""
-    if out is not None:
-        out.parent.mkdir(parents=True, exist_ok=True)
-    with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as fh:
-        documents.RENDERERS[fmt](doc, fh.write)
+    documents.RENDERERS[fmt] renders it, in slices.
+
+    A regular file is written whole or not at all: the document goes to a
+    temporary file beside it, which replaces `out` only once every byte is
+    written, so a failed write leaves what `out` held before. A device or
+    a pipe is written in place."""
+    render = documents.RENDERERS[fmt]
+    if out is None:
+        render(doc, sys.stdout.write)
+        return
+    out.parent.mkdir(parents=True, exist_ok=True)
+    if out.exists() and not out.is_file():
+        with open(out, "w", encoding="utf-8") as fh:
+            render(doc, fh.write)
+        return
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            render(doc, fh.write)
+        os.replace(tmp, out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _host_port(value: str) -> tuple[str, int]:
@@ -181,6 +201,7 @@ def _cmd_simulate(args) -> int:
         doc = {
             "tool": dict(documents.TOOL),
             "kind": "simulate-trials",
+            "stream": STREAM,
             "trials": rows,
             "summary": {"trials": len(rows), "all_decodes_exact": exact},
         }
@@ -351,7 +372,7 @@ def _dial(args):
 def _cmd_party(args) -> int:
     """serve (side A, _listen) and connect (side B, _dial)."""
     config = _config_from_args(args)
-    substrate, endpoint = args.open_link(args)
+    substrate, endpoint = (_listen if args.side == "A" else _dial)(args)
     try:
         result = run_remote_party(args.side, config, substrate, endpoint)
     finally:
@@ -364,7 +385,11 @@ def _cmd_party(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The command line's parser. It is built on the first main call, not at
+    import, and kept: building it costs about a millisecond, which every
+    in-process call would pay again."""
     parser = _Parser(prog="swapcomm", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -373,16 +398,13 @@ def main(argv=None) -> int:
     _session_flags(p_sim)
     p_sim.add_argument("--trials", type=_at_least(1, MAX_TRIALS), default=1,
                        help="run this many sessions with derived seeds (at most 2^32)")
-    p_sim.set_defaults(func=_cmd_simulate)
 
     p_table = sub.add_parser("table", help="emit the decode table and audit report")
     p_table.add_argument("--out", default=None)
-    p_table.set_defaults(func=_cmd_table)
 
     p_verify = sub.add_parser("verify", help="run the full identity-check suite")
     p_verify.add_argument("--format", choices=["json", "text"], default="text",
                           help="json: one record per check (name, passed, detail, failures)")
-    p_verify.set_defaults(func=_cmd_verify)
 
     p_an = sub.add_parser("analyze", help="eavesdropper analysis of a transcript document")
     p_an.add_argument("input", help="path to a session-run or transcript document")
@@ -391,23 +413,39 @@ def main(argv=None) -> int:
                       help="add Monte Carlo MI estimates over this many blocks")
     p_an.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
     p_an.add_argument("--out", default=None)
-    p_an.set_defaults(func=_cmd_analyze)
 
     p_serve = sub.add_parser("serve", help="host side A of a two-process session")
     p_serve.add_argument("--listen", type=_host_port, required=True, metavar="HOST:PORT")
     p_serve.add_argument("--timeout", type=_seconds, default=30.0)
     _session_flags(p_serve, bob=False)
-    p_serve.set_defaults(func=_cmd_party, side="A", open_link=_listen)
+    p_serve.set_defaults(side="A")
 
     p_conn = sub.add_parser("connect", help="join as side B of a two-process session")
     p_conn.add_argument("--peer", type=_host_port, required=True, metavar="HOST:PORT")
     p_conn.add_argument("--timeout", type=_seconds, default=30.0)
     _session_flags(p_conn, alice=False)
-    p_conn.set_defaults(func=_cmd_party, side="B", open_link=_dial)
+    p_conn.set_defaults(side="B")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def _size(args) -> str:
+    """What sets the size of a parsed command's work, as its flags say it:
+    the analyzed document, the pairs, the trials and the Monte Carlo blocks."""
+    parts = [args.input] if args.command == "analyze" else []
+    parts += [f"--{name.replace('_', '-')} {getattr(args, name)}"
+              for name in ("pairs", "trials", "mc_blocks") if hasattr(args, name)]
+    return " ".join([args.command, *parts])
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    # Looked up by name on each call, so a replaced _cmd_* function is the one run.
+    command = {
+        "simulate": _cmd_simulate, "table": _cmd_table, "verify": _cmd_verify,
+        "analyze": _cmd_analyze, "serve": _cmd_party, "connect": _cmd_party,
+    }[args.command]
     try:
-        code = args.func(args)
+        code = command(args)
         sys.stdout.flush()  # so a closed stdout fails here, not at exit
         return code
     except CapacityError as exc:
@@ -420,6 +458,10 @@ def main(argv=None) -> int:
         return EXIT_PIPE
     except (ValueError, OSError) as exc:
         print(f"swapcomm: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # numpy's _ArrayMemoryError too
+        detail = f": {exc}" if str(exc) else ""
+        print(f"swapcomm: out of memory in {_size(args)}{detail}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -27,6 +27,7 @@ from .channel import (
     _wire_template,
 )
 from .protocol import (
+    STREAM,
     BlockColumns,
     MessageBits,
     SessionConfig,
@@ -65,6 +66,7 @@ def _session_section(config: SessionConfig, transcript: Transcript) -> dict:
         "mode": transcript.mode.value,
         "fallback": transcript.fallback.value,
         "seed": config.seed,
+        "stream": STREAM,
         "alice_declared_length": transcript.alice_declared_length,
         "bob_declared_length": transcript.bob_declared_length,
     }

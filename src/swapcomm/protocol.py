@@ -9,14 +9,16 @@ partner's operations from the swapping correlations.
 Sampling is seed-deterministic: each block draws from a stream derived
 from (seed, block index), so sessions are reproducible, blocks are
 independent, and a remote party with the same public seed derives the
-same outcomes. block_rng defines a block's stream. _seed_words replays
-numpy's SeedSequence over arrays of seeds and spawn keys, and _draw_grid
-builds on it the draws of every block under a column of seeds in one
-vectorised pass, bit for bit equal to block_rng's. A session is the
-one-seed case (_session_blocks). run_trials is the many-seed case: it derives
-every trial seed with the same replay and samples and decodes all trials
-as rows of (trials x blocks) arrays. Sampling and decoding are gathers
-from the decode table's code arrays.
+same outcomes. The stream is counter-based (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC 2011): block k's draws are the top
+bits of one SplitMix64 hash of the seed's key and k, with no state between
+blocks. block_rng defines them with Python ints; _draw_grid computes them
+for every block under a column of seeds in a few whole-array operations. A
+session is the one-seed case (_session_blocks). run_trials is the
+many-seed case: its trial seeds come from the same stream, at counters no
+block uses, and it samples and decodes all trials as rows of (trials x
+blocks) arrays. Sampling and decoding are gathers from the decode table's
+code arrays.
 
 One function, _play, runs every session: both sides on an in-process
 channel (run_session) or one side on a TCP endpoint (run_remote_party).
@@ -64,8 +66,8 @@ from .swap import (
 
 _MASK64 = (1 << 64) - 1
 _PEER = {"A": "B", "B": "A"}
-# Block and trial indices are one 32-bit word of a spawn key (_seed_words):
-# blocks count from 1, trials from 0.
+# The CLI's limits on a session's blocks (counted from 1) and a run's trials
+# (counted from 0).
 MAX_BLOCKS = (1 << 32) - 1
 MAX_TRIALS = 1 << 32
 # run_trials samples and decodes at most this many blocks at once.
@@ -280,85 +282,40 @@ def _session_token(seed: int, public_fields: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def block_rng(seed: int, block_index: int) -> np.random.Generator:
-    """Independent stream for one block, derived from (seed, block index).
-
-    This defines the sampling stream; _draw_grid computes the same draws
-    for all blocks at once.
-    """
-    seq = np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=(block_index,))
-    return np.random.default_rng(seq)
-
-
-# numpy's SeedSequence hash constants (32-bit words, XSHIFT 16) and the
-# PCG64 multiplier, as in numpy/random/bit_generator.pyx and pcg64.h.
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_HI = np.uint64(_PCG_MULT >> 64)
-_PCG_LO = np.uint64(_PCG_MULT & _MASK64)
-_PCG_LO0 = np.uint64(_PCG_MULT & _M32)
-_PCG_LO1 = np.uint64((_PCG_MULT >> 32) & _M32)
+# The sampling stream's name in documents; one without it came from PCG64.
+STREAM = "splitmix64"
+# SplitMix64's golden gamma and multipliers (Steele, Lea and Flood, OOPSLA 2014).
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX_1, _MIX_2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+# Trial t of a run is counter _TRIAL_COUNTER + t of the run seed's stream;
+# blocks are counters 1..MAX_BLOCKS, so the two never share a counter.
+_TRIAL_COUNTER = 1 << 63
+# Draw j of a block is its word's bits 63-2j and 62-2j.
+_DRAW_SHIFTS = (62, 60, 58)
 
 
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """One PCG64 step, state*M + inc mod 2**128, on (hi, lo) uint64 arrays.
-    lo*M_lo needs its full 128 bits and goes through 32-bit halves; the
-    cross terms only reach the high word, where uint64 wraps as wanted."""
-    a0, a1 = lo & _M32, lo >> 32
-    p00, p01, p10 = a0 * _PCG_LO0, a0 * _PCG_LO1, a1 * _PCG_LO0
-    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
-    new_lo = (p00 & _M32) | (mid << 32)
-    new_hi = (a1 * _PCG_LO1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-              + lo * _PCG_HI + hi * _PCG_LO)
-    out_lo = new_lo + inc_lo
-    return new_hi + inc_hi + (out_lo < new_lo), out_lo
+def _mix64(z):
+    """SplitMix64's finalizer, a bijection of 64-bit words: of a Python int
+    below 2**64, or elementwise of a uint64 array."""
+    z = (z ^ (z >> 30)) * _MIX_1 & _MASK64
+    z = (z ^ (z >> 27)) * _MIX_2 & _MASK64
+    return z ^ (z >> 31)
 
 
-def _seed_words(seeds: np.ndarray, keys: np.ndarray, n_words: int) -> list[np.ndarray]:
-    """SeedSequence(entropy=seed, spawn_key=(key,)).generate_state(n_words,
-    uint32) for uint64 `seeds` and uint32 `keys` broadcast together: word i
-    of the state is entry i, a uint32 array of the broadcast shape.
+def _stream_words(seeds, counters):
+    """Word c of seed s's stream is _mix64(key + c * _GAMMA mod 2**64), with
+    key _mix64(s): SplitMix64's c-th output from state key. For seeds below
+    2**64 and counters as Python ints, or as uint64 arrays that broadcast."""
+    return _mix64((_mix64(seeds) + counters * _GAMMA) & _MASK64)
 
-    This replays numpy's construction over arrays. The entropy is the words
-    [seed lo, seed hi, 0, 0, key]: run entropy is padded to the pool size
-    of 4 when a spawn key is present, and a key below 2**32 is one word.
-    The hash constants evolve independently of the data, so each hashmix
-    and mix is a few whole-array operations.
-    """
-    hash_const = _INIT_A
 
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _M32
-        value *= np.uint32(hash_const)
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        result = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
-        return result ^ (result >> 16)
-
-    zero = np.zeros(seeds.shape, dtype=np.uint32)
-    entropy = ((seeds & _M32).astype(np.uint32), (seeds >> 32).astype(np.uint32), zero, zero)
-    pool = [hashmix(word) for word in entropy]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for dst in range(4):  # the spawn word
-        pool[dst] = mix(pool[dst], hashmix(keys))
-
-    hash_const = _INIT_B
-    state = []  # generate_state: n_words words cycling over the pool
-    for i in range(n_words):
-        h = pool[i % 4] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _M32
-        h *= np.uint32(hash_const)
-        state.append(h ^ (h >> 16))
-    return state
+def block_rng(seed: int, block_index: int) -> tuple[int, int, int]:
+    """The three draws, each 0..3, of block `block_index` under `seed`: the
+    top three bit pairs of word `block_index` of the stream of seed mod
+    2**64. This defines the sampling stream, with Python ints; _draw_grid
+    computes the same draws for all blocks at once."""
+    word = _stream_words(seed & _MASK64, block_index)
+    return tuple((word >> shift) & 3 for shift in _DRAW_SHIFTS)
 
 
 def _seed_column(seed: int) -> np.ndarray:
@@ -367,50 +324,26 @@ def _seed_column(seed: int) -> np.ndarray:
 
 
 def _draw_grid(seeds: np.ndarray, n_blocks: int, rows: int) -> np.ndarray:
-    """The first `rows` (1 to 3) integers(4) draws of block_rng(seed, k)
-    for every seed of the uint64 column `seeds` and every block k in
-    1..n_blocks: draw j of block k under seed i is entry [j, i, k-1] of a
-    (rows, len(seeds), n_blocks) uint8 array.
-
-    The generate_state(4, uint64) words of _seed_words seed PCG64, whose
-    steps run over uint64 arrays. integers(4) takes one buffered 32-bit
-    half of a raw output per draw, and Lemire's method never rejects for a
-    range of 4, so a draw is the half's top two bits. The first two draws
-    share one raw output; only the third takes a second PCG64 step.
-    """
+    """The first `rows` (1 to 3) draws of block_rng(seed, k) for every seed
+    of the uint64 column `seeds` and every block k in 1..n_blocks: draw j
+    of block k under seed i is entry [j, i, k-1] of a (rows, len(seeds),
+    n_blocks) uint8 array."""
     if not 0 <= n_blocks <= MAX_BLOCKS:
         raise ValueError(f"n_blocks must be in 0..{MAX_BLOCKS}, got {n_blocks}")
-    spawn = np.arange(1, n_blocks + 1, dtype=np.uint32)
-    state = [w.astype(np.uint64) for w in _seed_words(seeds[:, None], spawn, 8)]
-    v0, v1, v2, v3 = (state[2 * i] | (state[2 * i + 1] << 32) for i in range(4))
-
-    # PCG64 seeding: initstate = v0:v1, inc = (v2:v3 << 1) | 1, then
-    # state = (inc + initstate) stepped once.
-    inc_hi, inc_lo = (v2 << 1) | (v3 >> 63), (v3 << 1) | 1
-    lo = inc_lo + v1
-    hi = inc_hi + v0 + (lo < inc_lo)
-    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-    raw = []
-    for _ in range((rows + 1) // 2):  # next64: step, then XSL-RR output
-        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        x, rot = hi ^ lo, hi >> 58
-        raw.append((x >> rot) | (x << ((64 - rot) & 63)))
-
+    words = _stream_words(seeds[:, None], np.arange(1, n_blocks + 1, dtype=np.uint64))
     draws = np.empty((rows, len(seeds), n_blocks), dtype=np.uint8)
-    draws[0] = (raw[0] & _M32) >> 30
-    if rows > 1:
-        draws[1] = raw[0] >> 62
-    if rows > 2:
-        draws[2] = (raw[1] & _M32) >> 30
+    for j, shift in enumerate(_DRAW_SHIFTS[:rows]):
+        draws[j] = (words >> shift) & 3
     return draws
 
 
 def _spawn_seeds(seed: int, start: int, stop: int) -> np.ndarray:
-    """The seeds of trials start..stop-1 of a run with seed `seed`: trial t
-    has the first generate_state(1, uint64) word of SeedSequence(seed,
-    spawn_key=(t,)), as a uint64 array."""
-    lo, hi = _seed_words(_seed_column(seed), np.arange(start, stop, dtype=np.uint32), 2)
-    return lo.astype(np.uint64) | (hi.astype(np.uint64) << 32)
+    """The seeds of trials start..stop-1 of a run with seed `seed`, as a
+    uint64 array: trial t's seed is word _TRIAL_COUNTER + t of the run
+    seed's stream. Distinct counters give distinct sums, as _GAMMA is odd,
+    and _mix64 is a bijection, so no two trials of a run share a seed."""
+    counters = np.arange(start, stop, dtype=np.uint64) | _TRIAL_COUNTER
+    return _stream_words(seed & _MASK64, counters)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
-"""Independent exact-arithmetic oracle for the swapping algebra.
+"""Independent exact-arithmetic oracle for the swapping algebra and the
+sampling stream.
 
-Deliberately shares nothing with the package: states are maps from bit
-tuples to integer coefficients, and every amplitude that matters is a
-multiple of 1/2, so the scale factor is carried implicitly (sqrt(2) per
-Bell factor) and all overlaps come out as exact Fractions.
+Deliberately shares nothing with the package and imports no numpy: states
+are maps from bit tuples to integer coefficients, and every amplitude that
+matters is a multiple of 1/2, so the scale factor is carried implicitly
+(sqrt(2) per Bell factor) and all overlaps come out as exact Fractions.
+The stream's words are Python ints.
 
 Wire order everywhere is (a1, b1, a2, b2).
 """
@@ -85,37 +87,62 @@ def composite_label(op_a: str, op_b: str) -> str:
 DRAW_LABELS = ("PsiPlus", "PsiMinus", "PhiPlus", "PhiMinus")
 
 
+# The sampling stream, as its definition states it, in Python ints alone:
+# SplitMix64's finalizer and golden gamma (Steele, Lea and Flood, OOPSLA
+# 2014). A seed's key is mix64(seed mod 2^64); word c of its stream is
+# mix64(key + c * GAMMA mod 2^64). Block k's word is word k, and its draw j
+# is bits 63-2j and 62-2j. Trial t's seed is word 2^63 + t.
+GAMMA = 0x9E3779B97F4A7C15
+TRIAL_COUNTER = 2**63
+
+
+def mix64(z):
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+    return z ^ (z >> 31)
+
+
+def stream_word(seed, counter):
+    return mix64((mix64(seed % 2**64) + counter * GAMMA) % 2**64)
+
+
+def block_draws(seed, k):
+    """Block k's three draws, first to last."""
+    word = stream_word(seed, k)
+    return [(word >> (62 - 2 * j)) % 4 for j in range(3)]
+
+
+def trial_seed(seed, t):
+    return stream_word(seed, TRIAL_COUNTER + t)
+
+
 def session_blocks(seed, n_blocks, alice_bits, bob_bits, random_fallback):
     """Reference for protocol._session_blocks, sampled one block at a time.
 
-    Block k draws from numpy's stream for SeedSequence(seed mod 2^64,
-    spawn_key=(k,)), in a fixed order: Alice's fallback operation if she
-    has no message (None: she is silent), then Bob's, then the a-side
-    label. A sender's operations come from her bits, two per block, with
-    U0 past the end. The b-side label is the one that pairs with the
-    a-side label in the outcome column of the operations' composite.
-    Returns (k, op_a, op_b, a_side, b_side) per block; an operation is its
-    index, or None when a silent party applied nothing.
+    Block k takes its draws from block_draws(seed, k), in a fixed order:
+    Alice's fallback operation if she has no message (None: she is
+    silent), then Bob's, then the a-side label. A sender's operations come
+    from her bits, two per block, with U0 past the end. The b-side label is
+    the one that pairs with the a-side label in the outcome column of the
+    operations' composite. Returns (k, op_a, op_b, a_side, b_side) per
+    block; an operation is its index, or None when a silent party applied
+    nothing.
     """
-    import numpy as np
-
     def message_ops(bits):
         return [int(bits[i:i + 2], 2) for i in range(0, len(bits), 2)]
 
     senders = [None if bits is None else message_ops(bits) for bits in (alice_bits, bob_bits)]
     rows = []
     for k in range(1, n_blocks + 1):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed % 2**64, spawn_key=(k,))
-        )
+        draws = iter(block_draws(seed, k))
         ops = []
         for own in senders:
             if own is not None:
                 ops.append(own[k - 1] if k - 1 < len(own) else 0)
             else:
-                ops.append(int(rng.integers(4)) if random_fallback else None)
+                ops.append(next(draws) if random_fallback else None)
         column = composite_label(*(f"U{op or 0}" for op in ops))
-        a_side = DRAW_LABELS[int(rng.integers(4))]
+        a_side = DRAW_LABELS[next(draws)]
         (b_side,) = [
             b for (a, b), amp in decompose("PsiPlus", column).items()
             if a == a_side and amp != 0

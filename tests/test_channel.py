@@ -556,15 +556,17 @@ class TestTcpChannel:
         t.join()
         listener.close()
 
-    def test_listener_refuses_a_v1_substrate_peer(self):
-        """A peer of substrate v1, whose hello held its ops as a list, is
-        refused at its preamble, with both preambles named."""
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_listener_refuses_an_older_substrate_peer(self, version):
+        """A peer of substrate v1, whose hello held its ops as a list, or of
+        v2, which sampled another stream, is refused at its preamble, with
+        both preambles named."""
         listener = SessionListener("127.0.0.1", 0, timeout=5.0)
         host, port = listener.address
 
         def old_peer():
             with socket.create_connection((host, port), timeout=5.0) as sock:
-                sock.sendall(b"swapcomm-substrate v1\n")
+                sock.sendall(f"swapcomm-substrate {version}\n".encode())
                 try:
                     sock.recv(1)  # until the listener closes it
                 except OSError:
@@ -578,10 +580,10 @@ class TestTcpChannel:
         finally:
             t.join(timeout=10)
             listener.close()
-        assert SUBSTRATE_PREAMBLE == b"swapcomm-substrate v2\n"
+        assert SUBSTRATE_PREAMBLE == b"swapcomm-substrate v3\n"
         assert str(info.value) == (
-            "unexpected preamble b'swapcomm-substrate v1\\n', "
-            "wanted b'swapcomm-substrate v2\\n'")
+            f"unexpected preamble b'swapcomm-substrate {version}\\n', "
+            "wanted b'swapcomm-substrate v3\\n'")
 
 
 class TestBoundedReads:

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
+import oracle
 import reference_analysis
 import reference_documents
 import reference_replay
@@ -210,7 +211,7 @@ class TestSimulate:
     @pytest.mark.parametrize("argv, flag, bound", [
         (["simulate", "--pairs", "6", "--trials", "0"], "--trials", "at least"),
         (["simulate", "--pairs", "6", "--trials", "-3"], "--trials", "at least"),
-        # A trial index is one 32-bit spawn word: 2^32 trials at most.
+        # A run has 2^32 trials at most.
         (["simulate", "--pairs", "6", "--trials", str(2**32 + 1)], "--trials", "at most"),
         (["analyze", "run.json", "--mc-blocks", "-5"], "--mc-blocks", "at least"),
         (["analyze", "run.json", "--mc-blocks", str(10**15)], "--mc-blocks", "at most"),
@@ -232,21 +233,37 @@ class TestSimulate:
         assert f"--format {fmt}" in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--pairs", "9", "--seed", "-3", "--alice-msg", "0110", "--bob-msg", "101"],
+        ["--pairs", "8", "--seed", str(2**64 + 5), "--mode", "b-to-a", "--bob-msg", "1101"],
+    ])
+    def test_a_trial_reruns_as_a_standalone_simulate(self, flags, tmp_path):
+        """Each trial's row holds the seed, decodes and session id that
+        `simulate --seed` with that seed writes."""
+        trials = tmp_path / "trials.json"
+        assert main(["simulate", *flags, "--trials", "4", "--out", str(trials)]) == 0
+        rows = json.loads(trials.read_text())["trials"]
+        assert len({row["seed"] for row in rows}) == 4
+        for row in rows:
+            out = tmp_path / f"trial-{row['trial']}.json"
+            # The later --seed is the one argparse keeps.
+            assert main(["simulate", *flags, "--seed", str(row["seed"]), "--out", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            assert doc["session"]["seed"] == row["seed"]
+            assert doc["session"]["id"] == row["session_id"]
+            assert doc["summary"]["decode_ok_alice"] == row["decode_ok_alice"]
+            assert doc["summary"]["decode_ok_bob"] == row["decode_ok_bob"]
+
     def test_one_trial_writes_a_session_run(self, capsys):
         code, out = run_cli("simulate", "--pairs", "6", "--trials", "1", capsys=capsys)
         assert code == 0
         assert json.loads(out.out)["kind"] == "session-run"
 
 
-def _reference_trial_seed(seed: int, trial: int) -> int:
-    seq = np.random.SeedSequence(entropy=seed & ((1 << 64) - 1), spawn_key=(trial,))
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
-
-
 def _reference_run_trial(payload: tuple[SessionConfig, int]) -> dict:
     """The trial row as a full session gives it: one run_session per trial."""
     base, trial = payload
-    config = dataclasses.replace(base, seed=_reference_trial_seed(base.seed, trial))
+    config = dataclasses.replace(base, seed=oracle.trial_seed(base.seed, trial))
     result = run_session(config)
     return {
         "trial": trial,
@@ -1714,9 +1731,11 @@ class TestNetworkedCli:
         assert not out.exists()
         assert "invalid substrate hello" in captured.err
 
-    def test_a_v1_substrate_peer_is_refused_at_its_preamble(self, tmp_path):
-        """A peer of substrate v1, whose hello held its ops as a list: serve
-        exits 3 with one line naming both preambles, and writes nothing."""
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_an_older_substrate_peer_is_refused_at_its_preamble(self, version, tmp_path):
+        """A peer of substrate v1, whose hello held its ops as a list, or of
+        v2, which sampled another stream: serve exits 3 with one line
+        naming both preambles, and writes nothing."""
         out = tmp_path / "never.json"
         server = subprocess.Popen(
             [sys.executable, "-m", "swapcomm", "serve",
@@ -1727,7 +1746,7 @@ class TestNetworkedCli:
         try:
             host, port = server.stdout.readline().split()[1].rsplit(":", 1)
             with socket.create_connection((host, int(port)), timeout=10) as substrate:
-                substrate.sendall(b"swapcomm-substrate v1\n")
+                substrate.sendall(f"swapcomm-substrate {version}\n".encode())
                 _, err = server.communicate(timeout=15)
         finally:
             if server.poll() is None:
@@ -1735,9 +1754,9 @@ class TestNetworkedCli:
                 server.communicate()
         assert server.returncode == 3, err
         assert err.splitlines() == [
-            "swapcomm: unexpected preamble b'swapcomm-substrate v1\\n', "
-            "wanted b'swapcomm-substrate v2\\n'"]
-        assert SUBSTRATE_PREAMBLE == b"swapcomm-substrate v2\n"
+            f"swapcomm: unexpected preamble b'swapcomm-substrate {version}\\n', "
+            "wanted b'swapcomm-substrate v3\\n'"]
+        assert SUBSTRATE_PREAMBLE == b"swapcomm-substrate v3\n"
         assert not out.exists()
 
     def test_a_broken_pipe_on_the_socket_is_a_transport_failure(
@@ -1854,3 +1873,85 @@ class TestProcessEntry:
             in_process = main(argv), *capsys.readouterr()
         assert (process.returncode, process.stdout, process.stderr) == in_process
         assert in_process[0] == code
+
+    def test_import_builds_no_parser(self):
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "from swapcomm import cli; print(cli._parser.cache_info().currsize)"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (probe.returncode, probe.stdout) == (0, "0\n"), probe.stderr
+
+    def test_one_parser_serves_main_calls_in_turn(self, monkeypatch, capsys):
+        """main builds its parser on the first call and keeps it. Calls in
+        turn give the exit codes and output of fresh processes, and a
+        _cmd_* function replaced after the parser was built is the one run."""
+        simulate = ["simulate", "--pairs", "6", "--alice-msg", "011110", "--bob-msg", "101100",
+                    "--seed", "7"]
+        calls = [simulate, ["simulate", "--pairs", "x"], ["verify"], simulate]
+        cli._parser.cache_clear()
+        in_process = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            in_process.append((code, *capsys.readouterr()))
+        fresh = [
+            subprocess.run([sys.executable, "-m", "swapcomm", *argv],
+                           capture_output=True, text=True, timeout=60)
+            for argv in calls
+        ]
+        assert in_process == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+        assert [code for code, *_ in in_process] == [0, 1, 0, 0]
+        assert cli._parser.cache_info().misses == 1
+        monkeypatch.setattr(cli, "_cmd_verify", lambda args: 7)
+        assert main(["verify"]) == 7
+        assert cli._parser.cache_info().misses == 1
+
+
+def _limited(resource_name: int, limit: int):
+    """A preexec_fn that caps one of the child's resource limits."""
+    def preexec():
+        resource.setrlimit(resource_name, (limit, limit))
+    return preexec
+
+
+class TestOutOfResources:
+    """A command that runs out of memory or of file size exits 1 with one
+    line and no traceback, and leaves its --out path as it was."""
+
+    def _run(self, argv, preexec, out):
+        out.write_text("earlier content\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        process = subprocess.run(
+            [sys.executable, "-m", "swapcomm", *argv, "--out", str(out)],
+            capture_output=True, text=True, timeout=120, preexec_fn=preexec, env=env,
+        )
+        assert process.returncode == 1, process.stderr
+        assert len(process.stderr.splitlines()) == 1, process.stderr
+        assert "Traceback" not in process.stderr
+        assert out.read_text() == "earlier content\n"
+        assert sorted(path.name for path in out.parent.iterdir()) == [out.name]
+        return process.stderr
+
+    def test_out_of_memory_names_the_command_and_its_size(self, tmp_path):
+        # 10^9 blocks need several GiB for one uint64 column alone: under a
+        # 1 GiB address space numpy's first large allocation fails.
+        err = self._run(["simulate", "--pairs", "2000000000"],
+                        _limited(resource.RLIMIT_AS, 1 << 30), tmp_path / "run.json")
+        assert err.startswith(
+            "swapcomm: out of memory in simulate --pairs 2000000000 --trials 1: Unable to allocate")
+
+    def test_a_file_too_large_keeps_the_earlier_document(self, tmp_path):
+        # A 50k-pair document is about 6 MB; a file may grow to 1 MB.
+        err = self._run(["simulate", "--pairs", "50000", "--seed", "3"],
+                        _limited(resource.RLIMIT_FSIZE, 1 << 20), tmp_path / "run.json")
+        assert err == "swapcomm: [Errno 27] File too large\n"
+
+    def test_a_written_document_replaces_the_earlier_one(self, tmp_path):
+        out = tmp_path / "run.json"
+        out.write_text("earlier content\n")
+        assert main(["simulate", "--pairs", "6", "--seed", "7", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["kind"] == "session-run"
+        assert [path.name for path in tmp_path.iterdir()] == ["run.json"]

@@ -6,8 +6,9 @@ holds the "final odd pair idle" line); the stored analyze reports pin
 the eavesdropper analyzer under uniform, skewed and point priors (the point
 prior makes some blocks inconsistent). run-mixed.json is run-bidirectional
 with some measurement lines removed, so one transcript shows all four
-announcement patterns. run-odd-format1.json is run-odd as format 1 wrote
-it, with its block table as one row per block: analyze still reads it,
+announcement patterns. run-odd-format1.json is run-odd as format 1 and
+numpy's PCG64 stream wrote it, with its block table as one row per block:
+analyze still reads it, and analyze-odd-format1-*.json pin its reports;
 replay does not. The serve and connect documents pin both halves of
 a two-process session over loopback, the trials*.json documents pin
 `simulate --trials` in each mode, and verify.txt and verify.json pin what
@@ -78,7 +79,7 @@ TRIALS = {
 }
 # run-mixed drops these (block, side) measurement lines from run-bidirectional.
 MIXED_DROPS = {(2, "A"), (3, "B"), (4, "A"), (4, "B")}
-DOCUMENTS = (*RUNS, "mixed")
+DOCUMENTS = (*RUNS, "mixed", "odd-format1")
 PRIORS = ("uniform", "@priors-skewed.json", "@priors-point.json")
 ANALYZE_FLAGS = ["--mc-blocks", "2000", "--seed", "5"]
 
@@ -146,19 +147,12 @@ def test_analyze_report_bytes(document, priors, tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
-@pytest.mark.parametrize("priors", PRIORS)
-def test_format_1_run_analyzes_as_its_format_2_run(priors, tmp_path):
-    """analyze reads only the session and the transcript, which format 2
-    left as they were: the format 1 run gives the pinned report."""
-    out = tmp_path / "report.json"
-    assert _analyze("odd-format1", priors, out) == 0
-    assert out.read_bytes() == (GOLDEN / f"analyze-odd-{_priors_name(priors)}.json").read_bytes()
-
-
 def test_format_1_run_regenerates_but_does_not_replay(tmp_path):
     """Replaying or rendering a format 1 run is a ValueError that names the
     simulate flags, from its own session, that regenerate it. With its
-    messages they write the same run in format 2."""
+    messages they write the same session in format 2: the same session
+    fields, messages, decodes and counts, but the outcomes of the splitmix64
+    stream, as the run has no "stream" field and so came from PCG64."""
     doc = json.loads((GOLDEN / "run-odd-format1.json").read_text())
     assert "format" not in doc and isinstance(doc["private"]["blocks"], list)
     flags = ["--pairs", "13", "--seed", "14", "--mode", "bidirectional", "--fallback", "random"]
@@ -174,8 +168,12 @@ def test_format_1_run_regenerates_but_does_not_replay(tmp_path):
                  "--bob-msg", private["bob_message"], "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "run-odd.json").read_bytes()
     again = json.loads(out.read_text())
-    del again["format"], again["private"]["blocks"], private["blocks"]
-    assert again == doc
+    assert "stream" not in doc["session"]
+    assert again["session"] == {**doc["session"], "stream": "splitmix64"}
+    assert again["summary"] == doc["summary"]
+    for field in ("alice_message", "bob_message", "decoded_by_alice", "decoded_by_bob"):
+        assert again["private"][field] == private[field]
+    assert len(again["transcript"]) == len(doc["transcript"])
 
 
 @pytest.mark.parametrize("run", sorted(NETWORKED))

@@ -27,9 +27,9 @@ from swapcomm.protocol import (
     _draw_grid,
     _peer_message,
     _seed_column,
-    _seed_words,
     _session_blocks,
     _spawn_seeds,
+    _stream_words,
     block_rng,
     decode_ops,
     encode_bits,
@@ -48,9 +48,9 @@ from swapcomm.swap import A_PAIR, B_PAIR, SwapOutcome, generate_decode_table
 
 
 def _block_draws(seed, n_blocks):
-    """The first three integers(4) draws of block_rng(seed, k) for every
-    block k in 1..n_blocks, as row k-1 of an (n_blocks, 3) uint8 array:
-    the one-seed case of _draw_grid."""
+    """The three draws of block_rng(seed, k) for every block k in
+    1..n_blocks, as row k-1 of an (n_blocks, 3) uint8 array: the one-seed
+    case of _draw_grid."""
     return _draw_grid(_seed_column(seed), n_blocks, 3)[:, 0].T
 
 
@@ -456,6 +456,13 @@ class TestReplay:
 class TestBatchedSampling:
     """The vectorised sampling path against its per-block definitions."""
 
+    def test_oracle_stream_is_splitmix64(self):
+        """Seed 0 has key mix64(0) = 0, and its first words are SplitMix64's
+        published first outputs from state 0, so the oracle is the stream
+        it names."""
+        assert [oracle.stream_word(0, k) for k in (1, 2, 3)] == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.one_of(
@@ -466,44 +473,39 @@ class TestBatchedSampling:
         ),
         n_blocks=st.integers(0, 300),
     )
-    def test_block_draws_equal_block_rng(self, seed, n_blocks):
+    def test_block_draws_equal_the_oracle(self, seed, n_blocks):
         draws = _block_draws(seed, n_blocks)
         assert draws.shape == (n_blocks, 3) and draws.dtype == np.uint8
         for k in range(1, n_blocks + 1):
-            rng = block_rng(seed, k)
-            assert draws[k - 1].tolist() == [int(rng.integers(4)) for _ in range(3)], k
+            assert draws[k - 1].tolist() == oracle.block_draws(seed, k), k
 
     @settings(max_examples=80, deadline=None)
     @given(
         seeds=st.lists(
-            st.one_of(st.sampled_from([0, -5, 2**32, 2**64 - 1]), st.integers()),
+            st.one_of(st.sampled_from([0, -5, 2**32, 2**64 - 1, 2**64]), st.integers()),
             min_size=1, max_size=4,
         ),
-        keys=st.lists(
-            st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1)),
+        counters=st.lists(
+            st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**63, 2**64 - 1]),
+                      st.integers(0, 2**64 - 1)),
             max_size=5,
         ),
-        n_words=st.integers(1, 9),
     )
-    def test_seed_words_equal_seed_sequence(self, seeds, keys, n_words):
-        entropy = np.array([seed & (2**64 - 1) for seed in seeds], dtype=np.uint64)
-        words = _seed_words(entropy[:, None], np.array(keys, dtype=np.uint32), n_words)
-        assert len(words) == n_words
+    def test_stream_words_equal_the_oracle(self, seeds, counters):
+        column = np.array([seed & (2**64 - 1) for seed in seeds], dtype=np.uint64)
+        words = _stream_words(column[:, None], np.array(counters, dtype=np.uint64))
+        assert words.shape == (len(seeds), len(counters)) and words.dtype == np.uint64
         for i, seed in enumerate(seeds):
-            for j, key in enumerate(keys):
-                seq = np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(key,))
-                expected = seq.generate_state(n_words, np.uint32).tolist()
-                assert [int(word[i, j]) for word in words] == expected, (seed, key)
+            for j, counter in enumerate(counters):
+                assert int(words[i, j]) == oracle.stream_word(seed, counter), (seed, counter)
+                assert _stream_words(seed & (2**64 - 1), counter) == int(words[i, j])
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(), start=st.integers(0, 2**32 - 8), count=st.integers(0, 8))
-    def test_spawn_seeds_equal_seed_sequence(self, seed, start, count):
-        expected = [
-            int(np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(t,))
-                .generate_state(1, np.uint64)[0])
-            for t in range(start, start + count)
-        ]
-        assert _spawn_seeds(seed, start, start + count).tolist() == expected
+    def test_spawn_seeds_equal_the_oracle(self, seed, start, count):
+        seeds = _spawn_seeds(seed, start, start + count)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [oracle.trial_seed(seed, t) for t in range(start, start + count)]
 
     @settings(max_examples=40, deadline=None)
     @given(seeds=st.lists(st.integers(0, 2**64 - 1), max_size=4), n_blocks=st.integers(0, 30))
@@ -518,15 +520,36 @@ class TestBatchedSampling:
            rows=st.integers(1, 3))
     def test_grid_of_fewer_rows_is_the_first_rows(self, seeds, n_blocks, rows):
         """A grid of k rows is the first k rows of the 3-row grid, and the
-        first k draws of each block's block_rng."""
+        first k draws of each block's block_rng and of the oracle."""
         column = np.array(seeds, dtype=np.uint64)
         grid = _draw_grid(column, n_blocks, rows)
         assert grid.shape == (rows, len(seeds), n_blocks) and grid.dtype == np.uint8
         assert np.array_equal(grid, _draw_grid(column, n_blocks, 3)[:rows])
         for i, seed in enumerate(seeds):
             for k in range(1, n_blocks + 1):
-                rng = block_rng(seed, k)
-                assert grid[:, i, k - 1].tolist() == [int(rng.integers(4)) for _ in range(rows)]
+                assert grid[:, i, k - 1].tolist() == list(block_rng(seed, k)[:rows])
+                assert list(block_rng(seed, k)) == oracle.block_draws(seed, k)
+
+    @pytest.mark.parametrize("seed", [0, 31, 2**64 - 1])
+    def test_each_draw_row_is_uniform(self, seed):
+        """Each of a block's three draws is uniform over 0..3, by a
+        chi-square test over 10^5 blocks of one seed."""
+        grid = _draw_grid(_seed_column(seed), 100_000, 3)
+        for row in grid[:, 0]:
+            counts = np.bincount(row, minlength=4).tolist()
+            _, p = chi_square_uniform(counts)
+            assert p > 0.001, f"counts {counts}"
+
+    @pytest.mark.parametrize("seed", [0, 5, -22])
+    def test_first_draw_of_many_trials_is_uniform(self, seed):
+        """The first draw is uniform over the blocks of 10^3 trials of 20
+        blocks each, and across the trials in each block position (20
+        tests, so each at a twentieth of the level)."""
+        first = _draw_grid(_spawn_seeds(seed, 0, 1000), 20, 1)[0]
+        for sample, level in ((first.ravel(), 0.001), *((column, 0.001 / 20) for column in first.T)):
+            counts = np.bincount(sample, minlength=4).tolist()
+            _, p = chi_square_uniform(counts)
+            assert p > level, f"counts {counts}"
 
     def test_decodes_exactly_counts_declared_bits_only(self):
         """"101" is stored as codes [2, 2]; the last code's low bit is padding."""
