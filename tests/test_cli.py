@@ -10,6 +10,7 @@ import random
 import re
 import resource
 import socket
+import stat
 import subprocess
 import sys
 import tempfile
@@ -166,6 +167,22 @@ class TestSimulate:
         monkeypatch.setenv("SWAPCOMM_OUT_DIR", str(tmp_path))
         assert main(["simulate", "--pairs", "2", "--out", "sub/run.json"]) == 0
         assert (tmp_path / "sub" / "run.json").exists()
+
+    def test_out_to_a_pipe_is_written_in_place(self, tmp_path, capsys):
+        """--out naming a pipe (or a device) writes through it and leaves it a
+        pipe: only a regular file is replaced by a finished temporary file."""
+        fifo = tmp_path / "doc.pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so the writer's open returns
+        try:
+            assert main(["simulate", "--pairs", "6", "--seed", "7", "--out", str(fifo)]) == 0
+            text = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert [path.name for path in tmp_path.iterdir()] == ["doc.pipe"]
+        assert main(["simulate", "--pairs", "6", "--seed", "7"]) == 0
+        assert text == capsys.readouterr().out
 
     def test_trials_aggregate(self, capsys):
         code, out = run_cli(
