@@ -15,7 +15,6 @@ from .quantum import (  # noqa: E402
     PauliCode,
     PureState,
     apply_local,
-    basis_state,
     bell_measure,
     bell_project,
     bell_project_all,
@@ -33,7 +32,6 @@ from .swap import (  # noqa: E402
     composite_label,
     decode_partner,
     generate_decode_table,
-    infer_second_pair,
     swap_decompose,
 )
 from .channel import (  # noqa: E402
@@ -56,8 +54,6 @@ from .protocol import (  # noqa: E402
     SessionResult,
     SilentFallback,
     Transcript,
-    decode_ops,
-    encode_bits,
     parse_message,
     replay,
     run_session,
@@ -67,9 +63,7 @@ from .adversary import (  # noqa: E402
     PosteriorReport,
     estimate_mi_monte_carlo,
     eve_posterior,
-    independent_priors,
     information_summary,
     pattern_information,
-    point_prior,
     uniform_priors,
 )

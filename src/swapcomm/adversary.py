@@ -95,19 +95,6 @@ def uniform_priors() -> dict[OpPair, float]:
     return {pair: 1.0 / 16.0 for pair in ALL_OP_PAIRS}
 
 
-def independent_priors(
-    alice: Mapping[PauliCode, float], bob: Mapping[PauliCode, float]
-) -> dict[OpPair, float]:
-    """Product prior from per-party operation distributions."""
-    return {
-        (a, b): alice.get(a, 0.0) * bob.get(b, 0.0) for a, b in ALL_OP_PAIRS
-    }
-
-
-def point_prior(op_a: PauliCode, op_b: PauliCode) -> dict[OpPair, float]:
-    return {pair: 1.0 if pair == (op_a, op_b) else 0.0 for pair in ALL_OP_PAIRS}
-
-
 def _validate_priors(priors: Mapping[OpPair, float]) -> np.ndarray:
     """Priors as a 16-vector indexed by 4*a.code + b.code."""
     vec = np.zeros(16)
@@ -210,7 +197,7 @@ class EveView:
         """Each side's announced label per block, as its index in
         ENCODING_ORDER (entry k-1 is block k), -1 where the side announced
         none. A side that announced a block twice is a ValueError, side A
-        checked first, as Transcript.measurements reports it."""
+        checked first, as Transcript.measured reports it."""
         n = self.transcript.usable_blocks
         columns = (np.full(n, -1, dtype=np.intp), np.full(n, -1, dtype=np.intp))
         for side, column in zip(SIDES, columns):

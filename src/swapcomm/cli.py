@@ -19,6 +19,7 @@ import gc
 import json
 import math
 import os
+import shutil
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -91,7 +92,9 @@ def _emit(doc: dict, out: Path | None, fmt: str = "json") -> None:
 
     A regular file is written whole or not at all: the document goes to a
     temporary file beside it, which replaces `out` only once every byte is
-    written, so a failed write leaves what `out` held before. A device or
+    written, so a failed write leaves what `out` held before, and its
+    OSError names `out`. The file replaced keeps its permission bits, and
+    through a symlink the link's target is the file replaced. A device or
     a pipe is written in place."""
     render = documents.RENDERERS[fmt]
     if out is None:
@@ -102,13 +105,18 @@ def _emit(doc: dict, out: Path | None, fmt: str = "json") -> None:
         with open(out, "w", encoding="utf-8") as fh:
             render(doc, fh.write)
         return
-    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    target = out.resolve()
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
+            if target.exists():
+                shutil.copymode(target, tmp)
             render(doc, fh.write)
-        os.replace(tmp, out)
-    except BaseException:
+        os.replace(tmp, target)
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename in (None, str(tmp)):
+            raise OSError(exc.errno, exc.strerror, str(out)) from exc
         raise
 
 

@@ -55,7 +55,7 @@ from .channel import (
     InProcessChannel,
     TransportError,
 )
-from .quantum import BellLabel, PauliCode
+from .quantum import PauliCode
 from .swap import (
     ENCODING_ORDER,
     LABEL_CODES,
@@ -180,17 +180,6 @@ def _message_from_codes(codes: np.ndarray, declared_length: int) -> MessageBits:
     stored = declared_length + (declared_length % 2)
     text = (bits[:stored] + ord("0")).tobytes().decode("ascii")
     return MessageBits(bits=text, declared_length=declared_length)
-
-
-def encode_bits(message: MessageBits) -> tuple[PauliCode, ...]:
-    """Map consecutive bit pairs to operations via the fixed two-bit code."""
-    return tuple(map(PauliCode, _message_codes(message).tolist()))
-
-
-def decode_ops(ops, declared_length: int) -> MessageBits:
-    """Inverse of encode_bits; trims to the declared length's even padding."""
-    codes = np.array([op.code for op in ops], dtype=np.intp)
-    return _message_from_codes(codes, declared_length)
 
 
 @dataclass(frozen=True)
@@ -361,14 +350,6 @@ class BlockRecord:
     announced_a: bool
     announced_b: bool
 
-    @property
-    def effective_a(self) -> PauliCode:
-        return self.op_a if self.op_a is not None else PauliCode.U0
-
-    @property
-    def effective_b(self) -> PauliCode:
-        return self.op_b if self.op_b is not None else PauliCode.U0
-
 
 # Indexed by an op code column; code -1 marks a party that declared
 # silence and applied nothing.
@@ -517,14 +498,6 @@ class Transcript:
         if repeated is not None:
             raise ValueError(f"side {side} announced block {repeated} twice")
         return blocks, _LINE_LABEL[lines.codes[mine]]
-
-    def measurements(self, side: str) -> dict[int, BellLabel]:
-        """Announced measurement labels for one side, keyed by block."""
-        blocks, labels = self.measured(side)
-        return dict(zip(blocks.tolist(), map(ENCODING_ORDER.__getitem__, labels.tolist())))
-
-    def wire_lines(self) -> list[str]:
-        return self.lines.wire_lines()
 
 
 @dataclass(frozen=True)

@@ -131,15 +131,6 @@ class PureState:
         return " + ".join(terms) or "0"
 
 
-def basis_state(bits: str) -> PureState:
-    """The computational basis state |bits>, e.g. basis_state('01')."""
-    if not bits or set(bits) - {"0", "1"}:
-        raise ValueError(f"invalid basis label {bits!r}")
-    amps = np.zeros(2 ** len(bits), dtype=np.complex128)
-    amps[int(bits, 2)] = 1.0
-    return PureState(amps)
-
-
 _BELL_AMPLITUDES: dict[BellLabel, np.ndarray] = {
     BellLabel.PHI_PLUS: _frozen([_INV_SQRT2, 0, 0, _INV_SQRT2]),
     BellLabel.PHI_MINUS: _frozen([_INV_SQRT2, 0, 0, -_INV_SQRT2]),

@@ -82,9 +82,6 @@ class OutcomeDistribution:
     second: BellLabel
     entries: Mapping[SwapOutcome, OutcomeTerm]
 
-    def probability(self, outcome: SwapOutcome) -> float:
-        return self.entries[outcome].probability
-
     def support(self, threshold: float = ATOL_OP) -> tuple[SwapOutcome, ...]:
         return tuple(o for o, t in self.entries.items() if t.probability > threshold)
 
@@ -232,11 +229,6 @@ def _code_array(entries: dict[tuple[int, int], int]) -> np.ndarray:
         raise AssertionError("a code table does not cover all 16 entries")
     arr.flags.writeable = False
     return arr
-
-
-def infer_second_pair(outcome: SwapOutcome) -> BellLabel:
-    """Second pair's pre-measurement state, first pair fixed at PsiPlus."""
-    return generate_decode_table().infer[outcome]
 
 
 def decode_partner(own: PauliCode, inferred: BellLabel) -> PauliCode:

@@ -12,6 +12,9 @@ Also a verbatim copy of adversary.estimate_mi_monte_carlo as it was before
 the view layout was written down once in adversary._VIEW_PARTS, with its
 per-pattern view arithmetic inline. The estimator must still give the same
 floats, bit for bit.
+
+Also two prior builders that only tests use, moved here from
+swapcomm.adversary unchanged: independent_priors and point_prior.
 """
 from __future__ import annotations
 
@@ -38,7 +41,23 @@ from swapcomm.adversary import (
 from swapcomm.channel import MAX_FRAME_BYTES, Announcement, AnnouncementKind, FrameError
 from swapcomm.documents import _SESSION_TYPES
 from swapcomm.protocol import SessionMode, SilentFallback, Transcript
+from swapcomm.quantum import PauliCode
 from swapcomm.swap import ALL_OP_PAIRS
+
+from reference_replay import measurements
+
+
+def independent_priors(
+    alice: Mapping[PauliCode, float], bob: Mapping[PauliCode, float]
+) -> dict[OpPair, float]:
+    """Product prior from per-party operation distributions."""
+    return {
+        (a, b): alice.get(a, 0.0) * bob.get(b, 0.0) for a, b in ALL_OP_PAIRS
+    }
+
+
+def point_prior(op_a: PauliCode, op_b: PauliCode) -> dict[OpPair, float]:
+    return {pair: 1.0 if pair == (op_a, op_b) else 0.0 for pair in ALL_OP_PAIRS}
 
 
 def transcript_from_document(doc: dict) -> Transcript:
@@ -97,8 +116,8 @@ def transcript_from_document(doc: dict) -> Transcript:
 
 
 def block_announcements(transcript: Transcript) -> list:
-    a_seen = transcript.measurements("A")
-    b_seen = transcript.measurements("B")
+    a_seen = measurements(transcript, "A")
+    b_seen = measurements(transcript, "B")
     return [
         (k, a_seen.get(k), b_seen.get(k))
         for k in range(1, transcript.usable_blocks + 1)

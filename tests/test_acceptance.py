@@ -36,7 +36,6 @@ from swapcomm.swap import (
     composite_label,
     decode_partner,
     generate_decode_table,
-    infer_second_pair,
     swap_decompose,
 )
 
@@ -106,7 +105,7 @@ def test_criterion_2_remaining_decompositions_exact():
                 support = dist.support()
                 assert len(support) == 4
                 for outcome in support:
-                    assert abs(dist.probability(outcome) - 0.25) < 1e-12
+                    assert abs(dist.entries[outcome].probability - 0.25) < 1e-12
                 exact = oracle.decompose(first.value, second.value)
                 for outcome, term in dist.entries.items():
                     want = float(exact[(outcome.a_side.value, outcome.b_side.value)])
@@ -117,7 +116,7 @@ def test_criterion_3_decode_totality_and_bijection():
     with criterion(3, "decode totality and bijection"):
         columns = {label: set() for label in BELL_ORDER}
         for outcome in ALL_OUTCOMES:
-            columns[infer_second_pair(outcome)].add(outcome)
+            columns[generate_decode_table().infer[outcome]].add(outcome)
         assert all(len(col) == 4 for col in columns.values())
         assert set().union(*columns.values()) == set(ALL_OUTCOMES)
 
@@ -227,7 +226,7 @@ def test_criterion_8_channel_equivalence(tmp_path):
             alice_message=MessageBits.from_bits("011110"),
             bob_message=MessageBits.from_bits("101100"),
         )
-        reference = run_session(config).transcript.wire_lines()
+        reference = run_session(config).transcript.lines.wire_lines()
 
         serve_out = tmp_path / "serve.json"
         conn_out = tmp_path / "conn.json"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import reference_analysis
+from reference_analysis import independent_priors, point_prior
 from swapcomm.adversary import (
     _VIEW_CODES,
     _VIEW_PARTS,
@@ -19,10 +20,8 @@ from swapcomm.adversary import (
     _pattern_views,
     estimate_mi_monte_carlo,
     eve_posterior,
-    independent_priors,
     information_summary,
     pattern_information,
-    point_prior,
     uniform_priors,
 )
 from swapcomm.channel import CodedLines

@@ -100,7 +100,7 @@ class TestWireFormat:
             alice_message=MessageBits.from_bits("011110"),
             bob_message=MessageBits.from_bits("101100"),
         ))
-        for line in res.transcript.wire_lines():
+        for line in res.transcript.lines.wire_lines():
             fields = json.loads(line)
             assert set(fields) <= set(WIRE_FIELDS)
             assert "U" not in line.replace('"kind"', "").split('"sid":')[0]
@@ -438,7 +438,7 @@ class TestTcpChannel:
         results, errors = run_tcp_pair(config_a, config_b)
         assert not errors, errors
         for side in ("A", "B"):
-            assert results[side].transcript.wire_lines() == inproc.transcript.wire_lines()
+            assert results[side].transcript.lines.wire_lines() == inproc.transcript.lines.wire_lines()
         assert results["A"].decoded_by_alice == inproc.decoded_by_alice
         assert results["B"].decoded_by_bob == inproc.decoded_by_bob
 
@@ -458,7 +458,7 @@ class TestTcpChannel:
         assert not errors, errors
         assert results["B"].decoded_by_bob == MessageBits.from_bits("011110")
         for side in ("A", "B"):
-            assert results[side].transcript.wire_lines() == inproc.transcript.wire_lines()
+            assert results[side].transcript.lines.wire_lines() == inproc.transcript.lines.wire_lines()
 
     def test_unilateral_random_fallback_over_tcp(self):
         from swapcomm.protocol import SessionMode, SilentFallback
@@ -475,7 +475,7 @@ class TestTcpChannel:
         results, errors = run_tcp_pair(config_a, config_b)
         assert not errors, errors
         assert results["B"].decoded_by_bob == MessageBits.from_bits("011110")
-        assert results["B"].transcript.wire_lines() == inproc.transcript.wire_lines()
+        assert results["B"].transcript.lines.wire_lines() == inproc.transcript.lines.wire_lines()
 
     def test_config_mismatch_is_a_session_error(self):
         config_a = SessionConfig(

@@ -24,6 +24,7 @@ import numpy as np
 
 import oracle
 import reference_analysis
+from reference_analysis import independent_priors, point_prior
 import reference_documents
 import reference_replay
 from swapcomm import cli, documents, jsontext, protocol
@@ -31,9 +32,7 @@ from swapcomm.adversary import (
     EveView,
     PosteriorReport,
     eve_posterior,
-    independent_priors,
     information_summary,
-    point_prior,
     uniform_priors,
 )
 from swapcomm.channel import (
@@ -183,6 +182,42 @@ class TestSimulate:
         assert [path.name for path in tmp_path.iterdir()] == ["doc.pipe"]
         assert main(["simulate", "--pairs", "6", "--seed", "7"]) == 0
         assert text == capsys.readouterr().out
+
+    def test_out_dev_stdout_is_written_in_place(self):
+        """/dev/stdout is a symlink to the process's stdout, here a pipe:
+        the document goes down the pipe, as without --out."""
+        argv = [sys.executable, "-m", "swapcomm", "simulate", "--pairs", "6", "--seed", "7"]
+        through_link = subprocess.run([*argv, "--out", "/dev/stdout"], capture_output=True,
+                                      timeout=60)
+        assert (through_link.returncode, through_link.stderr) == (0, b"")
+        assert through_link.stdout == subprocess.run(argv, capture_output=True, timeout=60).stdout
+
+    def test_out_keeps_the_mode_of_the_file_it_replaces(self, tmp_path):
+        """A run document holds both messages: one written over a file that
+        only its owner may read stays so."""
+        out = tmp_path / "run.json"
+        out.write_text("earlier content\n")
+        out.chmod(0o600)
+        assert main(["simulate", "--pairs", "6", "--seed", "7", "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        assert json.loads(out.read_text())["kind"] == "session-run"
+        assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
+
+    def test_out_through_a_symlink_writes_its_target(self, tmp_path, capsys):
+        """--out naming a symlink replaces the link's target with the
+        document, from a temporary file beside the target, and leaves the
+        link as it was."""
+        (tmp_path / "docs").mkdir()
+        real = tmp_path / "docs" / "real.json"
+        real.write_text("earlier content\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(Path("docs") / "real.json")
+        assert main(["simulate", "--pairs", "6", "--seed", "7", "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(Path("docs") / "real.json")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["docs", "link.json"]
+        assert [path.name for path in real.parent.iterdir()] == ["real.json"]
+        assert main(["simulate", "--pairs", "6", "--seed", "7"]) == 0
+        assert real.read_text() == capsys.readouterr().out
 
     def test_trials_aggregate(self, capsys):
         code, out = run_cli(
@@ -1107,7 +1142,7 @@ def _session_configs(draw):
 def test_run_document_columns_render_as_json_dumps(config):
     result = run_session(config)
     doc = documents.run_document(config, result)
-    assert doc["transcript"] == result.transcript.wire_lines()
+    assert doc["transcript"] == result.transcript.lines.wire_lines()
     records = result.blocks
 
     def chars(values, char) -> str:
@@ -1242,7 +1277,7 @@ class TestDocumentProperties:
     def test_session_round_trips_through_its_document(self, config):
         result = run_session(config)
         transcript = result.transcript
-        assert transcript.wire_lines() == [ann.to_wire() for ann in transcript.announcements]
+        assert transcript.lines.wire_lines() == [ann.to_wire() for ann in transcript.announcements]
         doc = json.loads(documents.render(documents.run_document(config, result), "json"))
         assert documents.transcript_from_document(doc) == transcript
         again = documents.replay_document(doc)
@@ -1962,9 +1997,10 @@ class TestOutOfResources:
 
     def test_a_file_too_large_keeps_the_earlier_document(self, tmp_path):
         # A 50k-pair document is about 6 MB; a file may grow to 1 MB.
+        out = tmp_path / "run.json"
         err = self._run(["simulate", "--pairs", "50000", "--seed", "3"],
-                        _limited(resource.RLIMIT_FSIZE, 1 << 20), tmp_path / "run.json")
-        assert err == "swapcomm: [Errno 27] File too large\n"
+                        _limited(resource.RLIMIT_FSIZE, 1 << 20), out)
+        assert err == f"swapcomm: [Errno 27] File too large: {str(out)!r}\n"
 
     def test_a_written_document_replaces_the_earlier_one(self, tmp_path):
         out = tmp_path / "run.json"

@@ -25,14 +25,14 @@ from swapcomm.protocol import (
     SilentFallback,
     _decodes_exactly,
     _draw_grid,
+    _message_codes,
+    _message_from_codes,
     _peer_message,
     _seed_column,
     _session_blocks,
     _spawn_seeds,
     _stream_words,
     block_rng,
-    decode_ops,
-    encode_bits,
     parse_message,
     replay,
     run_remote_party,
@@ -118,7 +118,19 @@ class TestMessageBits:
             parse_message("0xzz")
 
 
+def encode_bits(message):
+    """A message's operations via the two-bit code, as PauliCodes."""
+    return tuple(map(PauliCode, _message_codes(message).tolist()))
+
+
+def decode_ops(ops, declared_length):
+    """The message of a sequence of PauliCodes, trimmed to its declared length."""
+    return _message_from_codes(np.array([op.code for op in ops], dtype=np.intp), declared_length)
+
+
 class TestEncodeDecode:
+    """protocol._message_codes and _message_from_codes, the two-bit code."""
+
     def test_worked_alice_string(self):
         ops = encode_bits(MessageBits.from_bits("011110"))
         assert ops == (PauliCode.U1, PauliCode.U3, PauliCode.U2)
@@ -212,7 +224,9 @@ class TestRunSession:
         table = generate_decode_table()
         res = run_session(bidirectional(12, 5, "010111", "101001"))
         for rec in res.blocks:
-            column = table.composite[(rec.effective_a, rec.effective_b)]
+            # A party that declared silence applied nothing: the identity.
+            ops = tuple(PauliCode.U0 if op is None else op for op in (rec.op_a, rec.op_b))
+            column = table.composite[ops]
             assert table.infer[rec.outcome] is column
 
 

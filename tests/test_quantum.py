@@ -14,7 +14,6 @@ from swapcomm.quantum import (
     PauliCode,
     PureState,
     apply_local,
-    basis_state,
     bell_measure,
     bell_project,
     bell_project_all,
@@ -26,6 +25,13 @@ from swapcomm.quantum import (
 from swapcomm.stats import chi_square_uniform, label_counts
 
 S2 = 1 / math.sqrt(2)
+
+
+def basis_state(bits):
+    """The computational basis state |bits>, e.g. basis_state('01')."""
+    amps = np.zeros(2 ** len(bits), dtype=np.complex128)
+    amps[int(bits, 2)] = 1.0
+    return PureState(amps)
 
 
 def random_state(rng, n_qubits):

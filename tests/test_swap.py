@@ -16,7 +16,6 @@ from swapcomm.swap import (
     composite_label,
     decode_partner,
     generate_decode_table,
-    infer_second_pair,
     swap_decompose,
 )
 
@@ -79,7 +78,7 @@ class TestSwapDecompose:
         support = dist.support()
         assert len(support) == 4
         for outcome in support:
-            assert abs(dist.probability(outcome) - 0.25) < 1e-12
+            assert abs(dist.entries[outcome].probability - 0.25) < 1e-12
         assert abs(sum(t.probability for t in dist.entries.values()) - 1.0) < 1e-9
 
     @pytest.mark.parametrize("first", BELL_ORDER)
@@ -118,22 +117,22 @@ class TestInferSecondPair:
         ("PhiPlus", "PhiPlus", "PsiPlus"),
     ])
     def test_worked_inferences(self, a_side, b_side, expected):
-        assert infer_second_pair(SwapOutcome(L[a_side], L[b_side])) is L[expected]
+        assert generate_decode_table().infer[SwapOutcome(L[a_side], L[b_side])] is L[expected]
 
     def test_total_on_all_outcomes(self):
         for outcome in ALL_OUTCOMES:
-            infer_second_pair(outcome)
+            generate_decode_table().infer[outcome]
 
     def test_consistency_with_decomposition(self):
         for outcome in ALL_OUTCOMES:
-            second = infer_second_pair(outcome)
+            second = generate_decode_table().infer[outcome]
             dist = swap_decompose(BellLabel.PSI_PLUS, second)
-            assert abs(dist.probability(outcome) - 0.25) < 1e-12
+            assert abs(dist.entries[outcome].probability - 0.25) < 1e-12
 
     def test_columns_partition_outcomes(self):
         columns = {label: set() for label in BELL_ORDER}
         for outcome in ALL_OUTCOMES:
-            columns[infer_second_pair(outcome)].add(outcome)
+            columns[generate_decode_table().infer[outcome]].add(outcome)
         assert all(len(col) == 4 for col in columns.values())
         union = set().union(*columns.values())
         assert union == set(ALL_OUTCOMES)
