@@ -62,7 +62,8 @@ PATTERN_A_ONLY = "a-only"
 PATTERN_B_ONLY = "b-only"
 PATTERN_NONE = "none"
 
-# The most blocks estimate_mi_monte_carlo draws: about 350 MB at its peak.
+# The most blocks estimate_mi_monte_carlo counts. It draws 64 cell counts,
+# not one row per block, so its time and memory do not grow with the count.
 MAX_MC_BLOCKS = 10**7
 
 # The one layout of the 25 views: column c of _likelihoods() is the view
@@ -342,9 +343,12 @@ def estimate_mi_monte_carlo(
     """Plug-in MI estimates from simulated blocks, for cross-checking the
     analytic values.
 
-    Each block draws an operation pair from the priors and an outcome from
-    the swapping law (a-side uniform, b-side fixed by the composite's
-    column), then reduces the outcome to the given announcement pattern.
+    A block takes one of 64 cells, (operation pair, a-side outcome): its
+    operation pair from the priors and its a-side outcome uniform, so the
+    count of each cell over n_blocks blocks is Multinomial(n_blocks, priors
+    / 4), drawn in one call. The swapping law fixes each cell's b-side
+    outcome by the composite's column, and the cell's counts go to the view
+    the given announcement pattern leaves of that outcome.
     A block count outside 1..MAX_MC_BLOCKS is a ValueError.
     """
     if not 1 <= n_blocks <= MAX_MC_BLOCKS:
@@ -355,19 +359,23 @@ def estimate_mi_monte_carlo(
     # of the operations' composite label.
     partner_b = _pattern_likelihoods(PATTERN_BOTH).reshape(16, 4, 4).argmax(axis=2)
 
-    rng = np.random.default_rng(seed)
-    ops = rng.choice(16, size=n_blocks, p=priors_vec)
-    a_idx = rng.integers(4, size=n_blocks)
+    # The cells in row-major order, (ops, a_idx). The priors are divided by
+    # their sum, which _validate_priors lets differ from 1 by up to 1e-9:
+    # multinomial rejects cells that sum above 1, and gives the last cell
+    # what they lack below it.
+    cell_p = np.repeat(priors_vec / priors_vec.sum() / 4, 4)
+    cells = np.random.default_rng(seed).multinomial(n_blocks, cell_p)
+    ops, a_idx = np.divmod(np.arange(64), 4)
     views = _pattern_views(pattern, a_idx, partner_b[ops, a_idx])
 
-    counts = np.bincount(ops * n_views + views, minlength=16 * n_views)
+    counts = np.bincount(ops * n_views + views, weights=cells, minlength=16 * n_views)
     joint = counts.reshape(16, n_views) / n_blocks
     return {**_joint_information(joint), "n_blocks": float(n_blocks)}
 
 
 def _pattern_views(pattern: str, a_idx: np.ndarray, b_idx: np.ndarray) -> np.ndarray:
-    """Each block's view as its position in _VIEWS[pattern], from both sides'
-    measured label indices: arithmetic, faster here than a _VIEW_CODES gather."""
+    """Each view's position in _VIEWS[pattern], from both sides' measured
+    label indices."""
     if pattern == PATTERN_BOTH:
         return 4 * a_idx + b_idx
     if pattern == PATTERN_A_ONLY:

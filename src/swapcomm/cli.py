@@ -92,29 +92,31 @@ def _emit(doc: dict, out: Path | None, fmt: str = "json") -> None:
 
     A regular file is written whole or not at all: the document goes to a
     temporary file beside it, which replaces `out` only once every byte is
-    written, so a failed write leaves what `out` held before, and its
-    OSError names `out`. The file replaced keeps its permission bits, and
-    through a symlink the link's target is the file replaced. A device or
-    a pipe is written in place."""
+    written, so a failed write leaves what `out` held before. The file
+    replaced keeps its permission bits, and through a symlink the link's
+    target is the file replaced. A device or a pipe is written in place.
+    Either way, the OSError of a failed write names `out`."""
     render = documents.RENDERERS[fmt]
     if out is None:
         render(doc, sys.stdout.write)
         return
     out.parent.mkdir(parents=True, exist_ok=True)
-    if out.exists() and not out.is_file():
-        with open(out, "w", encoding="utf-8") as fh:
-            render(doc, fh.write)
-        return
-    target = out.resolve()
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    tmp = None
     try:
+        if out.exists() and not out.is_file():
+            with open(out, "w", encoding="utf-8") as fh:
+                render(doc, fh.write)
+            return
+        target = out.resolve()
+        tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
             if target.exists():
                 shutil.copymode(target, tmp)
             render(doc, fh.write)
         os.replace(tmp, target)
     except BaseException as exc:
-        tmp.unlink(missing_ok=True)
+        if tmp is not None:
+            tmp.unlink(missing_ok=True)
         if isinstance(exc, OSError) and exc.filename in (None, str(tmp)):
             raise OSError(exc.errno, exc.strerror, str(out)) from exc
         raise

@@ -8,10 +8,16 @@ the names, the imports and that the report is returned as its tuple of
 blocks. The column path must give an equal transcript, equal blocks and
 equal totals, or the same error.
 
-Also a verbatim copy of adversary.estimate_mi_monte_carlo as it was before
-the view layout was written down once in adversary._VIEW_PARTS, with its
-per-pattern view arithmetic inline. The estimator must still give the same
-floats, bit for bit.
+Also two references for adversary.estimate_mi_monte_carlo. per_block_counts
+is a copy of the estimator as it was when it drew one operation pair and
+one a-side outcome per block, with its per-pattern view arithmetic inline;
+the only edits are its name, that its arguments have no defaults, and
+that it returns its count matrix, not the MI. It is the reference of the
+law: the estimator's counts must have the same mean.
+estimate_mi_monte_carlo_cells draws the 64 cell counts as the estimator
+does, but builds the cells from the decode table's composite and infer
+maps and reduces each to its view by hand. The estimator must give the
+same floats, bit for bit.
 
 Also two prior builders that only tests use, moved here from
 swapcomm.adversary unchanged: independent_priors and point_prior.
@@ -42,7 +48,7 @@ from swapcomm.channel import MAX_FRAME_BYTES, Announcement, AnnouncementKind, Fr
 from swapcomm.documents import _SESSION_TYPES
 from swapcomm.protocol import SessionMode, SilentFallback, Transcript
 from swapcomm.quantum import PauliCode
-from swapcomm.swap import ALL_OP_PAIRS
+from swapcomm.swap import ALL_OP_PAIRS, ENCODING_ORDER, generate_decode_table
 
 from reference_replay import measurements
 
@@ -219,14 +225,10 @@ def information_summary(blocks: tuple[BlockPosterior, ...], priors) -> dict:
     return {"per_block": per_block, "session": session}
 
 
-def estimate_mi_monte_carlo(
-    priors: Mapping[OpPair, float],
-    pattern: str = PATTERN_BOTH,
-    n_blocks: int = 100_000,
-    seed: int = 0,
-) -> dict[str, float]:
-    """Plug-in MI estimates from simulated blocks, for cross-checking the
-    analytic values.
+def per_block_counts(
+    priors: Mapping[OpPair, float], pattern: str, n_blocks: int, seed: int
+) -> np.ndarray:
+    """counts[ops_index, view] over n_blocks blocks drawn one at a time.
 
     Each block draws an operation pair from the priors and an outcome from
     the swapping law (a-side uniform, b-side fixed by the composite's
@@ -251,10 +253,49 @@ def estimate_mi_monte_carlo(
     else:
         views = np.zeros(n_blocks, dtype=np.int64)
 
-    counts = np.bincount(ops * n_views + views, minlength=16 * n_views).reshape(
+    return np.bincount(ops * n_views + views, minlength=16 * n_views).reshape(
         16, n_views
     )
-    joint = counts / n_blocks
+
+
+def cell_counts(
+    priors: Mapping[OpPair, float], pattern: str, n_blocks: int, seed: int
+) -> np.ndarray:
+    """counts[ops_index, view] over n_blocks blocks, from one multinomial
+    draw of the 64 cells (operation pair, a-side outcome) in row-major
+    order, each of probability prior / 4."""
+    priors_vec = _validate_priors(priors)
+    n_views = {PATTERN_BOTH: 16, PATTERN_A_ONLY: 4, PATTERN_B_ONLY: 4, PATTERN_NONE: 1}[pattern]
+    cell_p = np.repeat(priors_vec / priors_vec.sum() / 4, 4)
+    cells = np.random.default_rng(seed).multinomial(n_blocks, cell_p).tolist()
+
+    table = generate_decode_table()
+    labels = list(ENCODING_ORDER)
+    counts = np.zeros((16, n_views))
+    for i, pair in enumerate(ALL_OP_PAIRS):
+        # The composite's column: the four outcomes inferred as its label,
+        # one for each a-side label.
+        column = {
+            outcome.a_side: outcome.b_side
+            for outcome, label in table.infer.items()
+            if label is table.composite[pair]
+        }
+        for a in range(4):
+            b = labels.index(column[labels[a]])
+            view = {PATTERN_BOTH: 4 * a + b, PATTERN_A_ONLY: a,
+                    PATTERN_B_ONLY: b, PATTERN_NONE: 0}[pattern]
+            counts[i, view] += cells[4 * i + a]
+    return counts
+
+
+def estimate_mi_monte_carlo_cells(
+    priors: Mapping[OpPair, float],
+    pattern: str = PATTERN_BOTH,
+    n_blocks: int = 100_000,
+    seed: int = 0,
+) -> dict[str, float]:
+    """Plug-in MI estimates from cell_counts."""
+    joint = cell_counts(priors, pattern, n_blocks, seed) / n_blocks
     by_alice = joint.reshape(4, 4, -1).sum(axis=1)
     by_bob = joint.reshape(4, 4, -1).sum(axis=0)
     return {

@@ -6,6 +6,7 @@ import pytest
 
 import reference_analysis
 from reference_analysis import independent_priors, point_prior
+from swapcomm import adversary
 from swapcomm.adversary import (
     _VIEW_CODES,
     _VIEW_PARTS,
@@ -310,6 +311,32 @@ class TestMonteCarloAgreement:
             assert abs(mc[key] - analytic[key]) < 0.02, key
 
 
+@pytest.mark.parametrize("scale", [1 + 5e-10, 1 - 5e-10])
+@pytest.mark.parametrize("priors", [
+    point_prior(PauliCode.U0, PauliCode.U0),
+    independent_priors(dict(zip(PauliCode, (0.4, 0.3, 0.2, 0.1))), dict.fromkeys(PauliCode, 0.25)),
+], ids=["point", "skewed"])
+@pytest.mark.parametrize("pattern", ALL_PATTERNS)
+def test_monte_carlo_takes_priors_that_sum_within_1e_9_of_1(pattern, priors, scale):
+    """_validate_priors accepts a sum within 1e-9 of 1; the estimate draws
+    from the priors divided by their sum."""
+    priors = {pair: p * scale for pair, p in priors.items()}
+    analytic = pattern_information(priors, pattern)
+    mc = estimate_mi_monte_carlo(priors, pattern, n_blocks=100_000, seed=15)
+    for key in ("mi_alice_bits", "mi_bob_bits", "mi_joint_bits"):
+        assert math.isfinite(mc[key]), key
+        assert abs(mc[key] - analytic[key]) < 0.02, key
+
+
+# The priors of the Monte Carlo reference tests.
+_MC_PRIORS = [
+    uniform_priors(),
+    independent_priors(dict(zip(PauliCode, (0.4, 0.3, 0.2, 0.1))),
+                       dict(zip(PauliCode, (0.15, 0.25, 0.35, 0.25)))),
+    point_prior(PauliCode.U1, PauliCode.U0),
+]
+_MC_PRIOR_IDS = ["uniform", "skewed", "point"]
+
 # Which sides each pattern's views show: (side A, side B).
 _SHOWN = {
     PATTERN_BOTH: (True, True),
@@ -356,18 +383,42 @@ class TestViewLayout:
             assert column == want, (a, b)
 
     @pytest.mark.parametrize("pattern", ALL_PATTERNS)
-    @pytest.mark.parametrize("priors", [
-        uniform_priors(),
-        independent_priors(dict(zip(PauliCode, (0.4, 0.3, 0.2, 0.1))),
-                           dict(zip(PauliCode, (0.15, 0.25, 0.35, 0.25)))),
-        point_prior(PauliCode.U1, PauliCode.U0),
-    ], ids=["uniform", "skewed", "point"])
-    def test_monte_carlo_equals_the_reference(self, pattern, priors):
+    @pytest.mark.parametrize("priors", _MC_PRIORS, ids=_MC_PRIOR_IDS)
+    def test_monte_carlo_equals_the_cell_reference(self, pattern, priors):
         for seed in (0, 1, 12, 2**40):
             for n_blocks in (1, 37, 4096, 50_000):
                 got = estimate_mi_monte_carlo(priors, pattern, n_blocks, seed)
-                want = reference_analysis.estimate_mi_monte_carlo(priors, pattern, n_blocks, seed)
+                want = reference_analysis.estimate_mi_monte_carlo_cells(
+                    priors, pattern, n_blocks, seed)
                 assert repr(got) == repr(want), (seed, n_blocks)
+
+    @pytest.mark.parametrize("priors", _MC_PRIORS, ids=_MC_PRIOR_IDS)
+    def test_monte_carlo_counts_follow_the_per_block_law(self, priors, monkeypatch):
+        """Over 200 seeds, the mean count of every (operation pair, view)
+        cell of every pattern is the per-block estimator's, within 5 sigma
+        of the difference of the two means."""
+        joints = []
+
+        def kept(joint):
+            joints.append(joint)
+            return {}
+
+        monkeypatch.setattr(adversary, "_joint_information", kept)
+        n_blocks, seeds = 2000, range(200)
+        for pattern in ALL_PATTERNS:
+            joints.clear()
+            for seed in seeds:
+                estimate_mi_monte_carlo(priors, pattern, n_blocks, seed)
+            cells = np.rint(np.array(joints) * n_blocks)
+            blocks = np.array([
+                reference_analysis.per_block_counts(priors, pattern, n_blocks, seed)
+                for seed in seeds
+            ])
+            assert cells.shape == blocks.shape
+            assert cells.sum(axis=(1, 2)).tolist() == [n_blocks] * len(seeds)
+            sigma = np.sqrt((cells.var(axis=0, ddof=1) + blocks.var(axis=0, ddof=1)) / len(seeds))
+            gap = np.abs(cells.mean(axis=0) - blocks.mean(axis=0))
+            assert np.all(gap <= 5 * sigma), (pattern, np.argwhere(gap > 5 * sigma))
 
     def test_report_views_in_column_order(self):
         res = session(alice="011010", bob="100101")

@@ -192,6 +192,12 @@ class TestSimulate:
         assert (through_link.returncode, through_link.stderr) == (0, b"")
         assert through_link.stdout == subprocess.run(argv, capture_output=True, timeout=60).stdout
 
+    def test_out_to_a_full_device_names_it(self, capsys):
+        """A device is written in place, and its failed write names --out
+        as a regular file's does."""
+        assert main(["simulate", "--pairs", "4", "--out", "/dev/full"]) == 1
+        assert capsys.readouterr().err == "swapcomm: [Errno 28] No space left on device: '/dev/full'\n"
+
     def test_out_keeps_the_mode_of_the_file_it_replaces(self, tmp_path):
         """A run document holds both messages: one written over a file that
         only its owner may read stays so."""
@@ -581,6 +587,26 @@ class TestAnalyze:
         assert code == 0
         doc = json.loads(out.out)
         assert abs(doc["monte_carlo"]["both"]["mi_joint_bits"] - 2.0) < 0.05
+
+    def test_the_largest_monte_carlo_estimate_peaks_under_150_mb(self, run_doc, tmp_path):
+        """--mc-blocks at its cap, in a child that reports its own peak RSS:
+        the estimate draws cell counts, not a row per block."""
+        report = tmp_path / "report.json"
+        child = subprocess.run(
+            [sys.executable, "-c",
+             "import resource, sys\n"
+             "from swapcomm.cli import main\n"
+             "code = main(['analyze', sys.argv[1], '--mc-blocks', '10000000', '--out', sys.argv[2]])\n"
+             "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n",
+             str(run_doc), str(report)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+        )
+        assert child.returncode == 0, child.stderr
+        code, peak_kib = map(int, child.stdout.split())  # ru_maxrss is in KiB on Linux
+        assert code == 0, child.stderr
+        assert json.loads(report.read_text())["monte_carlo"]["both"]["n_blocks"] == 1e7
+        assert peak_kib * 1024 < 150e6, f"peak RSS {peak_kib * 1024 / 1e6:.1f} MB"
 
     def test_priors_file(self, run_doc, tmp_path, capsys):
         priors = {f"U{a},U{b}": 1 / 16 for a in range(4) for b in range(4)}
