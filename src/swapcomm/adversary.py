@@ -97,7 +97,8 @@ def uniform_priors() -> dict[OpPair, float]:
 
 
 def _validate_priors(priors: Mapping[OpPair, float]) -> np.ndarray:
-    """Priors as a 16-vector indexed by 4*a.code + b.code."""
+    """Priors as a 16-vector indexed by 4*a.code + b.code, divided by their
+    sum, which may differ from 1 by up to 1e-9."""
     vec = np.zeros(16)
     for pair, p in priors.items():
         if pair not in _PAIR_INDEX:
@@ -110,7 +111,7 @@ def _validate_priors(priors: Mapping[OpPair, float]) -> np.ndarray:
     total = float(vec.sum())  # a Python float, so the message reads "0.5", not "np.float64(0.5)"
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"priors sum to {total!r}, not 1")
-    return vec
+    return vec / total
 
 
 @lru_cache(maxsize=1)
@@ -359,27 +360,18 @@ def estimate_mi_monte_carlo(
     # of the operations' composite label.
     partner_b = _pattern_likelihoods(PATTERN_BOTH).reshape(16, 4, 4).argmax(axis=2)
 
-    # The cells in row-major order, (ops, a_idx). The priors are divided by
-    # their sum, which _validate_priors lets differ from 1 by up to 1e-9:
-    # multinomial rejects cells that sum above 1, and gives the last cell
-    # what they lack below it.
-    cell_p = np.repeat(priors_vec / priors_vec.sum() / 4, 4)
+    # The cells in row-major order, (ops, a_idx).
+    cell_p = np.repeat(priors_vec / 4, 4)
     cells = np.random.default_rng(seed).multinomial(n_blocks, cell_p)
     ops, a_idx = np.divmod(np.arange(64), 4)
-    views = _pattern_views(pattern, a_idx, partner_b[ops, a_idx])
+    # Each cell's column of _likelihoods(), a side the pattern hides read as
+    # silent, and its position in the pattern's run of columns.
+    first = _VIEWS[pattern].start
+    _, shows_a, shows_b = _VIEW_PARTS[first]
+    a_code = a_idx + 1 if shows_a is not None else 0
+    b_code = partner_b[ops, a_idx] + 1 if shows_b is not None else 0
+    views = _VIEW_CODES[a_code, b_code] - first
 
     counts = np.bincount(ops * n_views + views, weights=cells, minlength=16 * n_views)
     joint = counts.reshape(16, n_views) / n_blocks
     return {**_joint_information(joint), "n_blocks": float(n_blocks)}
-
-
-def _pattern_views(pattern: str, a_idx: np.ndarray, b_idx: np.ndarray) -> np.ndarray:
-    """Each view's position in _VIEWS[pattern], from both sides' measured
-    label indices."""
-    if pattern == PATTERN_BOTH:
-        return 4 * a_idx + b_idx
-    if pattern == PATTERN_A_ONLY:
-        return a_idx
-    if pattern == PATTERN_B_ONLY:
-        return b_idx
-    return np.zeros_like(a_idx)

@@ -8,8 +8,7 @@ halves of a networked two-process session).
 Exit codes: 0 success, 1 usage or capacity error (running out of memory
 too), 2 verification failure, 3 transport or session failure, 141 when
 stdout's reader closed it early.
-Every path is deterministic given flags and seed. SWAPCOMM_OUT_DIR, when
-set, prefixes relative --out paths.
+Every path is deterministic given flags and seed.
 """
 from __future__ import annotations
 
@@ -76,30 +75,21 @@ def _read_message(value: str):
     return parse_message(value)
 
 
-def _resolve_out(path: str | None) -> Path | None:
-    if path is None:
-        return None
-    out = Path(path)
-    base = os.environ.get("SWAPCOMM_OUT_DIR")
-    if base and not out.is_absolute():
-        out = Path(base) / out
-    return out
-
-
-def _emit(doc: dict, out: Path | None, fmt: str = "json") -> None:
-    """Write `doc` in format `fmt` to the file `out`, or to stdout, as
+def _emit(doc: dict, path: str | None, fmt: str = "json") -> None:
+    """Write `doc` in format `fmt` to the file `path`, or to stdout, as
     documents.RENDERERS[fmt] renders it, in slices.
 
     A regular file is written whole or not at all: the document goes to a
-    temporary file beside it, which replaces `out` only once every byte is
-    written, so a failed write leaves what `out` held before. The file
+    temporary file beside it, which replaces the file only once every byte
+    is written, so a failed write leaves what the file held before. The file
     replaced keeps its permission bits, and through a symlink the link's
     target is the file replaced. A device or a pipe is written in place.
-    Either way, the OSError of a failed write names `out`."""
+    Either way, the OSError of a failed write names `path`."""
     render = documents.RENDERERS[fmt]
-    if out is None:
+    if path is None:
         render(doc, sys.stdout.write)
         return
+    out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     tmp = None
     try:
@@ -215,12 +205,12 @@ def _cmd_simulate(args) -> int:
             "trials": rows,
             "summary": {"trials": len(rows), "all_decodes_exact": exact},
         }
-        _emit(doc, _resolve_out(args.out))
+        _emit(doc, args.out)
         return EXIT_OK
 
     result = run_session(config)
     doc = documents.run_document(config, result)
-    _emit(doc, _resolve_out(args.out), args.format)
+    _emit(doc, args.out, args.format)
     return EXIT_OK
 
 
@@ -250,7 +240,7 @@ def _cmd_table(args) -> int:
         "composite": composite,
         "audit": audit_reference_table().to_dict(),
     }
-    _emit(doc, _resolve_out(args.out))
+    _emit(doc, args.out)
     return EXIT_OK
 
 
@@ -360,7 +350,7 @@ def _cmd_analyze(args) -> int:
             )
             for pattern in sorted(patterns)
         }
-    _emit(out_doc, _resolve_out(args.out))
+    _emit(out_doc, args.out)
     return EXIT_OK
 
 
@@ -391,7 +381,7 @@ def _cmd_party(args) -> int:
     del endpoint  # free its tap, a second copy of the peer's lines, before rendering
     doc = documents.run_document(config, result)
     doc["session"]["party"] = args.side
-    _emit(doc, _resolve_out(args.out), args.format)
+    _emit(doc, args.out, args.format)
     return EXIT_OK
 
 

@@ -15,9 +15,11 @@ string is ever built. `write_rows` is the one splice of code columns
 into text: it writes the csv and text documents and the wire windows of
 channel.CodedLines too.
 
-A column reads like the list it stands for, but it is not a list:
-`json.dumps` of a value that holds one raises TypeError rather than write
-other text. Pass `default=list` to render it the slow way.
+A column is not a list, and has no other use than to be rendered. `stream`
+renders it where the walk meets it: as the value streamed, or as a value
+in a dict with str keys. Anywhere else, in a list for example, and in
+`json.dumps` of a value that holds one, it raises json.dumps's own
+TypeError rather than write other text.
 """
 from __future__ import annotations
 
@@ -31,34 +33,18 @@ _CHUNK = 4096
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-class _Column:
-    """What a read-only column shares with the list it stands for."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if isinstance(other, (_Column, list)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None  # like a list
-
-    def __repr__(self) -> str:
-        return repr(list(self))
-
-
-class KeyedItems(_Column):
-    """A read-only list whose items differ only in one int key.
+class KeyedItems:
+    """A column of items that differ only in one int key.
 
     Item i is the kind kinds[which[i]] with the int keys[i] spliced in. A
     kind is a dict, whose first field takes the key, or a string: the item
     is then prefix + str(key) + kind. Dict kinds must name their first
     field alike. `which` is a list of kind indexes and `keys` a list or
     range of ints, by default each item's position from 1. Items are built
-    only when read, and each read builds a new one.
+    only when rendered.
     """
 
-    __slots__ = ("kinds", "which", "keys", "_prefix")
+    __slots__ = ("kinds", "which", "keys", "prefix")
 
     def __init__(self, kinds: list, which: list[int], keys=None, prefix: str | None = None):
         if keys is None:
@@ -67,11 +53,11 @@ class KeyedItems(_Column):
             raise ValueError(f"{len(which)} kinds for {len(keys)} keys")
         if prefix is None and len({next(iter(kind)) for kind in kinds}) > 1:
             raise ValueError("KeyedItems dict kinds must share their first field's name")
-        self.kinds, self.which, self.keys, self._prefix = kinds, which, keys, prefix
+        self.kinds, self.which, self.keys, self.prefix = kinds, which, keys, prefix
 
     def _item(self, kind: int, key: int):
-        if self._prefix is not None:
-            return f"{self._prefix}{key}{self.kinds[kind]}"
+        if self.prefix is not None:
+            return f"{self.prefix}{key}{self.kinds[kind]}"
         item = self.kinds[kind].copy()
         item[next(iter(item))] = key
         return item
@@ -79,17 +65,9 @@ class KeyedItems(_Column):
     def __len__(self) -> int:
         return len(self.which)
 
-    def __iter__(self):
-        return map(self._item, self.which, self.keys)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(map(self._item, self.which[index], self.keys[index]))
-        return self._item(self.which[index], self.keys[index])
-
     def _render(self, pad: str, write) -> None:
-        """Pass the list to `write` as json.dumps(indent=2) renders it on a
-        line indented by `pad`, in slices of at most _CHUNK items.
+        """Pass `write` the list of the items as json.dumps(indent=2) renders
+        it on a line indented by `pad`, in slices of at most _CHUNK items.
 
         Each kind is rendered once by json.dumps, with the key 0. The text
         before the key, its head, is where the renderings of the first kind
@@ -119,11 +97,10 @@ class KeyedItems(_Column):
 _LITERALS = {True: "true", False: "false", None: "null"}
 
 
-class RowColumns(_Column):
-    """A read-only list of dicts with the same fields, held as one column
-    per field. `columns` maps each field, in order, to a list, tuple or
-    range of the rows' values. Rows are built only when read, and each
-    read builds a new one.
+class RowColumns:
+    """A column of dicts with the same fields, held as one column per
+    field. `columns` maps each field, in order, to a list, tuple or range
+    of the rows' values.
     """
 
     __slots__ = ("columns",)
@@ -138,17 +115,9 @@ class RowColumns(_Column):
     def __len__(self) -> int:
         return len(next(iter(self.columns.values())))
 
-    def __iter__(self):
-        return (dict(zip(self.columns, values)) for values in zip(*self.columns.values()))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(RowColumns({f: c[index] for f, c in self.columns.items()}))
-        return {field: column[index] for field, column in self.columns.items()}
-
     def _render(self, pad: str, write) -> None:
-        """Pass the list to `write` as json.dumps(indent=2) renders it on a
-        line indented by `pad`, in slices of at most _CHUNK rows.
+        """Pass `write` the list of the rows as json.dumps(indent=2) renders
+        it on a line indented by `pad`, in slices of at most _CHUNK rows.
 
         Every row is one row text with each field's value spliced in by
         write_rows: a column of ints through %d, of bools and None as
@@ -199,32 +168,25 @@ def write_rows(write, row: str, n: int, tails: list, which, *columns) -> None:
 
 
 def stream(value, write) -> None:
-    """Pass `write` exactly `json.dumps(value, indent=2) + "\\n"`, with a
-    column written as its list, in pieces as the walk makes them: a column
-    one slice of _CHUNK rows at a time, any other value but a dict in one
-    json.dumps call. A value json.dumps cannot write raises its TypeError
-    after the pieces before it were passed on."""
+    """Pass `write` exactly `json.dumps(value, indent=2) + "\\n"`, a column
+    written as the list of its items, in pieces as the walk makes them: a
+    column one slice of _CHUNK rows at a time, any other value but a dict
+    in one json.dumps call. A value json.dumps cannot write raises its
+    TypeError after the pieces before it were passed on."""
     _render(value, "", write)
     write("\n")
 
 
-def _keyed_list(value) -> list:
-    """json.dumps's default: a column as its list, and nothing else."""
-    if isinstance(value, _Column):
-        return list(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _dumps(value, pad: str) -> str:
     """json.dumps(indent=2) of `value` on a line indented by `pad`."""
-    return json.dumps(value, indent=2, default=_keyed_list).replace("\n", "\n" + pad)
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
 def _render(value, pad: str, write) -> None:
     """Pass `value` to `write` as json.dumps(indent=2) renders it on a line
     indented by `pad`: a column in slices, a non-empty dict with str keys
     field by field, and anything else as one json.dumps call."""
-    if isinstance(value, _Column):
+    if isinstance(value, (KeyedItems, RowColumns)):
         value._render(pad, write)
     elif isinstance(value, dict) and value and all(type(key) is str for key in value):
         inner = pad + "  "

@@ -266,7 +266,7 @@ def cell_counts(
     order, each of probability prior / 4."""
     priors_vec = _validate_priors(priors)
     n_views = {PATTERN_BOTH: 16, PATTERN_A_ONLY: 4, PATTERN_B_ONLY: 4, PATTERN_NONE: 1}[pattern]
-    cell_p = np.repeat(priors_vec / priors_vec.sum() / 4, 4)
+    cell_p = np.repeat(priors_vec / 4, 4)
     cells = np.random.default_rng(seed).multinomial(n_blocks, cell_p).tolist()
 
     table = generate_decode_table()

@@ -10,6 +10,10 @@ same bytes.
 write_rows is jsontext.write_rows as it was while each slice's arguments
 were zipped row by row, verbatim; the one that lays them out a column at
 a time must write the same slices.
+
+as_lists expands every column of a value into the list it renders as,
+from the column's public fields alone, so that json.dumps of the result
+is the text jsontext must write.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ import csv
 import io
 from itertools import chain
 
-from swapcomm.jsontext import _CHUNK
+from swapcomm.jsontext import _CHUNK, KeyedItems, RowColumns
 
 
 def render_csv(doc: dict) -> str:
@@ -81,3 +85,23 @@ def write_rows(write, row: str, n: int, tails: list, which, *columns) -> None:
             map(tails.__getitem__, which[start:stop]),
         ))
         write(row * (stop - start) % tuple(pieces))
+
+
+def as_lists(value):
+    """`value` with each column, at any depth of dicts and lists, as the
+    list of its items: a KeyedItems item is prefix + str(key) + kind, or
+    its dict kind with the key in its first field; a RowColumns row is a
+    dict of one value from each column."""
+    if isinstance(value, KeyedItems):
+        if value.prefix is not None:
+            return [f"{value.prefix}{key}{value.kinds[kind]}"
+                    for kind, key in zip(value.which, value.keys)]
+        return [{**value.kinds[kind], next(iter(value.kinds[kind])): key}
+                for kind, key in zip(value.which, value.keys)]
+    if isinstance(value, RowColumns):
+        return [dict(zip(value.columns, row)) for row in zip(*value.columns.values())]
+    if isinstance(value, dict):
+        return {key: as_lists(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [as_lists(item) for item in value]
+    return value

@@ -26,6 +26,7 @@ import oracle
 import reference_analysis
 from reference_analysis import independent_priors, point_prior
 import reference_documents
+from reference_documents import as_lists
 import reference_replay
 from swapcomm import cli, documents, jsontext, protocol
 from swapcomm.adversary import (
@@ -162,10 +163,12 @@ class TestSimulate:
         assert main(flags) == 0
         assert capsys.readouterr().out.encode() == out.read_bytes()
 
-    def test_out_dir_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SWAPCOMM_OUT_DIR", str(tmp_path))
-        assert main(["simulate", "--pairs", "2", "--out", "sub/run.json"]) == 0
-        assert (tmp_path / "sub" / "run.json").exists()
+    def test_out_dir_env_is_ignored(self, tmp_path, monkeypatch):
+        # No variable moves --out: a relative path is the working directory's.
+        monkeypatch.setenv("SWAPCOMM_OUT_DIR", str(tmp_path / "elsewhere"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--pairs", "2", "--out", "run.json"]) == 0
+        assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
 
     def test_out_to_a_pipe_is_written_in_place(self, tmp_path, capsys):
         """--out naming a pipe (or a device) writes through it and leaves it a
@@ -380,7 +383,7 @@ class TestTrialRows:
         with pytest.MonkeyPatch.context() as patch:
             if chunk is not None:  # many chunks of rows, or one row a chunk
                 patch.setattr(protocol, "_TRIAL_CHUNK_BLOCKS", chunk)
-            got = _outcome(lambda: cli._trial_rows(config, trials))
+            got = _outcome(lambda: as_lists(cli._trial_rows(config, trials)))
         want = _outcome(lambda: [_reference_run_trial((config, t)) for t in range(trials)])
         assert got == want
 
@@ -395,7 +398,7 @@ class TestTrialRows:
 
     def test_zero_pairs(self):
         config = SessionConfig(n_pairs=0, seed=-5, alice_message=MessageBits.from_bits(""))
-        rows = cli._trial_rows(config, 3)
+        rows = as_lists(cli._trial_rows(config, 3))
         assert rows == [_reference_run_trial((config, t)) for t in range(3)]
         assert {row["decode_ok_bob"] for row in rows} == {True}
 
@@ -805,7 +808,7 @@ class TestDocuments:
         )
         result = run_session(config)
         doc = documents.run_document(config, result)
-        again = documents.replay_document(json.loads(json.dumps(doc, default=list)))
+        again = documents.replay_document(json.loads(json.dumps(as_lists(doc))))
         assert again.decoded_by_alice == result.decoded_by_alice
         assert again.decoded_by_bob == result.decoded_by_bob
 
@@ -935,13 +938,11 @@ class TestDocuments:
             assert documents.render(doc, "json") == json.dumps(doc, indent=2) + "\n"
 
     def test_render_json_of_shapes_the_tree_strategy_never_draws(self):
-        rows = jsontext.KeyedItems([{"index": 0, "x": [1]}, {"index": 0, "x": "y"}], [0, 1, 0])
         for doc in ((1, "a", (2.5, None)), {"t": (1, [2, (3,)]), "u": ()},
                     {1: "a", 2: {"b": 3}}, {1.5: 0, True: 1, None: 2, "s": [4]},
                     {"a": {False: [1], "b": 2}}, 7, "text\n", None, -1.5, True, [], [1, [2]],
-                    {}, {"e": {}, "f": []}, [{"a": 1}, rows, {"b": rows}],
-                    {"list": [rows, {"c": 2}], "rows": rows}):
-            assert documents.render(doc, "json") == json.dumps(doc, indent=2, default=list) + "\n"
+                    {}, {"e": {}, "f": []}):
+            assert documents.render(doc, "json") == json.dumps(as_lists(doc), indent=2) + "\n"
         looped = [1]
         looped.append(looped)
         for bad in ({1, 2}, {"a": {"b": {1}}}, [{"c": {1}}], looped, {"a": looped}):
@@ -951,30 +952,41 @@ class TestDocuments:
                 documents.render(bad, "json")
             assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
+    def test_a_column_is_rendered_only_where_a_dict_holds_it(self):
+        """A column streamed, or held by a dict with str keys, renders as its
+        list. Inside a list, or in a dict with a key of another type, it is
+        json.dumps's own TypeError."""
+        rows = jsontext.KeyedItems([{"index": 0, "x": [1]}, {"index": 0, "x": "y"}], [0, 1, 0])
+        lines = jsontext.KeyedItems(["b"], [0, 0], prefix="a")
+        trials = jsontext.RowColumns({"trial": range(2), "ok": [True, None]})
+        for column in (rows, lines, trials):
+            for doc in (column, {"c": column}, {"d": {"c": column}, "e": [1]}):
+                assert documents.render(doc, "json") == json.dumps(as_lists(doc), indent=2) + "\n"
+            message = f"^Object of type {type(column).__name__} is not JSON serializable$"
+            for doc in ([column], [{"a": 1}, column], [{"b": column}], {"list": [column]},
+                        {"t": (column,)}, {1: column}, {"d": {None: column}}):
+                with pytest.raises(TypeError, match=message):
+                    documents.render(doc, "json")
+
     def test_repeated_rows_of_equal_values_render_apart(self):
         # Equal values that render differently, each a kind repeated in one column.
         column = [1, True, 1.0, 0.0, -0.0, float("nan"), float("inf"), [], {}, "\u00fc"]
         kinds = [{"index": 0, "x": x, "y": None} for x in column]
         which = [i % len(column) for i in range(60)]
         rows = jsontext.KeyedItems(kinds, which, range(60))
-        assert list(rows) == [{"index": i, "x": column[i % len(column)], "y": None}
-                              for i in range(60)]
+        assert as_lists(rows) == [{"index": i, "x": column[i % len(column)], "y": None}
+                                  for i in range(60)]
         doc = {"rows": rows}
-        assert documents.render(doc, "json") == json.dumps(doc, indent=2, default=list) + "\n"
+        assert documents.render(doc, "json") == json.dumps(as_lists(doc), indent=2) + "\n"
 
     def test_keyed_items_read_as_their_list(self):
         kinds = [{"index": 0, "x": [1]}, {"index": 0, "x": "\u00fc"}]
         which, keys = [1, 0, 1, 1], [5, -3, 10**20, 0]
         rows = jsontext.KeyedItems(kinds, which, keys)
         expected = [{**kinds[w], "index": k} for w, k in zip(which, keys)]
-        assert rows == expected and expected == rows and rows != expected[:3]
-        assert (len(rows), repr(rows), rows[1], rows[-1]) == (
-            4, repr(expected), expected[1], expected[-1])
-        assert rows[1:3] == expected[1:3] and list(reversed(rows)) == expected[::-1]
-        rows[0]["x"] = "changed"  # a read row is a copy
-        assert rows == expected
+        assert as_lists(rows) == expected and len(rows) == 4
         lines = jsontext.KeyedItems(["b", '"\u00e9\n'], [0, 1], [7, 42], prefix="a\\")
-        assert lines == ["a\\7b", 'a\\42"\u00e9\n']
+        assert as_lists(lines) == ["a\\7b", 'a\\42"\u00e9\n'] and len(lines) == 2
         # Kinds whose first fields differ in name have no one head: refused.
         with pytest.raises(ValueError, match="first field"):
             jsontext.KeyedItems([{"a": 0, "x": 1}, {"bb": 0}], [0, 1, 0])
@@ -982,10 +994,10 @@ class TestDocuments:
         with pytest.raises(ValueError, match="^2 kinds for 3 keys$"):
             jsontext.KeyedItems(kinds, [0, 1], [7, 8, 9])
         for doc in ({"rows": rows, "lines": lines, "empty": jsontext.KeyedItems([], [], [])},
-                    rows, lines, [rows, {"lines": lines}]):
-            assert documents.render(doc, "json") == json.dumps(doc, indent=2, default=list) + "\n"
-        with pytest.raises(TypeError):
-            hash(rows)
+                    rows, lines):
+            assert documents.render(doc, "json") == json.dumps(as_lists(doc), indent=2) + "\n"
+        # Rendering builds each item from a copy of its kind.
+        assert kinds == [{"index": 0, "x": [1]}, {"index": 0, "x": "\u00fc"}]
         with pytest.raises(TypeError, match="ints"):
             documents.render({"rows": jsontext.KeyedItems(kinds, [0], [True])}, "json")
         with pytest.raises(TypeError, match="KeyedItems is not JSON serializable"):
@@ -1025,13 +1037,13 @@ class TestDocuments:
         pieces = []
         jsontext.stream(value, pieces.append)
         text = "".join(pieces)
-        assert text == json.dumps(value, indent=2, default=list) + "\n"
+        assert text == json.dumps(as_lists(value), indent=2) + "\n"
         assert text == documents.render(value, "json")
         if n > _CHUNK:
             # The text of the longest slice as a list of its own, on a line
             # indented as deep as the column.
-            pad = "\n" + "  " * depth
-            longest = max(len(json.dumps(rows[start:start + _CHUNK], indent=2).replace("\n", pad))
+            pad, items = "\n" + "  " * depth, as_lists(rows)
+            longest = max(len(json.dumps(items[start:start + _CHUNK], indent=2).replace("\n", pad))
                           for start in range(0, n, _CHUNK))
             assert max(map(len, pieces)) <= longest
 
@@ -1076,15 +1088,7 @@ class TestDocuments:
         columns = {"n": range(3), "%d": ("a", "\u00fc", '"'), "x": [None, [1], {"k": 1.5}]}
         rows = jsontext.RowColumns(columns)
         expected = [{"n": i, "%d": s, "x": x} for i, s, x in zip(*columns.values())]
-        assert rows == expected and expected == rows and rows != expected[:2]
-        assert (len(rows), repr(rows), rows[1], rows[-1]) == (
-            3, repr(expected), expected[1], expected[-1])
-        assert rows[1:] == expected[1:] and rows[::-1] == expected[::-1]
-        assert list(reversed(rows)) == expected[::-1]
-        rows[0]["n"] = 7  # a read row is a new dict
-        assert rows == expected
-        with pytest.raises(TypeError):
-            hash(rows)
+        assert as_lists(rows) == expected and len(rows) == 3
         for bad in ({}, {1: [0]}, {"a": [0], "b": [0, 1]}):
             with pytest.raises(ValueError, match="RowColumns"):
                 jsontext.RowColumns(bad)
@@ -1117,7 +1121,7 @@ class TestDocuments:
         value = jsontext.RowColumns(columns)
         for _ in range(data.draw(st.integers(0, 2))):
             value = {"before": [0], "rows": value, "after": {}}
-        assert documents.render(value, "json") == json.dumps(value, indent=2, default=list) + "\n"
+        assert documents.render(value, "json") == json.dumps(as_lists(value), indent=2) + "\n"
 
     def test_trials_document_across_slices(self, tmp_path):
         """A trials document of more rows than two slices, from its row
@@ -1127,14 +1131,14 @@ class TestDocuments:
                                bob_message=MessageBits.from_bits("1"))
         rows = cli._trial_rows(config, trials)
         doc = {"tool": dict(documents.TOOL), "kind": "simulate-trials", "trials": rows}
-        assert documents.render(doc, "json") == json.dumps(doc, indent=2, default=list) + "\n"
+        assert documents.render(doc, "json") == json.dumps(as_lists(doc), indent=2) + "\n"
         out = tmp_path / "trials.json"
         assert main(["simulate", "--pairs", "5", "--seed", "11", "--alice-msg", "01",
                      "--bob-msg", "1", "--trials", str(trials), "--out", str(out)]) == 0
         text = out.read_text(encoding="utf-8")
         written = json.loads(text)
         assert text == json.dumps(written, indent=2) + "\n"
-        assert written["trials"] == rows
+        assert written["trials"] == as_lists(rows)
         assert written["summary"] == {"trials": trials, "all_decodes_exact": True}
 
     def test_unrendered_run_document_is_not_json_dumps_input(self):
@@ -1168,7 +1172,7 @@ def _session_configs(draw):
 def test_run_document_columns_render_as_json_dumps(config):
     result = run_session(config)
     doc = documents.run_document(config, result)
-    assert doc["transcript"] == result.transcript.lines.wire_lines()
+    assert as_lists(doc["transcript"]) == result.transcript.lines.wire_lines()
     records = result.blocks
 
     def chars(values, char) -> str:
@@ -1183,7 +1187,7 @@ def test_run_document_columns_render_as_json_dumps(config):
         "announced_a": chars((r.announced_a for r in records), _FLAG_CHAR),
         "announced_b": chars((r.announced_b for r in records), _FLAG_CHAR),
     }
-    expected = json.dumps(doc, indent=2, default=list) + "\n"
+    expected = json.dumps(as_lists(doc), indent=2) + "\n"
     assert documents.render(doc, "json") == expected
     tuple_form = dataclasses.replace(
         result, transcript=dataclasses.replace(

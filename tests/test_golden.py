@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference_documents import as_lists
 from swapcomm import adversary, documents
 from swapcomm.cli import main
 from swapcomm.swap import ALL_OP_PAIRS, ENCODING_ORDER, generate_decode_table
@@ -217,7 +218,7 @@ def test_large_documents_equal_indented_json_dumps(pattern, tmp_path, monkeypatc
             write(piece)
 
         real_render_json(doc, passed_on)
-        checks.append("".join(pieces) == json.dumps(doc, indent=2, default=list) + "\n")
+        checks.append("".join(pieces) == json.dumps(as_lists(doc), indent=2) + "\n")
 
     real_render_json = documents.RENDERERS["json"]
     monkeypatch.setitem(documents.RENDERERS, "json", checked_render_json)
