@@ -385,6 +385,22 @@ class TestViewLayout:
             assert np.array_equal(lik[:, column], want), column
 
     @pytest.mark.parametrize("pattern", ALL_PATTERNS)
+    def test_monte_carlo_views_follow_the_layout(self, pattern, monkeypatch):
+        """Under a point prior on each operation pair, the Monte Carlo counts
+        land on exactly the views _likelihoods() gives that pair in the
+        pattern's run of columns."""
+        joints = []
+        monkeypatch.setattr(adversary, "_joint_information",
+                            lambda joint: joints.append(joint) or {})
+        lik = _likelihoods()[:, _VIEWS[pattern]]
+        for i, pair in enumerate(ALL_OP_PAIRS):
+            estimate_mi_monte_carlo(point_prior(*pair), pattern, 4096, seed=i)
+            joint = joints.pop()
+            assert joint.shape == lik.shape
+            assert joint.sum() == pytest.approx(1.0) and not np.delete(joint, i, axis=0).any()
+            assert np.array_equal(joint[i] > 0, lik[i] > 0), pair
+
+    @pytest.mark.parametrize("pattern", ALL_PATTERNS)
     @pytest.mark.parametrize("priors", _MC_PRIORS, ids=_MC_PRIOR_IDS)
     def test_monte_carlo_equals_the_cell_reference(self, pattern, priors):
         for seed in (0, 1, 12, 2**40):
