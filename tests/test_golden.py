@@ -13,7 +13,8 @@ replay does not. The serve and connect documents pin both halves of
 a two-process session over loopback, the trials*.json documents pin
 `simulate --trials` in each mode, and verify.txt and verify.json pin what
 `swapcomm verify` prints in text and json, so a flipped draw in its
-sampling check shows.
+sampling check shows. table.json pins what `swapcomm table` prints: the
+decode table's columns, combos and composites, and the audit report.
 
 Regenerate (only when a change to the bytes is intended and versioned):
 
@@ -202,6 +203,11 @@ def test_verify_json_output_bytes(capsys):
     assert capsys.readouterr().out.encode() == (GOLDEN / "verify.json").read_bytes()
 
 
+def test_table_output_bytes(capsys):
+    assert main(["table"]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "table.json").read_bytes()
+
+
 @pytest.mark.parametrize("pattern", ["both", "a-only"])
 def test_large_documents_equal_indented_json_dumps(pattern, tmp_path, monkeypatch):
     """At 20 000 pairs transcript lines and analysis rows repeat far more
@@ -322,6 +328,9 @@ def regenerate() -> None:
     with contextlib.redirect_stdout(io.StringIO()) as verify_out:
         assert main(["verify", "--format", "json"]) == 0
     (GOLDEN / "verify.json").write_text(verify_out.getvalue(), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()) as table_out:
+        assert main(["table"]) == 0
+    (GOLDEN / "table.json").write_text(table_out.getvalue(), encoding="utf-8")
 
 
 if __name__ == "__main__":
