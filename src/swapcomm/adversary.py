@@ -46,7 +46,7 @@ import numpy as np
 from .channel import SIDES
 from .protocol import Transcript
 from .quantum import BellLabel, PauliCode
-from .swap import ALL_OP_PAIRS, ENCODING_ORDER, generate_decode_table
+from .swap import ALL_OP_PAIRS, ENCODING_ORDER, LABEL_CODES, generate_decode_table
 
 OpPair = tuple[PauliCode, PauliCode]
 
@@ -54,7 +54,6 @@ OpPair = tuple[PauliCode, PauliCode]
 assert all(4 * a.code + b.code == i for i, (a, b) in enumerate(ALL_OP_PAIRS))
 
 _PAIR_INDEX: dict[OpPair, int] = {pair: i for i, pair in enumerate(ALL_OP_PAIRS)}
-_LABEL_INDEX: dict[BellLabel, int] = {lab: i for i, lab in enumerate(ENCODING_ORDER)}
 
 # Announcement patterns a block can show.
 PATTERN_BOTH = "both"
@@ -85,8 +84,8 @@ _VIEWS = {
 # _VIEW_CODES[a + 1, b + 1]: the column of the view of label indices a and b, -1 if silent.
 _VIEW_CODES = np.empty((5, 5), dtype=np.intp)
 _VIEW_CODES[
-    [_LABEL_INDEX.get(a, -1) + 1 for _, a, _ in _VIEW_PARTS],
-    [_LABEL_INDEX.get(b, -1) + 1 for _, _, b in _VIEW_PARTS],
+    [LABEL_CODES.get(a, -1) + 1 for _, a, _ in _VIEW_PARTS],
+    [LABEL_CODES.get(b, -1) + 1 for _, _, b in _VIEW_PARTS],
 ] = range(len(_VIEW_PARTS))
 _VIEW_CODES.flags.writeable = False
 
@@ -123,14 +122,10 @@ def _likelihoods() -> np.ndarray:
     that importing the package stays as cheap as before.
     """
     table = generate_decode_table()
-    both = np.zeros((16, 4, 4))  # (ops, a_idx, b_idx)
-    for outcome, label in table.infer.items():
-        for pair in table.combos[label]:
-            both[_PAIR_INDEX[pair], _LABEL_INDEX[outcome.a_side],
-                 _LABEL_INDEX[outcome.b_side]] = 0.25
+    both = 0.25 * (table.infer_codes == table.composite_codes.reshape(16, 1, 1))
     every = slice(None)
     lik = np.column_stack([
-        both[:, _LABEL_INDEX.get(a, every), _LABEL_INDEX.get(b, every)].reshape(16, -1).sum(1)
+        both[:, LABEL_CODES.get(a, every), LABEL_CODES.get(b, every)].reshape(16, -1).sum(1)
         for _, a, b in _VIEW_PARTS
     ])
     lik.flags.writeable = False

@@ -4,9 +4,9 @@ A block starts as |first>_{a1 b1} (x) |second>_{a2 b2}. Measuring the
 (a1, a2) and (b1, b2) pairs in the Bell basis projects onto one of four
 equally likely outcome pairs; which four, and with which signs, depends
 only on the input labels. This module derives that structure from the
-state-vector core, exposes it as lookup tables, and audits the generated
-tables against the hand-transcribed reference table as printed, which is
-known to carry bit-code misprints.
+state-vector core, stores it once as four 4x4 code arrays, and audits
+the generated tables against the hand-transcribed reference table as
+printed, which is known to carry bit-code misprints.
 
 Register order inside a block is (a1, b1, a2, b2), so the measured pairs
 are qubits (0, 2) and (1, 3).
@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
+from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -127,35 +128,44 @@ LABEL_CODES: Mapping[BellLabel, int] = {
 
 @dataclass(frozen=True, eq=False)
 class DecodeTable:
-    """Inference structure derived from the swapping algebra.
-
-    infer maps each of the 16 outcomes (first pair fixed at PsiPlus) to the
-    second pair's pre-measurement Bell state; combos maps each Bell label to
-    the four operation pairs whose composite produces it; composite,
-    pairing and partner are the derived lookups. Everything is generated
-    from the state-vector core, never hand-entered.
-
-    The *_codes fields hold composite, pairing, infer and partner again as
-    read-only 4x4 int arrays over operation and label codes, so that a
-    whole session is sampled and decoded by gathers:
-    composite_codes[op_a, op_b], pairing_codes[column, a_side],
-    infer_codes[a_side, b_side] and partner_codes[own, inferred].
+    """Inference structure derived from the swapping algebra, generated
+    from the state-vector core and stored once, as four read-only 4x4 int
+    arrays over operation codes (PauliCode.code) and label codes
+    (LABEL_CODES): composite_codes[op_a, op_b], infer_codes[a_side, b_side]
+    (an outcome's column), pairing_codes[column, a_side] and
+    partner_codes[own, inferred]. A whole session is sampled and decoded by
+    gathers on them. infer, composite and combos are read-only views keyed
+    by SwapOutcome, operation pair and BellLabel, in ALL_OUTCOMES,
+    ALL_OP_PAIRS and BELL_ORDER order, built the first time they are read.
     """
 
-    infer: Mapping[SwapOutcome, BellLabel]
-    combos: Mapping[BellLabel, frozenset[tuple[PauliCode, PauliCode]]]
-    composite: Mapping[tuple[PauliCode, PauliCode], BellLabel]
-    # (column label, a-side label) -> the b-side label paired with it
-    pairing: Mapping[tuple[BellLabel, BellLabel], BellLabel]
-    # (own operation, inferred label) -> the partner's operation
-    partner: Mapping[tuple[PauliCode, BellLabel], PauliCode]
     composite_codes: np.ndarray
     pairing_codes: np.ndarray
     infer_codes: np.ndarray
     partner_codes: np.ndarray
 
+    @cached_property
+    def infer(self) -> Mapping[SwapOutcome, BellLabel]:
+        return MappingProxyType({
+            o: ENCODING_ORDER[self.infer_codes[LABEL_CODES[o.a_side], LABEL_CODES[o.b_side]]]
+            for o in ALL_OUTCOMES
+        })
+
+    @cached_property
+    def composite(self) -> Mapping[tuple[PauliCode, PauliCode], BellLabel]:
+        return MappingProxyType({
+            (a, b): ENCODING_ORDER[self.composite_codes[a.code, b.code]] for a, b in ALL_OP_PAIRS
+        })
+
+    @cached_property
+    def combos(self) -> Mapping[BellLabel, frozenset[tuple[PauliCode, PauliCode]]]:
+        return MappingProxyType({
+            label: frozenset(pair for pair, lab in self.composite.items() if lab is label)
+            for label in BELL_ORDER
+        })
+
     def decode(self, own: PauliCode, inferred: BellLabel) -> PauliCode:
-        return self.partner[(own, inferred)]
+        return PauliCode(self.partner_codes[own.code, LABEL_CODES[inferred]])
 
 
 def composite_label(op_a: PauliCode, op_b: PauliCode) -> BellLabel:
@@ -175,60 +185,38 @@ def composite_label(op_a: PauliCode, op_b: PauliCode) -> BellLabel:
 @lru_cache(maxsize=1)
 def generate_decode_table() -> DecodeTable:
     """Build and validate the inference tables from the swapping algebra."""
-    infer: dict[SwapOutcome, BellLabel] = {}
+    infer_codes = np.full((4, 4), -1, dtype=np.intp)
     for second in BELL_ORDER:
         for outcome in swap_decompose(BellLabel.PSI_PLUS, second).support():
-            if outcome in infer:
+            cell = LABEL_CODES[outcome.a_side], LABEL_CODES[outcome.b_side]
+            if infer_codes[cell] >= 0:
                 raise AssertionError(f"outcome {outcome} appears in two columns")
-            infer[outcome] = second
-    if len(infer) != 16:
+            infer_codes[cell] = LABEL_CODES[second]
+    if (infer_codes < 0).any():
         raise AssertionError("outcome columns do not cover all 16 outcomes")
 
-    composite = {(a, b): composite_label(a, b) for a, b in ALL_OP_PAIRS}
-    combos: dict[BellLabel, frozenset[tuple[PauliCode, PauliCode]]] = {}
-    for label in BELL_ORDER:
-        members = frozenset(pair for pair, lab in composite.items() if lab is label)
-        if len(members) != 4:
-            raise AssertionError(f"{label} has {len(members)} operation pairs, not 4")
-        combos[label] = members
-
-    pairing = {
-        (label, outcome.a_side): outcome.b_side for outcome, label in infer.items()
-    }
-    if len(pairing) != 16:
-        raise AssertionError("a-side labels do not appear once per column")
-    partner = {(a, label): b for (a, b), label in composite.items()}
-    if len(partner) != 16:
-        raise AssertionError("own operation and label do not fix the partner's")
-
-    code = {**LABEL_CODES, **{op: op.code for op in PauliCode}}
-    composite_codes, pairing_codes, infer_codes, partner_codes = (
-        _code_array({(code[i], code[j]): code[v] for (i, j), v in entries.items()})
-        for entries in (composite, pairing, infer, partner)
+    composite_codes = np.array(
+        [[LABEL_CODES[composite_label(a, b)] for b in PauliCode] for a in PauliCode]
     )
-    # What sampling and decoding rely on: a sampled outcome lies in its
-    # composite's column, and decoding returns the partner's operation.
-    i, j = np.meshgrid(range(4), range(4), indexing="ij")
-    if not (partner_codes[i, composite_codes[i, j]] == j).all():
-        raise AssertionError("partner codes do not invert composite codes")
-    if not (infer_codes[j, pairing_codes[i, j]] == i).all():
-        raise AssertionError("pairing codes leave their column")
+    for label in BELL_ORDER:
+        members = int((composite_codes == LABEL_CODES[label]).sum())
+        if members != 4:
+            raise AssertionError(f"{label} has {members} operation pairs, not 4")
+
+    # Sampling and decoding invert these two tables row by row, so each row
+    # must permute the four codes.
+    for codes, fault in ((infer_codes, "a-side labels do not appear once per column"),
+                         (composite_codes, "own operation and label do not fix the partner's")):
+        if (np.sort(codes, axis=1) != np.arange(4)).any():
+            raise AssertionError(fault)
+    pairing_codes = np.argsort(infer_codes.T, axis=0)
+    partner_codes = np.argsort(composite_codes, axis=1)
+    for codes in (composite_codes, pairing_codes, infer_codes, partner_codes):
+        codes.flags.writeable = False
     return DecodeTable(
-        infer=infer, combos=combos, composite=composite, pairing=pairing, partner=partner,
         composite_codes=composite_codes, pairing_codes=pairing_codes,
         infer_codes=infer_codes, partner_codes=partner_codes,
     )
-
-
-def _code_array(entries: dict[tuple[int, int], int]) -> np.ndarray:
-    """A read-only 4x4 array holding a table's 16 entries as codes."""
-    arr = np.full((4, 4), -1, dtype=np.intp)
-    for (i, j), value in entries.items():
-        arr[i, j] = value
-    if (arr < 0).any():
-        raise AssertionError("a code table does not cover all 16 entries")
-    arr.flags.writeable = False
-    return arr
 
 
 def decode_partner(own: PauliCode, inferred: BellLabel) -> PauliCode:

@@ -30,7 +30,6 @@ from typing import Mapping
 import numpy as np
 
 from swapcomm.adversary import (
-    _LABEL_INDEX,
     PATTERN_A_ONLY,
     PATTERN_B_ONLY,
     PATTERN_BOTH,
@@ -48,7 +47,7 @@ from swapcomm.channel import MAX_FRAME_BYTES, Announcement, AnnouncementKind, Fr
 from swapcomm.documents import _SESSION_TYPES
 from swapcomm.protocol import SessionMode, SilentFallback, Transcript
 from swapcomm.quantum import PauliCode
-from swapcomm.swap import ALL_OP_PAIRS, ENCODING_ORDER, generate_decode_table
+from swapcomm.swap import ALL_OP_PAIRS, ENCODING_ORDER, LABEL_CODES, generate_decode_table
 
 from reference_replay import measurements
 
@@ -133,11 +132,11 @@ def block_announcements(transcript: Transcript) -> list:
 def _view_of(a_label, b_label) -> tuple[str, int]:
     """A block's announcement pattern and its view's column in _likelihoods()."""
     if a_label is not None and b_label is not None:
-        return PATTERN_BOTH, 4 * _LABEL_INDEX[a_label] + _LABEL_INDEX[b_label]
+        return PATTERN_BOTH, 4 * LABEL_CODES[a_label] + LABEL_CODES[b_label]
     if a_label is not None:
-        return PATTERN_A_ONLY, 16 + _LABEL_INDEX[a_label]
+        return PATTERN_A_ONLY, 16 + LABEL_CODES[a_label]
     if b_label is not None:
-        return PATTERN_B_ONLY, 20 + _LABEL_INDEX[b_label]
+        return PATTERN_B_ONLY, 20 + LABEL_CODES[b_label]
     return PATTERN_NONE, 24
 
 

@@ -1,14 +1,20 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 import oracle
+import swapcomm.swap as swap_module
 from swapcomm.quantum import BELL_ORDER, BellLabel, PauliCode, bell_state
 from swapcomm.swap import (
     ALL_OP_PAIRS,
     ALL_OUTCOMES,
     ENCODING_ORDER,
+    LABEL_CODES,
+    DecodeTable,
+    OutcomeDistribution,
+    OutcomeTerm,
     SwapOutcome,
     _bell_product_basis,
     audit_reference_table,
@@ -208,9 +214,13 @@ class TestGeneratedTable:
         assert set(seen) == set(ALL_OP_PAIRS)
 
     def test_pairing_is_column_consistent(self):
+        """pairing_codes[column, a_side] is the b-side label that the
+        oracle's decomposition of PsiPlus x column pairs with a_side."""
         table = generate_decode_table()
-        for (column, a_side), b_side in table.pairing.items():
-            assert table.infer[SwapOutcome(a_side, b_side)] is column
+        labels = oracle.DRAW_LABELS
+        for i, j in itertools.product(range(4), range(4)):
+            b_side = labels[table.pairing_codes[i, j]]
+            assert oracle.decompose("PsiPlus", labels[i])[(labels[j], b_side)] != 0
 
 
 class TestReferenceAudit:
@@ -277,17 +287,106 @@ class TestReferenceAudit:
         )
 
 
-def test_code_arrays_agree_with_dict_tables():
-    """Each 4x4 code array holds its dict table's 16 entries, with labels
-    coded by their position in ENCODING_ORDER and operations by .code."""
+def test_code_arrays_agree_with_oracle():
+    """Each 4x4 code array holds the oracle's 16 entries, with labels coded
+    by their position in oracle.DRAW_LABELS and operations by their index."""
     table = generate_decode_table()
-    label = ENCODING_ORDER
+    labels = oracle.DRAW_LABELS
+    ops = ("U0", "U1", "U2", "U3")
+    column_of = {
+        outcome: second
+        for second in oracle.LABELS
+        for outcome, amplitude in oracle.decompose("PsiPlus", second).items()
+        if amplitude != 0
+    }
     for i, j in itertools.product(range(4), range(4)):
-        op_i, op_j = PauliCode(i), PauliCode(j)
-        assert label[table.composite_codes[i, j]] is table.composite[(op_i, op_j)]
-        assert label[table.pairing_codes[i, j]] is table.pairing[(label[i], label[j])]
-        assert label[table.infer_codes[i, j]] is table.infer[SwapOutcome(label[i], label[j])]
-        assert PauliCode(table.partner_codes[i, j]) is table.partner[(op_i, label[j])]
+        assert labels[table.composite_codes[i, j]] == oracle.composite_label(ops[i], ops[j])
+        assert labels[table.infer_codes[i, j]] == column_of[(labels[i], labels[j])]
+        assert column_of[(labels[j], labels[table.pairing_codes[i, j]])] == labels[i]
+        assert oracle.composite_label(ops[i], ops[table.partner_codes[i, j]]) == labels[j]
+
+
+def test_table_is_its_four_read_only_code_arrays():
+    table = generate_decode_table()
+    assert [f.name for f in dataclasses.fields(DecodeTable)] == [
+        "composite_codes", "pairing_codes", "infer_codes", "partner_codes"]
     for codes in (table.composite_codes, table.pairing_codes,
                   table.infer_codes, table.partner_codes):
         assert not codes.flags.writeable
+        with pytest.raises(ValueError):
+            codes[0, 0] = 0
+
+
+def test_views_read_the_code_arrays_and_are_read_only():
+    table = generate_decode_table()
+    label = ENCODING_ORDER
+    assert list(table.infer) == list(ALL_OUTCOMES)
+    for o, column in table.infer.items():
+        assert column is label[table.infer_codes[LABEL_CODES[o.a_side], LABEL_CODES[o.b_side]]]
+    assert list(table.composite) == list(ALL_OP_PAIRS)
+    for (a, b), column in table.composite.items():
+        assert column is label[table.composite_codes[a.code, b.code]]
+    assert list(table.combos) == list(BELL_ORDER)
+    for column, pairs in table.combos.items():
+        assert pairs == {pair for pair in ALL_OP_PAIRS if table.composite[pair] is column}
+    for own, inferred in itertools.product(PauliCode, BELL_ORDER):
+        partner = table.partner_codes[own.code, LABEL_CODES[inferred]]
+        assert table.decode(own, inferred) is PauliCode(partner)
+    for name in ("infer", "composite", "combos"):
+        view = getattr(table, name)
+        assert getattr(table, name) is view  # built once
+        with pytest.raises(TypeError):
+            view[next(iter(view))] = None
+
+
+class TestBuildFaults:
+    """Each fault generate_decode_table checks for, fed in through the
+    state-vector core it builds from."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_table(self):
+        generate_decode_table.cache_clear()
+        yield
+        generate_decode_table.cache_clear()
+
+    @staticmethod
+    def _columns(monkeypatch, column_of):
+        """Make swap_decompose(PsiPlus, second) support the outcomes that
+        column_of maps to second."""
+        def fake(first, second):
+            return OutcomeDistribution(first, second, {
+                o: OutcomeTerm(0j, 0.25 if column_of(o) is second else 0.0) for o in ALL_OUTCOMES
+            })
+        monkeypatch.setattr(swap_module, "swap_decompose", fake)
+
+    def test_outcome_in_two_columns(self, monkeypatch):
+        real = swap_module.swap_decompose
+        monkeypatch.setattr(swap_module, "swap_decompose",
+                            lambda first, second: real(first, BellLabel.PHI_PLUS))
+        with pytest.raises(AssertionError, match="appears in two columns"):
+            generate_decode_table()
+
+    def test_columns_miss_outcomes(self, monkeypatch):
+        self._columns(monkeypatch, lambda o: None)
+        with pytest.raises(AssertionError, match="do not cover all 16 outcomes"):
+            generate_decode_table()
+
+    def test_label_without_four_operation_pairs(self, monkeypatch):
+        real = swap_module.composite_label
+        monkeypatch.setattr(swap_module, "composite_label", lambda a, b: (
+            BellLabel.PSI_PLUS if (a, b) == (PauliCode.U0, PauliCode.U1) else real(a, b)))
+        with pytest.raises(AssertionError, match="has 5 operation pairs, not 4"):
+            generate_decode_table()
+
+    def test_a_side_label_twice_in_a_column(self, monkeypatch):
+        # Each column holds the four outcomes of one a-side label.
+        self._columns(monkeypatch, lambda o: o.a_side)
+        with pytest.raises(AssertionError, match="a-side labels do not appear once per column"):
+            generate_decode_table()
+
+    def test_partner_not_fixed(self, monkeypatch):
+        # Each label is the composite of four pairs, all with the same own operation.
+        monkeypatch.setattr(swap_module, "composite_label",
+                            lambda a, b: ENCODING_ORDER[a.code])
+        with pytest.raises(AssertionError, match="own operation and label do not fix"):
+            generate_decode_table()
