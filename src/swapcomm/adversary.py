@@ -133,8 +133,9 @@ def _likelihoods() -> np.ndarray:
 
 
 def _entropy_bits(probs: np.ndarray) -> float:
+    """Entropy in bits; + 0.0 makes a one-point distribution's 0.0, not -0.0."""
     p = probs[probs > 0]
-    return float(-(p * np.log2(p)).sum())
+    return float(-(p * np.log2(p)).sum()) + 0.0
 
 
 def _mi_bits(joint: np.ndarray) -> float:

@@ -257,6 +257,19 @@ class TestInformationMeasures:
         assert totals["prior_entropy_bits"] >= 0.0
         assert all(view.prior_entropy_bits >= 0.0 for view in report.views)
 
+    def test_point_prior_entropies_are_positive_zeros(self):
+        # 0.0, not -0.0: a document writes the sign of zero.
+        priors = point_prior(PauliCode.U1, PauliCode.U0)
+        for res in (session(alice="0110", bob="1001"), session(alice="01", bob="00")):
+            report = eve_posterior(EveView(res.transcript), priors)
+            totals = information_summary(report, priors)["session"]
+            entropies = [totals["prior_entropy_bits"], totals["posterior_entropy_bits"]]
+            for view in report.views:
+                entropies.append(view.prior_entropy_bits)
+                if view.consistent:
+                    entropies.append(view.posterior_entropy_bits)
+            assert entropies and all(math.copysign(1.0, h) == 1.0 and h == 0.0 for h in entropies)
+
     def test_skewed_priors_do_leak(self):
         # Bob known to apply U0: the composite then names Alice's operation.
         priors = independent_priors(

@@ -149,6 +149,24 @@ def test_analyze_report_bytes(document, priors, tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("document", DOCUMENTS)
+def test_point_reports_changed_only_their_zero_entropies_sign(document, tmp_path, monkeypatch):
+    """The point-prior reports were re-pinned when a one-point entropy
+    became 0.0: under the entropy as it was, which wrote -0.0, each report
+    is its golden with ": 0.0" written ": -0.0" where the old code put it."""
+    def signed_entropy_bits(probs):
+        p = probs[probs > 0]
+        return float(-(p * np.log2(p)).sum())
+
+    monkeypatch.setattr(adversary, "_entropy_bits", signed_entropy_bits)
+    out = tmp_path / "report.json"
+    assert _analyze(document, "@priors-point.json", out) == 0
+    old = out.read_text()
+    golden = (GOLDEN / f"analyze-{document}-point.json").read_text()
+    assert ": -0.0" in old and "-0.0" not in golden
+    assert old.replace(": -0.0", ": 0.0") == golden
+
+
 def test_format_1_run_regenerates_but_does_not_replay(tmp_path):
     """Replaying or rendering a format 1 run is a ValueError that names the
     simulate flags, from its own session, that regenerate it. With its
