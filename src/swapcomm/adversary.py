@@ -194,14 +194,16 @@ class EveView:
     def label_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """Each side's announced label per block, as its index in
         ENCODING_ORDER (entry k-1 is block k), -1 where the side announced
-        none. A side that announced a block twice is a ValueError, side A
-        checked first, as Transcript.measured reports it."""
+        none. A measurement outside 1..usable_blocks is a ValueError, as
+        Transcript.check_measured_blocks reports it; so is a side that
+        announced a block twice, side A checked first, as
+        Transcript.measured reports it."""
+        self.transcript.check_measured_blocks()
         n = self.transcript.usable_blocks
         columns = (np.full(n, -1, dtype=np.intp), np.full(n, -1, dtype=np.intp))
         for side, column in zip(SIDES, columns):
             blocks, labels = self.transcript.measured(side)
-            kept = (blocks >= 1) & (blocks <= n)
-            column[blocks[kept] - 1] = labels[kept]
+            column[blocks - 1] = labels
         return columns
 
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__, jsontext
 from .channel import (
-    _MEASURED_SIDE,
     MAX_FRAME_BYTES,
     AnnouncementKind,
     CodedLines,
@@ -182,23 +181,17 @@ def transcript_from_document(doc: dict) -> Transcript:
                 )
     mode = SessionMode(fields["mode"])
     fallback = SilentFallback(fields["fallback"])
-    usable_blocks = fields["n_pairs"] // 2
-    coded = CodedLines.from_wire_lines(fields["id"], lines)
-    measured = _MEASURED_SIDE[coded.codes] >= 0
-    outside = np.flatnonzero(measured & ((coded.blocks < 1) | (coded.blocks > usable_blocks)))
-    if outside.size:
-        raise ValueError(
-            f"measurement for block {coded.blocks[outside[0]]} outside 1..{usable_blocks}"
-        )
-    return Transcript(
+    transcript = Transcript(
         session_id=fields["id"],
         n_pairs=fields["n_pairs"],
         mode=mode,
         fallback=fallback,
         alice_declared_length=fields["alice_declared_length"],
         bob_declared_length=fields["bob_declared_length"],
-        announcements=coded,
+        announcements=CodedLines.from_wire_lines(fields["id"], lines),
     )
+    transcript.check_measured_blocks()
+    return transcript
 
 
 def _table_fault(field: str, block: int, problem: str) -> ValueError:

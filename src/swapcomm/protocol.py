@@ -487,6 +487,14 @@ class Transcript:
     def usable_blocks(self) -> int:
         return self.n_pairs // 2
 
+    def check_measured_blocks(self) -> None:
+        """A Measurement line of a block outside 1..usable_blocks is a ValueError."""
+        lines, n = self.lines, self.usable_blocks
+        measured = _MEASURED_SIDE[lines.codes] >= 0
+        outside = np.flatnonzero(measured & ((lines.blocks < 1) | (lines.blocks > n)))
+        if outside.size:
+            raise ValueError(f"measurement for block {lines.blocks[outside[0]]} outside 1..{n}")
+
     def measured(self, side: str) -> tuple[np.ndarray, np.ndarray]:
         """The blocks and label codes (LABEL_CODES) of one side's
         Measurement lines, in order. A block announced twice is a

@@ -218,6 +218,23 @@ class TestLabelColumns:
             view.label_columns()
 
 
+    @pytest.mark.parametrize("block", [0, 3])
+    def test_measurement_outside_the_blocks_is_a_value_error(self, block):
+        # The rule and message of a stored document's transcript, for a
+        # transcript built by hand.
+        res = session(alice="0110", bob="1001")  # 2 blocks
+        lines = res.transcript.lines
+        first_a = next(i for i, ann in enumerate(lines.announcements())
+                       if ann.side == "A" and ann.label is not None)
+        blocks = lines.blocks.copy()
+        blocks[first_a] = block
+        transcript = dataclasses.replace(
+            res.transcript, announcements=CodedLines(lines.session_id, blocks, lines.codes)
+        )
+        with pytest.raises(ValueError, match=f"^measurement for block {block} outside 1..2$"):
+            eve_posterior(EveView(transcript), uniform_priors())
+
+
 class TestInformationMeasures:
     def test_marginal_security_under_uniform_priors(self):
         priors = uniform_priors()
