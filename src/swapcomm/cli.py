@@ -411,7 +411,7 @@ def _parser() -> _Parser:
     p_an.add_argument("--priors", default="uniform", metavar="uniform|@FILE")
     p_an.add_argument("--mc-blocks", type=_at_least(0, MAX_MC_BLOCKS), default=0,
                       help="add Monte Carlo MI estimates over this many blocks")
-    p_an.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
+    p_an.add_argument("--seed", type=_at_least(0), default=0, help="Monte Carlo seed")
     p_an.add_argument("--out", default=None)
 
     p_serve = sub.add_parser("serve", help="host side A of a two-process session")

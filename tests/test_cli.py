@@ -276,6 +276,9 @@ class TestSimulate:
         (["simulate", "--pairs", "6", "--trials", str(2**32 + 1)], "--trials", "at most"),
         (["analyze", "run.json", "--mc-blocks", "-5"], "--mc-blocks", "at least"),
         (["analyze", "run.json", "--mc-blocks", str(10**15)], "--mc-blocks", "at most"),
+        # A Monte Carlo seed is a non-negative integer, with or without --mc-blocks.
+        (["analyze", "run.json", "--mc-blocks", "10", "--seed", "-1"], "--seed", "at least"),
+        (["analyze", "run.json", "--seed", "-1"], "--seed", "at least"),
     ])
     def test_out_of_range_count_is_a_usage_error(self, argv, flag, bound, tmp_path, capsys):
         out = tmp_path / "never.json"
