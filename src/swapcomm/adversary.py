@@ -122,7 +122,7 @@ def _likelihoods() -> np.ndarray:
     that importing the package stays as cheap as before.
     """
     table = generate_decode_table()
-    both = 0.25 * (table.infer_codes == table.composite_codes.reshape(16, 1, 1))
+    both = np.where(table.infer_codes == table.composite_codes.reshape(16, 1, 1), 0.25, 0.0)
     every = slice(None)
     lik = np.column_stack([
         both[:, LABEL_CODES.get(a, every), LABEL_CODES.get(b, every)].reshape(16, -1).sum(1)
