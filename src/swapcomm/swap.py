@@ -124,6 +124,7 @@ def swap_decompose(first: BellLabel, second: BellLabel) -> OutcomeDistribution:
 LABEL_CODES: Mapping[BellLabel, int] = {
     label: code for code, label in enumerate(ENCODING_ORDER)
 }
+_OPS: tuple[PauliCode, ...] = tuple(PauliCode)  # the operation of each code
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +166,7 @@ class DecodeTable:
         })
 
     def decode(self, own: PauliCode, inferred: BellLabel) -> PauliCode:
-        return PauliCode(self.partner_codes[own.code, LABEL_CODES[inferred]])
+        return _OPS[self.partner_codes.item(own.code, LABEL_CODES[inferred])]
 
 
 def composite_label(op_a: PauliCode, op_b: PauliCode) -> BellLabel:
