@@ -217,7 +217,6 @@ class TestLabelColumns:
         with pytest.raises(ValueError, match="^side A announced block 2 twice$"):
             view.label_columns()
 
-
     @pytest.mark.parametrize("block", [0, 3])
     def test_measurement_outside_the_blocks_is_a_value_error(self, block):
         # The rule and message of a stored document's transcript, for a
