@@ -30,7 +30,6 @@ from .swap import (  # noqa: E402
     SwapOutcome,
     audit_reference_table,
     composite_label,
-    decode_partner,
     generate_decode_table,
     swap_decompose,
 )

@@ -223,15 +223,6 @@ def generate_decode_table() -> DecodeTable:
     )
 
 
-def decode_partner(own: PauliCode, inferred: BellLabel) -> PauliCode:
-    """The unique partner operation consistent with one's own operation.
-
-    Fixing one factor makes the composite map a bijection between the
-    partner's operations and the Bell labels, so this never ambiguates.
-    """
-    return generate_decode_table().decode(own, inferred)
-
-
 # --------------------------------------------------------------------------
 # Audit against the reference table as printed.
 #

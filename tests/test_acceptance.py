@@ -34,7 +34,6 @@ from swapcomm.swap import (
     audit_reference_table,
     block_input_state,
     composite_label,
-    decode_partner,
     generate_decode_table,
     swap_decompose,
 )
@@ -120,12 +119,13 @@ def test_criterion_3_decode_totality_and_bijection():
         assert all(len(col) == 4 for col in columns.values())
         assert set().union(*columns.values()) == set(ALL_OUTCOMES)
 
+        table = generate_decode_table()
         for own in PauliCode:
-            partners = {decode_partner(own, label) for label in BELL_ORDER}
+            partners = {table.decode(own, label) for label in BELL_ORDER}
             assert partners == set(PauliCode)
 
         for op_a, op_b in ALL_OP_PAIRS:
-            assert decode_partner(op_a, composite_label(op_a, op_b)) is op_b
+            assert table.decode(op_a, composite_label(op_a, op_b)) is op_b
 
 
 def test_criterion_4_protocol_determinism_and_speed():

@@ -424,8 +424,7 @@ class TestVerify:
         code, out = run_cli("verify", capsys=capsys)
         assert code == 0
         assert "16/16 decompositions exact" in out.out
-        assert "4 columns x 4 outcomes" in out.out
-        assert "16/16 decode round-trips" in out.out
+        assert "the dense core measures all 16 operation pairs as the code arrays say" in out.out
 
     def test_failure_exits_2_and_enumerates(self, capsys, monkeypatch):
         import swapcomm.cli as cli_module
@@ -435,8 +434,8 @@ class TestVerify:
             checks = [
                 CheckResult("decompositions", False, "15/16 decompositions exact",
                             ["PsiPlusxPsiPlus: re-summation off by (0.25+0j)"]),
-                CheckResult("column-partition", True, "4 columns x 4 outcomes"),
-                CheckResult("decode-round-trips", True, "16/16 decode round-trips"),
+                CheckResult("table-vs-core", True,
+                            "the dense core measures all 16 operation pairs as the code arrays say"),
             ]
             return VerificationReport(checks=checks)
 
@@ -470,7 +469,7 @@ class TestVerify:
             lines.extend(f"       {failure}" for failure in record["failures"])
         # Text adds one summary line after the per-check lines.
         assert text.out.splitlines()[:-1] == lines
-        assert len(lines) == 12
+        assert len(lines) == 11
 
     def test_unknown_format_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

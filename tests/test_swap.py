@@ -20,7 +20,6 @@ from swapcomm.swap import (
     audit_reference_table,
     block_input_state,
     composite_label,
-    decode_partner,
     generate_decode_table,
     swap_decompose,
 )
@@ -165,29 +164,38 @@ class TestCompositeAndDecode:
         (PauliCode.U0, "PsiPlus", PauliCode.U0),
     ])
     def test_worked_decodes(self, own, inferred, expected):
-        assert decode_partner(own, L[inferred]) is expected
+        assert generate_decode_table().decode(own, L[inferred]) is expected
 
     def test_exhaustive_round_trip(self):
+        table = generate_decode_table()
         for op_a, op_b in ALL_OP_PAIRS:
-            assert decode_partner(op_a, composite_label(op_a, op_b)) is op_b
+            assert table.decode(op_a, composite_label(op_a, op_b)) is op_b
 
     def test_symmetric_round_trip(self):
         # The composite does not care which side the decoder sits on.
+        table = generate_decode_table()
         for op_a, op_b in ALL_OP_PAIRS:
-            assert decode_partner(op_b, composite_label(op_a, op_b)) is op_a
+            assert table.decode(op_b, composite_label(op_a, op_b)) is op_a
 
     @pytest.mark.parametrize("own", list(PauliCode))
     def test_decode_is_bijective_for_fixed_own(self, own):
-        partners = {decode_partner(own, label) for label in BELL_ORDER}
+        partners = {generate_decode_table().decode(own, label) for label in BELL_ORDER}
         assert partners == set(PauliCode)
 
 
 class TestGeneratedTable:
-    def test_infer_has_sixteen_entries(self):
+    def test_infer_codes_are_the_oracle_columns(self):
+        """infer_codes[a, b] is the one column whose oracle decomposition of
+        PsiPlus x column holds the outcome (a, b), labels coded by their
+        position in oracle.DRAW_LABELS; so each column holds 4 outcomes."""
         table = generate_decode_table()
-        assert len(table.infer) == 16
-        for label in BELL_ORDER:
-            assert sum(1 for lab in table.infer.values() if lab is label) == 4
+        labels = oracle.DRAW_LABELS
+        for a, b in itertools.product(range(4), range(4)):
+            columns = [column for column in range(4)
+                       if oracle.decompose("PsiPlus", labels[column])[(labels[a], labels[b])] != 0]
+            assert [table.infer_codes[a, b]] == columns
+        for column in range(4):
+            assert np.count_nonzero(table.infer_codes == column) == 4
 
     def test_identity_combo_column(self):
         table = generate_decode_table()
