@@ -106,6 +106,8 @@ def _validate_priors(priors: Mapping[OpPair, float]) -> np.ndarray:
             raise ValueError(f"non-finite prior {p!r} for {pair!r}")
         if p < 0:
             raise ValueError(f"negative prior for {pair!r}")
+        if p > 1 + 1e-9:  # checked here, so that the sum below cannot overflow
+            raise ValueError(f"prior {p!r} for {pair!r} is above 1")
         vec[_PAIR_INDEX[pair]] = p
     total = float(vec.sum())  # a Python float, so the message reads "0.5", not "np.float64(0.5)"
     if abs(total - 1.0) > 1e-9:

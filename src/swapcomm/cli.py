@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import json
 import math
 import os
 import shutil
@@ -71,7 +70,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_message(value: str):
     if value.startswith("@"):
-        value = Path(value[1:]).read_text(encoding="utf-8").strip()
+        try:
+            value = Path(value[1:]).read_text(encoding="utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{value[1:]}: {exc}") from exc
     return parse_message(value)
 
 
@@ -278,11 +280,7 @@ def _load_priors(value: str) -> dict:
         return uniform_priors()
     if not value.startswith("@"):
         raise ValueError(f"priors must be 'uniform' or @file, got {value!r}")
-    try:
-        raw = json.loads(Path(value[1:]).read_text(encoding="utf-8"),
-                         object_pairs_hook=_unique_keys)
-    except RecursionError as exc:
-        raise ValueError(f"priors file {value[1:]}: JSON nested too deeply") from exc
+    raw = documents.load_document(value[1:], object_pairs_hook=_unique_keys)
     if not isinstance(raw, dict):
         raise ValueError("priors file must hold an object of \"Ua,Ub\": probability")
     by_name = {key: pair for pair, key in _PAIR_KEYS.items()}

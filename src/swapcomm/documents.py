@@ -337,9 +337,12 @@ def render(doc: dict, fmt: str) -> str:
     return "".join(out)
 
 
-def load_document(path: str) -> dict:
+def load_document(path: str, object_pairs_hook=None):
+    """The JSON in the file `path`; a file that is not UTF-8 JSON is a ValueError naming it."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=object_pairs_hook)
         except RecursionError as exc:
             raise ValueError(f"{path}: JSON nested too deeply") from exc
+        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+            raise ValueError(f"{path}: {exc}") from exc

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,15 @@ class TestPriors:
         with pytest.raises(ValueError) as excinfo:
             eve_posterior(EveView(session().transcript), half)
         assert str(excinfo.value) == "priors sum to 0.5, not 1"
+
+    @pytest.mark.parametrize("p", [1 + 2e-9, 1e308])
+    def test_a_prior_above_1_is_named_before_the_sum(self, p):
+        priors = {(PauliCode.U0, PauliCode.U0): p, (PauliCode.U1, PauliCode.U1): p}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # 1e308 + 1e308 overflows, with a RuntimeWarning
+            with pytest.raises(ValueError) as excinfo:
+                pattern_information(priors, PATTERN_BOTH)
+        assert str(excinfo.value) == f"prior {p!r} for (U0, U0) is above 1"
 
     def test_independent_priors(self):
         skew = {PauliCode.U0: 0.7, PauliCode.U1: 0.3,

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,16 @@ class TestSimulate:
         )
         assert code == 0
         assert json.loads(out.out)["private"]["alice_message"] == "0110"
+
+    def test_message_file_not_utf8_names_its_path(self, tmp_path, capsys):
+        msg = tmp_path / "msg.txt"
+        msg.write_bytes(b"01\xff10\n")
+        code, out = run_cli(
+            "simulate", "--pairs", "4", "--alice-msg", f"@{msg}", capsys=capsys
+        )
+        assert code == 1
+        assert out.err == (f"swapcomm: {msg}: 'utf-8' codec can't decode byte 0xff "
+                           "in position 2: invalid start byte\n")
 
     def test_csv_format(self, capsys):
         code, out = run_cli(
@@ -718,6 +729,30 @@ class TestAnalyze:
     def test_missing_input_file(self, capsys):
         code, out = run_cli("analyze", "/nonexistent/run.json", capsys=capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("content, detail", [
+        (b'{"format":\n', "Expecting value: line 2 column 1 (char 11)"),
+        (b'{"\xff": 1}', "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
+    ], ids=["truncated", "not-utf8"])
+    @pytest.mark.parametrize("kind", ["document", "priors"])
+    def test_unreadable_file_names_its_path(self, run_doc, tmp_path, capsys, kind,
+                                            content, detail):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        argv = [str(bad)] if kind == "document" else [str(run_doc), "--priors", f"@{bad}"]
+        code, out = run_cli("analyze", *argv, capsys=capsys)
+        assert code == 1
+        assert out.err == f"swapcomm: {bad}: {detail}\n"
+
+    def test_prior_above_1_is_rejected_before_the_sum(self, run_doc, tmp_path, capsys):
+        # Summed, these overflow to inf, and numpy warns on stderr that they did.
+        path = tmp_path / "priors.json"
+        path.write_text('{"U0,U0": 1e308, "U1,U1": 1e308}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli("analyze", str(run_doc), "--priors", f"@{path}", capsys=capsys)
+        assert code == 1
+        assert out.err == "swapcomm: prior 1e+308 for (U0, U0) is above 1\n"
 
     def test_analyze_builds_no_announcements_or_block_posteriors(
         self, run_doc, tmp_path, monkeypatch
