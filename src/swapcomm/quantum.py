@@ -254,6 +254,18 @@ def bell_project_all(
     return dict(zip(BELL_ORDER, probs))
 
 
+def _inverted(probs: list[float], uniforms) -> list[int]:
+    """The Bell index each uniform draws, over the running sum of the positive
+    probabilities: the first label whose sum exceeds u, the last one when
+    none does."""
+    positive = [k for k, p in enumerate(probs) if p > ATOL_OP]
+    assert positive, "no outcome has positive probability"
+    cumulative = np.cumsum([probs[k] for k in positive])
+    picks = np.searchsorted(cumulative, uniforms, side="right")
+    np.minimum(picks, len(positive) - 1, out=picks)
+    return [positive[k] for k in picks.tolist()]
+
+
 def bell_measure(
     state: PureState, pair: tuple[int, int], rng: np.random.Generator
 ) -> tuple[BellLabel, PureState]:
@@ -265,17 +277,7 @@ def bell_measure(
     """
     view, order = _pair_view(state, pair)
     overlaps, probs = _bell_overlaps(view)
-    u = float(rng.random())
-    chosen = None
-    cumulative = 0.0
-    for k, p in enumerate(probs):
-        if p <= ATOL_OP:
-            continue
-        chosen = k
-        cumulative += p
-        if u < cumulative:
-            break
-    assert chosen is not None, "no outcome has positive probability"
+    (chosen,) = _inverted(probs, [rng.random()])
     label = BELL_ORDER[chosen]
     return label, _residual(label, overlaps[chosen], probs[chosen], order)
 
@@ -286,20 +288,11 @@ def bell_sample(
     """n Bell-basis measurement labels of one pair, each of the same state.
 
     Draw for draw the labels of n bell_measure calls on a same-seeded rng,
-    which is left in the same state: one uniform per draw, inverted over
-    the running sum of the positive probabilities with bell_measure's rule
-    (the first label whose sum exceeds u, the last one when none does).
-    No residual state is built.
+    which is left in the same state: one uniform per draw, inverted by the
+    same rule. No residual state is built.
     """
     if n < 0:
         raise ValueError(f"sample count {n} is negative")
     view, _ = _pair_view(state, pair)
     _, probs = _bell_overlaps(view)
-    positive = [k for k, p in enumerate(probs) if p > ATOL_OP]
-    assert positive, "no outcome has positive probability"
-    # np.cumsum adds left to right, as bell_measure's loop does.
-    cumulative = np.cumsum([probs[k] for k in positive])
-    picks = np.searchsorted(cumulative, rng.random(n), side="right")
-    np.minimum(picks, len(positive) - 1, out=picks)
-    labels = [BELL_ORDER[k] for k in positive]
-    return [labels[k] for k in picks.tolist()]
+    return [BELL_ORDER[k] for k in _inverted(probs, rng.random(n))]

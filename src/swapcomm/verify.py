@@ -1,8 +1,8 @@
 """Self-verification of the algebra and the module invariant suites.
 
 Each check is deterministic (sampling checks run with a fixed seed) and
-returns every violation it finds, including the offending amplitude, so a
-failing run names exactly what broke.
+returns its detail line and every violation it finds, including the
+offending amplitude, so a failing run names exactly what broke.
 """
 from __future__ import annotations
 
@@ -70,7 +70,7 @@ class VerificationReport:
         return ", ".join(c.detail for c in self.checks if c.name in shown)
 
 
-def _check_bell_orthonormality() -> CheckResult:
+def _check_bell_orthonormality() -> tuple[str, list[str]]:
     failures = []
     for i, la in enumerate(BELL_ORDER):
         for j, lb in enumerate(BELL_ORDER):
@@ -78,13 +78,10 @@ def _check_bell_orthonormality() -> CheckResult:
             want = 1.0 if i == j else 0.0
             if abs(g - want) > 1e-12:
                 failures.append(f"<{la.value}|{lb.value}> = {g!r}, wanted {want}")
-    return CheckResult(
-        "bell-orthonormality", not failures,
-        "Gram matrix of the four Bell states is the identity", failures,
-    )
+    return "Gram matrix of the four Bell states is the identity", failures
 
 
-def _check_pauli_unitarity() -> CheckResult:
+def _check_pauli_unitarity() -> tuple[str, list[str]]:
     failures = []
     for op in PauliCode:
         m = op.matrix
@@ -92,12 +89,10 @@ def _check_pauli_unitarity() -> CheckResult:
         worst = float(np.abs(delta).max())
         if worst > 1e-12:
             failures.append(f"{op.name}: U U^dag deviates from identity by {worst!r}")
-    return CheckResult(
-        "pauli-unitarity", not failures, "all four operation matrices unitary", failures
-    )
+    return "all four operation matrices unitary", failures
 
 
-def _check_pauli_involution() -> CheckResult:
+def _check_pauli_involution() -> tuple[str, list[str]]:
     failures = []
     for op in PauliCode:
         for label in BELL_ORDER:
@@ -109,13 +104,10 @@ def _check_pauli_involution() -> CheckResult:
                         f"{op.name} twice on qubit {qubit} of {label.value} "
                         f"does not return the state"
                     )
-    return CheckResult(
-        "pauli-involution", not failures,
-        "applying any operation twice is the identity up to phase", failures,
-    )
+    return "applying any operation twice is the identity up to phase", failures
 
 
-def _check_norm_preservation() -> CheckResult:
+def _check_norm_preservation() -> tuple[str, list[str]]:
     rng = np.random.default_rng(20240001)
     raw = rng.normal(size=16) + 1j * rng.normal(size=16)
     state = PureState(raw / np.linalg.norm(raw))
@@ -126,13 +118,10 @@ def _check_norm_preservation() -> CheckResult:
             norm = float(np.vdot(out.amplitudes, out.amplitudes).real)
             if abs(norm - 1.0) > 1e-12:
                 failures.append(f"{op.name} on qubit {qubit}: norm {norm!r}")
-    return CheckResult(
-        "norm-preservation", not failures,
-        "local operations preserve the norm on a generic 4-qubit state", failures,
-    )
+    return "local operations preserve the norm on a generic 4-qubit state", failures
 
 
-def _check_decompositions() -> CheckResult:
+def _check_decompositions() -> tuple[str, list[str]]:
     failures = []
     exact = 0
     for first in BELL_ORDER:
@@ -162,15 +151,13 @@ def _check_decompositions() -> CheckResult:
                 ok = False
                 failures.append(
                     f"{first.value}x{second.value}: re-summation off by "
-                    f"{delta[worst]!r} at basis index {worst}"
+                    f"{complex(delta[worst])!r} at basis index {worst}"
                 )
             exact += ok
-    return CheckResult(
-        "decompositions", not failures, f"{exact}/16 decompositions exact", failures
-    )
+    return f"{exact}/16 decompositions exact", failures
 
 
-def _check_table_vs_core() -> CheckResult:
+def _check_table_vs_core() -> tuple[str, list[str]]:
     """Each operation pair on a2 and b2 of PsiPlus x PsiPlus, Bell-measured on the dense
     core: the outcomes, their columns and the partners decoded are as the code arrays say."""
     t = generate_decode_table()
@@ -199,11 +186,10 @@ def _check_table_vs_core() -> CheckResult:
         for i in range(4) for j in range(4) for own, partner in dict.fromkeys(((i, j), (j, i)))
         if t.partner_codes[own, c[i, j]] != partner
     ]
-    detail = "the dense core measures all 16 operation pairs as the code arrays say"
-    return CheckResult("table-vs-core", not failures, detail, failures)
+    return "the dense core measures all 16 operation pairs as the code arrays say", failures
 
 
-def _check_projection_sums() -> CheckResult:
+def _check_projection_sums() -> tuple[str, list[str]]:
     failures = []
     for first in BELL_ORDER:
         for second in BELL_ORDER:
@@ -215,27 +201,20 @@ def _check_projection_sums() -> CheckResult:
                         f"{first.value}x{second.value} pair {pair}: "
                         f"probabilities sum to {total!r}"
                     )
-    return CheckResult(
-        "projection-sums", not failures,
-        "Bell projection probabilities sum to 1 on every pair", failures,
-    )
+    return "Bell projection probabilities sum to 1 on every pair", failures
 
 
-def _check_sampling_uniformity() -> CheckResult:
+def _check_sampling_uniformity() -> tuple[str, list[str]]:
     rng = np.random.default_rng(20240002)
     state = block_input_state(BellLabel.PSI_PLUS, BellLabel.PSI_PLUS)
     draws = bell_sample(state, (0, 2), rng, 4000)
     counts = label_counts(draws, BELL_ORDER)
     stat, p = chi_square_uniform(counts)
-    passed = p > 0.001
     detail = f"chi-square p = {p:.4f} over 4000 fixed-seed measurements"
-    return CheckResult(
-        "sampling-uniformity", passed, detail,
-        [] if passed else [f"counts {counts}, statistic {stat:.2f}"],
-    )
+    return detail, [] if p > 0.001 else [f"counts {counts}, statistic {stat:.2f}"]
 
 
-def _check_eavesdropper_margins() -> CheckResult:
+def _check_eavesdropper_margins() -> tuple[str, list[str]]:
     failures = []
     priors = uniform_priors()
     both = pattern_information(priors, PATTERN_BOTH)
@@ -247,14 +226,10 @@ def _check_eavesdropper_margins() -> CheckResult:
         info = pattern_information(priors, pattern)
         if any(v != 0.0 for v in info.values()):
             failures.append(f"single-side pattern {pattern} leaks: {info}")
-    return CheckResult(
-        "eavesdropper-margins", not failures,
-        "uniform priors: marginals 0 bits, joint 2 bits when both announce",
-        failures,
-    )
+    return "uniform priors: marginals 0 bits, joint 2 bits when both announce", failures
 
 
-def _check_session_round_trips() -> CheckResult:
+def _check_session_round_trips() -> tuple[str, list[str]]:
     failures = []
     cases = [
         SessionConfig(n_pairs=12, seed=71,
@@ -282,13 +257,10 @@ def _check_session_round_trips() -> CheckResult:
             result.decoded_by_alice, result.decoded_by_bob,
         ):
             failures.append(f"seed {config.seed}: replay diverged")
-    return CheckResult(
-        "session-round-trips", not failures,
-        "fixed-seed sessions decode and replay exactly in every mode", failures,
-    )
+    return "fixed-seed sessions decode and replay exactly in every mode", failures
 
 
-def _check_reference_audit() -> CheckResult:
+def _check_reference_audit() -> tuple[str, list[str]]:
     report = audit_reference_table()
     expected_cells = ((1, 2), (1, 3), (1, 4))
     failures = []
@@ -303,23 +275,34 @@ def _check_reference_audit() -> CheckResult:
         )
     if any("operation pair" in d.detail for d in report.in_section("operations")):
         failures.append("an operation pair landed in the wrong column")
-    return CheckResult(
-        "reference-audit", not failures,
-        "reference table agrees except the known bit-code misprints", failures,
-    )
+    return "reference table agrees except the known bit-code misprints", failures
+
+
+_CHECKS = {
+    "bell-orthonormality": _check_bell_orthonormality,
+    "pauli-unitarity": _check_pauli_unitarity,
+    "pauli-involution": _check_pauli_involution,
+    "norm-preservation": _check_norm_preservation,
+    "decompositions": _check_decompositions,
+    "table-vs-core": _check_table_vs_core,
+    "projection-sums": _check_projection_sums,
+    "sampling-uniformity": _check_sampling_uniformity,
+    "eavesdropper-margins": _check_eavesdropper_margins,
+    "session-round-trips": _check_session_round_trips,
+    "reference-audit": _check_reference_audit,
+}
 
 
 def run_verification() -> VerificationReport:
-    return VerificationReport(checks=[
-        _check_bell_orthonormality(),
-        _check_pauli_unitarity(),
-        _check_pauli_involution(),
-        _check_norm_preservation(),
-        _check_decompositions(),
-        _check_table_vs_core(),
-        _check_projection_sums(),
-        _check_sampling_uniformity(),
-        _check_eavesdropper_margins(),
-        _check_session_round_trips(),
-        _check_reference_audit(),
-    ])
+    """Each check in turn. One that raises fails alone, with the exception's type and
+    message, and the rest still run; a MemoryError is left to the caller."""
+    checks = []
+    for name, check in _CHECKS.items():
+        try:
+            detail, failures = check()
+        except MemoryError:
+            raise
+        except Exception as exc:
+            detail, failures = f"stopped by {type(exc).__name__}", [str(exc)]
+        checks.append(CheckResult(name, not failures, detail, failures))
+    return VerificationReport(checks)

@@ -8,6 +8,10 @@ modules import is replaced in every swapcomm module bound to it, as a fault
 in its definition would be. The caches of values built from the core are
 emptied before and after each case, so the fault reaches them and does not
 outlive the case.
+
+A blunt fault makes the core raise. Each such case requires the checks
+that raise to fail alone, with the exception's type and message, and every
+check to be reported all the same.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ import types
 import numpy as np
 import pytest
 
-from swapcomm import adversary, protocol, quantum, swap
+from swapcomm import adversary, protocol, quantum, swap, verify
 from swapcomm.cli import main
 from swapcomm.protocol import MessageBits
 from swapcomm.quantum import BellLabel, PauliCode
@@ -52,6 +56,12 @@ def _bell_literal(monkeypatch):
     """PhiMinus's last amplitude is 1/sqrt(2) typed to 11 places."""
     monkeypatch.setitem(quantum._BELL_AMPLITUDES, BellLabel.PHI_MINUS,
                         quantum._frozen([_S, 0, 0, -0.70710678118]))
+
+
+def _bell_amplitudes(label, amplitudes):
+    def plant(monkeypatch):
+        monkeypatch.setitem(quantum._BELL_AMPLITUDES, label, quantum._frozen(amplitudes))
+    return plant
 
 
 def _pauli_entry(op, rows):
@@ -219,3 +229,77 @@ def test_a_planted_fault_fails_its_check(monkeypatch, capsys, plant, failing, ch
 
 def test_every_check_has_a_case():
     assert {case.values[2] for case in CASES} == {c.name for c in run_verification().checks}
+
+
+# The checks that read the decode table stop where the table is built.
+_TABLE_READERS = {"table-vs-core", "eavesdropper-margins", "session-round-trips",
+                  "reference-audit"}
+
+BLUNT_CASES = [
+    pytest.param(
+        _bell_amplitudes(BellLabel.PSI_MINUS, [0, _S, _S, 0]),
+        {"bell-orthonormality", "decompositions"}, _TABLE_READERS, "AssertionError",
+        r"outcome \(PhiPlus,PhiPlus\) appears in two columns", id="psi-minus-typed-as-psi-plus"),
+    pytest.param(
+        _pauli_entry(PauliCode.U3, [[0, 1], [1, 0]]), set(), _TABLE_READERS, "AssertionError",
+        r"BellLabel\.PSI_PLUS has 6 operation pairs, not 4", id="u3-typed-as-u2"),
+    pytest.param(
+        _pauli_entry(PauliCode.U1, [[-1, 0], [0, 1j]]),
+        {"pauli-involution"}, _TABLE_READERS, "AssertionError",
+        r"composite of \(PauliCode\.U0, PauliCode\.U1\) is not a Bell state",
+        id="u1-not-an-involution"),
+    pytest.param(
+        _pauli_entry(PauliCode.U1, [[-1, 0], [0, 2]]),
+        {"pauli-unitarity"}, {"pauli-involution", "norm-preservation", *_TABLE_READERS},
+        "ValueError", r"state is not normalized: squared norm 2\.\d+", id="u1-not-unitary"),
+]
+
+
+@pytest.mark.parametrize("plant, failing, stopped, exc_type, message", BLUNT_CASES)
+def test_a_blunt_fault_stops_only_its_checks(
+        monkeypatch, capsys, plant, failing, stopped, exc_type, message):
+    plant(monkeypatch)
+    names = list(verify._CHECKS)
+    assert len(names) == 11
+
+    assert main(["verify"]) == 2
+    text = capsys.readouterr().out.splitlines()
+    reported = [re.fullmatch(r"\[(ok|FAIL)\] ([a-z-]+): (.*)", line) for line in text]
+    reported = [m.groups() for m in reported if m]
+    assert [name for _, name, _ in reported] == names
+    assert {name for status, name, _ in reported if status == "FAIL"} == failing | stopped
+    for name in stopped:
+        (at,) = [i for i, line in enumerate(text) if line.startswith(f"[FAIL] {name}: ")]
+        assert text[at] == f"[FAIL] {name}: stopped by {exc_type}"
+        assert re.fullmatch(message, text[at + 1].strip())
+
+    assert main(["verify", "--format", "json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert [r["name"] for r in doc["checks"]] == names
+    assert {r["name"] for r in doc["checks"] if not r["passed"]} == failing | stopped
+    for record in doc["checks"]:
+        if record["name"] in stopped:
+            assert record["detail"] == f"stopped by {exc_type}"
+            (line,) = record["failures"]
+            assert re.fullmatch(message, line)
+        else:
+            assert not record["detail"].startswith("stopped by")
+
+
+def test_a_memory_error_in_a_check_ends_verify(monkeypatch, capsys):
+    def exhausted():
+        raise MemoryError("Unable to allocate 2.00 GiB")
+
+    _everywhere(monkeypatch, swap, "generate_decode_table", exhausted)
+    assert main(["verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "swapcomm: out of memory in verify: Unable to allocate 2.00 GiB\n"
+
+
+@pytest.mark.parametrize("plant", [
+    pytest.param(case.values[0], id=case.id) for case in CASES + BLUNT_CASES])
+def test_no_failure_line_prints_a_numpy_repr(monkeypatch, plant):
+    plant(monkeypatch)
+    printed = [f for c in run_verification().checks for f in c.failures if "np." in f]
+    assert not printed
