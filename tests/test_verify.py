@@ -58,10 +58,10 @@ def _bell_literal(monkeypatch):
                         quantum._frozen([_S, 0, 0, -0.70710678118]))
 
 
-def _bell_amplitudes(label, amplitudes):
-    def plant(monkeypatch):
-        monkeypatch.setitem(quantum._BELL_AMPLITUDES, label, quantum._frozen(amplitudes))
-    return plant
+def _psi_minus_typed_as_psi_plus(monkeypatch):
+    """PsiMinus's amplitudes typed as PsiPlus's, [0, s, s, 0]."""
+    monkeypatch.setitem(quantum._BELL_AMPLITUDES, BellLabel.PSI_MINUS,
+                        quantum._frozen([0, _S, _S, 0]))
 
 
 def _pauli_entry(op, rows):
@@ -237,7 +237,7 @@ _TABLE_READERS = {"table-vs-core", "eavesdropper-margins", "session-round-trips"
 
 BLUNT_CASES = [
     pytest.param(
-        _bell_amplitudes(BellLabel.PSI_MINUS, [0, _S, _S, 0]),
+        _psi_minus_typed_as_psi_plus,
         {"bell-orthonormality", "decompositions"}, _TABLE_READERS, "AssertionError",
         r"outcome \(PhiPlus,PhiPlus\) appears in two columns", id="psi-minus-typed-as-psi-plus"),
     pytest.param(
