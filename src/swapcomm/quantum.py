@@ -94,6 +94,19 @@ _PAULI_MATRICES: dict[PauliCode, np.ndarray] = {
 }
 
 
+def _require_normalized(amps: np.ndarray) -> list[float]:
+    """Squared norms of the vectors along the last axis, in C order, as np.vdot takes
+    them. PureState's ValueError for the first not finite or off 1 by > ATOL_ACC."""
+    rows = amps.reshape(-1, amps.shape[-1])
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row is named below
+        sq_norms = (rows.conj()[:, None, :] @ rows[:, :, None]).real.reshape(-1).tolist()
+    for k, sq_norm in enumerate(sq_norms):
+        if not abs(sq_norm - 1.0) <= ATOL_ACC:  # a NaN fails too
+            raise ValueError("amplitudes must be finite" if not np.isfinite(rows[k]).all()
+                             else f"state is not normalized: squared norm {sq_norm!r}")
+    return sq_norms
+
+
 class PureState:
     """Normalized complex amplitude vector over a small qubit register.
 
@@ -111,11 +124,7 @@ class PureState:
         num_qubits = n.bit_length() - 1
         if num_qubits > 4:
             raise ValueError(f"register of {num_qubits} qubits exceeds the 4-qubit maximum")
-        if not np.isfinite(amps.view(np.float64)).all():
-            raise ValueError("amplitudes must be finite")
-        sq_norm = float(np.vdot(amps, amps).real)
-        if abs(sq_norm - 1.0) > ATOL_ACC:
-            raise ValueError(f"state is not normalized: squared norm {sq_norm!r}")
+        _require_normalized(amps)
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "num_qubits", num_qubits)
@@ -151,7 +160,7 @@ def tensor(left: PureState, right: PureState) -> PureState:
             f"combined register of {left.num_qubits + right.num_qubits} qubits "
             "exceeds the 4-qubit maximum"
         )
-    return PureState(np.kron(left.amplitudes, right.amplitudes))
+    return PureState(np.multiply.outer(left.amplitudes, right.amplitudes).reshape(-1))
 
 
 def apply_local(op: PauliCode, qubit: int, state: PureState) -> PureState:

@@ -9,7 +9,6 @@ freedom rather than a scipy dependency:
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Iterable, Sequence
 
 
@@ -35,6 +34,7 @@ def chi_square_uniform(counts: Sequence[int]) -> tuple[float, float]:
 
 
 def label_counts(labels: Iterable, order: Sequence) -> list[int]:
-    """Counts of hashable outcomes arranged in a fixed order."""
-    counter = Counter(labels)
-    return [counter.get(item, 0) for item in order]
+    """Counts of outcomes arranged in a fixed order, by equality (identity
+    first), so that no outcome is hashed."""
+    labels = list(labels)
+    return [labels.count(item) for item in order]

@@ -27,6 +27,7 @@ from .quantum import (
     BellLabel,
     PauliCode,
     PureState,
+    _frozen,
     apply_local,
     bell_state,
     state_equal_up_to_phase,
@@ -101,6 +102,12 @@ def _bell_product_basis(a_label: BellLabel, b_label: BellLabel) -> np.ndarray:
     return vector
 
 
+@cache
+def _bell_product_matrix() -> np.ndarray:
+    """The 16 vectors of _bell_product_basis as rows, in ALL_OUTCOMES order, read-only."""
+    return _frozen([_bell_product_basis(*outcome) for outcome in ALL_OUTCOMES])
+
+
 def block_input_state(first: BellLabel, second: BellLabel) -> PureState:
     """|first>_{a1 b1} (x) |second>_{a2 b2} in block register order."""
     return tensor(bell_state(first), bell_state(second))
@@ -109,14 +116,12 @@ def block_input_state(first: BellLabel, second: BellLabel) -> PureState:
 def swap_decompose(first: BellLabel, second: BellLabel) -> OutcomeDistribution:
     """Expand a Bell product in the outcome basis of the measured pairs.
 
-    Exactly 4 of the 16 entries carry nonzero probability, 1/4 each.
+    Exactly 4 of the 16 entries carry nonzero probability, 1/4 each. The
+    entries are in ALL_OUTCOMES order, the rows of _bell_product_matrix.
     """
-    state = block_input_state(first, second).amplitudes
-    entries: dict[SwapOutcome, OutcomeTerm] = {}
-    for outcome in ALL_OUTCOMES:
-        amp = complex(np.vdot(_bell_product_basis(*outcome), state))
-        entries[outcome] = OutcomeTerm(amp, abs(amp) ** 2)
-    return OutcomeDistribution(first, second, entries)
+    amps = _bell_product_matrix().conj() @ block_input_state(first, second).amplitudes
+    terms = map(OutcomeTerm, amps.tolist(), (np.abs(amps) ** 2).tolist())
+    return OutcomeDistribution(first, second, dict(zip(ALL_OUTCOMES, terms)))
 
 
 # Integer code of each label: its position in ENCODING_ORDER. An

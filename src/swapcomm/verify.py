@@ -3,6 +3,11 @@
 Each check is deterministic (sampling checks run with a fixed seed) and
 returns its detail line and every violation it finds, including the
 offending amplitude, so a failing run names exactly what broke.
+
+The dense-core checks are batched, one array product each over the four
+Pauli matrices, the four Bell states or the 16 block inputs. They read the
+core's definitions as they run, never the decode tables, and validate each
+state they build as PureState would, in the order the per-state loops did.
 """
 from __future__ import annotations
 
@@ -26,15 +31,14 @@ from .protocol import (
     run_session,
 )
 from .quantum import (
+    _BELL_AMPLITUDES,
+    _BELL_BRAS,
     BELL_ORDER,
     BellLabel,
     PauliCode,
     PureState,
-    apply_local,
-    bell_project_all,
+    _require_normalized,
     bell_sample,
-    bell_state,
-    state_equal_up_to_phase,
 )
 from .stats import chi_square_uniform, label_counts
 from .swap import (
@@ -42,6 +46,7 @@ from .swap import (
     ENCODING_ORDER,
     SwapOutcome,
     _bell_product_basis,
+    _bell_product_matrix,
     audit_reference_table,
     block_input_state,
     generate_decode_table,
@@ -70,90 +75,89 @@ class VerificationReport:
         return ", ".join(c.detail for c in self.checks if c.name in shown)
 
 
+def _bells() -> np.ndarray:
+    """The four Bell amplitude vectors as the core defines them now, in BELL_ORDER."""
+    return np.array([_BELL_AMPLITUDES[label] for label in BELL_ORDER])
+
+
+def _block_inputs() -> np.ndarray:
+    """block_input_state of each label pair, BELL_ORDER x BELL_ORDER, validated as such."""
+    bells = _bells()
+    _require_normalized(bells)
+    inputs = np.multiply.outer(bells, bells).transpose(0, 2, 1, 3).reshape(16, 16)
+    _require_normalized(inputs)
+    return inputs
+
+
 def _check_bell_orthonormality() -> tuple[str, list[str]]:
-    failures = []
-    for i, la in enumerate(BELL_ORDER):
-        for j, lb in enumerate(BELL_ORDER):
-            g = complex(np.vdot(bell_state(la).amplitudes, bell_state(lb).amplitudes))
-            want = 1.0 if i == j else 0.0
-            if abs(g - want) > 1e-12:
-                failures.append(f"<{la.value}|{lb.value}> = {g!r}, wanted {want}")
+    bells = _bells()
+    _require_normalized(bells)
+    gram = bells.conj() @ bells.T
+    names = [label.value for label in BELL_ORDER]
+    failures = [f"<{names[i]}|{names[j]}> = {gram.item(i, j)!r}, wanted {float(i == j)}"
+                for i, j in zip(*np.nonzero(np.abs(gram - np.eye(4)) > 1e-12))]
     return "Gram matrix of the four Bell states is the identity", failures
 
 
 def _check_pauli_unitarity() -> tuple[str, list[str]]:
-    failures = []
-    for op in PauliCode:
-        m = op.matrix
-        delta = m @ m.conj().T - np.eye(2)
-        worst = float(np.abs(delta).max())
-        if worst > 1e-12:
-            failures.append(f"{op.name}: U U^dag deviates from identity by {worst!r}")
+    paulis = np.array([op.matrix for op in PauliCode])
+    worst = np.abs(paulis @ paulis.conj().swapaxes(1, 2) - np.eye(2)).max(axis=(1, 2))
+    failures = [f"{op.name}: U U^dag deviates from identity by {w!r}"
+                for op, w in zip(PauliCode, worst.tolist()) if w > 1e-12]
     return "all four operation matrices unitary", failures
 
 
 def _check_pauli_involution() -> tuple[str, list[str]]:
-    failures = []
-    for op in PauliCode:
-        for label in BELL_ORDER:
-            for qubit in (0, 1):
-                state = bell_state(label)
-                twice = apply_local(op, qubit, apply_local(op, qubit, state))
-                if not state_equal_up_to_phase(twice, state, 1e-9):
-                    failures.append(
-                        f"{op.name} twice on qubit {qubit} of {label.value} "
-                        f"does not return the state"
-                    )
+    paulis, bells = np.array([op.matrix for op in PauliCode]), _bells()
+    # [op, label, qubit]: each operation once, then twice, on each qubit of each Bell state
+    specs = ("oxa,olab->olxb", "oxb,olab->olax")
+    once = [np.einsum(s, paulis, np.broadcast_to(bells.reshape(4, 2, 2), (4, 4, 2, 2)))
+            for s in specs]
+    twice = [np.einsum(s, paulis, states) for s, states in zip(specs, once)]
+    once, twice = (np.stack(states, axis=2).reshape(4, 4, 2, 4) for states in (once, twice))
+    # Each state is validated in the order the per-state loop built them.
+    _require_normalized(np.stack([np.broadcast_to(bells[:, None], once.shape), once, twice], 3))
+    returned = np.abs(np.einsum("olqi,li->olq", twice.conj(), bells)) >= 1.0 - 1e-9
+    failures = [f"{tuple(PauliCode)[o].name} twice on qubit {q} of {BELL_ORDER[l].value} "
+                "does not return the state" for o, l, q in zip(*np.nonzero(~returned))]
     return "applying any operation twice is the identity up to phase", failures
 
 
 def _check_norm_preservation() -> tuple[str, list[str]]:
     rng = np.random.default_rng(20240001)
     raw = rng.normal(size=16) + 1j * rng.normal(size=16)
-    state = PureState(raw / np.linalg.norm(raw))
-    failures = []
-    for op in PauliCode:
-        for qubit in range(4):
-            out = apply_local(op, qubit, state)
-            norm = float(np.vdot(out.amplitudes, out.amplitudes).real)
-            if abs(norm - 1.0) > 1e-12:
-                failures.append(f"{op.name} on qubit {qubit}: norm {norm!r}")
+    state = PureState(raw / np.linalg.norm(raw)).amplitudes.reshape(2, 2, 2, 2)
+    # [op, qubit]: each operation on each qubit of the state
+    paulis = np.array([op.matrix for op in PauliCode])
+    outs = np.stack([np.einsum(spec, paulis, state).reshape(4, 16) for spec in (
+        "oxa,abcd->oxbcd", "oxb,abcd->oaxcd", "oxc,abcd->oabxd", "oxd,abcd->oabcx")], axis=1)
+    norms = _require_normalized(outs)
+    failures = [
+        f"{op.name} on qubit {qubit}: norm {norms[4 * op.code + qubit]!r}"
+        for op in PauliCode for qubit in range(4) if abs(norms[4 * op.code + qubit] - 1.0) > 1e-12
+    ]
     return "local operations preserve the norm on a generic 4-qubit state", failures
 
 
 def _check_decompositions() -> tuple[str, list[str]]:
+    pairs = [(first, second) for first in BELL_ORDER for second in BELL_ORDER]
+    dists = [swap_decompose(first, second) for first, second in pairs]
+    # Entries are in ALL_OUTCOMES order, the rows of the basis matrix.
+    amplitudes = np.array([[term.amplitude for term in d.entries.values()] for d in dists])
+    deltas = amplitudes @ _bell_product_matrix() - _block_inputs()
     failures = []
     exact = 0
-    for first in BELL_ORDER:
-        for second in BELL_ORDER:
-            dist = swap_decompose(first, second)
-            support = dist.support()
-            ok = True
-            if len(support) != 4:
-                ok = False
-                failures.append(
-                    f"{first.value}x{second.value}: {len(support)} nonzero outcomes"
-                )
-            for outcome in support:
-                term = dist.entries[outcome]
-                if abs(term.probability - 0.25) > 1e-12:
-                    ok = False
-                    failures.append(
-                        f"{first.value}x{second.value} at {outcome!r}: "
-                        f"probability {term.probability!r}"
-                    )
-            resummed = np.zeros(16, dtype=complex)
-            for outcome, term in dist.entries.items():
-                resummed += term.amplitude * _bell_product_basis(*outcome)
-            delta = resummed - block_input_state(first, second).amplitudes
-            worst = int(np.argmax(np.abs(delta)))
-            if abs(delta[worst]) > 1e-12:
-                ok = False
-                failures.append(
-                    f"{first.value}x{second.value}: re-summation off by "
-                    f"{complex(delta[worst])!r} at basis index {worst}"
-                )
-            exact += ok
+    for (first, second), dist, delta in zip(pairs, dists, deltas):
+        name, support = f"{first.value}x{second.value}", dist.support()
+        found = [f"{name}: {len(support)} nonzero outcomes"] if len(support) != 4 else []
+        found += [f"{name} at {outcome!r}: probability {dist.entries[outcome].probability!r}"
+                  for outcome in support if abs(dist.entries[outcome].probability - 0.25) > 1e-12]
+        worst = int(np.argmax(np.abs(delta)))
+        if abs(delta[worst]) > 1e-12:
+            found.append(f"{name}: re-summation off by {complex(delta[worst])!r} "
+                         f"at basis index {worst}")
+        exact += not found
+        failures += found
     return f"{exact}/16 decompositions exact", failures
 
 
@@ -190,17 +194,21 @@ def _check_table_vs_core() -> tuple[str, list[str]]:
 
 
 def _check_projection_sums() -> tuple[str, list[str]]:
-    failures = []
-    for first in BELL_ORDER:
-        for second in BELL_ORDER:
-            state = block_input_state(first, second)
-            for pair in ((0, 2), (1, 3), (0, 1), (2, 3)):
-                total = sum(bell_project_all(state, pair).values())
-                if abs(total - 1.0) > 1e-9:
-                    failures.append(
-                        f"{first.value}x{second.value} pair {pair}: "
-                        f"probabilities sum to {total!r}"
-                    )
+    inputs = _block_inputs().reshape(16, 2, 2, 2, 2)
+    pairs = ((0, 2), (1, 3), (0, 1), (2, 3))
+    totals = np.empty((16, len(pairs)))
+    for p, (i, j) in enumerate(pairs):
+        rest = [1 + k for k in range(4) if k not in (i, j)]
+        view = inputs.transpose(1 + i, 1 + j, 0, *rest).reshape(4, -1)
+        # [label, input, 1, rest]: each label's overlap, as _bell_overlaps takes it
+        overlaps = np.array([np.dot(bra, view) for bra in _BELL_BRAS.values()])
+        overlaps = overlaps.reshape(4, 16, 1, 4)
+        totals[:, p] = (overlaps.conj() @ overlaps.swapaxes(2, 3)).real.sum(axis=(0, 2, 3))
+    failures = [
+        f"{BELL_ORDER[k // 4].value}x{BELL_ORDER[k % 4].value} pair {pairs[p]}: "
+        f"probabilities sum to {totals.item(k, p)!r}"
+        for k, p in zip(*np.nonzero(~(np.abs(totals - 1.0) <= 1e-9)))
+    ]
     return "Bell projection probabilities sum to 1 on every pair", failures
 
 

@@ -111,6 +111,43 @@ class TestTensor:
         with pytest.raises(ValueError, match="exceeds"):
             tensor(four, basis_state("0"))
 
+    @settings(max_examples=200, deadline=None)
+    @given(sizes=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_kron(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        left, right = (random_state(rng, n) for n in sizes)
+        want = np.kron(left.amplitudes, right.amplitudes)
+        assert tensor(left, right).amplitudes.tobytes() == want.tobytes()
+
+
+class TestRequireNormalized:
+    """The one norm validator, for PureState and for a stack of vectors."""
+
+    def _rows(self):
+        rng = np.random.default_rng(3)
+        return np.array([random_state(rng, 2).amplitudes for _ in range(6)])
+
+    def test_squared_norms_are_vdots_in_c_order(self):
+        rows = self._rows()
+        want = [float(np.vdot(row, row).real) for row in rows]
+        assert quantum._require_normalized(rows.reshape(2, 3, 4)) == want
+
+    @pytest.mark.parametrize("bad, message", [
+        (lambda rows: rows.__setitem__(2, 1.5 * rows[2]), "not normalized"),
+        (lambda rows: rows.__setitem__((2, 0), np.nan), "finite"),
+        (lambda rows: rows.__setitem__((2, 1), np.inf), "finite"),
+    ])
+    def test_the_first_bad_vector_raises_what_pure_state_raises(self, bad, message):
+        rows = self._rows()
+        bad(rows)
+        rows[4] *= 2.0
+        with pytest.raises(ValueError, match=message) as want:
+            PureState(rows[2])
+        with pytest.raises(ValueError) as got:
+            quantum._require_normalized(rows.reshape(3, 2, 4))
+        assert str(got.value) == str(want.value)
+
 
 class TestApplyLocal:
     # The defining identities: each operation on the b2 photon of PsiPlus.

@@ -109,6 +109,26 @@ class TestSwapDecompose:
         with pytest.raises(ValueError):
             vector[0] = 1.0
 
+    def test_product_matrix_rows_are_the_cached_vectors_in_outcome_order(self):
+        matrix = swap_module._bell_product_matrix()
+        assert [row.tobytes() for row in matrix] == [
+            _bell_product_basis(*outcome).tobytes() for outcome in ALL_OUTCOMES]
+        assert swap_module._bell_product_matrix() is matrix
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+
+    @pytest.mark.parametrize("first, second", itertools.product(BELL_ORDER, repeat=2))
+    def test_decomposition_is_one_vdot_per_outcome(self, first, second):
+        """The one product over the basis matrix, against the per-outcome np.vdot it
+        replaced: equal to within a few ulps of the unit amplitudes."""
+        state = block_input_state(first, second).amplitudes
+        dist = swap_decompose(first, second)
+        assert tuple(dist.entries) == ALL_OUTCOMES
+        for outcome, term in dist.entries.items():
+            want = complex(np.vdot(_bell_product_basis(*outcome), state))
+            assert abs(term.amplitude - want) <= 4 * np.finfo(float).eps
+            assert abs(term.probability - abs(want) ** 2) <= 4 * np.finfo(float).eps
+
     def test_probability_equals_squared_amplitude(self):
         dist = swap_decompose(BellLabel.PHI_MINUS, BellLabel.PSI_MINUS)
         for term in dist.entries.values():

@@ -16,8 +16,10 @@ check to be reported all the same.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 import math
+import pkgutil
 import re
 import sys
 import types
@@ -25,13 +27,15 @@ import types
 import numpy as np
 import pytest
 
-from swapcomm import adversary, protocol, quantum, swap, verify
+import swapcomm
+from swapcomm import adversary, channel, cli, protocol, quantum, swap, verify
 from swapcomm.cli import main
 from swapcomm.protocol import MessageBits
 from swapcomm.quantum import BellLabel, PauliCode
 from swapcomm.verify import run_verification
 
-_CACHED = (swap.generate_decode_table, swap._bell_product_basis, adversary._likelihoods)
+_CACHED = (swap.generate_decode_table, swap._bell_product_basis, swap._bell_product_matrix,
+           adversary._likelihoods, channel._wire_template, cli._parser)
 _S = quantum._INV_SQRT2
 
 
@@ -42,6 +46,18 @@ def _empty_caches():
     yield
     for cached in _CACHED:
         cached.cache_clear()
+
+
+def test_every_cache_is_emptied_around_each_case():
+    """A cache missing from _CACHED would keep a value built before a fault was planted,
+    and hide the fault from the checks that read it."""
+    modules = [importlib.import_module(f"swapcomm.{info.name}")
+               for info in pkgutil.iter_modules(swapcomm.__path__) if info.name != "__main__"]
+    caches = {(mod.__name__, name): value for mod in modules
+              for name, value in vars(mod).items() if hasattr(value, "cache_clear")}
+    assert caches
+    for where, cache in caches.items():
+        assert any(cache is cached for cached in _CACHED), where
 
 
 def _everywhere(monkeypatch, module, name, fault):
