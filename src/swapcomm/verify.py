@@ -11,6 +11,7 @@ state they build as PureState would, in the order the per-state loops did.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,7 +116,7 @@ def _check_pauli_involution() -> tuple[str, list[str]]:
             for s in specs]
     twice = [np.einsum(s, paulis, states) for s, states in zip(specs, once)]
     once, twice = (np.stack(states, axis=2).reshape(4, 4, 2, 4) for states in (once, twice))
-    # Each state is validated in the order the per-state loop built them.
+    # Per (op, label, qubit): the state, once, twice, as bell_state and apply_local raise.
     _require_normalized(np.stack([np.broadcast_to(bells[:, None], once.shape), once, twice], 3))
     returned = np.abs(np.einsum("olqi,li->olq", twice.conj(), bells)) >= 1.0 - 1e-9
     failures = [f"{tuple(PauliCode)[o].name} twice on qubit {q} of {BELL_ORDER[l].value} "
@@ -132,10 +133,9 @@ def _check_norm_preservation() -> tuple[str, list[str]]:
     outs = np.stack([np.einsum(spec, paulis, state).reshape(4, 16) for spec in (
         "oxa,abcd->oxbcd", "oxb,abcd->oaxcd", "oxc,abcd->oabxd", "oxd,abcd->oabcx")], axis=1)
     norms = _require_normalized(outs)
-    failures = [
-        f"{op.name} on qubit {qubit}: norm {norms[4 * op.code + qubit]!r}"
-        for op in PauliCode for qubit in range(4) if abs(norms[4 * op.code + qubit] - 1.0) > 1e-12
-    ]
+    failures = [f"{op.name} on qubit {qubit}: norm {norm!r}"
+                for (op, qubit), norm in zip(itertools.product(PauliCode, range(4)), norms)
+                if abs(norm - 1.0) > 1e-12]
     return "local operations preserve the norm on a generic 4-qubit state", failures
 
 
