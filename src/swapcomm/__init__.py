@@ -43,7 +43,6 @@ from .channel import (  # noqa: E402
     TransportError,
 )
 from .protocol import (  # noqa: E402
-    BlockRecord,
     CapacityError,
     MessageBits,
     ReplayError,

@@ -206,6 +206,7 @@ class CodedLines:
     """Announcements of one session as columns: each line's block and its
     code in LINE_KINDS. The Announcement objects are built the first time
     they are read, then kept; wire text comes from the session's template.
+    Two are equal when their session and columns are.
     """
 
     __slots__ = ("session_id", "blocks", "codes", "_announcements")
@@ -278,6 +279,14 @@ class CodedLines:
             blocks.append(ann.block)
             codes.append(LINE_CODES[ann.side, ann.kind, ann.label])
         return cls(session_id, np.array(blocks, dtype=np.int64), np.array(codes, dtype=np.intp))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CodedLines):
+            return NotImplemented
+        return (self.session_id == other.session_id and np.array_equal(self.blocks, other.blocks)
+                and np.array_equal(self.codes, other.codes))
+
+    __hash__ = None
 
     def __len__(self) -> int:
         return len(self.codes)

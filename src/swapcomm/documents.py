@@ -34,7 +34,7 @@ from .protocol import (
     SessionResult,
     SilentFallback,
     Transcript,
-    _replay_codes,
+    replay,
 )
 from .quantum import PauliCode
 from .swap import ENCODING_ORDER
@@ -73,7 +73,7 @@ def _session_section(config: SessionConfig, transcript: Transcript) -> dict:
 
 # The private block table of a format 2 run document: per field, in this
 # order, one string with a character per block, block k's at position
-# k - 1. The character is the block's code in protocol._record_codes, "-"
+# k - 1. The character is the block's code in BlockColumns.rows(), "-"
 # for -1 (no operation) and otherwise its digit. A field has its lowest
 # code and the values that its codes stand for, from that code up.
 _OPS = (None, *(op.name for op in PauliCode))
@@ -90,10 +90,8 @@ _CHAR_CODES[_CODE_CHARS] = np.arange(-1, 4)
 
 def _block_table(blocks: BlockColumns) -> dict:
     """The block table's six columns, each one gather of _CODE_CHARS."""
-    codes = (blocks.op_a, blocks.op_b, blocks.label_a, blocks.label_b,
-             *(np.broadcast_to(flag, len(blocks.op_a)) for flag in blocks.announced))
     return {field: _CODE_CHARS[code + 1].tobytes().decode("ascii")
-            for field, code in zip(_ROW_FIELDS, codes)}
+            for field, code in zip(_ROW_FIELDS, blocks.rows())}
 
 
 def _transcript_lines(lines: CodedLines) -> jsontext.KeyedItems:
@@ -127,7 +125,7 @@ def run_document(config: SessionConfig, result: SessionResult) -> dict:
         "private": {
             "alice_message": _message_field(config.alice_message),
             "bob_message": _message_field(config.bob_message),
-            "blocks": _block_table(result.block_columns),
+            "blocks": _block_table(result.blocks),
             "decoded_by_alice": _message_field(result.decoded_by_alice),
             "decoded_by_bob": _message_field(result.decoded_by_bob),
         },
@@ -188,7 +186,7 @@ def transcript_from_document(doc: dict) -> Transcript:
         fallback=fallback,
         alice_declared_length=fields["alice_declared_length"],
         bob_declared_length=fields["bob_declared_length"],
-        announcements=CodedLines.from_wire_lines(fields["id"], lines),
+        lines=CodedLines.from_wire_lines(fields["id"], lines),
     )
     transcript.check_measured_blocks()
     return transcript
@@ -199,7 +197,7 @@ def _table_fault(field: str, block: int, problem: str) -> ValueError:
 
 
 def _read_block_table(doc: dict, n: int) -> np.ndarray:
-    """The six code rows of protocol._record_codes from the block table of
+    """The six code rows of BlockColumns.rows() from the block table of
     a format 2 run document of n blocks. An n that is no count is a
     ValueError, and so is any column fault, named by column and block."""
     private = doc.get("private")
@@ -255,8 +253,8 @@ def replay_document(doc: dict) -> SessionResult:
     if doc.get("kind") != "session-run":
         raise ValueError(f"cannot replay a {doc.get('kind')!r} document")
     transcript = transcript_from_document(doc)
-    n = transcript.usable_blocks
-    return _replay_codes(transcript, list(range(1, n + 1)), _read_block_table(doc, n))
+    rows = _read_block_table(doc, transcript.usable_blocks)
+    return replay(transcript, BlockColumns(rows[:4], rows[4:]))
 
 
 def render_json(doc: dict, write) -> None:

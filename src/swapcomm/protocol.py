@@ -28,15 +28,13 @@ peer announces against the schedule both derived from the public config.
 A session is a table of small integers: its blocks are four code columns
 (BlockColumns) and its schedule is a block column and a line code column
 (channel.CodedLines), exchanged and checked a window at a time. These are
-the one form a SessionResult and a Transcript store; records or
-announcements given instead are converted at construction. The objects
-of SessionResult.blocks and Transcript.announcements are built from the
-columns when first read, and kept. replay checks on columns too.
+the one form a session has: SessionResult.blocks is its BlockColumns and
+Transcript.lines its CodedLines, and replay checks a transcript against
+block columns.
 """
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
@@ -55,7 +53,6 @@ from .channel import (
     InProcessChannel,
     TransportError,
 )
-from .quantum import PauliCode
 from .swap import (
     ENCODING_ORDER,
     LABEL_CODES,
@@ -79,7 +76,7 @@ class CapacityError(ValueError):
 
 
 class ReplayError(ValueError):
-    """Transcript and private records disagree; .block names the block."""
+    """Transcript and private blocks disagree; .block names the block."""
 
     def __init__(self, message: str, block: int):
         super().__init__(f"block {block}: {message}")
@@ -120,6 +117,10 @@ class MessageBits:
     declared_length: int
 
     def __post_init__(self):
+        if type(self.declared_length) is not int or self.declared_length < 0:  # bool is an int
+            raise ValueError(
+                f"declared_length must be a non-negative int, got {self.declared_length!r}"
+            )
         # Deleting every 0 and 1 from the ASCII bytes leaves nothing: a C-level
         # pass, about 20 times faster than a set of the characters.
         if not self.bits.isascii() or self.bits.encode("ascii").translate(None, b"01"):
@@ -335,110 +336,31 @@ def _spawn_seeds(seed: int, start: int, stop: int) -> np.ndarray:
     return _stream_words(seed & _MASK64, counters)
 
 
-@dataclass(frozen=True)
-class BlockRecord:
-    """Private per-block record: applied operations and the joint outcome.
-
-    op_a/op_b are None when that party declared silence and applied nothing;
-    the effective operation is then the identity.
-    """
-
-    index: int  # 1-based; block k uses pairs 2k-1 and 2k
-    op_a: PauliCode | None
-    op_b: PauliCode | None
-    outcome: SwapOutcome
-    announced_a: bool
-    announced_b: bool
-
-
-# Indexed by an op code column; code -1 marks a party that declared
-# silence and applied nothing.
-_OP_OR_NONE = (*PauliCode, None)
-# Indexed by 4 * a-side label code + b-side label code.
-_OUTCOMES = tuple(SwapOutcome(a, b) for a in ENCODING_ORDER for b in ENCODING_ORDER)
-
-
 class BlockColumns:
     """A session's blocks as code columns: op_a, op_b, label_a and label_b,
     where entry k-1 is block k and op code -1 means no operation (declared
     silence), plus who announced: a pair of flags for every block, or a
-    pair of flag columns. The BlockRecords are built the first time they
-    are read, then kept."""
+    pair of flag columns. Two are equal when their rows are."""
 
-    __slots__ = ("op_a", "op_b", "label_a", "label_b", "announced", "_records")
+    __slots__ = ("op_a", "op_b", "label_a", "label_b", "announced")
 
     def __init__(self, codes: tuple[np.ndarray, ...], announced: tuple):
         self.op_a, self.op_b, self.label_a, self.label_b = codes
         self.announced = announced
-        self._records = None
 
-    @classmethod
-    def from_records(cls, records: tuple[BlockRecord, ...]) -> "BlockColumns":
-        """The columns of records whose indices are 1..n in order; any
-        other indices are a ValueError."""
-        for pos, rec in enumerate(records, start=1):
-            if rec.index != pos:
-                raise ValueError(f"record {pos} has index {rec.index}, not {pos}")
-        flags = np.array(
-            [(rec.announced_a, rec.announced_b) for rec in records], dtype=bool
-        ).reshape(-1, 2).T
-        columns = cls(tuple(_record_codes(records)[:4]), tuple(flags))
-        columns._records = records
-        return columns
+    def rows(self) -> tuple[np.ndarray, ...]:
+        """The four code columns and the two flag columns, each flag
+        broadcast to one entry per block."""
+        n = len(self.op_a)
+        return (self.op_a, self.op_b, self.label_a, self.label_b,
+                *(np.broadcast_to(flag, n) for flag in self.announced))
 
-    def records(self) -> tuple[BlockRecord, ...]:
-        if self._records is None:
-            n = len(self.op_a)
-            announced_a, announced_b = (np.broadcast_to(f, n).tolist() for f in self.announced)
-            self._records = tuple(
-                BlockRecord(k, _OP_OR_NONE[a], _OP_OR_NONE[b], _OUTCOMES[o], on_a, on_b)
-                for k, a, b, o, on_a, on_b in zip(
-                    itertools.count(1), self.op_a.tolist(), self.op_b.tolist(),
-                    (4 * self.label_a + self.label_b).tolist(), announced_a, announced_b,
-                )
-            )
-        return self._records
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BlockColumns):
+            return NotImplemented
+        return all(map(np.array_equal, self.rows(), other.rows()))
 
-
-def _flag_code(value) -> int:
-    """An announced flag as a code: 1 for a value equal to True, 0 for one
-    equal to False, 2 for any other."""
-    return 1 if value == True else 0 if value == False else 2  # noqa: E712 - 1 and 1.0 are True
-
-
-def _record_codes(records) -> np.ndarray:
-    """Block records as six code rows: op_a, op_b, label_a, label_b and the
-    _flag_code of each announced flag."""
-    return np.array(
-        [(-1 if rec.op_a is None else rec.op_a.code,
-          -1 if rec.op_b is None else rec.op_b.code,
-          LABEL_CODES[rec.outcome.a_side], LABEL_CODES[rec.outcome.b_side],
-          _flag_code(rec.announced_a), _flag_code(rec.announced_b)) for rec in records],
-        dtype=np.intp,
-    ).reshape(-1, 6).T
-
-
-class _StoredAsColumns:
-    """A frozen dataclass field stored in one form, as columns of type
-    `columns`: objects given instead are converted by `convert(instance,
-    objects)` once, when the field is set. Reading the field gives the
-    objects `build` makes from the columns."""
-
-    def __init__(self, columns: type, convert, build):
-        self._columns, self._convert, self._build = columns, convert, build
-
-    def __set_name__(self, owner, name):
-        self._name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError(self._name)  # so the field has no default
-        return self._build(obj.__dict__[self._name])
-
-    def __set__(self, obj, value):
-        if not isinstance(value, self._columns):
-            value = self._convert(obj, value)
-        obj.__dict__[self._name] = value
+    __hash__ = None
 
 
 # By line code: the label code of a Measurement, -1 for a control line.
@@ -455,13 +377,9 @@ def _first_repeat(blocks: np.ndarray) -> int | None:
 
 @dataclass(frozen=True)
 class Transcript:
-    """Everything public: the announcements in order plus session metadata.
-
-    `announcements` is stored as CodedLines of the session, its `lines`;
-    Announcements given instead are converted at construction. Lines or
-    an announcement of another session, or a block above the int64
-    range, are a ValueError. Reading the field gives the Announcements.
-    """
+    """Everything public: the announcements in order, as CodedLines of the
+    session, plus session metadata. Lines of another session are a
+    ValueError."""
 
     session_id: str
     n_pairs: int
@@ -469,9 +387,7 @@ class Transcript:
     fallback: SilentFallback
     alice_declared_length: int | None
     bob_declared_length: int | None
-    announcements: tuple[Announcement, ...] = _StoredAsColumns(
-        CodedLines, lambda t, anns: CodedLines.of(t.session_id, anns), CodedLines.announcements
-    )
+    lines: CodedLines
 
     def __post_init__(self):
         if self.lines.session_id != self.session_id:
@@ -480,8 +396,8 @@ class Transcript:
             )
 
     @property
-    def lines(self) -> CodedLines:
-        return vars(self)["announcements"]
+    def announcements(self) -> tuple[Announcement, ...]:
+        return self.lines.announcements()
 
     @property
     def usable_blocks(self) -> int:
@@ -510,24 +426,12 @@ class Transcript:
 
 @dataclass(frozen=True)
 class SessionResult:
-    """A session's decodes, private blocks and public transcript.
-
-    `blocks` is stored as BlockColumns, its `block_columns`; BlockRecords
-    given instead are converted at construction, and indices other than
-    1..n are a ValueError. Reading the field gives the BlockRecords.
-    """
+    """A session's decodes, private blocks and public transcript."""
 
     decoded_by_alice: MessageBits | None  # Bob's message, as Alice decoded it
     decoded_by_bob: MessageBits | None
-    blocks: tuple[BlockRecord, ...] = _StoredAsColumns(
-        BlockColumns, lambda _, records: BlockColumns.from_records(tuple(records)),
-        BlockColumns.records,
-    )
+    blocks: BlockColumns
     transcript: Transcript
-
-    @property
-    def block_columns(self) -> BlockColumns:
-        return vars(self)["blocks"]
 
 
 def _block_codes(config: SessionConfig, seeds: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -622,7 +526,7 @@ def _decode(
 
     A side's announced labels are its label column: every announced line
     was checked against the schedule built from them (replay checks the
-    transcript against the records). A fallback party's random operations
+    transcript against the blocks). A fallback party's random operations
     are not a message, so the partner discards that direction. A sending
     party always announces, so the needed labels always exist."""
     decoded_by_alice = decoded_by_bob = None
@@ -639,7 +543,7 @@ def _decode(
     return decoded_by_alice, decoded_by_bob
 
 
-def _make_transcript(config: SessionConfig, sid: str, announcements) -> Transcript:
+def _make_transcript(config: SessionConfig, sid: str, lines: CodedLines) -> Transcript:
     return Transcript(
         session_id=sid,
         n_pairs=config.n_pairs,
@@ -651,7 +555,7 @@ def _make_transcript(config: SessionConfig, sid: str, announcements) -> Transcri
         bob_declared_length=(
             config.bob_message.declared_length if config.bob_message else None
         ),
-        announcements=announcements,
+        lines=lines,
     )
 
 
@@ -676,7 +580,9 @@ def _play(config: SessionConfig, exchange, tap) -> SessionResult:
     schedule = _announcement_schedule(sid, config, blocks)
 
     def so_far(announcements) -> Transcript:
-        return _make_transcript(config, sid, [a for a in announcements if a.session_id == sid])
+        return _make_transcript(
+            config, sid, CodedLines.of(sid, [a for a in announcements if a.session_id == sid])
+        )
 
     try:
         mismatch = exchange(schedule)
@@ -798,29 +704,22 @@ def run_trials(config: SessionConfig, n_trials: int) -> tuple[list, list, list, 
     return seeds, ok_alice, ok_bob, [_session_token(seed, public_fields) for seed in seeds]
 
 
-def replay(transcript: Transcript, blocks) -> SessionResult:
+def replay(transcript: Transcript, blocks: BlockColumns) -> SessionResult:
     """Re-derive decoded messages from a transcript plus the parties'
-    private block records, without re-sampling anything.
+    private blocks, without re-sampling anything.
 
     Every cross-check failure raises ReplayError naming the block: announced
     labels must match the recorded outcomes, the announcement pattern must
     match the session mode, and each recorded outcome must lie in the
-    outcome column of the recorded operations.
+    outcome column of the recorded operations. Each check runs over whole
+    columns. The failure raised is the one a walk of the blocks in order
+    meets first: at the lowest block, the flags, then side A's and side B's
+    label, then the outcome column.
     """
-    blocks = tuple(blocks)
-    return _replay_codes(transcript, [rec.index for rec in blocks], _record_codes(blocks))
-
-
-def _replay_codes(transcript: Transcript, indices: list, codes: np.ndarray) -> SessionResult:
-    """replay of blocks given as their index values and the six code rows
-    of _record_codes. Each check runs over whole rows. The failure raised
-    is the one a walk of the blocks in order meets first: at the lowest
-    block, the index, then the flags, then side A's and side B's label,
-    then the outcome column."""
     table = generate_decode_table()
     n = transcript.usable_blocks
-    if len(indices) != n:
-        raise ReplayError(f"{len(indices)} records for {n} blocks", 0)
+    if len(blocks.op_a) != n:
+        raise ReplayError(f"{len(blocks.op_a)} records for {n} blocks", 0)
     measured = [transcript.measured(side) for side in SIDES]
     pattern = SessionConfig(
         transcript.n_pairs, transcript.mode, transcript.fallback
@@ -836,11 +735,9 @@ def _replay_codes(transcript: Transcript, indices: list, codes: np.ndarray) -> S
             raise ReplayError(f"side {side} announcement pattern is inconsistent", int(min(odd)))
         announced.append(column)
 
-    op_a, op_b, label_a, label_b, flag_a, flag_b = codes
+    op_a, op_b, label_a, label_b, flag_a, flag_b = blocks.rows()
     composite = table.composite_codes[np.maximum(op_a, 0), np.maximum(op_b, 0)]
-    first_bad_index = n + 1 if indices == list(range(1, n + 1)) else next(
-        pos for pos, index in enumerate(indices, start=1) if index != pos)
-    firsts = [first_bad_index] + [
+    firsts = [
         int(np.argmax(bad)) + 1 if bad.any() else n + 1
         for bad in (  # each check of the walk of a block, in its order
             (flag_a != pattern[0]) | (flag_b != pattern[1]),
@@ -851,18 +748,17 @@ def _replay_codes(transcript: Transcript, indices: list, codes: np.ndarray) -> S
     ]
     pos = min(firsts)
     if pos <= n:
-        at, index = pos - 1, indices[pos - 1]
-        raise ReplayError(*[
-            (f"record index {index} out of order", pos),
-            ("announced flags disagree with the session mode", pos),
-            *((f"side {side} announced {ENCODING_ORDER[column[at]].value}, "
-               f"record says {ENCODING_ORDER[recorded[at]].value}", index)
+        at = pos - 1
+        outcome = SwapOutcome(ENCODING_ORDER[label_a[at]], ENCODING_ORDER[label_b[at]])
+        raise ReplayError([
+            "announced flags disagree with the session mode",
+            *(f"side {side} announced {ENCODING_ORDER[column[at]].value}, "
+              f"record says {ENCODING_ORDER[recorded[at]].value}"
               for side, column, recorded in zip(SIDES, announced, (label_a, label_b))),
-            (f"outcome {_OUTCOMES[4 * label_a[at] + label_b[at]]!r} is outside the "
-             f"{ENCODING_ORDER[composite[at]].value} column of the recorded operations", index),
-        ][firsts.index(pos)])
-    columns = BlockColumns((op_a, op_b, label_a, label_b), pattern)
-    return SessionResult(*_decode(transcript, columns, table), columns, transcript)
+            f"outcome {outcome!r} is outside the "
+            f"{ENCODING_ORDER[composite[at]].value} column of the recorded operations",
+        ][firsts.index(pos)], pos)
+    return SessionResult(*_decode(transcript, blocks, table), blocks, transcript)
 
 
 # --------------------------------------------------------------------------

@@ -37,6 +37,10 @@ class BellLabel(enum.Enum):
     PSI_PLUS = "PsiPlus"    # (|01> + |10>)/sqrt(2)
     PSI_MINUS = "PsiMinus"  # (|01> - |10>)/sqrt(2)
 
+    # Members compare by identity, so they may hash by it too: Enum's own
+    # __hash__ is a Python function that hashes the name.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:
         return self.value
 
@@ -63,6 +67,8 @@ class PauliCode(enum.Enum):
     U1 = 1  # |1><1| - |0><0|,        bits 01
     U2 = 2  # |0><1| + |1><0|,        bits 10
     U3 = 3  # |0><1| - |1><0|,        bits 11
+
+    __hash__ = object.__hash__  # as BellLabel's
 
     @property
     def code(self) -> int:

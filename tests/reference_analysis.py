@@ -4,7 +4,8 @@ Copies of documents.transcript_from_document, adversary.eve_posterior and
 adversary.information_summary as they were before analyze ran on code
 columns: every wire line parsed into an Announcement, one BlockPosterior
 built per block, and totals summed over those objects. The only edits are
-the names, the imports and that the report is returned as its tuple of
+the names, the imports, that the transcript is given its Announcements as
+CodedLines.of them, and that the report is returned as its tuple of
 blocks. The column path must give an equal transcript, equal blocks and
 equal totals, or the same error.
 
@@ -43,7 +44,13 @@ from swapcomm.adversary import (
     _pattern_likelihoods,
     _validate_priors,
 )
-from swapcomm.channel import MAX_FRAME_BYTES, Announcement, AnnouncementKind, FrameError
+from swapcomm.channel import (
+    MAX_FRAME_BYTES,
+    Announcement,
+    AnnouncementKind,
+    CodedLines,
+    FrameError,
+)
 from swapcomm.documents import _SESSION_TYPES
 from swapcomm.protocol import SessionMode, SilentFallback, Transcript
 from swapcomm.quantum import PauliCode
@@ -108,7 +115,7 @@ def transcript_from_document(doc: dict) -> Transcript:
         fallback=SilentFallback(fields["fallback"]),
         alice_declared_length=fields["alice_declared_length"],
         bob_declared_length=fields["bob_declared_length"],
-        announcements=tuple(Announcement.from_wire(line) for line in lines),
+        lines=CodedLines.of(fields["id"], (Announcement.from_wire(line) for line in lines)),
     )
     for ann in transcript.announcements:
         if ann.kind is AnnouncementKind.MEASUREMENT and not (

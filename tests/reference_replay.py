@@ -4,11 +4,16 @@ Copies of documents.replay_document, documents._blocks_from_document,
 protocol.replay, BlockColumns.from_records and Transcript.measurements as
 they were before replay ran on code columns: one BlockRecord built per
 block row, and replay's checks walked record by record. The only edits
-are the names, the imports, and that from_records and measurements are
-functions. The column path must give an equal SessionResult, or the same
-error with the same message and block.
+are the names, the imports, that from_records and measurements are
+functions, that BlockRecord, which the package no longer has, is a
+NamedTuple here, and that replay's result holds the columns it built. `records` builds a session's records from its columns,
+as BlockColumns.records did. The column path must give an equal
+SessionResult, or the same error with the same message and block.
 """
 from __future__ import annotations
+
+import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,7 +21,6 @@ from swapcomm.channel import SIDES, AnnouncementKind
 from swapcomm.documents import transcript_from_document
 from swapcomm.protocol import (
     BlockColumns,
-    BlockRecord,
     ReplayError,
     SessionConfig,
     SessionResult,
@@ -25,6 +29,39 @@ from swapcomm.protocol import (
 )
 from swapcomm.quantum import BellLabel, PauliCode
 from swapcomm.swap import ENCODING_ORDER, LABEL_CODES, SwapOutcome, generate_decode_table
+
+
+class BlockRecord(NamedTuple):
+    """Private per-block record: applied operations and the joint outcome.
+
+    op_a/op_b are None when that party declared silence and applied nothing;
+    the effective operation is then the identity.
+    """
+
+    index: int  # 1-based; block k uses pairs 2k-1 and 2k
+    op_a: PauliCode | None
+    op_b: PauliCode | None
+    outcome: SwapOutcome
+    announced_a: bool
+    announced_b: bool
+
+
+# Indexed by an op code; code -1 marks a party that declared silence.
+_OP_OR_NONE = (*PauliCode, None)
+
+
+def records(columns: BlockColumns) -> tuple[BlockRecord, ...]:
+    """The records of block columns, block k's at position k - 1."""
+    n = len(columns.op_a)
+    announced_a, announced_b = (np.broadcast_to(f, n).tolist() for f in columns.announced)
+    return tuple(
+        BlockRecord(k, _OP_OR_NONE[a], _OP_OR_NONE[b],
+                    SwapOutcome(ENCODING_ORDER[la], ENCODING_ORDER[lb]), on_a, on_b)
+        for k, a, b, la, lb, on_a, on_b in zip(
+            itertools.count(1), columns.op_a.tolist(), columns.op_b.tolist(),
+            columns.label_a.tolist(), columns.label_b.tolist(), announced_a, announced_b,
+        )
+    )
 
 
 def replay_document(doc: dict) -> SessionResult:
@@ -70,9 +107,7 @@ def columns_from_records(records: tuple[BlockRecord, ...]) -> BlockColumns:
     flags = np.array(
         [(rec.announced_a, rec.announced_b) for rec in records], dtype=bool
     ).reshape(-1, 2).T
-    columns = BlockColumns(tuple(codes), tuple(flags))
-    columns._records = records
-    return columns
+    return BlockColumns(tuple(codes), tuple(flags))
 
 
 def measurements(transcript: Transcript, side: str) -> dict[int, BellLabel]:
@@ -138,4 +173,4 @@ def replay(transcript: Transcript, blocks) -> SessionResult:
                 rec.index,
             )
 
-    return SessionResult(*_decode(transcript, columns, table), blocks, transcript)
+    return SessionResult(*_decode(transcript, columns, table), columns, transcript)

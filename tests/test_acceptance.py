@@ -30,6 +30,8 @@ from swapcomm.stats import chi_square_uniform, label_counts
 from swapcomm.swap import (
     ALL_OP_PAIRS,
     ALL_OUTCOMES,
+    ENCODING_ORDER,
+    SwapOutcome,
     _bell_product_basis,
     audit_reference_table,
     block_input_state,
@@ -160,8 +162,9 @@ def fixed_op_outcomes(op_a, op_b, n_blocks, seed):
         bob_message=MessageBits.from_bits(format(op_b.code, "02b") * n_blocks),
     )
     blocks = run_session(config).blocks
-    assert {(rec.op_a, rec.op_b) for rec in blocks} == {(op_a, op_b)}
-    return [rec.outcome for rec in blocks]
+    assert set(zip(blocks.op_a.tolist(), blocks.op_b.tolist())) == {(op_a.code, op_b.code)}
+    return [SwapOutcome(ENCODING_ORDER[a], ENCODING_ORDER[b])
+            for a, b in zip(blocks.label_a.tolist(), blocks.label_b.tolist())]
 
 
 def test_criterion_5_sampling_fidelity():

@@ -186,11 +186,12 @@ class TestEvePosterior:
 
 def _with_lines(transcript, order, tuple_form):
     """The transcript with its lines in `order`, an index list that may
-    repeat lines, held as columns or as a tuple of Announcements."""
+    repeat lines, held as columns or as CodedLines.of their Announcements."""
     lines = transcript.lines
     lines = CodedLines(lines.session_id, lines.blocks[order], lines.codes[order])
     return dataclasses.replace(
-        transcript, announcements=lines.announcements() if tuple_form else lines
+        transcript,
+        lines=CodedLines.of(lines.session_id, lines.announcements()) if tuple_form else lines,
     )
 
 
@@ -238,7 +239,7 @@ class TestLabelColumns:
         blocks = lines.blocks.copy()
         blocks[first_a] = block
         transcript = dataclasses.replace(
-            res.transcript, announcements=CodedLines(lines.session_id, blocks, lines.codes)
+            res.transcript, lines=CodedLines(lines.session_id, blocks, lines.codes)
         )
         with pytest.raises(ValueError, match=f"^measurement for block {block} outside 1..2$"):
             eve_posterior(EveView(transcript), uniform_priors())

@@ -352,7 +352,6 @@ class TestInProcessChannel:
         ), channel)
         assert channel.tap() == result.transcript.announcements
         assert result.transcript.announcements is result.transcript.announcements
-        assert result.blocks is result.blocks
 
     def test_session_on_a_used_channel_runs_on_its_own_lines(self):
         """The order gate keeps each session's blocks apart: a second

@@ -42,6 +42,7 @@ from swapcomm.channel import (
     PUBLIC_PREAMBLE,
     SUBSTRATE_PREAMBLE,
     Announcement,
+    CodedLines,
     FrameError,
     SessionListener,
     TcpEndpoint,
@@ -1210,7 +1211,7 @@ def test_run_document_columns_render_as_json_dumps(config):
     result = run_session(config)
     doc = documents.run_document(config, result)
     assert as_lists(doc["transcript"]) == result.transcript.lines.wire_lines()
-    records = result.blocks
+    records = reference_replay.records(result.blocks)
 
     def chars(values, char) -> str:
         return "".join(map(char.__getitem__, values))
@@ -1226,13 +1227,14 @@ def test_run_document_columns_render_as_json_dumps(config):
     }
     expected = json.dumps(as_lists(doc), indent=2) + "\n"
     assert documents.render(doc, "json") == expected
+    transcript = result.transcript
     tuple_form = dataclasses.replace(
         result, transcript=dataclasses.replace(
-            result.transcript, announcements=result.transcript.announcements
-        ), blocks=result.blocks,
+            transcript, lines=CodedLines.of(transcript.session_id, transcript.announcements)
+        ), blocks=reference_replay.columns_from_records(records),
     )
     plain = documents.run_document(config, tuple_form)
-    assert type(plain["transcript"]) is type(doc["transcript"])  # converted at construction
+    assert type(plain["transcript"]) is type(doc["transcript"])
     assert documents.render(plain, "json") == expected
 
 
@@ -1485,9 +1487,9 @@ def _replayed_documents(draw):
     with at most one mutation: a block dropped, repeated or swapped with
     another; a flag flipped; an op or outcome changed; or a transcript
     line given another label or another block, dropped or repeated. Also
-    the same document as format 1 rows, for protocol.replay's records,
-    with at most one more edit that only a row can hold: an index
-    renumbered, or a row field retyped or deleted."""
+    the same document as format 1 rows, for the reference's records, with
+    at most one more edit that only a row can hold: a row field retyped or
+    deleted."""
     config = draw(_session_configs())
     doc = json.loads(documents.render(documents.run_document(config, run_session(config)), "json"))
     table, lines = doc["private"]["blocks"], doc["transcript"]
@@ -1530,12 +1532,10 @@ def _replayed_documents(draw):
     doc["private"]["blocks"] = {field: "".join(b[field] for b in blocks) for field in table}
     rows_doc = _as_rows(doc)
     rows = rows_doc["private"]["blocks"]
-    edit = draw(st.sampled_from(["none", "renumber", "retype", "delete"] if rows else ["none"]))
+    edit = draw(st.sampled_from(["none", "retype", "delete"] if rows else ["none"]))
     if edit != "none":
         row = rows[draw(st.integers(0, len(rows) - 1))]
-    if edit == "renumber":
-        row["index"] = draw(st.integers(-1, len(rows) + 1).filter(lambda k: k != row["index"]))
-    elif edit == "retype":
+    if edit == "retype":
         field = draw(st.sampled_from(list(row)))
         retyped = _RETYPED | st.sampled_from([1, 1.0, 0.0, False, "U1", "PsiPlus"])
         row[field] = draw(retyped.filter(lambda value: type(value) is not type(row[field])))
@@ -1568,28 +1568,20 @@ class TestReplayProperties:
                     f"private blocks op_a at block {min(got, n) + 1}: {got} characters for {n} blocks",
                     None)
 
-        def as_the_record_walk(want):
-            """The per-record path built its flag columns before its walk
-            of the records, and numpy refused a flag that is a JSON array.
-            The column path raises the walk's first error: a row before
-            the array's may fail first. The reference's walk gives it with
-            None for the array, which no mode's flag equals either."""
-            if not (isinstance(want, tuple) and want[1].startswith("setting an array element")):
-                return want
-            unlisted = tuple(dataclasses.replace(rec, **{
-                flag: None for flag in ("announced_a", "announced_b")
-                if isinstance(getattr(rec, flag), list)}) for rec in records)
-            return outcome(lambda _: reference_replay.replay(transcript, unlisted))
-
         assert outcome(documents.replay_document, doc) == as_the_column_reader(
             outcome(reference_replay.replay_document, _as_rows(doc)))
-        try:  # the same records, replayed with protocol.replay
+        try:  # the same records, as columns, replayed with protocol.replay
             transcript = documents.transcript_from_document(rows_doc)
             records = reference_replay.blocks_from_document(rows_doc)
         except ValueError:
             return
-        assert outcome(lambda _: protocol.replay(transcript, records)) == as_the_record_walk(
-            outcome(lambda _: reference_replay.replay(transcript, records)))
+        if not all(type(rec.index) is int and rec.index == k
+                   and type(rec.announced_a) is bool and type(rec.announced_b) is bool
+                   for k, rec in enumerate(records, start=1)):
+            return  # an index but the int k of block k, or a flag not a bool: no column holds it
+        columns = reference_replay.columns_from_records(records)
+        assert outcome(lambda _: protocol.replay(transcript, columns)) == outcome(
+            lambda _: reference_replay.replay(transcript, records))
 
 
 _PRIOR_KEYS = [f"U{a},U{b}" for a in range(4) for b in range(4)]

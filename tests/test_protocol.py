@@ -16,6 +16,7 @@ from swapcomm.channel import (
 )
 from swapcomm.protocol import (
     MAX_BLOCKS,
+    BlockColumns,
     CapacityError,
     MessageBits,
     ReplayError,
@@ -44,7 +45,7 @@ from swapcomm.protocol import (
 from swapcomm.quantum import BELL_ORDER, BellLabel, PauliCode, bell_measure, bell_state
 from swapcomm.quantum import apply_local, tensor
 from swapcomm.stats import chi_square_uniform, label_counts
-from swapcomm.swap import A_PAIR, B_PAIR, SwapOutcome, generate_decode_table
+from swapcomm.swap import A_PAIR, B_PAIR, ENCODING_ORDER, SwapOutcome, generate_decode_table
 
 
 def _block_draws(seed, n_blocks):
@@ -60,8 +61,9 @@ def fixed_op_outcomes(op_a, op_b, n_blocks, seed):
     config = bidirectional(2 * n_blocks, seed, format(op_a.code, "02b") * n_blocks,
                            format(op_b.code, "02b") * n_blocks)
     blocks = run_session(config).blocks
-    assert {(rec.op_a, rec.op_b) for rec in blocks} == {(op_a, op_b)}
-    return [rec.outcome for rec in blocks]
+    assert set(zip(blocks.op_a.tolist(), blocks.op_b.tolist())) == {(op_a.code, op_b.code)}
+    return [SwapOutcome(ENCODING_ORDER[a], ENCODING_ORDER[b])
+            for a, b in zip(blocks.label_a.tolist(), blocks.label_b.tolist())]
 
 
 def bidirectional(n_pairs, seed, alice, bob):
@@ -90,6 +92,12 @@ class TestMessageBits:
     def test_rejects_nonzero_padding(self):
         with pytest.raises(ValueError, match="padding"):
             MessageBits(bits="11", declared_length=1)
+
+    @pytest.mark.parametrize("bits, length", [("", -1), ("00", True), ("00", 1.0)])
+    def test_rejects_a_declared_length_that_is_no_count(self, bits, length):
+        with pytest.raises(ValueError) as err:
+            MessageBits(bits=bits, declared_length=length)
+        assert str(err.value) == f"declared_length must be a non-negative int, got {length!r}"
 
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError, match="only '0' and '1'"):
@@ -196,7 +204,7 @@ class TestRunSession:
     def test_odd_pair_never_touched(self):
         res = run_session(bidirectional(5, 9, "0111", "1010"))
         assert res.transcript.usable_blocks == 2
-        assert len(res.blocks) == 2
+        assert len(res.blocks.op_a) == 2
         max_block = max(
             (a.block for a in res.transcript.announcements
              if a.kind is AnnouncementKind.MEASUREMENT),
@@ -218,12 +226,13 @@ class TestRunSession:
     def test_different_seeds_differ(self):
         a = run_session(bidirectional(10, 1, "0101", "1100"))
         b = run_session(bidirectional(10, 2, "0101", "1100"))
-        assert [r.outcome for r in a.blocks] != [r.outcome for r in b.blocks]
+        outcomes = [np.stack([r.blocks.label_a, r.blocks.label_b]) for r in (a, b)]
+        assert not np.array_equal(*outcomes)
 
     def test_block_outcome_in_composite_column(self):
         table = generate_decode_table()
         res = run_session(bidirectional(12, 5, "010111", "101001"))
-        for rec in res.blocks:
+        for rec in reference_replay.records(res.blocks):
             # A party that declared silence applied nothing: the identity.
             ops = tuple(PauliCode.U0 if op is None else op for op in (rec.op_a, rec.op_b))
             column = table.composite[ops]
@@ -246,7 +255,7 @@ class TestModes:
         assert [d.side for d in declarations] == ["B"]
         assert res.decoded_by_bob == MessageBits.from_bits("011110")
         assert res.decoded_by_alice is None
-        assert all(rec.op_b is None for rec in res.blocks)
+        assert (res.blocks.op_b == -1).all()  # no operation
 
     def test_silent_reverse_direction(self):
         cfg = SessionConfig(
@@ -273,7 +282,7 @@ class TestModes:
         assert meas_sides == {"A", "B"}
         assert res.decoded_by_bob == MessageBits.from_bits("011110")
         assert res.decoded_by_alice is None
-        assert all(rec.op_b is not None for rec in res.blocks)
+        assert (res.blocks.op_b >= 0).all()
 
     def test_random_fallback_ops_vary(self):
         cfg = SessionConfig(
@@ -282,7 +291,7 @@ class TestModes:
             alice_message=MessageBits.from_bits("01" * 20),
         )
         res = run_session(cfg)
-        assert len({rec.op_b for rec in res.blocks}) > 1
+        assert len(set(res.blocks.op_b.tolist())) > 1
 
     def test_message_on_silent_side_rejected(self):
         cfg = SessionConfig(
@@ -377,7 +386,7 @@ class TestReplay:
                 ann = dataclasses.replace(ann, label=wrong)
             tampered.append(ann)
         transcript = dataclasses.replace(
-            res.transcript, announcements=tuple(tampered)
+            res.transcript, lines=CodedLines.of(res.transcript.session_id, tampered)
         )
         with pytest.raises(ReplayError) as err:
             replay(transcript, res.blocks)
@@ -385,23 +394,13 @@ class TestReplay:
 
     def test_tampered_operation_record(self):
         res = self.make_result()
-        rec = res.blocks[1]
-        wrong_op = next(op for op in PauliCode if op is not rec.op_a)
-        blocks = list(res.blocks)
-        blocks[1] = dataclasses.replace(rec, op_a=wrong_op)
+        b = res.blocks
+        op_a = b.op_a.copy()
+        op_a[1] = next(code for code in range(4) if code != op_a[1])
+        blocks = BlockColumns((op_a, b.op_b, b.label_a, b.label_b), b.announced)
         with pytest.raises(ReplayError) as err:
             replay(res.transcript, blocks)
         assert err.value.block == 2
-
-    def test_hand_built_forms_are_stored_as_columns(self):
-        res = self.make_result()
-        transcript = dataclasses.replace(
-            res.transcript, announcements=tuple(res.transcript.announcements))
-        result = dataclasses.replace(res, transcript=transcript, blocks=tuple(res.blocks))
-        assert type(transcript.lines) is CodedLines
-        assert np.array_equal(transcript.lines.codes, res.transcript.lines.codes)
-        assert result == res
-        assert np.array_equal(result.block_columns.label_b, res.block_columns.label_b)
 
     @pytest.mark.parametrize("sid, block", [("other", 1), (None, 2**63)])
     def test_transcript_of_lines_no_column_holds_is_refused(self, sid, block):
@@ -409,27 +408,23 @@ class TestReplay:
         ann = Announcement(sid or res.transcript.session_id, block, "A",
                            AnnouncementKind.MEASUREMENT, BellLabel.PHI_PLUS)
         with pytest.raises(ValueError, match="session|above"):
-            dataclasses.replace(res.transcript, announcements=(ann,))
+            dataclasses.replace(
+                res.transcript, lines=CodedLines.of(res.transcript.session_id, (ann,)))
 
     def test_transcript_of_another_sessions_lines_is_refused(self):
         res = self.make_result()
         lines = res.transcript.lines
         with pytest.raises(ValueError, match="lines of session 'other'"):
             dataclasses.replace(res.transcript,
-                                announcements=CodedLines("other", lines.blocks, lines.codes))
-
-    @pytest.mark.parametrize("indices", [[2, 1, 3, 4], [1, 2, 3, 3], [0, 1, 2, 3]])
-    def test_result_of_misnumbered_records_is_refused(self, indices):
-        res = self.make_result()
-        records = [dataclasses.replace(res.blocks[i % 4], index=k)
-                   for i, k in enumerate(indices)]
-        with pytest.raises(ValueError, match="index"):
-            dataclasses.replace(res, blocks=records)
+                                lines=CodedLines("other", lines.blocks, lines.codes))
 
     def test_missing_block_record(self):
         res = self.make_result()
+        b = res.blocks
+        blocks = BlockColumns(tuple(c[:-1] for c in (b.op_a, b.op_b, b.label_a, b.label_b)),
+                              b.announced)
         with pytest.raises(ReplayError):
-            replay(res.transcript, res.blocks[:-1])
+            replay(res.transcript, blocks)
 
     @pytest.mark.parametrize("edit", [
         [("B", 3), ("B", 2)],  # two measurements of a side that announces none
@@ -457,14 +452,44 @@ class TestReplay:
                 del anns[at]
             else:
                 anns[at] = dataclasses.replace(anns[at], block=new[0])
-        transcript = dataclasses.replace(res.transcript, announcements=tuple(anns))
+        transcript = dataclasses.replace(
+            res.transcript, lines=CodedLines.of(res.transcript.session_id, anns))
         errors = []
-        for run in (replay, reference_replay.replay):
+        for run, blocks in ((replay, res.blocks),
+                            (reference_replay.replay, reference_replay.records(res.blocks))):
             with pytest.raises(ReplayError) as err:
-                run(transcript, res.blocks)
+                run(transcript, blocks)
             errors.append((str(err.value), err.value.block))
         assert errors[0] == errors[1]
         assert "announcement pattern is inconsistent" in errors[0][0]
+
+
+class TestValueEquality:
+    def test_results_are_equal_by_their_columns(self):
+        config = bidirectional(8, 21, "01011100", "11100101")
+        a, b = run_session(config), run_session(config)
+        assert a.blocks is not b.blocks and a.transcript.lines is not b.transcript.lines
+        assert a == b
+        # A pair of flags equals the flag columns it broadcasts to.
+        n = len(a.blocks.op_a)
+        flags = tuple(np.full(n, flag) for flag in a.blocks.announced)
+        assert dataclasses.replace(a, blocks=BlockColumns(a.blocks.rows()[:4], flags)) == b
+        label_b = a.blocks.label_b.copy()
+        label_b[2] = (label_b[2] + 1) % 4
+        blocks = BlockColumns((a.blocks.op_a, a.blocks.op_b, a.blocks.label_a, label_b), flags)
+        assert dataclasses.replace(a, blocks=blocks) != b
+        lines = a.transcript.lines
+        codes = lines.codes.copy()
+        at = int(np.flatnonzero(lines.blocks == 3)[0])  # side A's Measurement of block 3
+        codes[at] = LINE_CODES["A", AnnouncementKind.MEASUREMENT,
+                               next(lab for lab in BELL_ORDER
+                                    if lab is not a.transcript.announcements[at].label)]
+        transcript = dataclasses.replace(
+            a.transcript, lines=CodedLines(lines.session_id, lines.blocks, codes))
+        assert transcript != b.transcript
+        assert dataclasses.replace(a, transcript=transcript) != b
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
 
 
 class TestBatchedSampling:
@@ -595,7 +620,7 @@ class TestBatchedSampling:
             bob_message=MessageBits.from_bits(bob) if bob else None,
         )
         config.validate()
-        records = _session_blocks(config).records()
+        records = reference_replay.records(_session_blocks(config))
         got = [
             (rec.index,
              None if rec.op_a is None else rec.op_a.code,
