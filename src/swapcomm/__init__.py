@@ -57,7 +57,6 @@ from .protocol import (  # noqa: E402
     run_session,
 )
 from .adversary import (  # noqa: E402
-    EveView,
     PosteriorReport,
     estimate_mi_monte_carlo,
     eve_posterior,

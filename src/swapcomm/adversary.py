@@ -32,11 +32,15 @@ announce: the transcript reveals the composite label and nothing more.
 Non-uniform priors are supported because skewed or correlated message
 statistics change what the composite reveals; the report measures that
 instead of asserting blanket security.
+
+The analyzer reads only the public Transcript. A report has one stored
+form, a table: PosteriorReport.views scores each distinct view once, and
+PosteriorReport.which gives each block's view.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
@@ -183,37 +187,26 @@ def pattern_information(priors: Mapping[OpPair, float], pattern: str) -> dict[st
     return _pattern_information(_validate_priors(priors), pattern)
 
 
-@dataclass(frozen=True)
-class EveView:
-    """The eavesdropper's entire knowledge: the public transcript.
-
-    Holds no operation codes and no private measurement records, only what
-    was announced.
-    """
-
-    transcript: Transcript
-
-    def label_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each side's announced label per block, as its index in
-        ENCODING_ORDER (entry k-1 is block k), -1 where the side announced
-        none. A measurement outside 1..usable_blocks is a ValueError, as
-        Transcript.check_measured_blocks reports it; so is a side that
-        announced a block twice, side A checked first, as
-        Transcript.measured reports it."""
-        self.transcript.check_measured_blocks()
-        n = self.transcript.usable_blocks
-        columns = (np.full(n, -1, dtype=np.intp), np.full(n, -1, dtype=np.intp))
-        for side, column in zip(SIDES, columns):
-            blocks, labels = self.transcript.measured(side)
-            column[blocks - 1] = labels
-        return columns
+def _label_columns(transcript: Transcript) -> tuple[np.ndarray, np.ndarray]:
+    """Each side's announced label per block, as its index in
+    ENCODING_ORDER (entry k-1 is block k), -1 where the side announced
+    none. A measurement outside 1..usable_blocks is a ValueError, as
+    Transcript.check_measured_blocks reports it; so is a side that
+    announced a block twice, side A checked first, as Transcript.measured
+    reports it."""
+    transcript.check_measured_blocks()
+    n = transcript.usable_blocks
+    columns = (np.full(n, -1, dtype=np.intp), np.full(n, -1, dtype=np.intp))
+    for side, column in zip(SIDES, columns):
+        blocks, labels = transcript.measured(side)
+        column[blocks - 1] = labels
+    return columns
 
 
 @dataclass(frozen=True)
 class BlockPosterior:
-    """Exact Bayesian update for one block's announcements."""
+    """Exact Bayesian update for one view's announcements."""
 
-    index: int
     announced_a: BellLabel | None
     announced_b: BellLabel | None
     pattern: str
@@ -228,26 +221,14 @@ class BlockPosterior:
 
 class PosteriorReport:
     """A session's block posteriors as columns: `views` holds the posterior
-    of each distinct view once, as a BlockPosterior of index 0, and
-    `which[k-1]` is the position in `views` of block k's view. Blocks of
-    one view share its values. The per-block BlockPosteriors are built the
-    first time `blocks` is read, then kept."""
+    of each distinct view once, and `which[k-1]` is the position in `views`
+    of block k's view. Blocks of one view share its values."""
 
-    __slots__ = ("views", "which", "_blocks")
+    __slots__ = ("views", "which")
 
     def __init__(self, views: tuple[BlockPosterior, ...], which: np.ndarray):
         self.views = views
         self.which = which
-        self._blocks = None
-
-    @property
-    def blocks(self) -> tuple[BlockPosterior, ...]:
-        if self._blocks is None:
-            self._blocks = tuple(
-                replace(self.views[v], index=k)
-                for k, v in enumerate(self.which.tolist(), start=1)
-            )
-        return self._blocks
 
     @property
     def inconsistent_blocks(self) -> tuple[int, ...]:
@@ -259,14 +240,13 @@ class PosteriorReport:
 
 
 def _block_sum(report: PosteriorReport, field: str, which: np.ndarray) -> float:
-    """sum(getattr(block, field)) over the blocks whose views `which`
-    lists, added in that order as a sum over BlockPosteriors adds it, bit
-    for bit, without building them."""
+    """The sum of the view field over the blocks whose views `which`
+    lists, added in that order from 0.0, so that a sum of no blocks is a float."""
     values = np.array([getattr(view, field) for view in report.views], dtype=float)
-    return sum(values[which].tolist())
+    return sum(values[which].tolist(), 0.0)
 
 
-def eve_posterior(view: EveView, priors: Mapping[OpPair, float]) -> PosteriorReport:
+def eve_posterior(transcript: Transcript, priors: Mapping[OpPair, float]) -> PosteriorReport:
     """Exact per-block posterior over operation pairs given the transcript.
 
     A block whose announced outcome has zero probability under the priors
@@ -275,7 +255,7 @@ def eve_posterior(view: EveView, priors: Mapping[OpPair, float]) -> PosteriorRep
     """
     priors_vec = _validate_priors(priors)
     prior_entropy = _entropy_bits(priors_vec)
-    a_seen, b_seen = view.label_columns()
+    a_seen, b_seen = _label_columns(transcript)
     seen = _VIEW_CODES[a_seen + 1, b_seen + 1]  # each block's column in _likelihoods()
     # A block's posterior depends only on its view, so each distinct view is
     # scored once, in column order. which[k-1] counts the views before block k's.
@@ -297,7 +277,6 @@ def eve_posterior(view: EveView, priors: Mapping[OpPair, float]) -> PosteriorRep
         else:
             posterior, posterior_entropy = MappingProxyType({}), float("nan")
         views.append(BlockPosterior(
-            index=0,
             announced_a=a_label,
             announced_b=b_label,
             pattern=pattern,
@@ -310,17 +289,15 @@ def eve_posterior(view: EveView, priors: Mapping[OpPair, float]) -> PosteriorRep
     return PosteriorReport(tuple(views), which)
 
 
-def information_summary(
-    report: PosteriorReport, priors: Mapping[OpPair, float]
-) -> dict:
+def information_summary(report: PosteriorReport) -> dict:
     """Session totals of the entropy and MI bookkeeping, under "session".
 
     Blocks are independent, so session totals are sums; inconsistent blocks
-    are excluded from the posterior-entropy total and listed instead.
+    are excluded from the posterior-entropy total and listed instead. Every
+    view holds the entropy of the same priors.
     """
-    priors_vec = _validate_priors(priors)
-    prior_entropy = _entropy_bits(priors_vec)
     which = report.which
+    prior_entropy = report.views[0].prior_entropy_bits if report.views else 0.0
     session = {
         "blocks": len(which),
         "prior_entropy_bits": prior_entropy * len(which),

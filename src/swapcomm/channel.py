@@ -80,6 +80,7 @@ class FrameError(ChannelError):
 
     def __init__(self, message: str, byte_offset: int):
         super().__init__(f"{message} (at byte {byte_offset})")
+        self.message = message
         self.byte_offset = byte_offset
 
 
@@ -245,8 +246,8 @@ class CodedLines:
         template: it is the prefix, a block of at most 18 digits as str()
         writes it, and a known suffix. Any other line takes the strict parse
         of Announcement.from_wire, so its errors keep their types and
-        messages. A line that names another session, or a block above
-        _MAX_BLOCK, is a ValueError.
+        messages, prefixed with the line's number. A line that names another
+        session, or a block above _MAX_BLOCK, is a ValueError.
         """
         prefix, suffixes = _wire_template(session_id)
         code_of = {suffix: code for code, suffix in enumerate(suffixes.tolist())}
@@ -266,7 +267,10 @@ class CodedLines:
                         blocks.append(block)
                         codes.append(code)
                         continue
-            ann = Announcement.from_wire(line)
+            try:
+                ann = Announcement.from_wire(line)
+            except FrameError as exc:
+                raise FrameError(f"transcript line {number}: {exc.message}", exc.byte_offset)
             if ann.session_id != session_id:
                 raise ValueError(
                     f"transcript line {number} names session {ann.session_id!r}, "

@@ -25,7 +25,6 @@ from pathlib import Path
 from . import __version__, documents, jsontext
 from .adversary import (
     MAX_MC_BLOCKS,
-    EveView,
     estimate_mi_monte_carlo,
     eve_posterior,
     information_summary,
@@ -304,8 +303,8 @@ def _cmd_analyze(args) -> int:
     except FrameError as exc:
         raise ValueError(f"corrupt transcript in {args.input}: {exc}") from exc
     priors = _load_priors(args.priors)
-    report = eve_posterior(EveView(transcript), priors)
-    summary = information_summary(report, priors)
+    report = eve_posterior(transcript, priors)
+    summary = information_summary(report)
 
     # One row per distinct view, spliced per block, so that documents.render_json
     # renders each view's block body once.

@@ -6,8 +6,14 @@ columns: every wire line parsed into an Announcement, one BlockPosterior
 built per block, and totals summed over those objects. The only edits are
 the names, the imports, that the transcript is given its Announcements as
 CodedLines.of them, and that the report is returned as its tuple of
-blocks. The column path must give an equal transcript, equal blocks and
-equal totals, or the same error.
+blocks. Two more follow the column path's fixes: an error of a line's
+strict parse is prefixed with the line's number, as
+CodedLines.from_wire_lines prefixes it, and each total is summed from 0.0,
+so that a sum of no blocks is the float 0.0, not the int 0. A block is a
+PerBlockPosterior, the fields of adversary.BlockPosterior after the
+block's index, and blocks_of expands a PosteriorReport's views into them.
+The column path must give an equal transcript, equal blocks and equal
+totals, or the same error.
 
 Also two references for adversary.estimate_mi_monte_carlo. per_block_counts
 is a copy of the estimator as it was when it drew one operation pair and
@@ -25,8 +31,9 @@ swapcomm.adversary unchanged: independent_priors and point_prior.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -35,8 +42,8 @@ from swapcomm.adversary import (
     PATTERN_B_ONLY,
     PATTERN_BOTH,
     PATTERN_NONE,
-    BlockPosterior,
     OpPair,
+    PosteriorReport,
     _entropy_bits,
     _likelihoods,
     _mi_bits,
@@ -53,10 +60,35 @@ from swapcomm.channel import (
 )
 from swapcomm.documents import _SESSION_TYPES
 from swapcomm.protocol import SessionMode, SilentFallback, Transcript
-from swapcomm.quantum import PauliCode
+from swapcomm.quantum import BellLabel, PauliCode
 from swapcomm.swap import ALL_OP_PAIRS, ENCODING_ORDER, LABEL_CODES, generate_decode_table
 
 from reference_replay import measurements
+
+
+@dataclass(frozen=True)
+class PerBlockPosterior:
+    """Exact Bayesian update for one block's announcements."""
+
+    index: int
+    announced_a: BellLabel | None
+    announced_b: BellLabel | None
+    pattern: str
+    consistent: bool
+    posterior: Mapping[OpPair, float]
+    prior_entropy_bits: float
+    posterior_entropy_bits: float
+    mi_alice_bits: float
+    mi_bob_bits: float
+    mi_joint_bits: float
+
+
+def blocks_of(report: PosteriorReport) -> tuple[PerBlockPosterior, ...]:
+    """The report's views expanded by `which`: block k is view which[k-1]."""
+    return tuple(
+        PerBlockPosterior(k, **vars(report.views[v]))
+        for k, v in enumerate(report.which.tolist(), start=1)
+    )
 
 
 def independent_priors(
@@ -115,7 +147,7 @@ def transcript_from_document(doc: dict) -> Transcript:
         fallback=SilentFallback(fields["fallback"]),
         alice_declared_length=fields["alice_declared_length"],
         bob_declared_length=fields["bob_declared_length"],
-        lines=CodedLines.of(fields["id"], (Announcement.from_wire(line) for line in lines)),
+        lines=CodedLines.of(fields["id"], _parsed(lines)),
     )
     for ann in transcript.announcements:
         if ann.kind is AnnouncementKind.MEASUREMENT and not (
@@ -125,6 +157,14 @@ def transcript_from_document(doc: dict) -> Transcript:
                 f"measurement for block {ann.block} outside 1..{transcript.usable_blocks}"
             )
     return transcript
+
+
+def _parsed(lines: list) -> Iterator[Announcement]:
+    for number, line in enumerate(lines):
+        try:
+            yield Announcement.from_wire(line)
+        except FrameError as exc:
+            raise FrameError(f"transcript line {number}: {exc.message}", exc.byte_offset)
 
 
 def block_announcements(transcript: Transcript) -> list:
@@ -147,7 +187,7 @@ def _view_of(a_label, b_label) -> tuple[str, int]:
     return PATTERN_NONE, 24
 
 
-def eve_posterior(transcript: Transcript, priors) -> tuple[BlockPosterior, ...]:
+def eve_posterior(transcript: Transcript, priors) -> tuple[PerBlockPosterior, ...]:
     """Exact per-block posterior over operation pairs given the transcript.
 
     A block whose announced outcome has zero probability under the priors
@@ -183,7 +223,7 @@ def eve_posterior(transcript: Transcript, priors) -> tuple[BlockPosterior, ...]:
         announced, seen, inverse.tolist()
     ):
         consistent, posterior, posterior_entropy = scored[k]
-        blocks.append(BlockPosterior(
+        blocks.append(PerBlockPosterior(
             index=index,
             announced_a=a_label,
             announced_b=b_label,
@@ -197,7 +237,7 @@ def eve_posterior(transcript: Transcript, priors) -> tuple[BlockPosterior, ...]:
     return tuple(blocks)
 
 
-def information_summary(blocks: tuple[BlockPosterior, ...], priors) -> dict:
+def information_summary(blocks: tuple[PerBlockPosterior, ...], priors) -> dict:
     """Per-block rows and session totals of the entropy and MI bookkeeping.
 
     Blocks are independent, so session totals are sums; inconsistent blocks
@@ -222,10 +262,10 @@ def information_summary(blocks: tuple[BlockPosterior, ...], priors) -> dict:
     session = {
         "blocks": len(blocks),
         "prior_entropy_bits": prior_entropy * len(blocks),
-        "posterior_entropy_bits": sum(b.posterior_entropy_bits for b in consistent),
-        "mi_alice_bits": sum(b.mi_alice_bits for b in blocks),
-        "mi_bob_bits": sum(b.mi_bob_bits for b in blocks),
-        "mi_joint_bits": sum(b.mi_joint_bits for b in blocks),
+        "posterior_entropy_bits": sum((b.posterior_entropy_bits for b in consistent), 0.0),
+        "mi_alice_bits": sum((b.mi_alice_bits for b in blocks), 0.0),
+        "mi_bob_bits": sum((b.mi_bob_bits for b in blocks), 0.0),
+        "mi_joint_bits": sum((b.mi_joint_bits for b in blocks), 0.0),
         "inconsistent_blocks": [b.index for b in blocks if not b.consistent],
     }
     return {"per_block": per_block, "session": session}

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import warnings
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import reference_analysis
-from reference_analysis import independent_priors, point_prior
+from reference_analysis import blocks_of, independent_priors, point_prior
 from swapcomm import adversary
 from swapcomm.adversary import (
     _VIEW_CODES,
@@ -17,7 +18,7 @@ from swapcomm.adversary import (
     PATTERN_B_ONLY,
     PATTERN_BOTH,
     PATTERN_NONE,
-    EveView,
+    _label_columns,
     _likelihoods,
     estimate_mi_monte_carlo,
     eve_posterior,
@@ -59,13 +60,13 @@ class TestPriors:
         bad = uniform_priors()
         bad[(PauliCode.U0, PauliCode.U0)] = 0.5
         with pytest.raises(ValueError, match="sum to"):
-            eve_posterior(EveView(session().transcript), bad)
+            eve_posterior(session().transcript, bad)
 
     def test_sum_error_names_a_plain_float(self):
         half = {pair: p for pair, p in uniform_priors().items()
                 if pair[0] in (PauliCode.U0, PauliCode.U1)}
         with pytest.raises(ValueError) as excinfo:
-            eve_posterior(EveView(session().transcript), half)
+            eve_posterior(session().transcript, half)
         assert str(excinfo.value) == "priors sum to 0.5, not 1"
 
     @pytest.mark.parametrize("p", [1 + 2e-9, 1e308])
@@ -90,8 +91,8 @@ class TestEvePosterior:
     def test_both_announced_uniform_posterior_over_column(self):
         # Alice applies U1, Bob U0: the composite is the PsiMinus column.
         res = session(alice="01", bob="00")
-        report = eve_posterior(EveView(res.transcript), uniform_priors())
-        block = report.blocks[0]
+        report = eve_posterior(res.transcript, uniform_priors())
+        block = blocks_of(report)[0]
         assert block.pattern == PATTERN_BOTH
         support = {pair for pair, p in block.posterior.items() if p > 0}
         assert support == {
@@ -110,8 +111,8 @@ class TestEvePosterior:
             mode=SessionMode.ALICE_TO_BOB,
             fallback=SilentFallback.ANNOUNCED_SILENCE,
         )
-        report = eve_posterior(EveView(res.transcript), uniform_priors())
-        block = report.blocks[0]
+        report = eve_posterior(res.transcript, uniform_priors())
+        block = blocks_of(report)[0]
         assert block.pattern == PATTERN_A_ONLY
         for pair, p in block.posterior.items():
             assert p == pytest.approx(1 / 16, abs=1e-12)
@@ -125,9 +126,9 @@ class TestEvePosterior:
     def test_point_prior_stays_point(self):
         res = session(alice="01", bob="00")
         report = eve_posterior(
-            EveView(res.transcript), point_prior(PauliCode.U1, PauliCode.U0)
+            res.transcript, point_prior(PauliCode.U1, PauliCode.U0)
         )
-        block = report.blocks[0]
+        block = blocks_of(report)[0]
         assert block.consistent
         assert block.posterior[(PauliCode.U1, PauliCode.U0)] == pytest.approx(1.0)
         assert block.posterior_entropy_bits == pytest.approx(0.0, abs=1e-12)
@@ -136,9 +137,9 @@ class TestEvePosterior:
         # A prior that excludes the observed outcome's whole column.
         res = session(alice="01", bob="00")  # PsiMinus column
         report = eve_posterior(
-            EveView(res.transcript), point_prior(PauliCode.U0, PauliCode.U0)
+            res.transcript, point_prior(PauliCode.U0, PauliCode.U0)
         )
-        block = report.blocks[0]
+        block = blocks_of(report)[0]
         assert block.consistent is False
         assert block.posterior == {}
         assert math.isnan(block.posterior_entropy_bits)
@@ -146,9 +147,8 @@ class TestEvePosterior:
 
     def test_view_is_transcript_only(self):
         res = session(alice="0110", bob="1001")
-        view = EveView(res.transcript)
-        assert [field.name for field in dataclasses.fields(view)] == ["transcript"]
-        for column in view.label_columns():
+        assert list(inspect.signature(eve_posterior).parameters) == ["transcript", "priors"]
+        for column in _label_columns(res.transcript):
             # Indices into ENCODING_ORDER: announced labels, never operation codes.
             assert len(column) == 2 and set(column.tolist()) <= {0, 1, 2, 3}
             labels = [ENCODING_ORDER[i] for i in column.tolist()]
@@ -173,8 +173,8 @@ class TestEvePosterior:
         ]
         for priors in priors_list:
             for res in sessions:
-                report = eve_posterior(EveView(res.transcript), priors)
-                for block in report.blocks:
+                report = eve_posterior(res.transcript, priors)
+                for block in blocks_of(report):
                     if block.consistent:
                         assert sum(block.posterior.values()) == pytest.approx(
                             1.0, abs=1e-9
@@ -203,12 +203,12 @@ class TestLabelColumns:
         order = np.delete(np.argsort(-blocks, kind="stable"), 3)
         for priors in (uniform_priors(), point_prior(PauliCode.U0, PauliCode.U0)):
             reports = [
-                eve_posterior(EveView(_with_lines(res.transcript, order, tuple_form)), priors)
+                eve_posterior(_with_lines(res.transcript, order, tuple_form), priors)
                 for tuple_form in (False, True)
             ]
-            assert repr(reports[0].blocks) == repr(reports[1].blocks)
+            assert repr(blocks_of(reports[0])) == repr(blocks_of(reports[1]))
             assert reports[0].inconsistent_blocks == reports[1].inconsistent_blocks
-            summaries = [repr(information_summary(report, priors)) for report in reports]
+            summaries = [repr(information_summary(report)) for report in reports]
             assert summaries[0] == summaries[1]
 
     @pytest.mark.parametrize("tuple_form", [False, True])
@@ -224,9 +224,9 @@ class TestLabelColumns:
         # B repeats block 1 before A repeats block 2, yet A is reported.
         order.insert(first_b + 1, first_b)
         order.append(second_a)
-        view = EveView(_with_lines(res.transcript, order, tuple_form))
+        transcript = _with_lines(res.transcript, order, tuple_form)
         with pytest.raises(ValueError, match="^side A announced block 2 twice$"):
-            view.label_columns()
+            _label_columns(transcript)
 
     @pytest.mark.parametrize("block", [0, 3])
     def test_measurement_outside_the_blocks_is_a_value_error(self, block):
@@ -242,7 +242,7 @@ class TestLabelColumns:
             res.transcript, lines=CodedLines(lines.session_id, blocks, lines.codes)
         )
         with pytest.raises(ValueError, match=f"^measurement for block {block} outside 1..2$"):
-            eve_posterior(EveView(transcript), uniform_priors())
+            eve_posterior(transcript, uniform_priors())
 
 
 class TestInformationMeasures:
@@ -278,8 +278,8 @@ class TestInformationMeasures:
         priors = {pair: p * scale for pair, p in point_prior(PauliCode.U0, PauliCode.U0).items()}
         for pattern in ALL_PATTERNS:
             assert set(pattern_information(priors, pattern).values()) == {0.0}, pattern
-        report = eve_posterior(EveView(session(alice="0110", bob="1001").transcript), priors)
-        totals = information_summary(report, priors)["session"]
+        report = eve_posterior(session(alice="0110", bob="1001").transcript, priors)
+        totals = information_summary(report)["session"]
         assert [totals[key] for key in ("mi_alice_bits", "mi_bob_bits", "mi_joint_bits")] == [0.0] * 3
         assert totals["prior_entropy_bits"] >= 0.0
         assert all(view.prior_entropy_bits >= 0.0 for view in report.views)
@@ -288,14 +288,31 @@ class TestInformationMeasures:
         # 0.0, not -0.0: a document writes the sign of zero.
         priors = point_prior(PauliCode.U1, PauliCode.U0)
         for res in (session(alice="0110", bob="1001"), session(alice="01", bob="00")):
-            report = eve_posterior(EveView(res.transcript), priors)
-            totals = information_summary(report, priors)["session"]
+            report = eve_posterior(res.transcript, priors)
+            totals = information_summary(report)["session"]
             entropies = [totals["prior_entropy_bits"], totals["posterior_entropy_bits"]]
             for view in report.views:
                 entropies.append(view.prior_entropy_bits)
                 if view.consistent:
                     entropies.append(view.posterior_entropy_bits)
             assert entropies and all(math.copysign(1.0, h) == 1.0 and h == 0.0 for h in entropies)
+
+    @pytest.mark.parametrize("n_pairs", [0, 1, 4])
+    def test_totals_of_no_blocks_are_floats(self, n_pairs):
+        # With no blocks, or only inconsistent ones, a total is an empty sum:
+        # a document writes 0.0 for it, not the int 0.
+        bits = n_pairs // 2 * 2
+        res = run_session(SessionConfig(
+            n_pairs=n_pairs, seed=1,
+            alice_message=MessageBits.from_bits("0101"[:bits]),
+            bob_message=MessageBits.from_bits("0000"[:bits]),
+        ))
+        report = eve_posterior(res.transcript, point_prior(PauliCode.U0, PauliCode.U0))
+        totals = information_summary(report)["session"]
+        assert len(report.inconsistent_blocks) == n_pairs // 2
+        keys = ["prior_entropy_bits", "posterior_entropy_bits",
+                "mi_alice_bits", "mi_bob_bits", "mi_joint_bits"]
+        assert [repr(totals[key]) for key in keys] == ["0.0"] * len(keys)
 
     def test_skewed_priors_do_leak(self):
         # Bob known to apply U0: the composite then names Alice's operation.
@@ -320,9 +337,10 @@ class TestInformationMeasures:
     def test_summary_totals(self):
         res = session(alice="0110", bob="1001")
         priors = uniform_priors()
-        report = eve_posterior(EveView(res.transcript), priors)
-        summary = information_summary(report, priors)
-        n = len(report.blocks)
+        report = eve_posterior(res.transcript, priors)
+        summary = information_summary(report)
+        assert list(inspect.signature(information_summary).parameters) == ["report"]
+        n = len(blocks_of(report))
         assert summary["session"]["blocks"] == n
         assert summary["session"]["mi_joint_bits"] == pytest.approx(2.0 * n)
         assert summary["session"]["mi_alice_bits"] == 0.0
@@ -488,13 +506,13 @@ class TestViewLayout:
             if ann.label is not None and (ann.side, ann.block) in {("B", 1), ("A", 2)}
         ]
         kept = np.delete(np.arange(len(lines)), dropped)
-        view = EveView(_with_lines(res.transcript, kept, False))
-        report = eve_posterior(view, uniform_priors())
+        transcript = _with_lines(res.transcript, kept, False)
+        report = eve_posterior(transcript, uniform_priors())
         columns = [
             _VIEW_CODES[_label_index(v.announced_a) + 1, _label_index(v.announced_b) + 1]
             for v in report.views
         ]
-        a_seen, b_seen = view.label_columns()
+        a_seen, b_seen = _label_columns(transcript)
         seen = _VIEW_CODES[a_seen + 1, b_seen + 1]
         assert columns == sorted(set(seen.tolist()))
         assert np.array_equal(np.array(columns)[report.which], seen)
@@ -508,9 +526,9 @@ class TestSessionPatterns:
             mode=SessionMode.ALICE_TO_BOB,
             fallback=SilentFallback.ANNOUNCED_SILENCE,
         )
-        report = eve_posterior(EveView(res.transcript), uniform_priors())
-        assert all(b.pattern == PATTERN_A_ONLY for b in report.blocks)
-        assert all(b.mi_joint_bits == 0.0 for b in report.blocks)
+        report = eve_posterior(res.transcript, uniform_priors())
+        assert all(b.pattern == PATTERN_A_ONLY for b in blocks_of(report))
+        assert all(b.mi_joint_bits == 0.0 for b in blocks_of(report))
 
     def test_random_fallback_still_two_bit_composite(self):
         res = session(
@@ -518,7 +536,7 @@ class TestSessionPatterns:
             mode=SessionMode.ALICE_TO_BOB,
             fallback=SilentFallback.RANDOM_OPS,
         )
-        report = eve_posterior(EveView(res.transcript), uniform_priors())
-        assert all(b.pattern == PATTERN_BOTH for b in report.blocks)
-        assert all(b.mi_joint_bits == 2.0 for b in report.blocks)
-        assert all(b.mi_alice_bits == 0.0 for b in report.blocks)
+        report = eve_posterior(res.transcript, uniform_priors())
+        assert all(b.pattern == PATTERN_BOTH for b in blocks_of(report))
+        assert all(b.mi_joint_bits == 2.0 for b in blocks_of(report))
+        assert all(b.mi_alice_bits == 0.0 for b in blocks_of(report))

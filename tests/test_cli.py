@@ -31,8 +31,7 @@ from reference_documents import as_lists
 import reference_replay
 from swapcomm import cli, documents, jsontext, protocol
 from swapcomm.adversary import (
-    EveView,
-    PosteriorReport,
+    BlockPosterior,
     eve_posterior,
     information_summary,
     uniform_priors,
@@ -548,6 +547,15 @@ def _with_block_of(line: int, old: int, new: int):
     return tamper
 
 
+def _with_line(line: int, text: str):
+    """A tamper that replaces transcript line `line` with `text`."""
+
+    def tamper(doc):
+        doc["transcript"][line] = text
+
+    return tamper
+
+
 def _with_foreign_session_line(doc):
     doc["transcript"][3] = doc["transcript"][3].replace(doc["session"]["id"], "0" * 16)
 
@@ -689,6 +697,11 @@ class TestAnalyze:
                      f"is above {2**63 - 1}", id="huge-control-block"),
         pytest.param(_with_block_of(2, 1, 0), "measurement for block 0 outside 1..4",
                      id="measurement-on-block-0"),
+        # A line's strict parse names the line, and the byte within it.
+        pytest.param(_with_line(5, '{"v":1,"sid":"x"'), "transcript line 5: invalid frame: "
+                     "Expecting ',' delimiter (at byte 16)", id="truncated-line"),
+        pytest.param(_with_block_of(5, 2, -1), "transcript line 5: invalid frame: "
+                     "block must be non-negative (at byte 0)", id="negative-block"),
     ])
     def test_hostile_document_rejected(self, run_doc, capsys, tamper, message):
         doc = json.loads(run_doc.read_text())
@@ -758,19 +771,33 @@ class TestAnalyze:
     def test_analyze_builds_no_announcements_or_block_posteriors(
         self, run_doc, tmp_path, monkeypatch
     ):
-        expected = tmp_path / "expected.json"
-        # This run also caches the session's wire template, whose making
-        # builds Announcements.
-        assert main(["analyze", str(run_doc), "--out", str(expected)]) == 0
+        big_doc = tmp_path / "big.json"
+        assert main(["simulate", "--pairs", "20000", "--seed", "5", "--out", str(big_doc)]) == 0
 
         def built(*args):
             raise AssertionError("analyze built a per-line or per-block object")
 
-        monkeypatch.setattr(Announcement, "__post_init__", built)
-        monkeypatch.setattr(PosteriorReport, "blocks", property(built))
-        out = tmp_path / "report.json"
-        assert main(["analyze", str(run_doc), "--out", str(out)]) == 0
-        assert out.read_bytes() == expected.read_bytes()
+        # At most one BlockPosterior per view, of which there are 25.
+        posteriors = []
+        init = BlockPosterior.__init__
+
+        def counted(self, *args, **kwargs):
+            posteriors.append(self)
+            init(self, *args, **kwargs)
+
+        for doc in (run_doc, big_doc):
+            expected = tmp_path / "expected.json"
+            # This run also caches the session's wire template, whose making
+            # builds Announcements.
+            assert main(["analyze", str(doc), "--out", str(expected)]) == 0
+            posteriors.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(Announcement, "__post_init__", built)
+                patched.setattr(BlockPosterior, "__init__", counted)
+                out = tmp_path / "report.json"
+                assert main(["analyze", str(doc), "--out", str(out)]) == 0
+            assert out.read_bytes() == expected.read_bytes()
+            assert 0 < len(posteriors) <= 25
 
 
 _OP_VALUES = [None, *(op.name for op in PauliCode)]
@@ -1466,9 +1493,9 @@ class TestAnalysisProperties:
 
         def on_columns():
             transcript = documents.transcript_from_document(copy.deepcopy(doc))
-            report = eve_posterior(EveView(transcript), priors)
-            summary = information_summary(report, priors)
-            return transcript, repr(report.blocks), repr(summary["session"])
+            report = eve_posterior(transcript, priors)
+            summary = information_summary(report)
+            return transcript, repr(reference_analysis.blocks_of(report)), repr(summary["session"])
 
         def on_objects():
             transcript = reference_analysis.transcript_from_document(copy.deepcopy(doc))
