@@ -1,9 +1,10 @@
 """Public classical announcement channel.
 
-Two interchangeable implementations: an in-process channel for single
-process sessions and a TCP line protocol for two-process sessions. Both
-feed an always-available tap that records every announcement in delivery
-order; the tap is the eavesdropper's entire view.
+The channel is a TCP line protocol for two-process sessions, with an
+always-available tap that records every announcement in delivery order;
+the tap is the eavesdropper's entire view. A session in one process uses
+no channel: both parties derive the same schedule from the public config,
+so protocol.run_session plays it as it is.
 
 A session's announcements travel as CodedLines: a block column and a line
 code column, the code naming one of the 14 (side, kind, label) a line can
@@ -11,9 +12,8 @@ have. Announcement objects are built from them only when read, and wire
 text is cut from a per-session template. A tap holds CodedLines only,
 admitted through an order gate that finds the first line out of its
 session's block order as whole arrays. The per-line calls of
-InProcessEndpoint wrap one-line CodedLines. The in-process channel
-delivers and taps a window of both sides' lines at once, in schedule
-order. A TcpEndpoint plays `window` (TCP_WINDOW_LINES) schedule lines
+InProcessEndpoint, the rest of an in-process channel, wrap one-line
+CodedLines. A TcpEndpoint plays `window` (TCP_WINDOW_LINES) schedule lines
 at a time, a window's A lines, then its B lines (protocol._play), one
 send or receive call each, and buffers what it sends until it
 next reads, so a window costs one sendall. One side writes while the
@@ -343,18 +343,6 @@ class CodedLines:
                             which, self.blocks.tolist())
         return "".join(out).encode("utf-8")
 
-    def first_difference(self, other: "CodedLines") -> int | None:
-        """Index of the first line where `other` differs from these, or
-        runs out; None if `other` has every one of these lines first."""
-        if other.session_id != self.session_id:
-            return 0 if len(self) else None
-        n = min(len(self), len(other))
-        differs = (self.blocks[:n] != other.blocks[:n]) | (self.codes[:n] != other.codes[:n])
-        at = np.flatnonzero(differs)
-        if at.size:
-            return int(at[0])
-        return n if n < len(self) else None
-
 
 def _announcements(tap: list[CodedLines]) -> tuple[Announcement, ...]:
     """A tap's announcements, in order."""
@@ -403,9 +391,9 @@ class InProcessEndpoint:
     def send(self, ann: Announcement) -> None:
         if ann.side != self.side:
             raise ChannelError(f"endpoint {self.side} cannot send for side {ann.side}")
-        delivered = self._channel._deliver_lines(CodedLines.of(ann.session_id, (ann,)))
+        self._channel._gate.admit(CodedLines.of(ann.session_id, (ann,)), self._channel._tap)
         other = "B" if self.side == "A" else "A"
-        self._channel._queues[other].extend(delivered.announcements())
+        self._channel._queues[other].append(ann)
 
     def receive(self) -> Announcement:
         queue = self._channel._queues[self.side]
@@ -421,7 +409,8 @@ class InProcessEndpoint:
 
 
 class InProcessChannel:
-    """Duplex in-memory channel; delivery order defines the tap order."""
+    """Duplex in-memory channel, a line at a time. No session uses it; it
+    stays while InProcessEndpoint's send and receive are benchmark metrics."""
 
     def __init__(self):
         self._queues: dict[str, deque[Announcement]] = {s: deque() for s in SIDES}
@@ -432,15 +421,6 @@ class InProcessChannel:
         if side not in SIDES:
             raise ValueError(f"side must be one of {SIDES}")
         return InProcessEndpoint(self, side)
-
-    def _deliver_lines(self, lines: CodedLines) -> CodedLines:
-        """Deliver a window of both sides' lines at once, in order, and
-        return them as the peers receive them. Each side's block order is
-        checked and the lines are tapped; an OrderingError names the first
-        line out of order, and the lines before it are delivered. A channel
-        that alters delivery overrides this."""
-        self._gate.admit(lines, self._tap)
-        return lines
 
     def tap(self) -> tuple[Announcement, ...]:
         """Every announcement so far, in delivery order."""
@@ -704,7 +684,10 @@ class SessionListener:
 
     def __init__(self, host: str, port: int, timeout: float = 10.0):
         self._timeout = timeout
-        self._server = socket.create_server((host, port))
+        try:
+            self._server = socket.create_server((host, port))
+        except OSError as exc:
+            raise TransportError(f"cannot listen on {host}:{port}: {exc}") from exc
         self._server.settimeout(timeout)
 
     @property

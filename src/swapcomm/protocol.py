@@ -20,10 +20,10 @@ block uses, and it samples and decodes all trials as rows of (trials x
 blocks) arrays. Sampling and decoding are gathers from the decode table's
 code arrays.
 
-One function, _play, runs every session: both sides on an in-process
-channel (run_session) or one side on a TCP endpoint (run_remote_party).
-Each local side sends its own announcements and checks every line its
-peer announces against the schedule both derived from the public config.
+One function, _play, runs every session: both sides in this process, who
+have no line to check (run_session), or one side on a TCP endpoint that
+sends its own announcements and checks every line its peer announces
+against the schedule both derived from the public config (run_remote_party).
 
 A session is a table of small integers: its blocks are four code columns
 (BlockColumns) and its schedule is a block column and a line code column
@@ -50,8 +50,6 @@ from .channel import (
     AnnouncementKind,
     ChannelError,
     CodedLines,
-    InProcessChannel,
-    TransportError,
 )
 from .swap import (
     ENCODING_ORDER,
@@ -564,15 +562,15 @@ def _play(config: SessionConfig, exchange, tap) -> SessionResult:
 
     Every party derives the same blocks, as code columns, and the same
     announcement schedule, as CodedLines, from the public config.
-    `exchange(schedule)` sends the local sides' lines and checks every
-    line a peer announces against the schedule. It returns None, or
-    (received, expected, transcript so far) for the first peer line that
-    differs. `tap()` gives the announcements seen so far.
+    `exchange(schedule)` sends the local side's lines and checks every
+    line its peer announces against the schedule (none if both are local).
+    It returns None, or (received, expected, transcript so far) for the
+    first peer line that differs. `tap()` gives the announcements so far.
 
     A finished session's transcript is the verified schedule, in schedule
     order. Any failure raises SessionError with the transcript so far,
-    which for a ChannelError is the tap: its lines of this session, as a
-    channel used before may hold others.
+    which for a ChannelError is the tap: its lines of this session, as an
+    endpoint used before may hold others.
     """
     table = generate_decode_table()
     blocks = _session_blocks(config)
@@ -598,24 +596,6 @@ def _play(config: SessionConfig, exchange, tap) -> SessionResult:
     return SessionResult(*_decode(transcript, blocks, table), blocks, transcript)
 
 
-def _exchange_in_process(channel: InProcessChannel, schedule: CodedLines):
-    """Both sides over one in-process channel. The whole schedule is one
-    window: the channel delivers and taps it at once, in schedule order,
-    and the peers check what they received against it as whole arrays.
-    The transcript so far ends at the first line that differs."""
-    got = channel._deliver_lines(schedule)
-    if got is schedule:  # delivered untouched
-        return None
-    at = schedule.first_difference(got)
-    if at is None:
-        return None
-    if at == len(got):
-        peer = _PEER[LINE_KINDS[schedule.codes[at]][0]]
-        raise TransportError(f"endpoint {peer}: nothing to receive")
-    tap = channel.tap()
-    return got.announcement(at), schedule.announcement(at), tap[:len(tap) - len(got) + at + 1]
-
-
 def _exchange_remote(side: str, endpoint, schedule: CodedLines):
     """One side over its endpoint (TcpEndpoint), in windows of
     `endpoint.window` lines: each window's A lines, then its B lines, each
@@ -639,17 +619,15 @@ def _exchange_remote(side: str, endpoint, schedule: CodedLines):
     return None
 
 
-def run_session(config: SessionConfig, channel: InProcessChannel | None = None) -> SessionResult:
+def run_session(config: SessionConfig) -> SessionResult:
     """Execute a full session with both parties in this process.
 
-    Announcements really flow through `channel` (default: a fresh in-process
-    channel), which delivers the whole schedule as one window in schedule
-    order, so its tap equals the transcript.
+    Both parties derive the one schedule from the same public config, so
+    there is no peer line to exchange or check: the session plays its
+    schedule, which is its transcript.
     """
     config.validate()
-    if channel is None:
-        channel = InProcessChannel()
-    return _play(config, partial(_exchange_in_process, channel), channel.tap)
+    return _play(config, lambda schedule: None, tuple)
 
 
 def _decodes_exactly(
@@ -680,9 +658,8 @@ def run_trials(config: SessionConfig, n_trials: int) -> tuple[list, list, list, 
 
     The trials are sampled and decoded as rows of (trials x blocks) code
     arrays, in chunks of at most _TRIAL_CHUNK_BLOCKS blocks. No trial
-    builds an announcement schedule or exchanges it: decoding reads the
-    label columns, and an in-process exchange hands the schedule back
-    untouched.
+    builds an announcement schedule: decoding reads the label columns,
+    and a session in one process plays its schedule as it is.
     """
     if not 0 <= n_trials <= MAX_TRIALS:
         raise ValueError(f"n_trials must be in 0..{MAX_TRIALS}, got {n_trials}")

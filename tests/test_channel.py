@@ -312,13 +312,13 @@ class TestInProcessChannel:
             channel.endpoint("A").receive()
 
     def test_window_out_of_block_order_fails_at_its_line(self):
-        channel = InProcessChannel()
+        gate, tap = _OrderGate(), []
         anns = (meas(1, "A", BellLabel.PHI_PLUS), meas(1, "B", BellLabel.PSI_PLUS),
                 meas(3, "A", BellLabel.PHI_MINUS), meas(2, "A", BellLabel.PSI_MINUS))
         lines = _coded(anns)
         with pytest.raises(OrderingError, match="side A announced block 2 after block 3"):
-            channel._deliver_lines(lines)
-        assert channel.tap() == anns[:3]
+            gate.admit(lines, tap)
+        assert [ann for piece in tap for ann in piece.announcements()] == list(anns[:3])
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -345,41 +345,43 @@ class TestInProcessChannel:
 
         assert admitted(_OrderGate()) == admitted(_ReferenceGate())
 
-    def test_session_tap_is_the_transcript_built_once(self):
-        channel = InProcessChannel()
+    def test_session_transcript_is_its_lines_built_once(self):
         result = run_session(SessionConfig(
             n_pairs=7, seed=5, alice_message=MessageBits.from_bits("0111"),
-        ), channel)
-        assert channel.tap() == result.transcript.announcements
+        ))
+        lines = result.transcript.lines
+        assert CodedLines.of(lines.session_id, result.transcript.announcements) == lines
         assert result.transcript.announcements is result.transcript.announcements
 
-    def test_session_on_a_used_channel_runs_on_its_own_lines(self):
+    def test_sessions_on_a_used_channel_run_on_their_own_lines(self):
         """The order gate keeps each session's blocks apart: a second
-        session on a used channel runs, and its transcript is its own
-        lines of the tap."""
+        session's lines, sent on a used channel, are admitted, and its lines
+        of the tap are its transcript."""
         channel = InProcessChannel()
         first = SessionConfig(n_pairs=6, seed=1, alice_message=MessageBits.from_bits("01"))
-        run_session(first, channel)
         second = dataclasses.replace(first, seed=2)
-        result = run_session(second, channel)
+        result = run_session(second)
+
+        def send(config):
+            for ann in run_session(config).transcript.announcements:
+                channel.endpoint(ann.side).send(ann)
+
+        send(first)
+        send(second)
         assert result.decoded_by_bob == first.alice_message
-        assert result.transcript == run_session(second).transcript
         assert result.transcript.announcements == tuple(
             ann for ann in channel.tap() if ann.session_id == session_id(second))
-        with pytest.raises(SessionError, match="block 1 after block 3"):
-            run_session(second, channel)  # the same session again is out of order
+        with pytest.raises(OrderingError, match="block 1 after block 3"):
+            send(second)  # the same session again is out of order
 
-    def test_tap_counts_for_bidirectional_session(self):
-        channel = InProcessChannel()
-        run_session(SessionConfig(
+    def test_line_counts_for_bidirectional_session(self):
+        lines = run_session(SessionConfig(
             n_pairs=6, seed=5,
             alice_message=MessageBits.from_bits("011110"),
             bob_message=MessageBits.from_bits("101100"),
-        ), channel)
-        tap = channel.tap()
-        measurements = [a for a in tap if a.kind is AnnouncementKind.MEASUREMENT]
-        assert len(measurements) == 6  # 3 blocks x 2 sides
-        assert len(tap) == 10
+        )).transcript.lines
+        assert lines.count(AnnouncementKind.MEASUREMENT) == 6  # 3 blocks x 2 sides
+        assert len(lines) == 10
 
 
 def run_tcp_pair(config_a, config_b, port=0):

@@ -615,20 +615,28 @@ class TestAnalyze:
 
     def test_the_largest_monte_carlo_estimate_peaks_under_150_mb(self, run_doc, tmp_path):
         """--mc-blocks at its cap, in a child that reports its own peak RSS:
-        the estimate draws cell counts, not a row per block."""
+        the estimate draws cell counts, not a row per block. The peak is
+        the child's VmHWM, which starts afresh at exec. ru_maxrss, the
+        fallback where /proc has no such line, keeps on Linux the peak of
+        the process the child was forked from, here the test runner."""
         report = tmp_path / "report.json"
         child = subprocess.run(
             [sys.executable, "-c",
-             "import resource, sys\n"
+             "import re, resource, sys\n"
              "from swapcomm.cli import main\n"
              "code = main(['analyze', sys.argv[1], '--mc-blocks', '10000000', '--out', sys.argv[2]])\n"
-             "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n",
+             "try:\n"
+             "    with open('/proc/self/status') as status:\n"
+             "        peak = re.search(r'^VmHWM:\\s*(\\d+) kB$', status.read(), re.M)\n"
+             "except OSError:\n"
+             "    peak = None\n"
+             "print(code, peak[1] if peak else resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n",
              str(run_doc), str(report)],
             capture_output=True, text=True, timeout=120,
             env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
         )
         assert child.returncode == 0, child.stderr
-        code, peak_kib = map(int, child.stdout.split())  # ru_maxrss is in KiB on Linux
+        code, peak_kib = map(int, child.stdout.split())  # both measures are in KiB on Linux
         assert code == 0, child.stderr
         assert json.loads(report.read_text())["monte_carlo"]["both"]["n_blocks"] == 1e7
         assert peak_kib * 1024 < 150e6, f"peak RSS {peak_kib * 1024 / 1e6:.1f} MB"
@@ -1761,6 +1769,21 @@ class TestNetworkedCli:
         assert code == 3
         assert not out.exists()
         assert "cannot reach" in captured.err
+
+    def test_serve_on_a_port_in_use_is_a_transport_error(self, tmp_path, capsys):
+        out = tmp_path / "never.json"
+        with socket.create_server(("127.0.0.1", 0)) as held:
+            port = held.getsockname()[1]
+            code, captured = run_cli(
+                "serve", "--listen", f"127.0.0.1:{port}", "--pairs", "6",
+                "--alice-msg", "01", "--timeout", "0.5", "--out", str(out),
+                capsys=capsys,
+            )
+        assert code == 3
+        assert not out.exists()
+        assert captured.err.startswith(f"swapcomm: cannot listen on 127.0.0.1:{port}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     PEER = SessionConfig(n_pairs=8, seed=7, alice_message=MessageBits.from_bits("0110"),
                          bob_message=MessageBits.from_bits("1011"))

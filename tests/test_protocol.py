@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -7,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 import reference_replay
+from swapcomm import channel, protocol
 from swapcomm.channel import (
     LINE_CODES,
     Announcement,
     AnnouncementKind,
     CodedLines,
-    InProcessChannel,
+    TransportError,
 )
 from swapcomm.protocol import (
     MAX_BLOCKS,
@@ -188,11 +190,29 @@ class TestRunSession:
             assert res.decoded_by_bob.declared_bits == alice
             assert res.decoded_by_alice.declared_bits == bob
 
-    def test_capacity_error_before_any_announcement(self):
-        channel = InProcessChannel()
+    def test_capacity_error_before_any_announcement(self, monkeypatch):
+        calls = []
+        schedule = protocol._announcement_schedule
+        monkeypatch.setattr(protocol, "_announcement_schedule",
+                            lambda *args: calls.append(args) or schedule(*args))
         with pytest.raises(CapacityError, match="6 pairs but the session has 4"):
-            run_session(bidirectional(4, 0, "011011", ""), channel)
-        assert channel.tap() == ()
+            run_session(bidirectional(4, 0, "011011", ""))
+        assert calls == []
+        run_session(bidirectional(4, 0, "0110", ""))
+        assert len(calls) == 1  # the counter sees the schedule of a session that runs
+
+    def test_takes_only_its_config_and_plays_its_schedule_through_no_gate(self, monkeypatch):
+        """A session in one process has no channel: no order gate admits
+        its lines, and its transcript is its schedule."""
+        assert list(inspect.signature(run_session).parameters) == ["config"]
+        config = bidirectional(8, 5, "0110", "1011")
+        clean = run_session(config).transcript
+
+        def refuse(gate, lines, tap):
+            raise AssertionError("the order gate admitted a line")
+
+        monkeypatch.setattr(channel._OrderGate, "admit", refuse)
+        assert run_session(config).transcript == clean
 
     def test_empty_messages(self):
         res = run_session(bidirectional(6, 3, "", ""))
@@ -680,28 +700,6 @@ def _relabel(ann):
     return dataclasses.replace(ann, label=wrong)
 
 
-class _TamperingChannel(InProcessChannel):
-    """Delivers Bob's block-2 measurement with a different label."""
-
-    def _deliver_lines(self, lines):
-        codes = lines.codes.copy()
-        for at, ann in enumerate(lines.announcements()):
-            if ann.kind is AnnouncementKind.MEASUREMENT and (ann.block, ann.side) == (2, "B"):
-                codes[at] = LINE_CODES[ann.side, ann.kind, _relabel(ann).label]
-        return super()._deliver_lines(CodedLines(lines.session_id, lines.blocks, codes))
-
-
-class _DroppingChannel(InProcessChannel):
-    """Delivers and taps a window only up to its line `keep`: the rest is lost."""
-
-    def __init__(self, keep):
-        super().__init__()
-        self.keep = keep
-
-    def _deliver_lines(self, lines):
-        return super()._deliver_lines(lines[:self.keep])
-
-
 class _ScriptedSubstrate:
     def __init__(self, hello):
         self.hello, self.sent, self.limits = hello, [], []
@@ -718,13 +716,13 @@ class _ScriptedSubstrate:
 
 
 class _ScriptedEndpoint:
-    """Plays a peer whose lines are fixed in advance, a window at a time."""
+    """Plays a peer whose lines are fixed in advance, `window` schedule
+    lines at a time. Its script ends as a closed connection does."""
 
-    window = 4
-
-    def __init__(self, peer_lines=()):
+    def __init__(self, peer_lines=(), window=4):
         self._script = list(peer_lines)
         self._tap = []
+        self.window = window
 
     def send(self, lines):
         self._tap.extend(lines.announcements())
@@ -734,6 +732,8 @@ class _ScriptedEndpoint:
 
     def receive(self, expected):
         for want in expected.announcements():
+            if not self._script:
+                raise TransportError("peer closed the connection")
             got = self._script.pop(0)
             self._tap.append(got)
             if got != want:
@@ -752,40 +752,55 @@ class TestPeerCheck:
 
     CONFIG = bidirectional(8, 5, "0110", "1011")
 
-    def test_in_process_rejects_tampered_peer_line(self):
-        clean = run_session(self.CONFIG).transcript.announcements
+    @staticmethod
+    def _tampered(config):
+        """The clean transcript of `config`, the index in it of Bob's block-2
+        measurement, and Bob's lines up to that one, which is relabelled."""
+        clean = run_session(config).transcript.announcements
         bad = next(i for i, ann in enumerate(clean)
                    if ann.kind is AnnouncementKind.MEASUREMENT
                    and (ann.block, ann.side) == (2, "B"))
-        with pytest.raises(SessionError, match="peer announced") as err:
-            run_session(self.CONFIG, channel=_TamperingChannel())
-        partial = err.value.transcript.announcements
-        assert partial == clean[:bad] + (_relabel(clean[bad]),)
+        peer_lines = [ann for ann in clean[:bad] if ann.side == "B"] + [_relabel(clean[bad])]
+        return clean, bad, peer_lines
 
-    def test_abort_on_a_used_channel_holds_only_its_own_lines(self):
-        """Two sessions on one tampering channel each abort at their own
-        tampered line; the second's transcript holds none of the first's."""
-        channel = _TamperingChannel()
-        for seed in (5, 6):
-            config = dataclasses.replace(self.CONFIG, seed=seed)
-            clean = run_session(config).transcript.announcements
-            bad = next(i for i, ann in enumerate(clean)
-                       if ann.kind is AnnouncementKind.MEASUREMENT
-                       and (ann.block, ann.side) == (2, "B"))
+    def test_remote_party_rejects_tampered_peer_line(self):
+        """Windows of one line play the schedule in its order, so the
+        partial transcript is the schedule up to the tampered line."""
+        clean, bad, peer_lines = self._tampered(self.CONFIG)
+        substrate = _ScriptedSubstrate(substrate_hello("B", self.CONFIG))
+        mine = dataclasses.replace(self.CONFIG, bob_message=None)
+        with pytest.raises(SessionError, match="peer announced") as err:
+            run_remote_party("A", mine, substrate, _ScriptedEndpoint(peer_lines, window=1))
+        assert err.value.transcript.announcements == clean[:bad] + (_relabel(clean[bad]),)
+
+    def test_abort_on_a_used_endpoint_holds_only_its_own_lines(self):
+        """Two sessions on one endpoint each abort at their own tampered
+        line; the second's transcript holds none of the first's."""
+        configs = [dataclasses.replace(self.CONFIG, seed=seed) for seed in (5, 6)]
+        tampered = [self._tampered(config) for config in configs]
+        endpoint = _ScriptedEndpoint([line for *_, lines in tampered for line in lines], window=1)
+        for config, (clean, bad, _) in zip(configs, tampered):
+            substrate = _ScriptedSubstrate(substrate_hello("B", config))
+            mine = dataclasses.replace(config, bob_message=None)
             with pytest.raises(SessionError, match="peer announced") as err:
-                run_session(config, channel=channel)
+                run_remote_party("A", mine, substrate, endpoint)
             assert err.value.transcript.announcements == clean[:bad] + (_relabel(clean[bad]),)
-        assert len({ann.session_id for ann in channel.tap()}) == 2
+        assert len({ann.session_id for ann in endpoint.tap()}) == 2
 
     @pytest.mark.parametrize("side, receiver", [("A", "B"), ("B", "A")])
-    def test_in_process_delivery_that_drops_the_tail_is_a_session_error(self, side, receiver):
-        """The lines are lost from a line of `side` on, so the other side
-        has nothing to receive; the transcript so far is what was tapped."""
+    def test_a_peer_that_drops_the_tail_is_a_session_error(self, side, receiver):
+        """The peer's lines end from a line of `side` on, so `receiver`,
+        the party played here, has nothing more to receive; the transcript
+        so far is what was tapped."""
         clean = run_session(self.CONFIG).transcript.announcements
         keep = next(i for i, ann in enumerate(clean) if i and ann.side == side)
+        peer_lines = [ann for ann in clean[:keep] if ann.side == side]
+        slot = "alice_message" if side == "A" else "bob_message"
+        substrate = _ScriptedSubstrate(substrate_hello(side, self.CONFIG))
+        mine = dataclasses.replace(self.CONFIG, **{slot: None})
         with pytest.raises(SessionError) as err:
-            run_session(self.CONFIG, channel=_DroppingChannel(keep))
-        assert str(err.value) == f"endpoint {receiver}: nothing to receive"
+            run_remote_party(receiver, mine, substrate, _ScriptedEndpoint(peer_lines, window=1))
+        assert str(err.value) == "peer closed the connection"
         assert err.value.transcript.announcements == clean[:keep]
 
     @pytest.mark.parametrize("side, cleared, message", [
